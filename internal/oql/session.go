@@ -65,8 +65,16 @@ func (s *Session) Exec(src string) error {
 	return s.Run(prog)
 }
 
-// Run executes a parsed program.
-func (s *Session) Run(prog *Program) error {
+// Run executes a parsed program. The paper treats a program as one
+// transaction, so an error aborts the ambient transaction: nothing the
+// failed program did survives, and no open Tx is left behind for
+// DB.Close to wait out.
+func (s *Session) Run(prog *Program) (err error) {
+	defer func() {
+		if err != nil {
+			s.AbortTx()
+		}
+	}()
 	if len(prog.Classes) > 0 {
 		if err := RegisterClasses(prog.Classes, s.db.Schema()); err != nil {
 			return err

@@ -1,9 +1,11 @@
 package oql
 
 import (
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ode"
 )
@@ -443,6 +445,7 @@ func TestEvalExpr(t *testing.T) {
 	defer db.Close()
 	var sink strings.Builder
 	sess := NewSession(db, &sink)
+	defer sess.AbortTx() // runs before db.Close, which would wait out an open Tx
 	if err := sess.Exec(`x := 21;`); err != nil {
 		t.Fatal(err)
 	}
@@ -473,6 +476,37 @@ func TestRuntimeErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("src %q: err = %v, want contains %q", c.src, err, c.want)
 		}
+	}
+}
+
+// A failed program aborts its transaction: nothing it did survives,
+// and Close does not wait 2×CloseTimeout for a Tx nobody will finish.
+func TestFailedExecAbortsTransaction(t *testing.T) {
+	db, err := ode.Open(filepath.Join(t.TempDir(), "f.odb"), ode.NewSchema(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := NewSession(db, io.Discard)
+	if err := sess.Exec(`class c { public: int x; }; create cluster c; commit;`); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Exec(`p := pnew c{x: 7}; y := 1 / 0;`); err == nil {
+		t.Fatal("division by zero did not fail")
+	}
+	var out strings.Builder
+	sess2 := NewSession(db, &out)
+	if err := sess2.Exec(`n := 0; forall o in c { n = n + 1; } print(n); commit;`); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != "0\n" {
+		t.Errorf("failed program's pnew survived: count = %q, want 0", out.String())
+	}
+	start := time.Now()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("db.Close after a failing Exec took %v, want < 1s", d)
 	}
 }
 

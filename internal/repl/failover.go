@@ -31,10 +31,15 @@ type MonitorOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// DefaultWindow is the failover window when MonitorOptions.Window is
+// unset; a node's other recovery timings (restart backoff, subscribe
+// retries) are fractions of the window in force.
+const DefaultWindow = 3 * time.Second
+
 func (o *MonitorOptions) withDefaults() MonitorOptions {
 	out := *o
 	if out.Window <= 0 {
-		out.Window = 3 * time.Second
+		out.Window = DefaultWindow
 	}
 	if out.Probe <= 0 {
 		out.Probe = out.Window / 3
@@ -231,8 +236,7 @@ func (m *Monitor) emit(ev Event) {
 // Probe asks the node at addr for its replication status over a
 // dedicated throwaway connection (hello exchange plus one repl-status
 // round trip), bounded by timeout. Deliberately minimal — repl must
-// not depend on the client package. The monitor's health checks and
-// ode-server's boot-time peer scan both use it.
+// not depend on the client package.
 func Probe(addr string, timeout time.Duration) (*wire.ReplStatus, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -293,6 +297,26 @@ func (m *Monitor) probeAll() map[string]*wire.ReplStatus {
 	return out
 }
 
+// WritablePeer probes the group and returns the peer a read-only node
+// should follow: writable at this node's epoch or newer, the highest
+// epoch first — a deposed primary that has not noticed its deposition
+// is writable too, at a stale one, and joining it would resync onto
+// fenced history. addr is "" when no such peer is visible. A node's
+// boot-time scan, the seeker tick and the election all decide through
+// here.
+func (m *Monitor) WritablePeer() (addr string, epoch uint64) {
+	return writablePeer(m.probeAll(), m.db.Epoch())
+}
+
+func writablePeer(statuses map[string]*wire.ReplStatus, localEpoch uint64) (addr string, epoch uint64) {
+	for a, st := range statuses {
+		if !st.ReadOnly && st.Epoch >= localEpoch && (addr == "" || st.Epoch > epoch) {
+			addr, epoch = a, st.Epoch
+		}
+	}
+	return addr, epoch
+}
+
 // tickPrimary checks a serving primary for its own deposition: a peer
 // writable at a higher epoch means a promotion happened behind this
 // node's back (it was partitioned away), and continuing to accept
@@ -339,22 +363,13 @@ func (m *Monitor) tickFollower(primary string) {
 	m.elect()
 }
 
-// tickSeeker looks for an upstream: any peer writable at this node's
-// epoch or newer is adopted immediately (highest epoch first — a
-// deposed primary that has not noticed its deposition is writable at a
-// stale one). With nobody writable the seeker behaves like a follower
-// whose primary died: arm the window, then elect.
+// tickSeeker looks for an upstream: a writable peer (see WritablePeer)
+// is adopted immediately. With nobody writable the seeker behaves like
+// a follower whose primary died: arm the window, then elect.
 func (m *Monitor) tickSeeker() {
 	localEpoch := m.db.Epoch()
-	var bestAddr string
-	var bestEpoch uint64
-	for addr, st := range m.probeAll() {
-		if !st.ReadOnly && st.Epoch >= localEpoch && (bestAddr == "" || st.Epoch > bestEpoch) {
-			bestAddr, bestEpoch = addr, st.Epoch
-		}
-	}
-	if bestAddr != "" {
-		m.emit(Event{Kind: EventNewPrimary, Addr: bestAddr, Epoch: bestEpoch})
+	if addr, epoch := m.WritablePeer(); addr != "" {
+		m.emit(Event{Kind: EventNewPrimary, Addr: addr, Epoch: epoch})
 		return
 	}
 	now := time.Now()
@@ -384,18 +399,9 @@ func (m *Monitor) elect() {
 	statuses := m.probeAll()
 
 	// A peer already serving writes at our epoch or newer ends the
-	// election: follow it. Prefer the highest epoch — a deposed primary
-	// that has not noticed its deposition is writable too, at a stale
-	// one.
-	var followAddr string
-	var followEpoch uint64
-	for addr, st := range statuses {
-		if !st.ReadOnly && st.Epoch >= localEpoch && (followAddr == "" || st.Epoch > followEpoch) {
-			followAddr, followEpoch = addr, st.Epoch
-		}
-	}
-	if followAddr != "" {
-		m.emit(Event{Kind: EventNewPrimary, Addr: followAddr, Epoch: followEpoch})
+	// election: follow it.
+	if addr, epoch := writablePeer(statuses, localEpoch); addr != "" {
+		m.emit(Event{Kind: EventNewPrimary, Addr: addr, Epoch: epoch})
 		return
 	}
 

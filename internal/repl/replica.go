@@ -188,6 +188,9 @@ func (r *Replica) adopt(epoch, startLSN uint64) error {
 	return nil
 }
 
+// Addr is the primary this replica follows.
+func (r *Replica) Addr() string { return r.addr }
+
 // Done is closed when the streaming loop has exited.
 func (r *Replica) Done() <-chan struct{} { return r.done }
 

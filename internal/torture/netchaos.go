@@ -1,7 +1,8 @@
 package torture
 
-// Network-chaos torture: three full nodes (database, WAL source, wire
-// server, failover monitor) meshed through netchaos proxy links, with
+// Network-chaos torture: three full nodes — each an internal/node.Node,
+// the lifecycle state machine ode-server runs, configured only with
+// compressed timings — meshed through netchaos proxy links, with
 // client.Replicated traffic riding through per-client links. Rounds
 // inject one network fault each — partitions, node kills, connection
 // resets, latency, asymmetric stalls — while writes and floored reads
@@ -31,7 +32,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -39,6 +39,7 @@ import (
 	"ode"
 	"ode/client"
 	"ode/internal/netchaos"
+	"ode/internal/node"
 	"ode/internal/obs"
 	"ode/internal/repl"
 	"ode/internal/server"
@@ -129,49 +130,12 @@ type chaosRun struct {
 	res   NetChaosResult
 }
 
-// repDeath carries a fatal replica-stream exit to the node's event
-// loop, tagged with the incarnation it belongs to.
-type repDeath struct {
-	gen int
-	err error
-}
-
-// chaosNode is one full node: its own store, WAL source, wire server,
-// and failover monitor, restartable (with or without a wipe) across
-// incarnations. The generation counter invalidates the previous
-// incarnation's event goroutine and replica watcher on every restart.
+// chaosNode is one node of the group: the shared lifecycle runtime plus
+// what the harness needs to address and digest it.
 type chaosNode struct {
-	run  *chaosRun
-	idx  int
-	name string // advertised election identity ("n0"..)
-	path string
-	addr string // real listen address, stable across restarts
-
-	lifeMu sync.Mutex // serializes start/teardown/promote/repoint/digest
-	gen    int
-
-	mu      sync.Mutex // guards the handle fields for cheap concurrent reads
-	db      *ode.DB
-	stock   *ode.Class
-	met     *repl.Metrics
-	src     *repl.Source
-	srv     *server.Server
-	rep     *repl.Replica
-	mon     *repl.Monitor
-	follow  string
-	crashed bool
-	evStop  chan struct{}
-
-	repErr chan repDeath
-}
-
-func ncReplicaOpts() *repl.ReplicaOptions {
-	return &repl.ReplicaOptions{
-		DialTimeout:      500 * time.Millisecond,
-		Backoff:          10 * time.Millisecond,
-		MaxBackoff:       200 * time.Millisecond,
-		HeartbeatTimeout: ncHBTimeout,
-	}
+	*node.Node
+	name  string     // advertised election identity ("n0"..)
+	stock *ode.Class // this node's schema instance
 }
 
 // RunNetChaos executes one network-chaos torture run; any invariant
@@ -299,23 +263,61 @@ func (r *chaosRun) boot() error {
 		r.clink[i] = cl
 	}
 	for i := 0; i < ncNodes; i++ {
-		n := &chaosNode{
-			run:    r,
-			idx:    i,
-			name:   fmt.Sprintf("n%d", i),
-			path:   filepath.Join(r.cfg.Dir, fmt.Sprintf("node%d.odb", i)),
-			addr:   addrs[i],
-			repErr: make(chan repDeath, 8),
-		}
-		r.nodes[i] = n
-		n.lifeMu.Lock()
-		err := n.startLocked("")
-		n.lifeMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("boot %s: %w", n.name, err)
+		r.nodes[i] = r.newNode(i, addrs[i])
+		if err := r.nodes[i].Start(); err != nil {
+			return fmt.Errorf("boot %s: %w", r.nodes[i].name, err)
 		}
 	}
 	return nil
+}
+
+// newNode configures node i the way ode-server -auto-failover would
+// be, with the chaos cluster's timings, small-WAL pressure (as in the
+// repl torture mode), and its peers addressed through its own links.
+func (r *chaosRun) newNode(i int, addr string) *chaosNode {
+	cfg, stock := smallWALNode(filepath.Join(r.cfg.Dir, fmt.Sprintf("node%d.odb", i)))
+	name := fmt.Sprintf("n%d", i)
+	logf := func(format string, args ...any) { fmt.Fprintf(r.log, "["+name+"] "+format+"\n", args...) }
+	var peers []string
+	for j := 0; j < ncNodes; j++ {
+		if j != i {
+			peers = append(peers, r.links[i][j].Addr())
+		}
+	}
+	cfg.Addr = addr
+	cfg.Server = server.Options{
+		CommitAckQuorum: 1,
+		AckTimeout:      ncAckTimeout,
+		Advertise:       name,
+		DrainTimeout:    50 * time.Millisecond,
+	}
+	cfg.Source = repl.SourceOptions{HeartbeatEvery: ncHeartbeat, Logf: logf}
+	cfg.Replica = repl.ReplicaOptions{
+		DialTimeout:      500 * time.Millisecond,
+		Backoff:          10 * time.Millisecond,
+		MaxBackoff:       200 * time.Millisecond,
+		HeartbeatTimeout: ncHBTimeout,
+	}
+	cfg.Monitor = repl.MonitorOptions{
+		Self:        name,
+		Peers:       peers,
+		Window:      ncWindow,
+		Probe:       ncProbe,
+		DialTimeout: ncDial,
+		Logf:        logf,
+	}
+	cfg.OnTransition = func(t node.Transition) {
+		logf("%v", t)
+		switch t.Kind {
+		case node.Promoted:
+			r.count(func(res *NetChaosResult) { res.Promotions++ })
+		case node.Resyncing:
+			r.count(func(res *NetChaosResult) { res.Resyncs++ })
+		case node.Failed:
+			r.failf("%s: %v", name, t.Err)
+		}
+	}
+	return &chaosNode{name: name, stock: stock, Node: node.New(cfg)}
 }
 
 // bootstrapTraffic waits out the first election by writing: dials the
@@ -373,8 +375,7 @@ func (r *chaosRun) bootstrapTraffic() error {
 // primaryIdx reports which node currently serves writes, or -1.
 func (r *chaosRun) primaryIdx() int {
 	for i, n := range r.nodes {
-		db, crashed := n.snapshot()
-		if !crashed && db != nil && !db.ReadOnly() {
+		if _, writable, _, _ := n.state(); writable {
 			return i
 		}
 	}
@@ -418,11 +419,11 @@ func (r *chaosRun) injectFault() string {
 		r.count(func(res *NetChaosResult) { res.Partitions++ })
 		return fmt.Sprintf("isolate replica n%d", other)
 	case 2:
-		r.nodes[p].kill()
+		r.nodes[p].Kill()
 		r.count(func(res *NetChaosResult) { res.Kills++ })
 		return fmt.Sprintf("kill primary n%d", p)
 	case 3:
-		r.nodes[other].kill()
+		r.nodes[other].Kill()
 		r.count(func(res *NetChaosResult) { res.Kills++ })
 		return fmt.Sprintf("kill replica n%d", other)
 	case 4:
@@ -496,10 +497,10 @@ func (r *chaosRun) healAll() {
 		r.clink[i].Heal()
 	}
 	for _, n := range r.nodes {
-		if _, crashed := n.snapshot(); crashed {
-			if err := n.revive(); err != nil {
-				r.failf("revive %s: %v", n.name, err)
-			}
+		// Start leaves a running node alone; a killed one restarts from
+		// disk and rejoins through the boot scan.
+		if err := n.Start(); err != nil {
+			r.failf("revive %s: %v", n.name, err)
 		}
 	}
 }
@@ -601,20 +602,20 @@ func (r *chaosRun) converge(round int) error {
 		}
 		time.Sleep(25 * time.Millisecond)
 
-		prim := -1
+		prim, primEpoch := -1, uint64(0)
 		ok := true
 		for i, n := range r.nodes {
-			db, crashed := n.snapshot()
-			if crashed || db == nil {
+			up, writable, epoch, _ := n.state()
+			if !up {
 				ok = false
 				break
 			}
-			if !db.ReadOnly() {
+			if writable {
 				if prim >= 0 {
 					ok = false // old primary not yet deposed; keep waiting
 					break
 				}
-				prim = i
+				prim, primEpoch = i, epoch
 			}
 		}
 		if !ok || prim < 0 {
@@ -655,9 +656,9 @@ func (r *chaosRun) converge(round int) error {
 					round, ds[0].lsn, ds[0].digest[:12], i, ds[i].digest[:12])
 			}
 		}
-		r.count(func(res *NetChaosResult) { res.FinalEpoch = r.nodes[prim].epoch() })
+		r.count(func(res *NetChaosResult) { res.FinalEpoch = primEpoch })
 		fmt.Fprintf(r.log, "round %d: converged, primary n%d epoch %d lsn %d digest %s\n",
-			round, prim, r.nodes[prim].epoch(), ds[0].lsn, ds[0].digest[:12])
+			round, prim, primEpoch, ds[0].lsn, ds[0].digest[:12])
 		return nil
 	}
 }
@@ -669,26 +670,19 @@ func (r *chaosRun) verifyAcked(round int) error {
 	if prim < 0 {
 		return fmt.Errorf("round %d: no primary after convergence", round)
 	}
-	n := r.nodes[prim]
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	n.mu.Lock()
-	db := n.db
-	n.mu.Unlock()
-	if db == nil {
-		return fmt.Errorf("round %d: primary n%d has no open store", round, prim)
-	}
-	return db.View(func(tx *ode.Tx) error {
-		for _, w := range r.acked {
-			o, err := tx.Deref(w.oid)
-			if err != nil {
-				return fmt.Errorf("round %d: acked write %q (@%d) lost: %w", round, w.name, w.oid, err)
+	return r.nodes[prim].WithDB(func(db *ode.DB) error {
+		return db.View(func(tx *ode.Tx) error {
+			for _, w := range r.acked {
+				o, err := tx.Deref(w.oid)
+				if err != nil {
+					return fmt.Errorf("round %d: acked write %q (@%d) lost: %w", round, w.name, w.oid, err)
+				}
+				if got := o.MustGet("name").Str(); got != w.name {
+					return fmt.Errorf("round %d: acked write @%d corrupted: %q, want %q", round, w.oid, got, w.name)
+				}
 			}
-			if got := o.MustGet("name").Str(); got != w.name {
-				return fmt.Errorf("round %d: acked write @%d corrupted: %q, want %q", round, w.oid, got, w.name)
-			}
-		}
-		return nil
+			return nil
+		})
 	})
 }
 
@@ -697,16 +691,14 @@ func (r *chaosRun) verifyAcked(round int) error {
 func (r *chaosRun) describe() string {
 	s := ""
 	for i, n := range r.nodes {
-		db, crashed := n.snapshot()
+		up, writable, epoch, lsn := n.state()
 		switch {
-		case crashed:
-			s += fmt.Sprintf("n%d=crashed ", i)
-		case db == nil:
-			s += fmt.Sprintf("n%d=closed ", i)
-		case db.ReadOnly():
-			s += fmt.Sprintf("n%d=ro(e%d,lsn%d) ", i, db.Epoch(), db.AppliedLSN())
+		case !up:
+			s += fmt.Sprintf("n%d=down ", i)
+		case writable:
+			s += fmt.Sprintf("n%d=rw(e%d,lsn%d) ", i, epoch, lsn)
 		default:
-			s += fmt.Sprintf("n%d=rw(e%d,lsn%d) ", i, db.Epoch(), db.AppliedLSN())
+			s += fmt.Sprintf("n%d=ro(e%d,lsn%d) ", i, epoch, lsn)
 		}
 	}
 	return s
@@ -714,9 +706,9 @@ func (r *chaosRun) describe() string {
 
 // checkEpochs continuously samples every node for the run's core
 // safety invariant: at most one node ever serves writes at a given
-// fencing epoch. Epoch and role are atomic reads, so sampling is safe
-// against concurrent restarts; sandwiching the epoch read between two
-// role reads pins it to a writable interval.
+// fencing epoch. WithDB takes the node's lock shared and never waits on
+// a role change, so a restarting or re-pointing node cannot stall the
+// sampling of the others.
 func (r *chaosRun) checkEpochs() {
 	defer close(r.checkDone)
 	t := time.NewTicker(2 * time.Millisecond)
@@ -728,14 +720,8 @@ func (r *chaosRun) checkEpochs() {
 		case <-t.C:
 		}
 		for i, n := range r.nodes {
-			db, crashed := n.snapshot()
-			if crashed || db == nil {
-				continue
-			}
-			ro1 := db.ReadOnly()
-			e := db.Epoch()
-			ro2 := db.ReadOnly()
-			if ro1 || ro2 {
+			_, writable, e, _ := n.state()
+			if !writable {
 				continue
 			}
 			r.epochMu.Lock()
@@ -759,7 +745,7 @@ func (r *chaosRun) shutdown() {
 	}
 	for _, n := range r.nodes {
 		if n != nil {
-			n.kill()
+			n.Kill()
 		}
 	}
 	for i := 0; i < ncNodes; i++ {
@@ -774,468 +760,31 @@ func (r *chaosRun) shutdown() {
 	}
 }
 
-// ---- chaosNode lifecycle -------------------------------------------
-
-func (n *chaosNode) logf(format string, args ...any) {
-	fmt.Fprintf(n.run.log, "["+n.name+"] "+format+"\n", args...)
-}
-
-// peerAddrs returns this node's proxied view of its peers, in index
-// order (n0's links to n1 and n2, and so on).
-func (n *chaosNode) peerAddrs() []string {
-	var out []string
-	for j := 0; j < ncNodes; j++ {
-		if j != n.idx {
-			out = append(out, n.run.links[n.idx][j].Addr())
-		}
-	}
-	return out
-}
-
-func (n *chaosNode) snapshot() (*ode.DB, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.db, n.crashed
-}
-
-func (n *chaosNode) epoch() uint64 {
-	db, _ := n.snapshot()
-	if db == nil {
-		return 0
-	}
-	return db.Epoch()
-}
-
-// digest hashes this node's state under the lifecycle lock, so a
-// concurrent restart cannot pull the store out from under the scan.
-func (n *chaosNode) digest() (string, uint64, string, error) {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	n.mu.Lock()
-	db, stock, crashed := n.db, n.stock, n.crashed
-	n.mu.Unlock()
-	if crashed || db == nil {
-		return "", 0, "", fmt.Errorf("node down")
-	}
-	lsn1 := db.AppliedLSN()
-	d, err := stateDigest(db, stock)
-	if err != nil {
-		return "", 0, "", err
-	}
-	if lsn2 := db.AppliedLSN(); lsn2 != lsn1 {
-		return "", 0, "", fmt.Errorf("applying mid-digest")
-	}
-	return d, lsn1, db.ReplicationID(), nil
-}
-
-// openDBLocked opens (or reopens) the store with the same small-WAL
-// pressure as the repl torture mode, plus a fresh metric set on the
-// store's own registry. Caller holds lifeMu.
-func (n *chaosNode) openDBLocked() error {
-	schema, stock := Schema()
-	db, err := ode.Open(n.path, schema, &ode.Options{
-		PoolPages:    48,
-		WALSoftLimit: 32 << 10,
-		WALHardLimit: 256 << 10,
-	})
-	if err != nil {
-		return err
-	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return err
-		}
-	}
-	if !db.Manager().HasIndex(stock, "qty") {
-		if err := db.CreateIndex(stock, "qty"); err != nil {
-			db.CrashForTesting()
-			return err
-		}
-	}
-	met := &repl.Metrics{}
-	met.Attach(db.MetricsRegistry())
-	n.mu.Lock()
-	n.db, n.stock, n.met = db, stock, met
-	n.mu.Unlock()
-	return nil
-}
-
-func (n *chaosNode) closeDBLocked() {
-	n.mu.Lock()
-	db := n.db
-	n.db = nil
-	n.mu.Unlock()
-	if db != nil {
-		db.CrashForTesting()
-	}
-}
-
-func (n *chaosNode) wipeFiles() {
-	for _, suffix := range []string{"", ".wal", ".dw", ".rebuild"} {
-		os.Remove(n.path + suffix)
-	}
-}
-
-// trySubscribe attempts to follow addr, retrying transient failures
-// briefly. Resync demands and epoch fences return to the caller, who
-// decides between a wipe and a different primary.
-func (n *chaosNode) trySubscribe(db *ode.DB, addr string) (*repl.Replica, error) {
-	n.mu.Lock()
-	met := n.met
-	n.mu.Unlock()
-	var last error
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		db.SetReadOnly(true)
-		rep := repl.NewReplica(db, addr, met, ncReplicaOpts())
-		err := rep.Start()
-		if err == nil {
-			return rep, nil
-		}
-		last = err
-		if errors.Is(err, repl.ErrResyncRequired) || errors.Is(err, ode.ErrStaleEpoch) {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, last
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// startLocked brings the node up for a new incarnation. With follow
-// empty it scans its peers for the writable node with the highest
-// epoch; finding none it boots read-only, "seeking" — the monitor is
-// pointed at an arbitrary peer so the follower tick runs, the window
-// expires, and the election decides. A node never crowns itself at
-// boot: a restarting node holds the epoch it last adopted, and coming
-// up writable there could put two writers on one epoch. Caller holds
-// lifeMu.
-func (n *chaosNode) startLocked(follow string) error {
-	n.gen++
-	gen := n.gen
-	if err := n.openDBLocked(); err != nil {
-		return err
-	}
-	db, _ := n.snapshot()
-
-	if follow == "" {
-		best, bestEpoch := "", uint64(0)
-		for _, p := range n.peerAddrs() {
-			st, err := repl.Probe(p, ncDial)
-			if err == nil && !st.ReadOnly && st.Epoch >= db.Epoch() && (best == "" || st.Epoch > bestEpoch) {
-				best, bestEpoch = p, st.Epoch
-			}
-		}
-		follow = best
-	}
-
-	var rep *repl.Replica
-	for follow != "" {
-		r0, err := n.trySubscribe(db, follow)
-		if err == nil {
-			rep = r0
-			break
-		}
-		if errors.Is(err, repl.ErrResyncRequired) || errors.Is(err, ode.ErrStaleEpoch) {
-			n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
-			n.logf("resync demanded by %s; wiping", follow)
-			n.closeDBLocked()
-			n.wipeFiles()
-			if err := n.openDBLocked(); err != nil {
-				return err
-			}
-			db, _ = n.snapshot()
-			continue
-		}
-		n.logf("cannot follow %s (%v); seeking", follow, err)
-		follow = ""
-	}
-	if rep == nil {
-		db.SetReadOnly(true)
-	}
-
-	n.mu.Lock()
-	met := n.met
-	n.mu.Unlock()
-	src := repl.NewSource(db, met, &repl.SourceOptions{HeartbeatEvery: ncHeartbeat, Logf: n.logf})
-	srv := server.New(db, &server.Options{
-		Repl:            src,
-		CommitAckQuorum: 1,
-		AckTimeout:      ncAckTimeout,
-		Advertise:       n.name,
-		DrainTimeout:    50 * time.Millisecond,
-	})
-	var lnAddr fmt.Stringer
-	var err error
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = srv.Listen(n.addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			src.Close()
-			n.closeDBLocked()
-			return fmt.Errorf("rebind %s: %w", n.addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	n.addr = lnAddr.String()
-	go srv.Serve(nil)
-
-	mon := repl.NewMonitor(db, met, &repl.MonitorOptions{
-		Self:        n.name,
-		Peers:       n.peerAddrs(),
-		Window:      ncWindow,
-		Probe:       ncProbe,
-		DialTimeout: ncDial,
-		Logf:        n.logf,
-	})
-	evStop := make(chan struct{})
-	n.mu.Lock()
-	n.src, n.srv, n.rep, n.mon = src, srv, rep, mon
-	n.follow, n.evStop, n.crashed = follow, evStop, false
-	n.mu.Unlock()
-	if rep != nil {
-		mon.SetRole(follow)
-	} else {
-		mon.SetSeeking()
-	}
-	mon.Start()
-	go n.events(gen, mon, evStop)
-	if rep != nil {
-		go n.watchRep(gen, rep)
-	}
-	return nil
-}
-
-// teardownLocked stops every component of the current incarnation and
-// crash-closes the store. Caller holds lifeMu.
-func (n *chaosNode) teardownLocked() {
-	n.gen++
-	n.mu.Lock()
-	src, srv, rep, mon, evStop := n.src, n.srv, n.rep, n.mon, n.evStop
-	n.src, n.srv, n.rep, n.mon, n.evStop = nil, nil, nil, nil, nil
-	n.mu.Unlock()
-	if evStop != nil {
-		close(evStop)
-	}
-	if mon != nil {
-		mon.Stop()
-	}
-	if rep != nil {
-		rep.Stop()
-	}
-	if srv != nil {
-		srv.Close()
-	}
-	if src != nil {
-		src.Close()
-	}
-	n.closeDBLocked()
-}
-
-// restartLocked tears the node down and brings it back through the
-// boot scan, optionally wiping the store first. Caller holds lifeMu.
-func (n *chaosNode) restartLocked(wipe bool) error {
-	n.teardownLocked()
-	if wipe {
-		n.wipeFiles()
-	}
-	return n.startLocked("")
-}
-
-// kill crash-stops the node (process death).
-func (n *chaosNode) kill() {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if _, crashed := n.snapshot(); crashed {
-		return
-	}
-	n.teardownLocked()
-	n.mu.Lock()
-	n.crashed = true
-	n.mu.Unlock()
-	n.logf("killed")
-}
-
-// revive restarts a killed node from disk; it rejoins through the boot
-// scan (or seeks if no primary is visible).
-func (n *chaosNode) revive() error {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if _, crashed := n.snapshot(); !crashed {
+// state samples the node. up is false while it is killed or between
+// incarnations. Epoch and role are atomic reads; sandwiching the epoch
+// read between two role reads pins it to a writable interval.
+func (n *chaosNode) state() (up, writable bool, epoch, lsn uint64) {
+	err := n.WithDB(func(db *ode.DB) error {
+		ro := db.ReadOnly()
+		epoch, lsn = db.Epoch(), db.AppliedLSN()
+		writable = !ro && !db.ReadOnly()
 		return nil
-	}
-	n.logf("reviving")
-	return n.startLocked("")
+	})
+	return err == nil, writable, epoch, lsn
 }
 
-// watchRep forwards a fatal replica-stream exit to the event loop.
-func (n *chaosNode) watchRep(gen int, rep *repl.Replica) {
-	<-rep.Done()
-	err := rep.Err()
-	if err == nil {
-		return // clean Stop
-	}
-	select {
-	case n.repErr <- repDeath{gen: gen, err: err}:
-	default:
-	}
-}
-
-// events is one incarnation's decision loop, mirroring ode-server's:
-// act on every monitor event, re-arm with SetRole, and self-heal
-// through fatal replica exits. It exits when its incarnation ends (a
-// restart closes stop or bumps gen).
-func (n *chaosNode) events(gen int, mon *repl.Monitor, stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		case ev := <-mon.Events():
-			switch ev.Kind {
-			case repl.EventPromoteSelf:
-				if !n.promoteSelf(gen) {
-					return
-				}
-				mon.SetRole("")
-			case repl.EventNewPrimary, repl.EventDeposed:
-				ok, role := n.repoint(gen, ev.Addr)
-				if !ok {
-					return
-				}
-				if role == "" {
-					mon.SetSeeking()
-				} else {
-					mon.SetRole(role)
-				}
-			}
-		case rd := <-n.repErr:
-			if rd.gen != gen {
-				continue
-			}
-			if errors.Is(rd.err, ode.ErrStaleEpoch) {
-				// The stream is fenced: the followed primary is stale
-				// (deposed). Drop the dead replica and seek the real one.
-				if !n.dropRep(gen) {
-					return
-				}
-				mon.SetSeeking()
-				continue
-			}
-			// Resync demand or stream damage: wipe and rejoin by scan.
-			n.rejoin(gen, rd.err)
-			return
+// digest hashes this node's state; the node cannot restart under the
+// scan.
+func (n *chaosNode) digest() (d string, lsn uint64, replID string, err error) {
+	err = n.WithDB(func(db *ode.DB) error {
+		lsn, replID = db.AppliedLSN(), db.ReplicationID()
+		if d, err = stateDigest(db, n.stock); err != nil {
+			return err
 		}
-	}
-}
-
-// promoteSelf executes an election win: bump the epoch durably, open
-// for writes. Returns false when this incarnation is over.
-func (n *chaosNode) promoteSelf(gen int) bool {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if n.gen != gen {
-		return false
-	}
-	n.mu.Lock()
-	rep, db, met := n.rep, n.db, n.met
-	n.rep = nil
-	n.follow = ""
-	n.mu.Unlock()
-	var (
-		epoch uint64
-		err   error
-	)
-	switch {
-	case rep != nil:
-		epoch, err = rep.Promote()
-	case db.ReadOnly():
-		epoch, err = repl.PromoteDB(db, met)
-	default:
-		return true // already writable (duplicate event)
-	}
-	if err != nil {
-		n.logf("promote failed: %v", err)
-		if rerr := n.restartLocked(false); rerr != nil {
-			n.run.failf("%s restart after failed promote: %v", n.name, rerr)
+		if db.AppliedLSN() != lsn {
+			return fmt.Errorf("applying mid-digest")
 		}
-		return false
-	}
-	n.run.count(func(res *NetChaosResult) { res.Promotions++ })
-	n.logf("promoted to epoch %d", epoch)
-	return true
-}
-
-// repoint demotes (if needed) and re-subscribes under the writable
-// peer at addr. Unreachable is tolerated — the node holds read-only
-// and the monitor keeps probing; a resync demand wipes and rejoins.
-// Returns (incarnation-still-live, role): role is the primary address
-// when a stream attached, or "" when the node holds unattached and the
-// monitor must re-arm as a seeker.
-func (n *chaosNode) repoint(gen int, addr string) (bool, string) {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if n.gen != gen {
-		return false, ""
-	}
-	n.mu.Lock()
-	rep, db := n.rep, n.db
-	n.rep = nil
-	n.mu.Unlock()
-	if rep != nil {
-		rep.Stop()
-	}
-	db.SetReadOnly(true)
-	r0, err := n.trySubscribe(db, addr)
-	if err == nil {
-		n.mu.Lock()
-		n.rep, n.follow = r0, addr
-		n.mu.Unlock()
-		go n.watchRep(gen, r0)
-		return true, addr
-	}
-	if errors.Is(err, repl.ErrResyncRequired) || errors.Is(err, ode.ErrStaleEpoch) {
-		n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
-		n.logf("rejoining %s demands resync; wiping", addr)
-		if rerr := n.restartLocked(true); rerr != nil {
-			n.run.failf("%s resync restart: %v", n.name, rerr)
-		}
-		return false, ""
-	}
-	n.logf("cannot reach new primary %s (%v); holding read-only", addr, err)
-	n.mu.Lock()
-	n.follow = addr
-	n.mu.Unlock()
-	return true, "" // unattached: seek
-}
-
-// dropRep clears a dead replica handle; the monitor takes over
-// discovery. Returns false when this incarnation is over.
-func (n *chaosNode) dropRep(gen int) bool {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if n.gen != gen {
-		return false
-	}
-	n.mu.Lock()
-	n.rep = nil
-	n.mu.Unlock()
-	return true
-}
-
-// rejoin handles a fatally dead stream (resync demand, damage): wipe
-// the store and rejoin whatever primary the boot scan finds.
-func (n *chaosNode) rejoin(gen int, cause error) {
-	n.lifeMu.Lock()
-	defer n.lifeMu.Unlock()
-	if n.gen != gen {
-		return
-	}
-	n.run.count(func(res *NetChaosResult) { res.Resyncs++ })
-	n.logf("stream died (%v); wiping and rejoining", cause)
-	if err := n.restartLocked(true); err != nil {
-		n.run.failf("%s rejoin: %v", n.name, err)
-	}
+		return nil
+	})
+	return d, lsn, replID, err
 }

@@ -20,16 +20,16 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ode"
 	"ode/internal/failpoint"
+	"ode/internal/node"
 	"ode/internal/repl"
-	"ode/internal/server"
 	"ode/internal/wal"
 )
 
@@ -62,36 +62,26 @@ type ReplResult struct {
 	SitesFired     map[string]uint64
 }
 
-// replRun carries the state of one replication torture run.
+// replRun carries the state of one replication torture run. Both nodes
+// are internal/node.Nodes — the runtime ode-server runs — the replica
+// configured as `-replica-of PRIMARY -resync` would be.
 type replRun struct {
 	cfg ReplConfig
 	rng *rand.Rand
 	log io.Writer
 
-	ppath, rpath string
-	addr         string // the primary's listen address, stable across its crashes
+	primary, replica *node.Node
+	stock            *ode.Class // the primary's schema instance
+	rstock           *ode.Class // the replica's
+	rpath            string
+	repDown          bool // replica deliberately down; rejoins at convergence
 
-	pdb   *ode.DB
-	src   *repl.Source
-	srv   *server.Server
-	stock *ode.Class
-
-	rdb     *ode.DB
-	rep     *repl.Replica
-	repDown bool // replica stream intentionally not running
+	// Written by the replica's transition callback, on its goroutines.
+	resyncs   atomic.Int64
+	streamErr atomic.Pointer[error] // a stream death no armed hazard explains
 
 	oids []ode.OID // live objects on the primary (rebuilt from the extent after crashes)
 	res  ReplResult
-}
-
-// replicaOpts keeps reconnect latency negligible against test-scale
-// traffic: the primary restarts within milliseconds of a crash.
-func replicaOpts() *repl.ReplicaOptions {
-	return &repl.ReplicaOptions{
-		DialTimeout: 2 * time.Second,
-		Backoff:     5 * time.Millisecond,
-		MaxBackoff:  50 * time.Millisecond,
-	}
 }
 
 // RunRepl executes one replication torture run; any divergence or
@@ -114,13 +104,13 @@ func RunRepl(cfg ReplConfig) (*ReplResult, error) {
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		log:   logW,
-		ppath: filepath.Join(cfg.Dir, "primary.odb"),
 		rpath: filepath.Join(cfg.Dir, "replica.odb"),
 	}
 	firesBefore := failpoint.FireCounts()
 	defer failpoint.DisarmAll()
 
 	err := r.runAll()
+	r.res.Resyncs = int(r.resyncs.Load())
 	fires := failpoint.FireCounts()
 	r.res.SitesFired = make(map[string]uint64)
 	for site, n := range fires {
@@ -135,31 +125,62 @@ func RunRepl(cfg ReplConfig) (*ReplResult, error) {
 	return &r.res, nil
 }
 
+// smallWALNode starts a node configuration over a fresh instance of
+// the torture schema, qty index included, with WAL bounds small enough
+// that checkpoints (and so WAL truncation, against the retention gate)
+// run constantly. Both replication torture modes build on it.
+func smallWALNode(path string) (node.Config, *ode.Class) {
+	schema, stock := Schema()
+	return node.Config{
+		Path:    path,
+		Schema:  schema,
+		Indexes: []node.Index{{Class: stock, Field: "qty"}},
+		DB:      ode.Options{PoolPages: 48, WALSoftLimit: 32 << 10, WALHardLimit: 256 << 10},
+	}, stock
+}
+
+// startNode brings a node up (one that is up is left alone), retrying
+// when the round's armed one-shot fault fires inside recovery or DDL:
+// the shot is spent as it fires, so the next attempt runs clean —
+// recovery under injected faults is exactly what the crash/reopen cycle
+// is for.
+func startNode(n *node.Node) error {
+	for attempt := 0; ; attempt++ {
+		err := n.Start()
+		if err == nil || !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
+			return err
+		}
+	}
+}
+
 func (r *replRun) runAll() error {
+	pcfg, pstock := smallWALNode(filepath.Join(r.cfg.Dir, "primary.odb"))
+	pcfg.Addr = "127.0.0.1:0"
+	pcfg.Server.DrainTimeout = 100 * time.Millisecond
+	r.primary, r.stock = node.New(pcfg), pstock
+	defer r.primary.Close()
 	if err := r.startPrimary(); err != nil {
 		return fmt.Errorf("boot primary: %w", err)
 	}
-	defer func() {
-		if r.srv != nil {
-			r.srv.Close()
-		}
-		if r.pdb != nil {
-			r.pdb.Close()
-		}
-	}()
-	if err := r.openReplicaDB(); err != nil {
-		return fmt.Errorf("boot replica: %w", err)
+	// The replica, as `ode-server -replica-of PRIMARY -resync` would be.
+	// Reconnects, subscribe retries and the restart backoff (fractions of
+	// the window) stay negligible against test-scale traffic: the primary
+	// restarts within milliseconds of a crash.
+	rcfg, rstock := smallWALNode(r.rpath)
+	rcfg.Addr = "127.0.0.1:0"
+	rcfg.Follow = r.primary.Addr() // stable across the primary's crashes
+	rcfg.Resync = true
+	rcfg.Replica = repl.ReplicaOptions{
+		DialTimeout: 2 * time.Second,
+		Backoff:     5 * time.Millisecond,
+		MaxBackoff:  50 * time.Millisecond,
 	}
-	defer func() {
-		if r.rep != nil {
-			r.rep.Stop()
-		}
-		if r.rdb != nil {
-			r.rdb.Close()
-		}
-	}()
-	if err := r.startReplica(); err != nil {
-		return fmt.Errorf("boot replica stream: %w", err)
+	rcfg.Monitor.Window = 150 * time.Millisecond
+	rcfg.OnTransition = r.replicaTransition
+	r.replica, r.rstock = node.New(rcfg), rstock
+	defer r.replica.Close()
+	if err := startNode(r.replica); err != nil {
+		return fmt.Errorf("boot replica: %w", err)
 	}
 	if err := r.seed(); err != nil {
 		return fmt.Errorf("seed population: %w", err)
@@ -174,239 +195,95 @@ func (r *replRun) runAll() error {
 
 	// Final act: promote the replica and verify it accepts writes over
 	// the full replicated history, at a freshly bumped fencing epoch.
-	oldEpoch := r.pdb.Epoch()
-	epoch, err := r.rep.Promote()
-	if err != nil {
+	var oldEpoch uint64
+	r.primary.WithDB(func(db *ode.DB) error { oldEpoch = db.Epoch(); return nil })
+	if err := r.replica.Promote(); err != nil {
 		return fmt.Errorf("promote replica: %w", err)
 	}
-	r.rep = nil
-	if r.rdb.ReadOnly() {
-		return fmt.Errorf("promoted replica still read-only")
-	}
-	if epoch <= oldEpoch {
-		return fmt.Errorf("promotion epoch %d did not advance past the primary's %d", epoch, oldEpoch)
-	}
-	tx := r.rdb.Begin()
-	defer tx.Abort()
-	o := ode.NewObject(r.stock)
-	o.MustSet("name", ode.Str("post-promote"))
-	o.MustSet("qty", ode.Int(1))
-	if _, err := tx.PNew(r.stock, o); err != nil {
-		return fmt.Errorf("write on promoted replica: %w", err)
-	}
-	if err := tx.Commit(); err != nil {
-		return fmt.Errorf("commit on promoted replica: %w", err)
-	}
-	return nil
-}
-
-// openNode opens one node's database with WAL bounds small enough that
-// checkpoints (and so WAL truncation, against the retention gate) run
-// constantly during the test.
-func (r *replRun) openNode(path string) (*ode.DB, *ode.Class, error) {
-	schema, stock := Schema()
-	db, err := ode.Open(path, schema, &ode.Options{
-		PoolPages:    48,
-		WALSoftLimit: 32 << 10,
-		WALHardLimit: 256 << 10,
+	return r.replica.WithDB(func(db *ode.DB) error {
+		if db.ReadOnly() {
+			return fmt.Errorf("promoted replica still read-only")
+		}
+		if epoch := db.Epoch(); epoch <= oldEpoch {
+			return fmt.Errorf("promotion epoch %d did not advance past the primary's %d", epoch, oldEpoch)
+		}
+		tx := db.Begin()
+		defer tx.Abort()
+		o := ode.NewObject(r.rstock)
+		o.MustSet("name", ode.Str("post-promote"))
+		o.MustSet("qty", ode.Int(1))
+		if _, err := tx.PNew(r.rstock, o); err != nil {
+			return fmt.Errorf("write on promoted replica: %w", err)
+		}
+		if err := tx.Commit(); err != nil {
+			return fmt.Errorf("commit on promoted replica: %w", err)
+		}
+		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// DDL is idempotent across retries: a fault may have crashed a
-	// previous attempt between cluster and index creation.
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	if !db.Manager().HasIndex(stock, "qty") {
-		if err := db.CreateIndex(stock, "qty"); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	return db, stock, nil
 }
 
-// openNodeRetry opens a node, retrying when the round's armed one-shot
-// fault fires inside recovery or DDL: the shot is spent as it fires,
-// so the next attempt runs clean — recovery under injected faults is
-// exactly what the crash/reopen cycle is for.
-func (r *replRun) openNodeRetry(path string) (*ode.DB, *ode.Class, error) {
-	for attempt := 0; ; attempt++ {
-		db, stock, err := r.openNode(path)
-		if err == nil {
-			return db, stock, nil
-		}
-		if !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
-			return nil, nil, err
+// replicaTransition watches the replica heal itself. A resync demand
+// or an injected fault in its apply or recovery path is an expected
+// hazard — the node wipes and bootstraps from a snapshot, the recovery
+// ode-server -resync performs, or is restarted at convergence;
+// anything else fails the run.
+func (r *replRun) replicaTransition(t node.Transition) {
+	fmt.Fprintf(r.log, "[replica] %v\n", t)
+	switch t.Kind {
+	case node.Resyncing:
+		r.resyncs.Add(1)
+	case node.StreamDied, node.Failed:
+		if !errors.Is(t.Err, repl.ErrResyncRequired) && !errors.Is(t.Err, failpoint.ErrInjected) {
+			err := fmt.Errorf("replica: %v", t)
+			r.streamErr.CompareAndSwap(nil, &err)
 		}
 	}
 }
 
-// startPrimary opens (or reopens after a crash) the primary and serves
-// it, reusing the address allocated at first boot so the replica's
-// reconnect loop finds it again.
+// startPrimary boots the primary (or reboots it after a crash, on the
+// address it first bound, so the replica's reconnect loop finds it
+// again) and rebuilds the traffic target list from its extent — the
+// durable truth after a crash resolves uncertain commits.
 func (r *replRun) startPrimary() error {
-	db, stock, err := r.openNodeRetry(r.ppath)
-	if err != nil {
+	if err := startNode(r.primary); err != nil {
 		return err
 	}
-	r.pdb, r.stock = db, stock
-	r.src = repl.NewSource(db, nil, nil)
-	r.srv = server.New(db, &server.Options{Repl: r.src, DrainTimeout: 100 * time.Millisecond})
-	want := r.addr
-	if want == "" {
-		want = "127.0.0.1:0"
-	}
-	// Rebinding the just-closed port can transiently fail; retry briefly.
-	var lnAddr fmt.Stringer
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = r.srv.Listen(want)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rebind %s: %w", want, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	r.addr = lnAddr.String()
-	go r.srv.Serve(nil)
-	return r.reloadOIDs()
-}
-
-// reloadOIDs rebuilds the traffic target list from the primary's
-// extent — the durable truth after a crash resolves uncertain commits.
-func (r *replRun) reloadOIDs() error {
-	oids, err := r.pdb.Manager().ClusterOIDs(r.stock)
-	if err != nil {
+	return r.primary.WithDB(func(db *ode.DB) error {
+		oids, err := db.Manager().ClusterOIDs(r.stock)
+		r.oids = oids
 		return err
-	}
-	r.oids = oids
-	return nil
+	})
 }
 
 // crashPrimary kills the primary mid-flight and brings it back from
 // disk: server down, source detached, dirty state dropped, recovery.
 func (r *replRun) crashPrimary() error {
-	r.srv.Close()
-	r.src.Close()
-	r.pdb.CrashForTesting()
+	r.primary.Kill()
 	r.res.PrimaryCrashes++
 	return r.startPrimary()
 }
 
-func (r *replRun) openReplicaDB() error {
-	db, _, err := r.openNodeRetry(r.rpath)
-	if err != nil {
-		return err
-	}
-	r.rdb = db
-	return nil
-}
-
-// startReplica begins (or resumes) following the primary. A dial
-// failure retries briefly (the primary may be mid-restart); a resync
-// demand wipes the local copy and bootstraps from a snapshot, the same
-// recovery ode-server -resync performs.
-func (r *replRun) startReplica() error {
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		rep := repl.NewReplica(r.rdb, r.addr, nil, replicaOpts())
-		err := rep.Start()
-		if err == nil {
-			r.rep, r.repDown = rep, false
-			return nil
-		}
-		if errors.Is(err, repl.ErrResyncRequired) {
-			r.res.Resyncs++
-			fmt.Fprintf(r.log, "resync demanded; wiping replica\n")
-			if err := r.wipeReplica(); err != nil {
-				return err
-			}
-			continue
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica subscribe: %w", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// wipeReplica discards the replica's store entirely; the next
-// subscribe offers a snapshot bootstrap (only an empty database may).
-// The files are about to be deleted, so the store is dropped crash-
-// style — a clean Close would checkpoint through any still-armed
-// failpoint for nothing.
-func (r *replRun) wipeReplica() error {
-	r.rdb.CrashForTesting()
-	for _, suffix := range []string{"", ".wal", ".dw", ".rebuild"} {
-		os.Remove(r.rpath + suffix)
-	}
-	return r.openReplicaDB()
-}
-
-// crashReplica kills the replica and recovers its store from disk, but
-// leaves the stream down — the caller decides when it rejoins, so
-// traffic committed in between exercises incremental catch-up. A
-// second crash immediately after recovery (1 in 4) checks recovery
-// idempotence on the replica side too.
+// crashReplica kills the replica and leaves it down — the caller
+// decides when it rejoins, so traffic committed in between exercises
+// incremental catch-up. One time in four it is first recovered and
+// killed again, checking recovery idempotence on the replica side too.
 func (r *replRun) crashReplica() error {
-	if r.rep != nil {
-		r.rep.Stop()
-		r.rep = nil
-	}
-	r.rdb.CrashForTesting()
+	r.replica.Kill()
 	r.res.ReplicaCrashes++
-	if err := r.openReplicaDB(); err != nil {
-		return fmt.Errorf("replica recovery: %w", err)
-	}
 	if r.rng.Intn(4) == 0 {
-		r.rdb.CrashForTesting()
-		if err := r.openReplicaDB(); err != nil {
-			return fmt.Errorf("replica idempotent re-recovery: %w", err)
+		if err := startNode(r.replica); err != nil {
+			return fmt.Errorf("replica recovery: %w", err)
 		}
+		r.replica.Kill()
 	}
 	r.repDown = true
 	return nil
 }
 
-// replicaDied drains a fatal stream exit, classifying it: a resync
-// demand or an injected-fault apply error is an expected hazard
-// (recover the store, rejoin later); anything else fails the run.
-func (r *replRun) replicaDied() error {
-	err := r.rep.Err()
-	switch {
-	case err == nil:
-		// Clean stop cannot happen here — only Stop closes the loop
-		// without an error, and the harness is the only caller.
-		return fmt.Errorf("replica stream exited with no error")
-	case errors.Is(err, repl.ErrResyncRequired):
-		r.rep.Stop()
-		r.rep = nil
-		r.res.Resyncs++
-		fmt.Fprintf(r.log, "resync demanded mid-stream; wiping replica\n")
-		if err := r.wipeReplica(); err != nil {
-			return err
-		}
-		r.repDown = true
-		return nil
-	case errors.Is(err, failpoint.ErrInjected):
-		// The armed fault fired inside the replica's apply path: its
-		// store is suspect, exactly like an errored local commit.
-		// Crash-recover it; the stream rejoins at the recovered LSN.
-		return r.crashReplica()
-	default:
-		return fmt.Errorf("replica stream died: %w", err)
-	}
-}
-
 // seed populates the primary so round one has targets.
 func (r *replRun) seed() error {
 	for i := 0; i < 30; i++ {
-		if err := r.transaction(); err != nil {
+		if err := r.primary.WithDB(r.transaction); err != nil {
 			return err
 		}
 	}
@@ -435,16 +312,6 @@ func (r *replRun) round(round int) error {
 
 	for op := 0; op < r.cfg.OpsPerRound; op++ {
 		r.res.Ops++
-		// A fatal stream exit surfaces asynchronously; check each op.
-		if r.rep != nil {
-			select {
-			case <-r.rep.Done():
-				if err := r.replicaDied(); err != nil {
-					return err
-				}
-			default:
-			}
-		}
 		if op == killAt {
 			switch kill {
 			case 0:
@@ -456,12 +323,11 @@ func (r *replRun) round(round int) error {
 					return err
 				}
 			case 2:
-				if r.rep != nil {
-					r.rep.Stop()
-					r.rep = nil
-				}
+				// The next subscribe offers a snapshot bootstrap (only an
+				// empty database may take one).
+				r.replica.Kill()
 				r.res.Wipes++
-				if err := r.wipeReplica(); err != nil {
+				if err := ode.RemoveFiles(r.rpath); err != nil {
 					return err
 				}
 				r.repDown = true
@@ -470,11 +336,11 @@ func (r *replRun) round(round int) error {
 		var err error
 		switch {
 		case r.rng.Intn(10) == 0:
-			err = r.pdb.Checkpoint()
+			err = r.primary.WithDB((*ode.DB).Checkpoint)
 		case r.rng.Intn(8) == 0:
 			err = r.replicaProbe()
 		default:
-			err = r.transaction()
+			err = r.primary.WithDB(r.transaction)
 		}
 		switch {
 		case err == nil:
@@ -493,58 +359,61 @@ func (r *replRun) round(round int) error {
 
 	// Converge: quiesce traffic, rejoin the replica if it is down, and
 	// wait until its applied position reaches the primary's.
-	if r.repDown {
-		if err := r.startReplica(); err != nil {
-			return err
-		}
-	}
 	if err := r.waitConverged(); err != nil {
 		return err
 	}
 
 	// Verify: identical identity and byte-level state.
-	if pid, rid := r.pdb.ReplicationID(), r.rdb.ReplicationID(); pid != rid {
-		return fmt.Errorf("replication id diverged: primary %q, replica %q", pid, rid)
-	}
-	pd, err := r.digest(r.pdb)
-	if err != nil {
+	var pid, pd string
+	var lsn uint64
+	if err := r.primary.WithDB(func(db *ode.DB) (err error) {
+		pid, lsn = db.ReplicationID(), db.LSN()
+		pd, err = stateDigest(db, r.stock)
+		return err
+	}); err != nil {
 		return fmt.Errorf("primary digest: %w", err)
 	}
-	rd, err := r.digest(r.rdb)
-	if err != nil {
+	var rid, rd string
+	if err := r.replica.WithDB(func(db *ode.DB) (err error) {
+		rid = db.ReplicationID()
+		rd, err = stateDigest(db, r.rstock)
+		return err
+	}); err != nil {
 		return fmt.Errorf("replica digest: %w", err)
 	}
-	if pd != rd {
-		return fmt.Errorf("state diverged at LSN %d: primary %s, replica %s", r.pdb.LSN(), pd, rd)
+	if pid != rid {
+		return fmt.Errorf("replication id diverged: primary %q, replica %q", pid, rid)
 	}
-	fmt.Fprintf(r.log, "round %d: converged at LSN %d digest %s\n", round, r.pdb.LSN(), pd[:12])
+	if pd != rd {
+		return fmt.Errorf("state diverged at LSN %d: primary %s, replica %s", lsn, pd, rd)
+	}
+	fmt.Fprintf(r.log, "round %d: converged at LSN %d digest %s\n", round, lsn, pd[:12])
 	return nil
 }
 
 // waitConverged blocks until the replica has applied the primary's
-// last committed batch, recovering the replica through any fatal
-// stream exit (resync demands, late fault damage) on the way.
+// last committed batch. The replica heals itself through fatal stream
+// exits (resync demands, late fault damage) on the way; one the
+// harness took down, or whose healing restart an injected fault
+// failed, is started again here.
 func (r *replRun) waitConverged() error {
-	target := r.pdb.AppliedLSN()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if r.rdb.AppliedLSN() >= target {
+	var target, applied uint64
+	r.primary.WithDB(func(db *ode.DB) error { target = db.AppliedLSN(); return nil })
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if err := r.streamErr.Load(); err != nil {
+			return *err
+		}
+		if err := startNode(r.replica); err != nil {
+			return fmt.Errorf("replica rejoin: %w", err)
+		}
+		r.repDown = false
+		// A replica between incarnations reports nothing; keep waiting.
+		r.replica.WithDB(func(db *ode.DB) error { applied = db.AppliedLSN(); return nil })
+		if applied >= target {
 			return nil
 		}
-		if r.rep == nil || r.repDown {
-			if err := r.startReplica(); err != nil {
-				return err
-			}
-		}
-		select {
-		case <-r.rep.Done():
-			if err := r.replicaDied(); err != nil {
-				return err
-			}
-		case <-time.After(time.Millisecond):
-		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("replica stuck at LSN %d, primary at %d", r.rdb.AppliedLSN(), target)
+			return fmt.Errorf("replica stuck at LSN %d, primary at %d", applied, target)
 		}
 	}
 }
@@ -552,8 +421,8 @@ func (r *replRun) waitConverged() error {
 // transaction runs 1–3 random operations in one commit on the primary.
 // Targets come from the best-effort oid list; one that turns out dead
 // (an uncertain commit resolved the other way) is dropped and skipped.
-func (r *replRun) transaction() error {
-	tx := r.pdb.Begin()
+func (r *replRun) transaction(pdb *ode.DB) error {
+	tx := pdb.Begin()
 	defer tx.Abort()
 	var created []ode.OID
 	var deleted []ode.OID
@@ -630,41 +499,41 @@ func (r *replRun) dropOID(oid ode.OID) {
 // recent primary object must either succeed or be cleanly absent
 // (replication lag) — never error otherwise.
 func (r *replRun) replicaProbe() error {
-	if r.repDown || r.rep == nil {
+	if r.repDown {
 		return nil
 	}
-	tx := r.rdb.Begin()
-	o := ode.NewObject(r.stock)
-	o.MustSet("name", ode.Str("probe"))
-	o.MustSet("qty", ode.Int(1))
-	_, err := tx.PNew(r.stock, o)
-	tx.Abort()
-	if !errors.Is(err, ode.ErrReadOnly) {
-		return fmt.Errorf("replica write = %v, want ode.ErrReadOnly", err)
-	}
-	oid := r.pickOID()
-	if oid == ode.NilOID {
-		return nil
-	}
-	err = r.rdb.View(func(tx *ode.Tx) error {
-		_, derr := tx.Deref(oid)
-		return derr
+	err := r.replica.WithDB(func(rdb *ode.DB) error {
+		tx := rdb.Begin()
+		o := ode.NewObject(r.rstock)
+		o.MustSet("name", ode.Str("probe"))
+		o.MustSet("qty", ode.Int(1))
+		_, err := tx.PNew(r.rstock, o)
+		tx.Abort()
+		if !errors.Is(err, ode.ErrReadOnly) {
+			return fmt.Errorf("replica write = %v, want ode.ErrReadOnly", err)
+		}
+		oid := r.pickOID()
+		if oid == ode.NilOID {
+			return nil
+		}
+		err = rdb.View(func(tx *ode.Tx) error {
+			_, derr := tx.Deref(oid)
+			return derr
+		})
+		if err != nil && !errors.Is(err, ode.ErrNoObject) && !errors.Is(err, failpoint.ErrInjected) {
+			return fmt.Errorf("replica read @%d: %w", oid, err)
+		}
+		return err
 	})
 	switch {
-	case err == nil || errors.Is(err, ode.ErrNoObject):
-		return nil
 	case errors.Is(err, failpoint.ErrInjected):
 		// The armed fault fired on the replica's read path; restart it
 		// the way a real deployment would.
 		return r.crashReplica()
-	default:
-		return fmt.Errorf("replica read @%d: %w", oid, err)
+	case errors.Is(err, ode.ErrNoObject), errors.Is(err, node.ErrDown):
+		return nil // replication lag, or the replica is between incarnations
 	}
-}
-
-// digest hashes one node's full replicated state; see stateDigest.
-func (r *replRun) digest(db *ode.DB) (string, error) {
-	return stateDigest(db, r.stock)
+	return err
 }
 
 // stateDigest hashes one node's full replicated state: every snapshot

@@ -16,7 +16,6 @@ package torture
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,6 +25,7 @@ import (
 	"ode"
 	"ode/client"
 	"ode/internal/failpoint"
+	"ode/internal/node"
 	"ode/internal/server"
 )
 
@@ -62,12 +62,10 @@ type ShardResult struct {
 	SitesFired map[string]uint64
 }
 
-// shardNode is one shard's server-side state.
+// shardNode is one shard: the node runtime ode-server runs, on an
+// address that is stable across crashes (the router redials it).
 type shardNode struct {
-	path  string
-	addr  string // stable across crashes: the router redials it
-	db    *ode.DB
-	srv   *server.Server
+	*node.Node
 	stock *ode.Class // this node's schema instance
 }
 
@@ -113,7 +111,21 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 		acked: make(map[int64]int),
 	}
 	for i := range r.nodes {
-		r.nodes[i] = &shardNode{path: filepath.Join(cfg.Dir, fmt.Sprintf("shard%d.odb", i))}
+		schema, stock := Schema()
+		r.nodes[i] = &shardNode{stock: stock, Node: node.New(node.Config{
+			Path:   filepath.Join(cfg.Dir, fmt.Sprintf("shard%d.odb", i)),
+			Schema: schema,
+			Addr:   "127.0.0.1:0",
+			DB: ode.Options{
+				PoolPages:  48,
+				ShardCount: shardN,
+				ShardSlot:  i,
+				// Resolution, not the orphan timer, settles every in-doubt
+				// transaction in this harness; keep the timer out of the frame.
+				PrepareTimeout: 30 * time.Second,
+			},
+			Server: server.Options{DrainTimeout: 100 * time.Millisecond},
+		})}
 	}
 	firesBefore := failpoint.FireCounts()
 	defer failpoint.DisarmAll()
@@ -134,14 +146,13 @@ func RunShard(cfg ShardConfig) (*ShardResult, error) {
 }
 
 func (r *shardRun) runAll() error {
-	for i := range r.nodes {
-		if err := r.startShard(i); err != nil {
-			return fmt.Errorf("boot shard %d: %w", i, err)
-		}
-	}
 	addrs := make([]string, shardN)
 	for i, n := range r.nodes {
-		addrs[i] = n.addr
+		defer n.Kill() // keeps the store as the run left it
+		if err := startNode(n.Node); err != nil {
+			return fmt.Errorf("boot shard %d: %w", i, err)
+		}
+		addrs[i] = n.Addr()
 	}
 	schema, stock := Schema()
 	router, err := client.DialSharded(addrs, schema, nil)
@@ -162,75 +173,11 @@ func (r *shardRun) runAll() error {
 	return nil
 }
 
-// openShardDB opens one shard's store with its shard coordinates.
-func (r *shardRun) openShardDB(i int) (*ode.DB, *ode.Class, error) {
-	schema, stock := Schema()
-	db, err := ode.Open(r.nodes[i].path, schema, &ode.Options{
-		PoolPages:  48,
-		ShardCount: shardN,
-		ShardSlot:  i,
-		// Resolution, not the orphan timer, settles every in-doubt
-		// transaction in this harness; keep the timer out of the frame.
-		PrepareTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if !db.HasCluster(stock) {
-		if err := db.CreateCluster(stock); err != nil {
-			db.CrashForTesting()
-			return nil, nil, err
-		}
-	}
-	return db, stock, nil
-}
-
-// startShard opens (or reopens after a crash) one shard and serves it
-// on its stable address. An armed one-shot fault may fire inside
-// recovery; the shot is spent as it fires, so the retry runs clean.
-func (r *shardRun) startShard(i int) error {
-	node := r.nodes[i]
-	var db *ode.DB
-	var stock *ode.Class
-	var err error
-	for attempt := 0; ; attempt++ {
-		db, stock, err = r.openShardDB(i)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, failpoint.ErrInjected) || attempt >= 4 {
-			return err
-		}
-	}
-	node.db, node.stock = db, stock
-	node.srv = server.New(db, &server.Options{DrainTimeout: 100 * time.Millisecond})
-	want := node.addr
-	if want == "" {
-		want = "127.0.0.1:0"
-	}
-	var lnAddr fmt.Stringer
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		lnAddr, err = node.srv.Listen(want)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rebind %s: %w", want, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	node.addr = lnAddr.String()
-	go node.srv.Serve(nil)
-	return nil
-}
-
 // crashShard kills one shard process-style and brings it back from
 // disk.
 func (r *shardRun) crashShard(i int) error {
-	node := r.nodes[i]
-	node.srv.Close()
-	node.db.CrashForTesting()
-	return r.startShard(i)
+	r.nodes[i].Kill()
+	return startNode(r.nodes[i].Node)
 }
 
 // markerObj builds one copy of marker id.
@@ -428,21 +375,22 @@ func (r *shardRun) resolveAll(ctx context.Context) error {
 // lost durability.
 func (r *shardRun) verifyMarkers() error {
 	counts := make(map[int64]int)
-	for i := range r.nodes {
-		node := r.nodes[i]
-		oids, err := node.db.Manager().ClusterOIDs(node.stock)
-		if err != nil {
-			return fmt.Errorf("shard %d extent: %w", i, err)
-		}
-		if err := node.db.View(func(tx *ode.Tx) error {
-			for _, oid := range oids {
-				o, derr := tx.Deref(oid)
-				if derr != nil {
-					return derr
-				}
-				counts[o.MustGet("qty").Int()]++
+	for i, n := range r.nodes {
+		if err := n.WithDB(func(db *ode.DB) error {
+			oids, err := db.Manager().ClusterOIDs(n.stock)
+			if err != nil {
+				return err
 			}
-			return nil
+			return db.View(func(tx *ode.Tx) error {
+				for _, oid := range oids {
+					o, derr := tx.Deref(oid)
+					if derr != nil {
+						return derr
+					}
+					counts[o.MustGet("qty").Int()]++
+				}
+				return nil
+			})
 		}); err != nil {
 			return fmt.Errorf("shard %d sweep: %w", i, err)
 		}

@@ -84,6 +84,10 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		each    = 10
 	)
 	var wg sync.WaitGroup
+	// commitLock stands in for the engine's commit lock, which StageRaw
+	// requires its callers to hold; SyncTo runs outside it, concurrently
+	// — that overlap is what this test exercises.
+	var commitLock sync.Mutex
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
@@ -92,7 +96,9 @@ func TestGroupCommitConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				txid := uint64(w*each + i + 1)
+				commitLock.Lock()
 				target, err := l.StageRaw(EncodeBatch(txid, []Op{put(txid, "x")}))
+				commitLock.Unlock()
 				if err == nil {
 					err = l.SyncTo(target)
 				}

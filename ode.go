@@ -214,6 +214,28 @@ type DB struct {
 	compactMu sync.Mutex // serializes Compact passes (see compact.go)
 }
 
+// The files of one database, as suffixes of its path: the data file
+// itself (no suffix), the write-ahead log, the double-write buffer, and
+// the scratch file an interrupted recovery rebuild leaves behind.
+const (
+	walSuffix     = ".wal"
+	dwSuffix      = ".dw"
+	rebuildSuffix = ".rebuild"
+)
+
+// RemoveFiles deletes the database at path together with its side
+// files; files that do not exist are not an error. The database must
+// not be open. A replica wipes its local copy through here before a
+// full snapshot resync.
+func RemoveFiles(path string) error {
+	for _, suffix := range []string{"", walSuffix, dwSuffix, rebuildSuffix} {
+		if err := os.Remove(path + suffix); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+	}
+	return nil
+}
+
 // Open opens (creating if missing) the database at path against the
 // registered schema. The schema must be registered identically (same
 // classes, same order) on every open of the same file; the catalog
@@ -242,7 +264,7 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	dw, err := storage.OpenDoubleWriter(path + ".dw")
+	dw, err := storage.OpenDoubleWriter(path + dwSuffix)
 	if err != nil {
 		fs.Close()
 		return nil, err
@@ -254,7 +276,7 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 			return nil, fmt.Errorf("ode: double-write recovery: %w", err)
 		}
 	}
-	log, err := wal.Open(path + ".wal")
+	log, err := wal.Open(path + walSuffix)
 	if err != nil {
 		dw.Close()
 		fs.Close()
@@ -1001,7 +1023,7 @@ func rebuild(path string, fs *storage.FileStore, dw *storage.DoubleWriter, log *
 	}
 
 	// Pass 3: build the fresh file.
-	tmpPath := path + ".rebuild"
+	tmpPath := path + rebuildSuffix
 	os.Remove(tmpPath)
 	nfs, err := storage.CreateFile(tmpPath)
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"ode/internal/failpoint"
 )
 
 // The shared crashAfter/reopen helpers live in crashtest_test.go.
@@ -262,4 +264,45 @@ func TestRepeatedCrashesConverge(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// RemoveFiles owns the list of files a database consists of: after a
+// crash whose recovery rebuild is itself interrupted — the state with
+// the most files on disk, scratch file included — it leaves the
+// directory empty.
+func TestRemoveFilesAfterInterruptedRebuild(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "gone.odb")
+	crashAfter(t, path, func(db *DB, stock *Class) {
+		for i := 0; i < 20; i++ {
+			addItem(t, db, stock, fmt.Sprintf("item-%d", i), int64(i), 1)
+		}
+	})
+	// Kill the rebuild while it writes the fresh file.
+	if err := failpoint.Arm("storage.page_write", failpoint.Spec{Action: failpoint.ActError, OneShot: true}); err != nil {
+		t.Fatal(err)
+	}
+	schema, _ := inventorySchema()
+	db, err := Open(path, schema, nil)
+	failpoint.DisarmAll()
+	if err == nil {
+		db.Close()
+		t.Fatal("Open survived a fault armed inside the recovery rebuild")
+	}
+	if _, err := os.Stat(path + ".rebuild"); err != nil {
+		t.Fatalf("interrupted rebuild left no scratch file: %v", err)
+	}
+	if err := RemoveFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("RemoveFiles left %s behind", e.Name())
+	}
+	if err := RemoveFiles(path); err != nil {
+		t.Errorf("RemoveFiles on an already removed database: %v", err)
+	}
 }
