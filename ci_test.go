@@ -184,3 +184,28 @@ func TestGateRowWorkloadBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestGateRowExperimentRows closes the loop from the experiment table
+// to the gate: the rows `ode-bench -run E3 -quick -json` writes today
+// must be extractable by gate_row, selected by a workload name that
+// contains spaces and a percent sign, with the value a JSON decode sees.
+func TestGateRowExperimentRows(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "e3.json")
+	if out, err := exec.Command("go", "run", "./cmd/ode-bench", "-run", "E3", "-quick", "-json", file).CombinedOutput(); err != nil {
+		t.Fatalf("ode-bench: %v\n%s", err, out)
+	}
+	rows := decodeRows(t, file)
+	if len(rows) != 6 {
+		t.Fatalf("E3 wrote %d rows, want 6 (3 selectivities x scan/index)", len(rows))
+	}
+	for _, r := range rows {
+		name := r["workload"].(string)
+		want := r["ns_per_op"].(json.Number).String()
+		if got := gateRow(t, file, "ns_per_op", "experiment=E3", "workload="+name); got != want {
+			t.Errorf("gate_row(%q) = %q, json decode sees %q", name, got, want)
+		}
+	}
+	if got := gateRow(t, file, "ns_per_op", "workload=select=  1% index-scan"); got == "" {
+		t.Error("the 1% index-scan row is not addressable by its table label")
+	}
+}

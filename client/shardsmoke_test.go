@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ode"
+	"ode/client"
 	"ode/internal/bench"
 )
 
@@ -56,10 +57,10 @@ func TestShardSmokeStage(t *testing.T) {
 	defer cancel()
 
 	// One write on each of shards 0 and 1, prepared on both.
-	clients := make([]*Client, 2)
+	clients := make([]*client.Client, 2)
 	for i := range clients {
 		schema, w := bench.Schema()
-		c, err := Dial(addrs[i], schema, nil)
+		c, err := client.Dial(addrs[i], schema, nil)
 		if err != nil {
 			t.Fatalf("dial shard %d: %v", i, err)
 		}
@@ -97,7 +98,7 @@ func TestShardSmokeVerify(t *testing.T) {
 	defer cancel()
 
 	schema, w := bench.Schema()
-	r, err := DialSharded(addrs, schema, nil)
+	r, err := client.DialSharded(addrs, schema, nil)
 	if err != nil {
 		t.Fatalf("dial sharded: %v", err)
 	}
@@ -124,8 +125,8 @@ func TestShardSmokeVerify(t *testing.T) {
 	// The coordinator decided commit, so the staged transaction must be
 	// fully applied: exactly one copy on each participating shard.
 	got := 0
-	err = r.View(ctx, func(tx *STx) error {
-		n, err := tx.Count(&Scan{Class: w.Stock, Field: "name", Op: CmpEq, Value: ode.Str(shardSmokeName)})
+	err = r.View(ctx, func(tx *client.STx) error {
+		n, err := tx.Count(&client.Scan{Class: w.Stock, Field: "name", Op: client.CmpEq, Value: ode.Str(shardSmokeName)})
 		got = n
 		return err
 	})

@@ -1,16 +1,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
-	"time"
 
-	"ode"
-	"ode/client"
 	"ode/internal/bench"
-	"ode/internal/server"
 	"ode/internal/workload"
 )
 
@@ -18,174 +14,59 @@ import (
 // internal/workload, reported as a JSON array of workload.Report rows
 // (the format ci/workload_gate.sh diffs against WORKLOAD_BASELINE.json).
 //
-// Transport selection: by default every mix runs embedded; -connect
-// runs the remote-capable mixes against that server instead; -loopback
-// runs embedded rows and then remote rows through an in-process server
-// (how the committed baseline is recorded — see ci/workload_gate.sh).
-func runWorkloads(jsonPath string) int {
-	seed := *faultSeed
-	if seed == 0 {
-		seed = 1
+// Shape selection: by default every mix runs embedded; -connect runs
+// the remote-capable mixes against that server instead; -loopback runs
+// embedded rows and then remote rows through an in-process server (how
+// the committed baseline is recorded — see ci/workload_gate.sh);
+// -connect-shards and -loopback-shards run them through the router.
+func runWorkloads(c *config, stdout, stderr io.Writer) int {
+	// The op mix is a pure function of (seed, workers), so the worker
+	// count defaults to the suite's fixed 4, not GOMAXPROCS: the same
+	// command line produces the same op counts on every machine (the
+	// gate asserts this against the committed baseline).
+	cfg := workload.Config{Seed: c.seed, Short: c.params.Div > 1}
+	if c.workersSet {
+		cfg.Workers = c.params.Workers
 	}
-	// The op mix is a pure function of (seed, workers): default to a
-	// fixed worker count, not GOMAXPROCS, so the same command line
-	// produces the same op counts on every machine (the gate asserts
-	// this against the committed baseline).
-	wlWorkers := 4
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "workers" {
-			wlWorkers = *workers
-		}
-	})
-	cfg := workload.Config{Seed: seed, Workers: wlWorkers, Short: *quick}
-	var names []string
-	if *workloadNames == "all" {
-		names = workload.Names()
-	} else {
-		for _, n := range strings.Split(*workloadNames, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				names = append(names, n)
-			}
-		}
+	names := workload.Names()
+	if c.workloads != "all" {
+		names = strings.Split(c.workloads, ",")
 	}
-
-	var reports []*workload.Report
-	runOne := func(wl *workload.Workload, store workload.Store) int {
-		rep, err := wl.Run(store, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s (%s): %v\n", wl.Name, store.Mode(), err)
-			return 1
-		}
-		reports = append(reports, rep)
-		fmt.Printf("%-10s %-9s seed=%d workers=%d  %9d ops  %8.0f ops/s  p50=%s p99=%s  (%s)\n",
-			rep.Workload, rep.Mode, rep.Seed, rep.Workers, rep.Ops, rep.OpsPerSec,
-			time.Duration(rep.Latency.P50Ns), time.Duration(rep.Latency.P99Ns),
-			time.Duration(rep.NsTotal).Round(time.Millisecond))
-		return 0
-	}
-
-	embedded := func(wl *workload.Workload) int {
-		w, err := bench.NewWorld(wl.DBOptions(cfg))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s: open world: %v\n", wl.Name, err)
-			return 1
-		}
-		defer w.Close()
-		return runOne(wl, workload.NewEmbeddedStore(w))
-	}
-
-	remote := func(wl *workload.Workload, addr string) int {
-		schema, cw := bench.Schema()
-		c, err := client.Dial(addr, schema, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s: dial %s: %v\n", wl.Name, addr, err)
-			return 1
-		}
-		defer c.Close()
-		return runOne(wl, workload.NewRemoteStore(c, cw))
-	}
-
-	sharded := func(wl *workload.Workload, addrs []string) int {
-		schema, cw := bench.Schema()
-		r, err := client.DialSharded(addrs, schema, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s: dial shards %v: %v\n", wl.Name, addrs, err)
-			return 1
-		}
-		defer r.Close()
-		return runOne(wl, workload.NewShardedStore(r, cw))
-	}
-
-	// A fresh in-process shard group per mix: N worlds opened with shard
-	// coordinates (striped OID allocation) behind N servers and one
-	// router, exactly like the fresh loopback worlds.
-	loopbackSharded := func(wl *workload.Workload, n int) int {
-		addrs := make([]string, n)
-		for i := 0; i < n; i++ {
-			w, err := bench.NewWorld(&ode.Options{ShardCount: n, ShardSlot: i})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ode-bench: workload %s: open shard %d: %v\n", wl.Name, i, err)
-				return 1
-			}
-			defer w.Close()
-			srv := server.New(w.DB, nil)
-			a, err := srv.Listen("127.0.0.1:0")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ode-bench: workload %s: shard %d listen: %v\n", wl.Name, i, err)
-				return 1
-			}
-			go srv.Serve(nil)
-			defer srv.Close()
-			addrs[i] = a.String()
-		}
-		return sharded(wl, addrs)
-	}
-
-	// A fresh loopback server per mix keeps runs independent, exactly
-	// like the fresh embedded worlds.
-	loopbackRemote := func(wl *workload.Workload) int {
-		w, err := bench.NewWorld(nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s: open loopback world: %v\n", wl.Name, err)
-			return 1
-		}
-		defer w.Close()
-		srv := server.New(w.DB, nil)
-		a, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ode-bench: workload %s: loopback listen: %v\n", wl.Name, err)
-			return 1
-		}
-		go srv.Serve(nil)
-		defer srv.Close()
-		return remote(wl, a.String())
-	}
-
-	fail := 0
+	var mixes []*workload.Workload
 	for _, name := range names {
-		wl, ok := workload.Lookup(name)
+		wl, ok := workload.Lookup(strings.TrimSpace(name))
 		if !ok {
-			fmt.Fprintf(os.Stderr, "ode-bench: unknown workload %q (have: %s)\n",
+			fmt.Fprintf(stderr, "ode-bench: unknown workload %q (have: %s)\n",
 				name, strings.Join(workload.Names(), ", "))
 			return 2
 		}
+		mixes = append(mixes, wl)
+	}
+	reports, err := workload.RunSuite(stdout, mixes, cfg, func(wl *workload.Workload) []bench.Shape {
 		switch {
-		case *connectShards != "":
-			if !wl.RemoteOK {
-				fmt.Printf("%-10s sharded   skipped: needs embedded APIs (%s)\n", wl.Name, wl.Desc)
-				continue
-			}
-			fail |= sharded(wl, strings.Split(*connectShards, ","))
-		case *loopbackShards > 1:
-			if !wl.RemoteOK {
-				fmt.Printf("%-10s sharded   skipped: needs embedded APIs (%s)\n", wl.Name, wl.Desc)
-				continue
-			}
-			fail |= loopbackSharded(wl, *loopbackShards)
-		case *connectAddr != "":
-			if !wl.RemoteOK {
-				fmt.Printf("%-10s remote    skipped: needs embedded APIs (%s)\n", wl.Name, wl.Desc)
-				continue
-			}
-			fail |= remote(wl, *connectAddr)
-		default:
-			fail |= embedded(wl)
-			if *loopback && wl.RemoteOK {
-				fail |= loopbackRemote(wl)
-			}
+		case c.connectShards != "":
+			return []bench.Shape{{Kind: bench.Sharded, Addrs: strings.Split(c.connectShards, ",")}}
+		case c.loopbackShards > 1:
+			return []bench.Shape{{Kind: bench.Sharded, Shards: c.loopbackShards}}
+		case c.params.Connect != "":
+			return []bench.Shape{{Kind: bench.Remote, Addrs: []string{c.params.Connect}}}
+		case c.loopback && wl.RemoteOK:
+			return []bench.Shape{{Opts: wl.DBOptions(cfg)}, {Kind: bench.Remote}}
+		}
+		return []bench.Shape{{Opts: wl.DBOptions(cfg)}}
+	})
+	if err == nil && c.jsonPath != "" {
+		var buf []byte
+		if buf, err = workload.EncodeReports(reports); err == nil {
+			err = os.WriteFile(c.jsonPath, buf, 0o644)
 		}
 	}
-	if fail == 0 && jsonPath != "" {
-		buf, err := workload.EncodeReports(reports)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ode-bench: encode workload reports:", err)
-			return 1
-		}
-		if err := os.WriteFile(jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "ode-bench: write workload reports:", err)
-			return 1
-		}
-		fmt.Printf("\nwrote %d workload rows to %s\n", len(reports), jsonPath)
+	if err != nil {
+		fmt.Fprintln(stderr, "ode-bench:", err)
+		return 1
 	}
-	return fail
+	if c.jsonPath != "" {
+		fmt.Fprintf(stdout, "\nwrote %d workload rows to %s\n", len(reports), c.jsonPath)
+	}
+	return 0
 }

@@ -97,41 +97,14 @@ func main() {
 		return
 	}
 
-	// REPL: accumulate input until braces balance and the line ends
-	// with ';' (or '}' for class declarations and loops).
-	fmt.Println("ode-sh — O++ subset shell. End statements with ';'. Ctrl-D to exit.")
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := "ode> "
-	for {
-		fmt.Print(prompt)
-		if !scanner.Scan() {
-			break
-		}
-		line := scanner.Text()
-		buf.WriteString(line)
-		buf.WriteByte('\n')
-		src := buf.String()
-		if !complete(src) {
-			prompt = "...> "
-			continue
-		}
-		buf.Reset()
-		prompt = "ode> "
-		if strings.TrimSpace(src) == "" {
-			continue
-		}
-		if err := sess.Exec(src); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-		}
+	repl("ode-sh — O++ subset shell. End statements with ';'. Ctrl-D to exit.", func(src string) error {
+		err := sess.Exec(src)
 		db.Triggers().Wait()
-		if errs := db.Triggers().Errors(); len(errs) > 0 {
-			for _, e := range errs {
-				fmt.Fprintln(os.Stderr, "trigger error:", e)
-			}
+		for _, e := range db.Triggers().Errors() {
+			fmt.Fprintln(os.Stderr, "trigger error:", e)
 		}
-	}
+		return err
+	})
 	if err := sess.Close(); err != nil {
 		fatal(err)
 	}
@@ -183,32 +156,7 @@ func remote(addr string, scripts []string) {
 		return
 	}
 
-	fmt.Printf("ode-sh — connected to %s. End statements with ';'. Ctrl-D to exit.\n", addr)
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := "ode> "
-	for {
-		fmt.Print(prompt)
-		if !scanner.Scan() {
-			break
-		}
-		buf.WriteString(scanner.Text())
-		buf.WriteByte('\n')
-		src := buf.String()
-		if !complete(src) {
-			prompt = "...> "
-			continue
-		}
-		buf.Reset()
-		prompt = "ode> "
-		if strings.TrimSpace(src) == "" {
-			continue
-		}
-		if err := exec(src); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-		}
-	}
+	repl(fmt.Sprintf("ode-sh — connected to %s. End statements with ';'. Ctrl-D to exit.", addr), exec)
 }
 
 // remoteShards is the operator console for a shard group: statements
@@ -246,18 +194,33 @@ func remoteShards(addrs []string) {
 		}
 	}
 
-	fmt.Printf("ode-sh — router over %d shards. Statements: shards; resolve;. Ctrl-D to exit.\n", len(addrs))
+	repl(fmt.Sprintf("ode-sh — router over %d shards. Statements: shards; resolve;. Ctrl-D to exit.", len(addrs)), exec)
+}
+
+// repl is the interactive loop of all three modes: it prints the
+// banner, accumulates stdin lines until they form a complete statement
+// batch, and hands each batch to exec, reporting its error without
+// leaving the loop. Ctrl-D ends it.
+func repl(banner string, exec func(src string) error) {
+	fmt.Println(banner)
 	scanner := bufio.NewScanner(os.Stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	var buf strings.Builder
+	prompt := "ode> "
 	for {
-		fmt.Print("ode> ")
+		fmt.Print(prompt)
 		if !scanner.Scan() {
 			break
 		}
-		src := scanner.Text()
-		if strings.TrimSpace(src) == "" {
+		buf.WriteString(scanner.Text())
+		buf.WriteByte('\n')
+		src := buf.String()
+		if !complete(src) {
+			prompt = "...> "
 			continue
 		}
+		buf.Reset()
+		prompt = "ode> "
 		if err := exec(src); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 		}
@@ -337,12 +300,12 @@ func complete(src string) bool {
 		case '\'':
 			inChar = true
 		case '/':
-			if i+1 < len(src) {
-				if src[i+1] == '/' {
-					inLine = true
-				} else if src[i+1] == '*' {
-					inBlock = true
-				}
+			// A comment opener is not the statement's last character.
+			if i+1 < len(src) && (src[i+1] == '/' || src[i+1] == '*') {
+				inLine = src[i+1] == '/'
+				inBlock = !inLine
+				i++
+				continue
 			}
 		case '{', '(':
 			depth++

@@ -203,3 +203,56 @@ func TestParallelQueryOnSharedDB(t *testing.T) {
 		t.Error("no parallel foralls recorded")
 	}
 }
+
+// TestForallRacingDelete scans an extent while another transaction
+// creates and deletes rows in it. A scan lists OIDs before it locks
+// them, so a listed row can be deleted and committed before the scan's
+// Deref reaches it; that row is gone, not an error. The permanent rows
+// must all be counted every time.
+func TestForallRacingDelete(t *testing.T) {
+	db, stock := openTestDB(t, &Options{NoSync: true})
+	const permanent = 32
+	for i := 0; i < permanent; i++ {
+		addItem(t, db, stock, fmt.Sprintf("keep-%d", i), int64(i), 0)
+	}
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var oid OID
+			err := db.RunTx(func(tx *Tx) (err error) {
+				oid, err = tx.PNew(stock, NewObject(stock))
+				return err
+			})
+			if err == nil {
+				err = db.RunTx(func(tx *Tx) error { return tx.PDelete(oid) })
+			}
+			if err != nil {
+				t.Errorf("churn: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 500; i++ {
+		err := db.View(func(tx *Tx) error {
+			got, err := Forall(tx, stock).Count()
+			if err == nil && (got < permanent || got > permanent+1) {
+				err = fmt.Errorf("counted %d rows, want %d or %d", got, permanent, permanent+1)
+			}
+			return err
+		})
+		if err != nil {
+			t.Errorf("scan %d: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	churn.Wait()
+}

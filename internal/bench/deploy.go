@@ -1,0 +1,155 @@
+package bench
+
+import (
+	"context"
+	"fmt"
+
+	"ode"
+	"ode/client"
+	"ode/internal/server"
+)
+
+// Kind is one of the three deployment shapes the system ships in.
+type Kind int
+
+const (
+	Embedded Kind = iota // function calls into an in-process engine
+	Remote               // one ode-server behind the wire protocol
+	Sharded              // a shard group behind the client-side router
+)
+
+// Shape says where a measurement runs.
+type Shape struct {
+	Kind Kind
+	// Addrs names external ode-server daemons started with
+	// -bench-schema: one for Remote, the whole group for Sharded. Empty
+	// boots loopback servers in-process instead, each over a fresh
+	// World that Close removes.
+	Addrs []string
+	// Shards is the loopback shard count (Sharded with no Addrs).
+	Shards int
+	// Opts opens the Embedded database (nil: NewWorld's defaults).
+	// Loopback servers always run over default worlds; loopback shards
+	// add only their shard coordinates.
+	Opts *ode.Options
+}
+
+// Deployment is an opened Shape. World always carries the benchmark
+// class handles; its DB is set only when Embedded. Client is set when
+// Remote, Router when Sharded. Close tears it down: clients first, then
+// servers, then the worlds under them.
+type Deployment struct {
+	World  *World
+	Client *client.Client
+	Router *client.Sharded
+
+	schema *ode.Schema // the one World's class handles belong to
+	addrs  []string
+	closers
+}
+
+// Open opens the one deployment a Shape describes. It is the only
+// place the benchmark code boots a server or dials one.
+func Open(s Shape) (*Deployment, error) {
+	if s.Kind == Embedded {
+		w, err := NewWorld(s.Opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Deployment{World: w, closers: closers{w.Close}}, nil
+	}
+	d := &Deployment{addrs: s.Addrs}
+	d.schema, d.World = Schema()
+	var err error
+	switch {
+	case len(d.addrs) > 0: // external daemons
+	case s.Kind == Remote:
+		err = d.serve(nil)
+	default:
+		// Shard coordinates stripe OID allocation across the group.
+		for slot := 0; slot < s.Shards && err == nil; slot++ {
+			err = d.serve(&ode.Options{ShardCount: s.Shards, ShardSlot: slot})
+		}
+	}
+	if err != nil {
+		d.Close()
+		return nil, fmt.Errorf("loopback server: %w", err)
+	}
+	if s.Kind == Sharded {
+		r, err := client.DialSharded(d.addrs, d.schema, nil)
+		if err != nil {
+			d.Close()
+			return nil, fmt.Errorf("dial shards %v: %w", d.addrs, err)
+		}
+		d.Router = r
+		d.onClose(func() { r.Close() })
+		return d, nil
+	}
+	c, err := d.Dial(nil)
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	d.Client = c
+	return d, nil
+}
+
+// serve boots one loopback server over a fresh world.
+func (d *Deployment) serve(opts *ode.Options) error {
+	w, err := NewWorld(opts)
+	if err != nil {
+		return err
+	}
+	d.onClose(w.Close)
+	srv := server.New(w.DB, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	go srv.Serve(nil)
+	d.onClose(func() { srv.Close() })
+	d.addrs = append(d.addrs, addr.String())
+	return nil
+}
+
+// Dial connects one more client to a Remote deployment's server (the
+// client-cache experiment compares two differently configured
+// clients); Close closes it with the rest.
+func (d *Deployment) Dial(opts *client.Options) (*client.Client, error) {
+	c, err := client.Dial(d.addrs[0], d.schema, opts)
+	if err != nil {
+		return nil, fmt.Errorf("dial %s: %w", d.addrs[0], err)
+	}
+	d.onClose(func() { c.Close() })
+	return c, nil
+}
+
+// RunTx runs fn in one read-write transaction of the deployment,
+// whichever shape it is.
+func (d *Deployment) RunTx(fn func(tx PointTx) error) error {
+	switch {
+	case d.Router != nil:
+		return d.Router.RunTx(context.Background(), func(tx *client.STx) error { return fn(tx) })
+	case d.Client != nil:
+		return clientRunTx(d.Client)(fn)
+	}
+	return d.World.RunTx(fn)
+}
+
+// clientRunTx is the RunTx of one particular client.
+func clientRunTx(c *client.Client) RunTx {
+	return func(fn func(tx PointTx) error) error {
+		return c.RunTx(context.Background(), func(tx *client.Tx) error { return fn(tx) })
+	}
+}
+
+// Mode names the shape the way workload reports record it.
+func (d *Deployment) Mode() string {
+	switch {
+	case d.Router != nil:
+		return fmt.Sprintf("sharded-%d", d.Router.NumShards())
+	case d.World.DB != nil:
+		return "embedded"
+	}
+	return "remote"
+}

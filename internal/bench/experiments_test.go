@@ -1,0 +1,175 @@
+package bench
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"ode"
+	"ode/client"
+)
+
+// tiny is the smallest-scale setting: a tenth of -quick, where most
+// sizes sit on their floors.
+func tiny() Params {
+	p := Defaults()
+	p.Div, p.Workers, p.MaxTx, p.Overload = 100, 2, 2, 2
+	return p
+}
+
+// TestExperimentsRunTiny builds every experiment at the smallest scale
+// and measures every case: each must pass its own checks, and the
+// (label, workers) pairs — what ci/gate_lib.sh selects rows by — must
+// be unique within an experiment.
+func TestExperimentsRunTiny(t *testing.T) {
+	start := time.Now()
+	for _, x := range Experiments {
+		t.Run(x.ID, func(t *testing.T) {
+			env, err := x.Build(tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer env.Close()
+			if len(env.Cases) == 0 {
+				t.Fatal("no cases")
+			}
+			seen := map[string]bool{}
+			for _, c := range env.Cases {
+				key := fmt.Sprintf("%s workers=%d", c.Label(), c.Workers)
+				if seen[key] {
+					t.Errorf("duplicate case %q", key)
+				}
+				seen[key] = true
+				m, err := c.Measure()
+				if err != nil {
+					t.Errorf("%s: %v", key, err)
+				} else if m.PerOp < 0 {
+					t.Errorf("%s: negative time %v", key, m.PerOp)
+				}
+			}
+			if x.ID == "E16" {
+				// ci/bench_gate.sh greps these two at workers=4.
+				for _, gate := range []string{"tx20 pnew serial-fsync workers=4", "tx20 pnew group-commit workers=4"} {
+					if !seen[gate] {
+						t.Errorf("gate row %q missing; have %v", gate, seen)
+					}
+				}
+			}
+		})
+	}
+	if d := time.Since(start); d > 30*time.Second {
+		t.Errorf("tiny run took %v; it must stay under 30s in go test ./...", d)
+	}
+}
+
+// TestCasesRerunnable pins the contract BenchmarkExperiments leans on:
+// after Build a case can be called again and again (testing.B picks
+// b.N), alone, and still pass its checks. E12 is the case that consumes
+// its state (a crashed database) and re-arms it in Prep.
+func TestCasesRerunnable(t *testing.T) {
+	for _, id := range []string{"E1", "E8", "E12"} {
+		for _, x := range Experiments {
+			if x.ID != id {
+				continue
+			}
+			env, err := x.Build(tiny())
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := env.Cases[len(env.Cases)-1]
+			last.Reps = 3
+			if _, err := last.Measure(); err != nil {
+				t.Errorf("%s %s x3: %v", id, last.Label(), err)
+			}
+			env.Close()
+		}
+	}
+}
+
+func TestMeasure(t *testing.T) {
+	var order []string
+	c := Case{Name: "row", Col: "col", Reps: 2, Units: 5,
+		Prep: func() error { order = append(order, "prep"); return nil },
+		Op: func() error {
+			order = append(order, "op")
+			time.Sleep(5 * time.Millisecond)
+			return nil
+		},
+		After: func(m *Measurement) error {
+			order = append(order, "after")
+			m.Extra["k"] = 1
+			return nil
+		}}
+	if c.Label() != "row col" || (Case{Name: "row"}).Label() != "row" {
+		t.Errorf("labels: %q, %q", c.Label(), Case{Name: "row"}.Label())
+	}
+	m, err := c.Measure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[prep op prep op after]" {
+		t.Errorf("call order %s", got)
+	}
+	// Two 5ms calls of five units each: 1ms per unit, Prep excluded.
+	if m.PerOp < time.Millisecond || m.PerOp > 5*time.Millisecond || m.Extra["k"] != 1 {
+		t.Errorf("measurement %+v", m)
+	}
+	boom := errors.New("boom")
+	for _, bad := range []Case{
+		{Op: func() error { return boom }},
+		{Prep: func() error { return boom }, Op: func() error { return nil }},
+		{Op: func() error { return nil }, After: func(*Measurement) error { return boom }},
+	} {
+		if _, err := bad.Measure(); err != boom {
+			t.Errorf("error not propagated: %v", err)
+		}
+	}
+}
+
+// TestOpenShapes opens each deployment shape on loopback, loads a few
+// objects through its RunTx, and reads them back.
+func TestOpenShapes(t *testing.T) {
+	for _, tc := range []struct {
+		shape Shape
+		mode  string
+	}{
+		{Shape{}, "embedded"},
+		{Shape{Kind: Remote}, "remote"},
+		{Shape{Kind: Sharded, Shards: 3}, "sharded-3"},
+	} {
+		d, err := Open(tc.shape)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.mode, err)
+		}
+		if d.Mode() != tc.mode {
+			t.Errorf("mode %q, want %q", d.Mode(), tc.mode)
+		}
+		oids, err := Insert(d.RunTx, 7, func(i int) *ode.Object {
+			return NewStock(d.World.Stock, "x", 1, int64(i), 0)
+		})
+		if err != nil || len(oids) != 7 {
+			t.Fatalf("%s: inserted %d, err %v", tc.mode, len(oids), err)
+		}
+		err = d.RunTx(func(tx PointTx) error {
+			o, err := tx.Deref(oids[6])
+			if err == nil && o.MustGet("qty").Int() != 6 {
+				err = fmt.Errorf("read back qty %d", o.MustGet("qty").Int())
+			}
+			return err
+		})
+		if err != nil {
+			t.Errorf("%s: %v", tc.mode, err)
+		}
+		if tc.shape.Kind == Remote {
+			if second, err := d.Dial(&client.Options{CacheSize: -1}); err != nil || second == d.Client {
+				t.Errorf("second client: %v", err)
+			}
+		}
+		d.Close()
+		d.Close() // idempotent
+	}
+	if _, err := Open(Shape{Kind: Remote, Addrs: []string{"127.0.0.1:1"}}); err == nil {
+		t.Error("dialing a dead address succeeded")
+	}
+}

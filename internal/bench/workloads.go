@@ -1,9 +1,13 @@
-// Package bench provides the workload builders and experiment runners
-// behind the reproduction's evaluation (DESIGN.md §5). The paper has no
-// quantitative evaluation section — it is a language/data-model design
-// paper — so each experiment regenerates one of its worked examples or
-// quantifies one of its performance claims; bench_test.go exposes them
-// as testing.B benchmarks and cmd/ode-bench prints report tables.
+// Package bench is the reproduction's evaluation (DESIGN.md §5),
+// defined once. The paper has no quantitative evaluation section — it
+// is a language/data-model design paper — so each experiment
+// regenerates one of its worked examples or quantifies one of its
+// performance claims. This file holds the benchmark schema and the
+// loaders that fill a World; experiment.go the experiment table and its
+// one timing loop; experiments.go the sixteen experiments; deploy.go
+// the opener for the three deployment shapes. cmd/ode-bench prints the
+// table, BenchmarkExperiments (bench_test.go) runs it under testing.B,
+// and internal/workload runs its mixes on the same worlds.
 package bench
 
 import (
@@ -135,32 +139,71 @@ func (w *World) Close() {
 	}
 }
 
-// LoadStock inserts n stockitems with qty = i and price i/100, batching
-// commits.
+// PointTx is the point-operation surface the three transaction types
+// share: *ode.Tx, *client.Tx and *client.STx all satisfy it, so one
+// loader fills a world in any deployment shape.
+type PointTx interface {
+	PNew(c *ode.Class, o *ode.Object) (ode.OID, error)
+	Deref(oid ode.OID) (*ode.Object, error)
+	Update(oid ode.OID, o *ode.Object) error
+}
+
+// RunTx runs fn in one read-write transaction, wherever the data lives.
+type RunTx func(fn func(tx PointTx) error) error
+
+// RunTx is the embedded world's RunTx.
+func (w *World) RunTx(fn func(tx PointTx) error) error {
+	return w.DB.RunTx(func(tx *ode.Tx) error { return fn(tx) })
+}
+
+// NewStock builds one stockitem.
+func NewStock(c *ode.Class, name string, price float64, qty, threshold int64) *ode.Object {
+	o := ode.NewObject(c)
+	o.MustSet("name", ode.Str(name))
+	o.MustSet("price", ode.Float(price))
+	o.MustSet("qty", ode.Int(qty))
+	o.MustSet("threshold", ode.Int(threshold))
+	return o
+}
+
+// Insert stores item(0) … item(n-1) through run, 500 objects per
+// transaction, and returns their OIDs.
+func Insert(run RunTx, n int, item func(i int) *ode.Object) ([]ode.OID, error) {
+	oids := make([]ode.OID, 0, n)
+	const batch = 500
+	for start := 0; start < n; start += batch {
+		err := run(func(tx PointTx) error {
+			oids = oids[:start] // run may retry the transaction
+			for i := start; i < min(start+batch, n); i++ {
+				o := item(i)
+				oid, err := tx.PNew(o.Class(), o)
+				if err != nil {
+					return err
+				}
+				oids = append(oids, oid)
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return oids, nil
+}
+
+// LoadStock inserts n stockitems with qty = i and price i/100.
 func (w *World) LoadStock(n int) ([]ode.OID, error) {
-	return w.batchInsert(n, func(tx *ode.Tx, i int) (ode.OID, error) {
-		o := ode.NewObject(w.Stock)
-		o.MustSet("name", ode.Str(fmt.Sprintf("item-%07d", i)))
-		o.MustSet("price", ode.Float(float64(i)/100))
-		o.MustSet("qty", ode.Int(int64(i)))
-		o.MustSet("threshold", ode.Int(100))
-		return tx.PNew(w.Stock, o)
+	return Insert(w.RunTx, n, func(i int) *ode.Object {
+		return NewStock(w.Stock, fmt.Sprintf("item-%07d", i), float64(i)/100, int64(i), 100)
 	})
 }
 
 // LoadPersons inserts persons/students/faculty in ratio 2:1:1 with
 // income = i.
 func (w *World) LoadPersons(n int) ([]ode.OID, error) {
-	return w.batchInsert(n, func(tx *ode.Tx, i int) (ode.OID, error) {
-		var c *ode.Class
-		switch i % 4 {
-		case 0, 1:
-			c = w.Person
-		case 2:
-			c = w.Student
-		default:
-			c = w.Faculty
-		}
+	cycle := []*ode.Class{w.Person, w.Person, w.Student, w.Faculty}
+	return Insert(w.RunTx, n, func(i int) *ode.Object {
+		c := cycle[i%4]
 		o := ode.NewObject(c)
 		o.MustSet("name", ode.Str(fmt.Sprintf("p-%07d", i)))
 		o.MustSet("income", ode.Int(int64(i)))
@@ -171,47 +214,71 @@ func (w *World) LoadPersons(n int) ([]ode.OID, error) {
 		case w.Faculty:
 			o.MustSet("dept", ode.Str("cs"))
 		}
-		return tx.PNew(c, o)
+		return o
 	})
 }
 
-// LoadChain builds a linked list of n cells (value = position) and
-// returns the head: the CODASYL-style structure the paper's iterators
-// replace.
-func (w *World) LoadChain(n int) (ode.OID, error) {
-	var head ode.OID // built back-to-front
-	err := w.DB.RunTx(func(tx *ode.Tx) error {
-		next := ode.NilOID
-		for i := n - 1; i >= 0; i-- {
-			o := ode.NewObject(w.Cell)
-			o.MustSet("value", ode.Int(int64(i)))
-			o.MustSet("next", ode.Ref(next))
-			oid, err := tx.PNew(w.Cell, o)
-			if err != nil {
-				return err
+// LoadEmpDept loads nEmp employees over nDept departments.
+func (w *World) LoadEmpDept(nEmp, nDept int) error {
+	_, err := Insert(w.RunTx, nDept, func(d int) *ode.Object {
+		o := ode.NewObject(w.Dept)
+		o.MustSet("deptno", ode.Int(int64(d)))
+		o.MustSet("dname", ode.Str(fmt.Sprintf("dept-%03d", d)))
+		return o
+	})
+	if err != nil {
+		return err
+	}
+	_, err = Insert(w.RunTx, nEmp, func(i int) *ode.Object {
+		o := ode.NewObject(w.Emp)
+		o.MustSet("name", ode.Str(fmt.Sprintf("emp-%06d", i)))
+		o.MustSet("deptno", ode.Int(int64(i%nDept)))
+		o.MustSet("salary", ode.Int(int64(1000+i%9000)))
+		return o
+	})
+	return err
+}
+
+// LoadChain builds a linked list of n cells (value = position) back to
+// front, so each cell's next ref is already persistent, and returns the
+// head: the CODASYL-style structure the paper's iterators replace.
+func LoadChain(run RunTx, cell *ode.Class, n int) (ode.OID, error) {
+	head := ode.NilOID
+	const batch = 500
+	for built := 0; built < n; built += batch {
+		err := run(func(tx PointTx) error {
+			for i := built; i < min(built+batch, n); i++ {
+				o := ode.NewObject(cell)
+				o.MustSet("value", ode.Int(int64(n-1-i)))
+				o.MustSet("next", ode.Ref(head))
+				oid, err := tx.PNew(cell, o)
+				if err != nil {
+					return err
+				}
+				head = oid
 			}
-			next = oid
+			return nil
+		})
+		if err != nil {
+			return ode.NilOID, err
 		}
-		head = next
-		return nil
-	})
-	return head, err
+	}
+	return head, nil
 }
 
-// LoadPartDAG builds a part DAG with the given depth and fanout:
-// level 0 is the root; each part at level d < depth has `fanout`
-// children chosen from level d+1 (levels have width `width`). Returns
-// the root.
-func (w *World) LoadPartDAG(depth, width, fanout int, seed int64) (ode.OID, int, error) {
-	r := rand.New(rand.NewSource(seed))
+// LoadPartDAG builds a part DAG in one transaction: level 0 is the
+// root, levels 1..depth hold `width` parts each, and every part above
+// the last level points at `fanout` rng-chosen parts of the level below.
+// It returns the root and the number of parts.
+func LoadPartDAG(run RunTx, part *ode.Class, rng *rand.Rand, depth, width, fanout int) (ode.OID, int, error) {
 	var root ode.OID
 	total := 0
-	err := w.DB.RunTx(func(tx *ode.Tx) error {
+	err := run(func(tx PointTx) error {
 		mk := func(name string) (ode.OID, error) {
-			o := ode.NewObject(w.Part)
+			o := ode.NewObject(part)
 			o.MustSet("name", ode.Str(name))
 			total++
-			return tx.PNew(w.Part, o)
+			return tx.PNew(part, o)
 		}
 		levels := make([][]ode.OID, depth+1)
 		var err error
@@ -237,7 +304,7 @@ func (w *World) LoadPartDAG(depth, width, fanout int, seed int64) (ode.OID, int,
 				}
 				set := o.MustGet("subparts").Set()
 				for k := 0; k < fanout; k++ {
-					set.Insert(ode.Ref(levels[d+1][r.Intn(len(levels[d+1]))]))
+					set.Insert(ode.Ref(levels[d+1][rng.Intn(len(levels[d+1]))]))
 				}
 				if err := tx.Update(parent, o); err != nil {
 					return err
@@ -247,58 +314,6 @@ func (w *World) LoadPartDAG(depth, width, fanout int, seed int64) (ode.OID, int,
 		return nil
 	})
 	return root, total, err
-}
-
-// LoadEmpDept loads nEmp employees over nDept departments.
-func (w *World) LoadEmpDept(nEmp, nDept int) error {
-	err := w.DB.RunTx(func(tx *ode.Tx) error {
-		for d := 0; d < nDept; d++ {
-			o := ode.NewObject(w.Dept)
-			o.MustSet("deptno", ode.Int(int64(d)))
-			o.MustSet("dname", ode.Str(fmt.Sprintf("dept-%03d", d)))
-			if _, err := tx.PNew(w.Dept, o); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	_, err = w.batchInsert(nEmp, func(tx *ode.Tx, i int) (ode.OID, error) {
-		o := ode.NewObject(w.Emp)
-		o.MustSet("name", ode.Str(fmt.Sprintf("emp-%06d", i)))
-		o.MustSet("deptno", ode.Int(int64(i%nDept)))
-		o.MustSet("salary", ode.Int(int64(1000+i%9000)))
-		return tx.PNew(w.Emp, o)
-	})
-	return err
-}
-
-// batchInsert runs fn n times in batches of 1000 per transaction.
-func (w *World) batchInsert(n int, fn func(tx *ode.Tx, i int) (ode.OID, error)) ([]ode.OID, error) {
-	oids := make([]ode.OID, 0, n)
-	const batch = 1000
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		err := w.DB.RunTx(func(tx *ode.Tx) error {
-			for i := start; i < end; i++ {
-				oid, err := fn(tx, i)
-				if err != nil {
-					return err
-				}
-				oids = append(oids, oid)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return oids, nil
 }
 
 // Subparts is the SuccFunc over the part DAG within tx.

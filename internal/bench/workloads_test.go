@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
 	"ode"
@@ -23,14 +24,14 @@ func TestWorldBuilders(t *testing.T) {
 	if _, err := w.LoadPersons(40); err != nil {
 		t.Fatal(err)
 	}
-	head, err := w.LoadChain(30)
+	head, err := LoadChain(w.RunTx, w.Cell, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LoadEmpDept(50, 5); err != nil {
 		t.Fatal(err)
 	}
-	root, total, err := w.LoadPartDAG(3, 10, 3, 1)
+	root, total, err := LoadPartDAG(w.RunTx, w.Part, rand.New(rand.NewSource(1)), 3, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"ode/internal/core"
+	"ode/internal/object"
 	"ode/internal/obs"
 	"ode/internal/txn"
 )
@@ -455,10 +456,14 @@ func (q *Query) fetch(oid core.OID) (Item, bool, error) {
 		return Item{}, false, nil
 	}
 	o, err := q.tx.Deref(oid)
+	if errors.Is(err, object.ErrNoObject) {
+		// The scan lists OIDs before it locks them, so another
+		// transaction can delete and commit a listed row before this
+		// Deref's lock reaches it: the row is gone, exactly as if the
+		// delete had committed before the scan started.
+		return Item{}, false, nil
+	}
 	if err != nil {
-		// Deleted concurrently between scan and deref under our lock
-		// protocol cannot happen (the scan reflects committed state and
-		// deletes need X locks); a missing object here is a real error.
 		return Item{}, false, err
 	}
 	if !q.classMatch(o.Class()) {

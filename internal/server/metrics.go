@@ -73,7 +73,7 @@ func (m *Metrics) latency(t byte) *obs.Histogram {
 		return &m.LatAbort
 	case wire.CmdPNew:
 		return &m.LatPNew
-	case wire.CmdDeref:
+	case wire.CmdDeref, wire.CmdDerefCached: // a client-cache revalidation is a deref
 		return &m.LatDeref
 	case wire.CmdUpdate:
 		return &m.LatUpdate

@@ -717,11 +717,30 @@ print(g.n);
 func TestMetricsOverWire(t *testing.T) {
 	_, srv, c, stock := startEnv(t, nil)
 	ctx := context.Background()
+	var oid ode.OID
 	if err := c.RunTx(ctx, func(tx *client.Tx) error {
-		_, err := tx.PNew(stock, item(stock, "m", 1, 1))
+		var err error
+		oid, err = tx.PNew(stock, item(stock, "m", 1, 1))
 		return err
 	}); err != nil {
 		t.Fatal(err)
+	}
+	// Two transactions deref the object: the first fetches its image
+	// (CmdDeref), the second revalidates the client's cached copy
+	// (CmdDerefCached). Both are derefs to the server's histogram.
+	for i := 0; i < 2; i++ {
+		if err := c.View(ctx, func(tx *client.Tx) error {
+			_, err := tx.Deref(oid)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.CacheMetrics().Hits.Load() == 0 {
+		t.Fatal("second deref did not go through the client cache")
+	}
+	if got := srv.Metrics().LatDeref.Snapshot().Count; got != 2 {
+		t.Errorf("server.req_ns.deref counted %d derefs, want 2 (one full, one cached revalidation)", got)
 	}
 	buf, err := c.MetricsJSON(ctx)
 	if err != nil {

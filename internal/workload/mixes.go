@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"ode"
+	"ode/internal/bench"
 )
 
 // scaled picks the CI-short or full size.
@@ -15,43 +16,24 @@ func (r *runner) scaled(short, full int) int {
 	return full
 }
 
-// loadStock inserts n stock items (qty = i, threshold 100) in batches
-// and returns their OIDs through the store (so remote runs load over
-// the wire too). namePad >= 0 pads names to that width, which fixes the
-// per-record footprint — the larger-than-RAM mix uses it to size its
-// dataset in pages.
+// runTx is the store's RunTx as the bench loaders take it, so a remote
+// or sharded run loads over the wire too.
+func (r *runner) runTx(fn func(bench.PointTx) error) error {
+	return r.store.RunTx(func(tx Tx) error { return fn(tx) })
+}
+
+// loadStock inserts n stock items (qty(i), threshold 100) through the
+// store and returns their OIDs. namePad >= 0 pads names to that width,
+// which fixes the per-record footprint — the larger-than-RAM mix uses
+// it to size its dataset in pages.
 func (r *runner) loadStock(n, namePad int, qty func(i int) int64) ([]ode.OID, error) {
-	oids := make([]ode.OID, 0, n)
-	const batch = 500
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
+	return bench.Insert(r.runTx, n, func(i int) *ode.Object {
+		name := fmt.Sprintf("wl-%07d", i)
+		if namePad > len(name) {
+			name = fmt.Sprintf("%-*s", namePad, name)
 		}
-		err := r.store.RunTx(func(tx Tx) error {
-			for i := start; i < end; i++ {
-				name := fmt.Sprintf("wl-%07d", i)
-				if namePad > len(name) {
-					name = fmt.Sprintf("%-*s", namePad, name)
-				}
-				o := ode.NewObject(r.w.Stock)
-				o.MustSet("name", ode.Str(name))
-				o.MustSet("price", ode.Float(float64(i)/100))
-				o.MustSet("qty", ode.Int(qty(i)))
-				o.MustSet("threshold", ode.Int(100))
-				oid, err := tx.PNew(r.w.Stock, o)
-				if err != nil {
-					return err
-				}
-				oids = append(oids, oid)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return oids, nil
+		return bench.NewStock(r.w.Stock, name, float64(i)/100, qty(i), 100)
+	})
 }
 
 // pointsMix: hot/cold skewed point derefs with a write tail — the
@@ -149,7 +131,7 @@ var traverseMix = &Workload{
 		chainLen := r.scaled(1000, 8000)
 		walks := r.scaled(300, 3000)
 		const hops = 50
-		head, err := r.loadChain(chainLen)
+		head, err := bench.LoadChain(r.runTx, r.w.Cell, chainLen)
 		if err != nil {
 			return err
 		}
@@ -194,36 +176,6 @@ var traverseMix = &Workload{
 			return nil
 		})
 	},
-}
-
-// loadChain builds the cell chain through the store (back to front, so
-// each cell's next ref is already persistent).
-func (r *runner) loadChain(n int) (ode.OID, error) {
-	head := ode.NilOID
-	const batch = 500
-	for built := 0; built < n; built += batch {
-		end := built + batch
-		if end > n {
-			end = n
-		}
-		err := r.store.RunTx(func(tx Tx) error {
-			for i := built; i < end; i++ {
-				o := ode.NewObject(r.w.Cell)
-				o.MustSet("value", ode.Int(int64(n-1-i)))
-				o.MustSet("next", ode.Ref(head))
-				oid, err := tx.PNew(r.w.Cell, o)
-				if err != nil {
-					return err
-				}
-				head = oid
-			}
-			return nil
-		})
-		if err != nil {
-			return ode.NilOID, err
-		}
-	}
-	return head, nil
 }
 
 // versionsMix: version-heavy churn — freeze, read back, and discard
@@ -302,7 +254,7 @@ var triggersMix = &Workload{
 		if err != nil {
 			return err
 		}
-		db := r.store.DB()
+		db := r.w.DB
 		if err := db.RunTx(func(tx *ode.Tx) error {
 			for _, oid := range oids {
 				if _, err := db.Triggers().Activate(tx, oid, "restock", ode.Int(150)); err != nil {
@@ -349,7 +301,7 @@ var bomMix = &Workload{
 		width := r.scaled(40, 120)
 		const fanout = 4
 		queries := r.scaled(40, 200)
-		root, parts, err := r.loadPartDAG(depth, width, fanout)
+		root, parts, err := bench.LoadPartDAG(r.runTx, r.w.Part, r.rng, depth, width, fanout)
 		if err != nil {
 			return err
 		}
@@ -389,54 +341,6 @@ var bomMix = &Workload{
 			return nil
 		})
 	},
-}
-
-// loadPartDAG mirrors bench.LoadPartDAG through the store interface:
-// level d parts point at `fanout` seeded-random children on level d+1.
-func (r *runner) loadPartDAG(depth, width, fanout int) (ode.OID, int, error) {
-	var root ode.OID
-	total := 0
-	levels := make([][]ode.OID, depth+1)
-	err := r.store.RunTx(func(tx Tx) error {
-		mk := func(name string) (ode.OID, error) {
-			o := ode.NewObject(r.w.Part)
-			o.MustSet("name", ode.Str(name))
-			total++
-			return tx.PNew(r.w.Part, o)
-		}
-		var err error
-		root, err = mk("root")
-		if err != nil {
-			return err
-		}
-		levels[0] = []ode.OID{root}
-		for d := 1; d <= depth; d++ {
-			for i := 0; i < width; i++ {
-				oid, err := mk(fmt.Sprintf("p-%d-%d", d, i))
-				if err != nil {
-					return err
-				}
-				levels[d] = append(levels[d], oid)
-			}
-		}
-		for d := 0; d < depth; d++ {
-			for _, parent := range levels[d] {
-				o, err := tx.Deref(parent)
-				if err != nil {
-					return err
-				}
-				set := o.MustGet("subparts").Set()
-				for k := 0; k < fanout; k++ {
-					set.Insert(ode.Ref(levels[d+1][r.rng.Intn(len(levels[d+1]))]))
-				}
-				if err := tx.Update(parent, o); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	return root, total, err
 }
 
 // churn10xMix: the larger-than-RAM scenario. The database opens with a
@@ -497,7 +401,7 @@ var churn10xMix = &Workload{
 		}
 
 		if err := r.timed("compact", func() error {
-			_, err := r.store.DB().Compact()
+			_, err := r.w.DB.Compact()
 			return err
 		}); err != nil {
 			return err
@@ -531,7 +435,7 @@ var churn10xMix = &Workload{
 		}
 		r.count("insert", int64(len(refill)))
 		return r.timed("compact", func() error {
-			_, err := r.store.DB().Compact()
+			_, err := r.w.DB.Compact()
 			return err
 		})
 	},

@@ -10,71 +10,110 @@ import (
 	"ode/internal/bench"
 )
 
-// NewEmbeddedStore adapts a loaded bench world (its DB must be open)
-// into a workload Store.
-func NewEmbeddedStore(w *bench.World) Store {
-	return &embeddedStore{w: w}
+// NewStore adapts an opened deployment (bench.Open) into the Store a
+// workload runs against: the same steps, whichever shape carries them.
+func NewStore(d *bench.Deployment) Store {
+	s := store{d}
+	switch {
+	case d.Router != nil:
+		return shardedStore{s}
+	case d.World.DB != nil:
+		return embeddedStore{s}
+	default:
+		return remoteStore{s}
+	}
 }
 
-type embeddedStore struct{ w *bench.World }
+// store is what the three shapes share: the deployment's Mode and its
+// class handles.
+type store struct{ *bench.Deployment }
 
-func (s *embeddedStore) Mode() string        { return "embedded" }
-func (s *embeddedStore) World() *bench.World { return s.w }
-func (s *embeddedStore) DB() *ode.DB         { return s.w.DB }
+func (s store) World() *bench.World { return s.Deployment.World }
 
-func (s *embeddedStore) RunTx(fn func(Tx) error) error {
-	return s.w.DB.RunTx(func(tx *ode.Tx) error { return fn(embeddedTx{tx}) })
+type embeddedStore struct{ store }
+
+func (s embeddedStore) RunTx(fn func(Tx) error) error {
+	return s.World().DB.RunTx(func(tx *ode.Tx) error { return fn(embeddedTx{tx}) })
 }
 
-func (s *embeddedStore) View(fn func(Tx) error) error {
-	return s.w.DB.View(func(tx *ode.Tx) error { return fn(embeddedTx{tx}) })
+func (s embeddedStore) View(fn func(Tx) error) error {
+	return s.World().DB.View(func(tx *ode.Tx) error { return fn(embeddedTx{tx}) })
 }
 
-func (s *embeddedStore) CounterSnapshot() (map[string]int64, error) {
-	return flattenCounters(s.w.DB.MetricsRegistry().Snapshot()), nil
+func (s embeddedStore) CounterSnapshot() (map[string]int64, error) {
+	return flattenCounters(s.World().DB.MetricsRegistry().Snapshot()), nil
 }
 
-type embeddedTx struct{ tx *ode.Tx }
-
-func (t embeddedTx) PNew(c *ode.Class, o *ode.Object) (ode.OID, error) { return t.tx.PNew(c, o) }
-func (t embeddedTx) Deref(oid ode.OID) (*ode.Object, error)            { return t.tx.Deref(oid) }
-func (t embeddedTx) Update(oid ode.OID, o *ode.Object) error           { return t.tx.Update(oid, o) }
-func (t embeddedTx) PDelete(oid ode.OID) error                         { return t.tx.PDelete(oid) }
-func (t embeddedTx) NewVersion(oid ode.OID) (ode.VRef, error)          { return t.tx.NewVersion(oid) }
-func (t embeddedTx) DerefVersion(ref ode.VRef) (*ode.Object, error)    { return t.tx.DerefVersion(ref) }
-func (t embeddedTx) DeleteVersion(ref ode.VRef) error                  { return t.tx.DeleteVersion(ref) }
+// The three Tx adapters embed the transaction they wrap — *ode.Tx,
+// *client.Tx and *client.STx already share the point-operation
+// signatures — and add the one operation whose shape differs.
+type embeddedTx struct{ *ode.Tx }
 
 func (t embeddedTx) Count(c *ode.Class, field string, min int64) (int, error) {
-	return ode.Forall(t.tx, c).SuchThat(ode.Field(field).Ge(ode.Int(min))).Count()
+	return ode.Forall(t.Tx, c).SuchThat(ode.Field(field).Ge(ode.Int(min))).Count()
 }
 
-// NewRemoteStore adapts a connected client into a workload Store. The
-// world must come from bench.Schema() (class handles only; no DB) and
-// its schema must be the one the client was dialed with.
-func NewRemoteStore(c *client.Client, w *bench.World) Store {
-	return &remoteStore{c: c, w: w, ctx: context.Background()}
+func scanGe(c *ode.Class, field string, min int64) *client.Scan {
+	return &client.Scan{Class: c, Field: field, Op: client.CmpGe, Value: ode.Int(min)}
 }
 
-type remoteStore struct {
-	c   *client.Client
-	w   *bench.World
-	ctx context.Context
+type remoteStore struct{ store }
+
+func (s remoteStore) RunTx(fn func(Tx) error) error {
+	return s.Client.RunTx(context.Background(), func(tx *client.Tx) error { return fn(remoteTx{tx}) })
 }
 
-func (s *remoteStore) Mode() string        { return "remote" }
-func (s *remoteStore) World() *bench.World { return s.w }
-func (s *remoteStore) DB() *ode.DB         { return nil }
-
-func (s *remoteStore) RunTx(fn func(Tx) error) error {
-	return s.c.RunTx(s.ctx, func(tx *client.Tx) error { return fn(remoteTx{tx}) })
+func (s remoteStore) View(fn func(Tx) error) error {
+	return s.Client.View(context.Background(), func(tx *client.Tx) error { return fn(remoteTx{tx}) })
 }
 
-func (s *remoteStore) View(fn func(Tx) error) error {
-	return s.c.View(s.ctx, func(tx *client.Tx) error { return fn(remoteTx{tx}) })
+func (s remoteStore) CounterSnapshot() (map[string]int64, error) {
+	return serverCounters(s.Client)
 }
 
-func (s *remoteStore) CounterSnapshot() (map[string]int64, error) {
-	raw, err := s.c.MetricsJSON(s.ctx)
+type remoteTx struct{ *client.Tx }
+
+func (t remoteTx) Count(c *ode.Class, field string, min int64) (int, error) {
+	return t.Tx.Count(scanGe(c, field, min))
+}
+
+// shardedStore runs through the shard-group router: point ops route by
+// OID, scans scatter-gather, and multi-shard writes commit through 2PC.
+type shardedStore struct{ store }
+
+func (s shardedStore) RunTx(fn func(Tx) error) error {
+	return s.Router.RunTx(context.Background(), func(tx *client.STx) error { return fn(shardedTx{tx}) })
+}
+
+func (s shardedStore) View(fn func(Tx) error) error {
+	return s.Router.View(context.Background(), func(tx *client.STx) error { return fn(shardedTx{tx}) })
+}
+
+// CounterSnapshot sums the scalar metrics across all shards, so
+// counter-delta columns report group-wide totals.
+func (s shardedStore) CounterSnapshot() (map[string]int64, error) {
+	total := make(map[string]int64)
+	for i := 0; i < s.Router.NumShards(); i++ {
+		snap, err := serverCounters(s.Router.Shard(i))
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		for name, v := range snap {
+			total[name] += v
+		}
+	}
+	return total, nil
+}
+
+type shardedTx struct{ *client.STx }
+
+func (t shardedTx) Count(c *ode.Class, field string, min int64) (int, error) {
+	return t.STx.Count(scanGe(c, field, min))
+}
+
+// serverCounters fetches one server's metrics snapshot over the wire.
+func serverCounters(c *client.Client) (map[string]int64, error) {
+	raw, err := c.MetricsJSON(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -83,79 +122,6 @@ func (s *remoteStore) CounterSnapshot() (map[string]int64, error) {
 		return nil, fmt.Errorf("decode server metrics: %w", err)
 	}
 	return flattenCounters(snap), nil
-}
-
-type remoteTx struct{ tx *client.Tx }
-
-func (t remoteTx) PNew(c *ode.Class, o *ode.Object) (ode.OID, error) { return t.tx.PNew(c, o) }
-func (t remoteTx) Deref(oid ode.OID) (*ode.Object, error)            { return t.tx.Deref(oid) }
-func (t remoteTx) Update(oid ode.OID, o *ode.Object) error           { return t.tx.Update(oid, o) }
-func (t remoteTx) PDelete(oid ode.OID) error                         { return t.tx.PDelete(oid) }
-func (t remoteTx) NewVersion(oid ode.OID) (ode.VRef, error)          { return t.tx.NewVersion(oid) }
-func (t remoteTx) DerefVersion(ref ode.VRef) (*ode.Object, error)    { return t.tx.DerefVersion(ref) }
-func (t remoteTx) DeleteVersion(ref ode.VRef) error                  { return t.tx.DeleteVersion(ref) }
-
-func (t remoteTx) Count(c *ode.Class, field string, min int64) (int, error) {
-	return t.tx.Count(&client.Scan{Class: c, Field: field, Op: client.CmpGe, Value: ode.Int(min)})
-}
-
-// NewShardedStore adapts a shard-group router into a workload Store:
-// point ops route by OID, scans scatter-gather, and multi-shard writes
-// commit through 2PC. The world must come from bench.Schema().
-func NewShardedStore(r *client.Sharded, w *bench.World) Store {
-	return &shardedStore{r: r, w: w, ctx: context.Background()}
-}
-
-type shardedStore struct {
-	r   *client.Sharded
-	w   *bench.World
-	ctx context.Context
-}
-
-func (s *shardedStore) Mode() string        { return fmt.Sprintf("sharded-%d", s.r.NumShards()) }
-func (s *shardedStore) World() *bench.World { return s.w }
-func (s *shardedStore) DB() *ode.DB         { return nil }
-
-func (s *shardedStore) RunTx(fn func(Tx) error) error {
-	return s.r.RunTx(s.ctx, func(tx *client.STx) error { return fn(shardedTx{tx}) })
-}
-
-func (s *shardedStore) View(fn func(Tx) error) error {
-	return s.r.View(s.ctx, func(tx *client.STx) error { return fn(shardedTx{tx}) })
-}
-
-// CounterSnapshot sums the scalar metrics across all shards, so
-// counter-delta columns report group-wide totals.
-func (s *shardedStore) CounterSnapshot() (map[string]int64, error) {
-	total := make(map[string]int64)
-	for i := 0; i < s.r.NumShards(); i++ {
-		raw, err := s.r.Shard(i).MetricsJSON(s.ctx)
-		if err != nil {
-			return nil, err
-		}
-		var snap map[string]any
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			return nil, fmt.Errorf("decode shard %d metrics: %w", i, err)
-		}
-		for name, v := range flattenCounters(snap) {
-			total[name] += v
-		}
-	}
-	return total, nil
-}
-
-type shardedTx struct{ tx *client.STx }
-
-func (t shardedTx) PNew(c *ode.Class, o *ode.Object) (ode.OID, error) { return t.tx.PNew(c, o) }
-func (t shardedTx) Deref(oid ode.OID) (*ode.Object, error)            { return t.tx.Deref(oid) }
-func (t shardedTx) Update(oid ode.OID, o *ode.Object) error           { return t.tx.Update(oid, o) }
-func (t shardedTx) PDelete(oid ode.OID) error                         { return t.tx.PDelete(oid) }
-func (t shardedTx) NewVersion(oid ode.OID) (ode.VRef, error)          { return t.tx.NewVersion(oid) }
-func (t shardedTx) DerefVersion(ref ode.VRef) (*ode.Object, error)    { return t.tx.DerefVersion(ref) }
-func (t shardedTx) DeleteVersion(ref ode.VRef) error                  { return t.tx.DeleteVersion(ref) }
-
-func (t shardedTx) Count(c *ode.Class, field string, min int64) (int, error) {
-	return t.tx.Count(&client.Scan{Class: c, Field: field, Op: client.CmpGe, Value: ode.Int(min)})
 }
 
 // flattenCounters keeps the scalar numeric metrics of a registry

@@ -5,8 +5,8 @@
 // storms, and the paper's bill-of-materials fixpoint — plus the
 // larger-than-RAM churn scenario that drives online compaction.
 //
-// Each workload runs against a Store, an adapter either over an
-// embedded *ode.DB or over a remote server through the client package,
+// Each workload runs against a Store, an adapter over whichever
+// deployment shape bench.Open opened (embedded, one server, a shard group),
 // and produces a Report: throughput, a latency histogram (via the obs
 // registry types), the per-op-kind counts (a pure function of the seed,
 // so CI can assert reproducibility), and engine counter deltas.
@@ -45,15 +45,12 @@ type Tx interface {
 // Store abstracts where a workload runs. Embedded and remote stores
 // execute the same steps; only the transport differs.
 type Store interface {
-	// Mode is "embedded" or "remote"; it lands in the report.
+	// Mode is "embedded", "remote" or "sharded-N"; it lands in the report.
 	Mode() string
-	// World exposes the benchmark class handles. For a remote store the
-	// World carries classes only (its DB field is nil).
+	// World exposes the benchmark class handles. Its DB is the embedded
+	// database, nil for a remote or sharded store; workloads that need
+	// it (triggers, compaction) declare RemoteOK = false.
 	World() *bench.World
-	// DB returns the underlying embedded database, or nil for a remote
-	// store. Workloads that need it (triggers, compaction) declare
-	// RemoteOK = false.
-	DB() *ode.DB
 	RunTx(fn func(Tx) error) error
 	View(fn func(Tx) error) error
 	// CounterSnapshot flattens the engine's metric registry to the
@@ -215,7 +212,7 @@ func (wl *Workload) Run(store Store, cfg Config) (*Report, error) {
 	if store.Mode() != "embedded" && !wl.RemoteOK {
 		return nil, fmt.Errorf("workload %q needs embedded APIs and cannot run remotely", wl.Name)
 	}
-	if !wl.RemoteOK && store.DB() == nil {
+	if !wl.RemoteOK && store.World().DB == nil {
 		return nil, fmt.Errorf("workload %q: store has no embedded DB", wl.Name)
 	}
 	r := &runner{

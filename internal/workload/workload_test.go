@@ -7,26 +7,31 @@ import (
 	"strings"
 	"testing"
 
-	"ode/client"
 	"ode/internal/bench"
-	"ode/internal/server"
 )
 
 func shortCfg(seed int64) Config {
 	return Config{Seed: seed, Workers: 2, Short: true}
 }
 
-func runEmbedded(t *testing.T, wl *Workload, cfg Config) *Report {
+// runOn opens the shape, runs the mix on it, and closes it again.
+func runOn(t *testing.T, shape bench.Shape, wl *Workload, cfg Config) (*Report, *bench.Deployment) {
 	t.Helper()
-	w, err := bench.NewWorld(wl.DBOptions(cfg))
+	d, err := bench.Open(shape)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(w.Close)
-	rep, err := wl.Run(NewEmbeddedStore(w), cfg)
+	t.Cleanup(d.Close)
+	rep, err := wl.Run(NewStore(d), cfg)
 	if err != nil {
-		t.Fatalf("%s: %v", wl.Name, err)
+		t.Fatalf("%s (%s): %v", wl.Name, d.Mode(), err)
 	}
+	return rep, d
+}
+
+func runEmbedded(t *testing.T, wl *Workload, cfg Config) *Report {
+	t.Helper()
+	rep, _ := runOn(t, bench.Shape{Opts: wl.DBOptions(cfg)}, wl, cfg)
 	return rep
 }
 
@@ -81,29 +86,7 @@ func TestRemoteMatchesEmbedded(t *testing.T) {
 	cfg := shortCfg(7)
 	emb := runEmbedded(t, wl, cfg)
 
-	w, err := bench.NewWorld(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	srv := server.New(w.DB, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(nil)
-	t.Cleanup(func() { srv.Close() })
-	schema, cw := bench.Schema()
-	c, err := client.Dial(addr.String(), schema, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-
-	rem, err := wl.Run(NewRemoteStore(c, cw), cfg)
-	if err != nil {
-		t.Fatalf("remote run: %v", err)
-	}
+	rem, _ := runOn(t, bench.Shape{Kind: bench.Remote}, wl, cfg)
 	if rem.Mode != "remote" {
 		t.Fatalf("mode = %q", rem.Mode)
 	}
@@ -120,7 +103,7 @@ func TestRemoteMatchesEmbedded(t *testing.T) {
 func TestTriggersRefusedRemotely(t *testing.T) {
 	wl, _ := Lookup("triggers")
 	_, cw := bench.Schema()
-	if _, err := wl.Run(NewRemoteStore(nil, cw), shortCfg(1)); err == nil {
+	if _, err := wl.Run(NewStore(&bench.Deployment{World: cw}), shortCfg(1)); err == nil {
 		t.Fatal("trigger mix ran remotely; it needs embedded activation")
 	}
 }
@@ -133,15 +116,8 @@ func TestChurn10xLargerThanRAM(t *testing.T) {
 	wl, _ := Lookup("churn10x")
 	cfg := shortCfg(1)
 	opts := wl.DBOptions(cfg)
-	w, err := bench.NewWorld(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	rep, err := wl.Run(NewEmbeddedStore(w), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, d := runOn(t, bench.Shape{Opts: opts}, wl, cfg)
+	w := d.World
 	if pages := w.DB.Stats().Pages; int(pages) < 5*opts.PoolPages {
 		t.Fatalf("dataset is not larger than RAM: %d pages vs %d pool frames", pages, opts.PoolPages)
 	}
