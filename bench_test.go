@@ -71,9 +71,9 @@ func benchCase(b *testing.B, c bench.Case) {
 	}
 }
 
-func mustWorld(b *testing.B, opts *ode.Options) *bench.World {
+func mustWorld(b *testing.B, opts *ode.Options) *bench.Deployment {
 	b.Helper()
-	w, err := bench.NewWorld(opts)
+	w, err := bench.Open(bench.Shape{Opts: opts})
 	if err != nil {
 		b.Fatal(err)
 	}

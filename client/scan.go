@@ -6,35 +6,33 @@ import (
 	"ode/internal/wire"
 )
 
-// Cmp enumerates predicate comparisons for remote forall scans; the
-// values match the engine's query.CmpOp.
-type Cmp byte
+// Scan and its comparison operators are declared once, beside
+// ode.ObjectTx; these aliases keep the names this package has always
+// exported.
+type (
+	Scan = ode.Scan
+	Cmp  = ode.CmpOp
+)
 
 // Comparison operators.
 const (
-	CmpEq Cmp = iota
-	CmpNe
-	CmpLt
-	CmpLe
-	CmpGt
-	CmpGe
+	CmpEq = ode.CmpEq
+	CmpNe = ode.CmpNe
+	CmpLt = ode.CmpLt
+	CmpLe = ode.CmpLe
+	CmpGt = ode.CmpGt
+	CmpGe = ode.CmpGe
 )
 
-// Scan describes a remote forall: the class to iterate, whether to
-// include subtypes, and an optional indexed field predicate. The
-// server plans it exactly like an embedded forall (index selection
-// included); Explain shows the plan it would pick.
-type Scan struct {
-	Class    *ode.Class
-	Subtypes bool
-	NoIndex  bool // force a scan even when an index matches
-	Field    string
-	Op       Cmp
-	Value    ode.Value
-	Batch    int // rows per result frame; 0 = server default
-}
+// The router and the direct transaction are the object API as they
+// stand: no adapter sits between a workload and the wire.
+var (
+	_ ode.ObjectTx = (*Tx)(nil)
+	_ ode.ObjectTx = (*STx)(nil)
+)
 
-func (s *Scan) req(withBatch bool) []byte {
+// scanReq encodes s as the forall/explain request body.
+func scanReq(s *Scan, withBatch bool) []byte {
 	r := wire.ForallReq{Class: s.Class.Name, Field: s.Field, Op: byte(s.Op)}
 	if s.Subtypes {
 		r.Flags |= wire.ForallSubtypes
@@ -63,7 +61,7 @@ func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error
 	cn := tx.cn
 	cn.nextID++
 	id := cn.nextID
-	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: wire.CmdForall, Body: s.req(true)})
+	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: wire.CmdForall, Body: scanReq(s, true)})
 
 	total := 0
 	var scanErr error
@@ -146,7 +144,7 @@ func (tx *Tx) Count(s *Scan) (int, error) {
 // Explain returns the access-path plan the server would use for the
 // scan, without running it — the remote twin of ode.Explain.
 func (tx *Tx) Explain(s *Scan) (string, error) {
-	resp, err := tx.op(wire.CmdExplain, s.req(false))
+	resp, err := tx.op(wire.CmdExplain, scanReq(s, false))
 	if err != nil {
 		return "", err
 	}

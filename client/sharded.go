@@ -52,6 +52,10 @@ type Sharded struct {
 // function could double-apply a transaction that did commit.
 var ErrInDoubt = errors.New("client: cross-shard transaction in doubt")
 
+// ErrNotWholeGroup is ResolveInDoubt refusing to settle anything because
+// the router's shard list is not the servers' shard group in slot order.
+var ErrNotWholeGroup = errors.New("client: router does not span the whole shard group in slot order")
+
 // decisionRetries bounds redelivery attempts for one decision round
 // trip (idempotent, so retrying is always safe).
 const decisionRetries = 2
@@ -180,16 +184,22 @@ func (s *Sharded) Status(ctx context.Context) ([]*ShardStatus, error) {
 // see its decision contradicted. Returns the number of transactions
 // fully resolved; gids this router cannot parse a coordinator from are
 // left alone.
+//
+// The verdict is read from shards[coord], so the router must span the
+// whole group in slot order: if any shard that answers reports other
+// coordinates than (i, len(shards)) nothing is resolved and
+// ErrNotWholeGroup is returned — asked of a participant, "still
+// prepared" would abort a transaction its real coordinator committed. A
+// gid whose coordinator did not answer the sweep is left for the next.
 func (s *Sharded) ResolveInDoubt(ctx context.Context) (int, error) {
 	holders := make(map[string][]int)
-	var firstErr error
-	for i, c := range s.shards {
-		st, err := c.ShardStatus(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", i, err)
-			}
-			continue
+	sts, firstErr := s.Status(ctx)
+	for i, st := range sts {
+		if st == nil {
+			continue // unreachable: firstErr says so
+		}
+		if lone := st.Count < 2 && len(sts) == 1; !lone && (st.Slot != i || st.Count != len(sts)) {
+			return 0, fmt.Errorf("%w: shard %d of %d reports slot %d/%d", ErrNotWholeGroup, i, len(sts), st.Slot, st.Count)
 		}
 		for _, p := range st.Prepared {
 			holders[p.GID] = append(holders[p.GID], i)
@@ -204,8 +214,11 @@ func (s *Sharded) ResolveInDoubt(ctx context.Context) (int, error) {
 	resolved := 0
 	for _, gid := range gids {
 		coord, ok := txn.GIDCoordinator(gid)
-		if !ok || coord >= len(s.shards) {
+		if !ok || coord >= len(sts) {
 			continue // a foreign coordinator owns this gid
+		}
+		if sts[coord] == nil {
+			continue // unverified this sweep; its failure is firstErr already
 		}
 		status, err := s.shards[coord].TxStatus(ctx, gid)
 		if err != nil {

@@ -11,7 +11,7 @@
 //	ode-bench [-quick] [-run E3,E7] [-http :8080] [-workers N] [-json FILE]
 //	          [-max-tx N] [-deadline D] [-overload N] [-connect ADDR]
 //	ode-bench -workload all [-quick] [-seed N] [-workers N] [-json FILE]
-//	          [-loopback | -connect ADDR | -loopback-shards N | -connect-shards A,B,C]
+//	          [-loopback | -loopback-shards N | -connect ADDR[,ADDR...]]
 //
 // With -http, the engine metrics of the world currently under
 // measurement are published as expvar at /debug/vars (key "ode",
@@ -48,7 +48,6 @@ type config struct {
 	seed           int64
 	workersSet     bool
 	loopback       bool
-	connectShards  string
 	loopbackShards int
 }
 
@@ -71,14 +70,12 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.params.Overload, "overload", c.params.Overload,
 		"offered-load multiplier over -max-tx for the governance experiment (E14)")
 	fs.StringVar(&c.params.Connect, "connect", "",
-		"E15: measure against this remote ode-server (started with -bench-schema) instead of an in-process loopback server")
+		"HOST:PORT[,HOST:PORT...] of running ode-server daemons (started with -bench-schema) to measure instead of in-process loopback servers: one address is a direct session (E15, workload mode), several are a shard group behind the router (workload mode: scatter-gather scans, 2PC commits)")
 	fs.StringVar(&c.workloads, "workload", "",
-		"run the macro workload suite instead of the experiments: comma-separated mix names, or 'all' (docs/TESTING.md); -seed/-workers/-quick apply; with -connect the mixes run against that server, with -loopback both embedded and loopback-remote rows are produced")
+		"run the macro workload suite instead of the experiments: comma-separated mix names, or 'all' (docs/TESTING.md); -seed/-workers/-quick apply; with -connect the remote-capable mixes run against those servers, with -loopback both embedded and loopback-remote rows are produced")
 	fs.Int64Var(&c.seed, "seed", 0, "workload PRNG seed (0: 1)")
 	fs.BoolVar(&c.loopback, "loopback", false,
 		"workload mode: follow the embedded rows with remote rows through an in-process server (baseline recording)")
-	fs.StringVar(&c.connectShards, "connect-shards", "",
-		"workload mode: comma-separated shard server addresses; the remote-capable mixes run through the sharding router (scatter-gather scans, 2PC commits)")
 	fs.IntVar(&c.loopbackShards, "loopback-shards", 0,
 		"workload mode: boot N in-process shard servers and run the remote-capable mixes through the router (how BENCH_4.json is recorded)")
 	if err := fs.Parse(args); err != nil {

@@ -40,19 +40,20 @@ func TestFlagsToParams(t *testing.T) {
 		t.Errorf("defaults: %+v", c)
 	}
 
-	c, err = parseFlags([]string{"-workload", "all", "-seed", "7", "-loopback", "-loopback-shards", "3", "-connect-shards", "a,b"}, io.Discard)
+	c, err = parseFlags([]string{"-workload", "all", "-seed", "7", "-loopback", "-loopback-shards", "3", "-connect", "a,b"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.workloads != "all" || c.seed != 7 || !c.loopback || c.loopbackShards != 3 || c.connectShards != "a,b" {
+	if c.workloads != "all" || c.seed != 7 || !c.loopback || c.loopbackShards != 3 || c.params.Connect != "a,b" {
 		t.Errorf("workload flags: %+v", c)
 	}
 }
 
 func TestBadCommandLines(t *testing.T) {
 	for _, args := range [][]string{
-		{"-run", "E3,E99"}, // unknown experiment id
-		{"-faults"},        // removed: TestTortureCI fronts the torture suite
+		{"-run", "E3,E99"},         // unknown experiment id
+		{"-faults"},                // removed: TestTortureCI fronts the torture suite
+		{"-connect-shards", "a,b"}, // removed: -connect takes the list
 		{"-workload", "nosuchmix"},
 	} {
 		var stderr bytes.Buffer

@@ -15,10 +15,11 @@ import (
 // (the format ci/workload_gate.sh diffs against WORKLOAD_BASELINE.json).
 //
 // Shape selection: by default every mix runs embedded; -connect runs
-// the remote-capable mixes against that server instead; -loopback runs
+// the remote-capable mixes against the named daemons instead (one
+// address: a direct session; several: the router); -loopback runs
 // embedded rows and then remote rows through an in-process server (how
 // the committed baseline is recorded — see ci/workload_gate.sh);
-// -connect-shards and -loopback-shards run them through the router.
+// -loopback-shards runs them through the router over in-process shards.
 func runWorkloads(c *config, stdout, stderr io.Writer) int {
 	// The op mix is a pure function of (seed, workers), so the worker
 	// count defaults to the suite's fixed 4, not GOMAXPROCS: the same
@@ -44,12 +45,10 @@ func runWorkloads(c *config, stdout, stderr io.Writer) int {
 	}
 	reports, err := workload.RunSuite(stdout, mixes, cfg, func(wl *workload.Workload) []bench.Shape {
 		switch {
-		case c.connectShards != "":
-			return []bench.Shape{{Kind: bench.Sharded, Addrs: strings.Split(c.connectShards, ",")}}
+		case c.params.Connect != "":
+			return []bench.Shape{bench.Connect(c.params.Connect)}
 		case c.loopbackShards > 1:
 			return []bench.Shape{{Kind: bench.Sharded, Shards: c.loopbackShards}}
-		case c.params.Connect != "":
-			return []bench.Shape{{Kind: bench.Remote, Addrs: []string{c.params.Connect}}}
 		case c.loopback && wl.RemoteOK:
 			return []bench.Shape{{Opts: wl.DBOptions(cfg)}, {Kind: bench.Remote}}
 		}

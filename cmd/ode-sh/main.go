@@ -6,23 +6,25 @@
 //
 //	ode-sh -db inventory.odb schema.oql [script.oql ...]
 //	ode-sh -db inventory.odb            # REPL on stdin
-//	ode-sh -connect host:6339           # remote: statements run on ode-server
+//	ode-sh -connect host:6339 [script.oql ...]   # remote: statements run on ode-server
+//	ode-sh -connect host:6350,host:6351,host:6352   # shard-group operator console
 //
 // When reopening an existing database, pass the same schema scripts
 // first: classes must be registered before the file is opened so the
 // catalog can be verified. Class declarations found in any script are
 // registered before Open; the remaining statements run afterwards.
 //
-// With -connect the shell speaks the wire protocol to an ode-server
-// daemon instead of opening a file: statements execute in a pinned
-// server-side session, so declared classes and `begin` transactions
-// persist across lines exactly as they do locally. The extra `shards;`
-// statement prints the server's shard status (LSN, epoch, shard
-// coordinates, in-doubt transactions).
-//
-// With -connect-shards the shell is an operator console for a shard
-// group: `shards;` prints every shard's status through the router and
-// `resolve;` settles in-doubt two-phase commits (see docs/SHARDING.md).
+// With -connect the shell speaks the wire protocol to ode-server
+// daemons instead of opening a file. One address is a session on that
+// server: statements execute in a pinned server-side interpreter, so
+// declared classes and `begin` transactions persist across lines
+// exactly as they do locally. Several addresses are a shard group
+// behind the router, in shard order: an operator console with no
+// interpreter. Both understand `shards;` (every node's LSN, epoch, shard
+// coordinates and in-doubt transactions) and `resolve;` (settle in-doubt
+// two-phase commits, see docs/SHARDING.md), which the router refuses
+// unless the list is the whole group in shard order — a lone unsharded
+// server is its own whole group.
 package main
 
 import (
@@ -30,6 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -39,176 +42,165 @@ import (
 	"ode/internal/oql"
 )
 
-func main() {
-	dbPath := flag.String("db", "", "database file (required unless -connect)")
-	connect := flag.String("connect", "", "run against a remote ode-server at host:port")
-	connectShards := flag.String("connect-shards", "", "comma-separated shard addresses; operator console over the router (shards; resolve;)")
-	poolPages := flag.Int("pool", 1024, "buffer pool size in pages")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ode-sh -db FILE [script.oql ...]\n       ode-sh -connect HOST:PORT [script.oql ...]\n       ode-sh -connect-shards HOST:PORT,HOST:PORT,...\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if *connectShards != "" {
-		remoteShards(strings.Split(*connectShards, ","))
-		return
-	}
-	if *connect != "" {
-		remote(*connect, flag.Args())
-		return
-	}
-	if *dbPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
 
+// shell is one invocation's streams.
+type shell struct {
+	stdin          io.Reader
+	stdout, stderr io.Writer
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ode-sh", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dbPath := fs.String("db", "", "database file (required unless -connect)")
+	connect := fs.String("connect", "", "HOST:PORT[,HOST:PORT...] of running ode-server daemons: one address is a remote session, several are the operator console of that shard group (shards; resolve;)")
+	poolPages := fs.Int("pool", 1024, "buffer pool size in pages")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: ode-sh -db FILE [script.oql ...]\n       ode-sh -connect HOST:PORT[,HOST:PORT...] [script.oql ...]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	sh := &shell{stdin, stdout, stderr}
+	var err error
+	switch {
+	case *connect != "":
+		err = sh.remote(strings.Split(*connect, ","), fs.Args())
+	case *dbPath != "":
+		err = sh.local(*dbPath, *poolPages, fs.Args())
+	default:
+		fs.Usage()
+		return 2
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ode-sh:", err)
+		return 1
+	}
+	return 0
+}
+
+// local runs scripts (or the REPL) against a database file.
+func (sh *shell) local(dbPath string, poolPages int, scripts []string) error {
 	// Phase 1: parse all scripts, registering classes into the schema.
 	schema := ode.NewSchema()
 	var programs []*oql.Program
-	for _, path := range flag.Args() {
+	for _, path := range scripts {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		prog, err := oql.SplitSchema(string(src), schema)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", path, err))
+			return fmt.Errorf("%s: %w", path, err)
 		}
 		programs = append(programs, prog)
 	}
 
-	db, err := ode.Open(*dbPath, schema, &ode.Options{PoolPages: *poolPages})
+	db, err := ode.Open(dbPath, schema, &ode.Options{PoolPages: poolPages})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer db.Close()
 
-	sess := oql.NewSession(db, os.Stdout)
+	sess := oql.NewSession(db, sh.stdout)
 	for i, prog := range programs {
 		if err := sess.Run(prog); err != nil {
-			fatal(fmt.Errorf("%s: %w", flag.Arg(i), err))
+			return fmt.Errorf("%s: %w", scripts[i], err)
 		}
 	}
-	if len(programs) > 0 {
-		if err := sess.Close(); err != nil {
-			fatal(err)
-		}
-		db.Triggers().Wait()
-		return
+	if len(programs) == 0 {
+		sh.repl("ode-sh — O++ subset shell. End statements with ';'. Ctrl-D to exit.", func(src string) error {
+			err := sess.Exec(src)
+			db.Triggers().Wait()
+			for _, e := range db.Triggers().Errors() {
+				fmt.Fprintln(sh.stderr, "trigger error:", e)
+			}
+			return err
+		})
 	}
-
-	repl("ode-sh — O++ subset shell. End statements with ';'. Ctrl-D to exit.", func(src string) error {
-		err := sess.Exec(src)
-		db.Triggers().Wait()
-		for _, e := range db.Triggers().Errors() {
-			fmt.Fprintln(os.Stderr, "trigger error:", e)
-		}
-		return err
-	})
-	if err := sess.Close(); err != nil {
-		fatal(err)
-	}
+	err = sess.Close()
 	db.Triggers().Wait()
+	return err
 }
 
-// remote runs scripts (or the REPL) against an ode-server daemon. The
-// whole interpreter lives server-side; each statement batch is one
-// wire round trip and the printed output comes back as text.
-func remote(addr string, scripts []string) {
-	c, err := client.Dial(addr, ode.NewSchema(), nil)
-	if err != nil {
-		fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	sess, err := c.Session(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	defer sess.Close()
-
-	exec := func(src string) error {
-		if isStmt(src, "shards") {
-			st, err := c.ShardStatus(ctx)
-			if err != nil {
-				return err
-			}
-			printShard(-1, addr, st)
-			return nil
-		}
-		out, err := sess.Exec(ctx, src)
-		if out != "" {
-			fmt.Print(out)
-		}
-		return err
-	}
-
-	if len(scripts) > 0 {
-		for _, path := range scripts {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := exec(string(src)); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		return
-	}
-
-	repl(fmt.Sprintf("ode-sh — connected to %s. End statements with ';'. Ctrl-D to exit.", addr), exec)
-}
-
-// remoteShards is the operator console for a shard group: statements
-// go to the router, not an interpreter. `shards;` prints every shard's
-// status and `resolve;` settles in-doubt two-phase commits.
-func remoteShards(addrs []string) {
+// remote runs scripts (or the REPL) against ode-server daemons through
+// the router, which over one address is that server alone. `shards;`
+// and `resolve;` are the router's. Everything else is O++ for the
+// interpreter, which lives server-side in a pinned session (each
+// statement batch is one round trip, the printed output comes back as
+// text) — so only a single server has one.
+func (sh *shell) remote(addrs, scripts []string) error {
 	for i := range addrs {
 		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 	r, err := client.DialSharded(addrs, ode.NewSchema(), nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer r.Close()
 	ctx := context.Background()
+	var sess *client.Session
+	banner := fmt.Sprintf("ode-sh — router over %d shards. Statements: shards; resolve;. Ctrl-D to exit.", len(addrs))
+	if len(addrs) == 1 {
+		if sess, err = r.Shard(0).Session(ctx); err != nil {
+			return err
+		}
+		defer sess.Close()
+		banner = fmt.Sprintf("ode-sh — connected to %s. End statements with ';'. Ctrl-D to exit.", addrs[0])
+	}
 
 	exec := func(src string) error {
 		switch {
 		case isStmt(src, "shards"):
 			sts, err := r.Status(ctx)
 			for i, st := range sts {
-				if st == nil {
-					fmt.Printf("shard %d @ %s  UNREACHABLE\n", i, addrs[i])
-					continue
-				}
-				printShard(i, addrs[i], st)
+				sh.printShard(i, addrs[i], st)
 			}
 			return err
 		case isStmt(src, "resolve"):
 			n, err := r.ResolveInDoubt(ctx)
-			fmt.Printf("resolved %d in-doubt transaction(s)\n", n)
+			fmt.Fprintf(sh.stdout, "resolved %d in-doubt transaction(s)\n", n)
 			return err
-		default:
-			return fmt.Errorf("router mode understands 'shards;' and 'resolve;' only; connect to one shard with -connect to run O++ statements")
+		case sess == nil:
+			return fmt.Errorf("a shard group understands 'shards;' and 'resolve;' only; connect to one shard to run O++ statements")
 		}
+		out, err := sess.Exec(ctx, src)
+		fmt.Fprint(sh.stdout, out)
+		return err
 	}
 
-	repl(fmt.Sprintf("ode-sh — router over %d shards. Statements: shards; resolve;. Ctrl-D to exit.", len(addrs)), exec)
+	for _, path := range scripts {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := exec(string(src)); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	if len(scripts) == 0 {
+		sh.repl(banner, exec)
+	}
+	return nil
 }
 
-// repl is the interactive loop of all three modes: it prints the
-// banner, accumulates stdin lines until they form a complete statement
-// batch, and hands each batch to exec, reporting its error without
-// leaving the loop. Ctrl-D ends it.
-func repl(banner string, exec func(src string) error) {
-	fmt.Println(banner)
-	scanner := bufio.NewScanner(os.Stdin)
+// repl is the interactive loop of every mode: it prints the banner,
+// accumulates stdin lines until they form a complete statement batch,
+// and hands each batch to exec, reporting its error without leaving the
+// loop. Ctrl-D ends it.
+func (sh *shell) repl(banner string, exec func(src string) error) {
+	fmt.Fprintln(sh.stdout, banner)
+	scanner := bufio.NewScanner(sh.stdin)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := "ode> "
 	for {
-		fmt.Print(prompt)
+		fmt.Fprint(sh.stdout, prompt)
 		if !scanner.Scan() {
 			break
 		}
@@ -222,7 +214,7 @@ func repl(banner string, exec func(src string) error) {
 		buf.Reset()
 		prompt = "ode> "
 		if err := exec(src); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
+			fmt.Fprintln(sh.stderr, "error:", err)
 		}
 	}
 }
@@ -233,29 +225,31 @@ func isStmt(src, word string) bool {
 	return strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(src), ";")) == word
 }
 
-// printShard renders one node's shard status. slot -1 means "whatever
-// the server says" (single -connect mode).
-func printShard(slot int, addr string, st *client.ShardStatus) {
+// printShard renders the status of the i-th node -connect named; a nil
+// status is a node that did not answer. A sharded node is labelled with
+// the slot it reports, not its place in the list: they differ when the
+// list is one shard of a larger group, or out of order.
+func (sh *shell) printShard(i int, addr string, st *client.ShardStatus) {
+	if st == nil {
+		fmt.Fprintf(sh.stdout, "shard %d @ %s  UNREACHABLE\n", i, addr)
+		return
+	}
 	role := "rw"
 	if st.ReadOnly {
 		role = "ro"
 	}
 	coords := "unsharded"
 	if st.Count > 0 {
-		coords = fmt.Sprintf("slot %d/%d", st.Slot, st.Count)
+		i, coords = st.Slot, fmt.Sprintf("slot %d/%d", st.Slot, st.Count)
 	}
-	label := ""
-	if slot >= 0 {
-		label = fmt.Sprintf("shard %d ", slot)
-	}
-	fmt.Printf("%s@ %s  %s  lsn=%d epoch=%d %s  prepared=%d\n",
-		label, addr, coords, st.LSN, st.Epoch, role, len(st.Prepared))
+	fmt.Fprintf(sh.stdout, "shard %d @ %s  %s  lsn=%d epoch=%d %s  prepared=%d\n",
+		i, addr, coords, st.LSN, st.Epoch, role, len(st.Prepared))
 	for _, p := range st.Prepared {
 		rec := ""
 		if p.Recovered {
 			rec = " recovered"
 		}
-		fmt.Printf("  in-doubt %s  ops=%d age=%s%s\n", p.GID, p.Ops, p.Age.Round(time.Millisecond), rec)
+		fmt.Fprintf(sh.stdout, "  in-doubt %s  ops=%d age=%s%s\n", p.GID, p.Ops, p.Age.Round(time.Millisecond), rec)
 	}
 }
 
@@ -320,9 +314,4 @@ func complete(src string) bool {
 		return false
 	}
 	return last == ';' || last == '}'
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ode-sh:", err)
-	os.Exit(1)
 }

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 
 	"ode"
 	"ode/client"
@@ -28,18 +30,31 @@ type Shape struct {
 	Addrs []string
 	// Shards is the loopback shard count (Sharded with no Addrs).
 	Shards int
-	// Opts opens the Embedded database (nil: NewWorld's defaults).
+	// Opts opens the Embedded database (nil: NoSync, the benchmark default).
 	// Loopback servers always run over default worlds; loopback shards
 	// add only their shard coordinates.
 	Opts *ode.Options
 }
 
-// Deployment is an opened Shape. World always carries the benchmark
+// Connect is the shape of the running daemons a -connect flag names,
+// HOST:PORT[,HOST:PORT...]: one address is a direct session, several are
+// a shard group behind the router, in shard order.
+func Connect(list string) Shape {
+	addrs := strings.Split(list, ",")
+	if len(addrs) > 1 {
+		return Shape{Kind: Sharded, Addrs: addrs}
+	}
+	return Shape{Kind: Remote, Addrs: addrs}
+}
+
+// Deployment is an opened Shape, and the one provider of transactions
+// to everything that measures: RunTx and View hand out ode.ObjectTx
+// whichever shape is underneath. World always carries the benchmark
 // class handles; its DB is set only when Embedded. Client is set when
 // Remote, Router when Sharded. Close tears it down: clients first, then
 // servers, then the worlds under them.
 type Deployment struct {
-	World  *World
+	*World
 	Client *client.Client
 	Router *client.Sharded
 
@@ -52,11 +67,11 @@ type Deployment struct {
 // place the benchmark code boots a server or dials one.
 func Open(s Shape) (*Deployment, error) {
 	if s.Kind == Embedded {
-		w, err := NewWorld(s.Opts)
+		w, err := newWorld(s.Opts)
 		if err != nil {
 			return nil, err
 		}
-		return &Deployment{World: w, closers: closers{w.Close}}, nil
+		return &Deployment{World: w, closers: closers{w.close}}, nil
 	}
 	d := &Deployment{addrs: s.Addrs}
 	d.schema, d.World = Schema()
@@ -96,11 +111,11 @@ func Open(s Shape) (*Deployment, error) {
 
 // serve boots one loopback server over a fresh world.
 func (d *Deployment) serve(opts *ode.Options) error {
-	w, err := NewWorld(opts)
+	w, err := newWorld(opts)
 	if err != nil {
 		return err
 	}
-	d.onClose(w.Close)
+	d.onClose(w.close)
 	srv := server.New(w.DB, nil)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -125,22 +140,68 @@ func (d *Deployment) Dial(opts *client.Options) (*client.Client, error) {
 }
 
 // RunTx runs fn in one read-write transaction of the deployment,
-// whichever shape it is.
-func (d *Deployment) RunTx(fn func(tx PointTx) error) error {
+// whichever shape it is, rerunning it on transient conflicts.
+func (d *Deployment) RunTx(fn func(tx ode.ObjectTx) error) error {
 	switch {
 	case d.Router != nil:
 		return d.Router.RunTx(context.Background(), func(tx *client.STx) error { return fn(tx) })
 	case d.Client != nil:
-		return clientRunTx(d.Client)(fn)
+		return d.Client.RunTx(context.Background(), func(tx *client.Tx) error { return fn(tx) })
 	}
-	return d.World.RunTx(fn)
+	return d.DB.RunTx(func(tx *ode.Tx) error { return fn(ode.EmbeddedTx{Tx: tx}) })
 }
 
-// clientRunTx is the RunTx of one particular client.
-func clientRunTx(c *client.Client) RunTx {
-	return func(fn func(tx PointTx) error) error {
-		return c.RunTx(context.Background(), func(tx *client.Tx) error { return fn(tx) })
+// View runs fn in one read-only transaction of the deployment.
+func (d *Deployment) View(fn func(tx ode.ObjectTx) error) error {
+	switch {
+	case d.Router != nil:
+		return d.Router.View(context.Background(), func(tx *client.STx) error { return fn(tx) })
+	case d.Client != nil:
+		return d.Client.View(context.Background(), func(tx *client.Tx) error { return fn(tx) })
 	}
+	return d.DB.View(func(tx *ode.Tx) error { return fn(ode.EmbeddedTx{Tx: tx}) })
+}
+
+// Counters flattens the metric registries under the deployment to their
+// scalar counters and gauges (histograms are dropped), summed over the
+// shards of a group so a delta across a run reports group-wide totals.
+func (d *Deployment) Counters() (map[string]int64, error) {
+	total := map[string]int64{}
+	add := func(snap map[string]any) {
+		for name, v := range snap {
+			switch n := v.(type) {
+			case uint64: // the embedded registry's counters
+				total[name] += int64(n)
+			case int64: // and gauges
+				total[name] += n
+			case float64: // a server's metrics JSON, decoded
+				total[name] += int64(n)
+			}
+		}
+	}
+	var servers []*client.Client
+	switch {
+	case d.DB != nil:
+		add(d.DB.MetricsRegistry().Snapshot())
+	case d.Router != nil:
+		for i := 0; i < d.Router.NumShards(); i++ {
+			servers = append(servers, d.Router.Shard(i))
+		}
+	default:
+		servers = []*client.Client{d.Client}
+	}
+	for i, c := range servers {
+		raw, err := c.MetricsJSON(context.Background())
+		if err != nil {
+			return nil, fmt.Errorf("server %d metrics: %w", i, err)
+		}
+		var snap map[string]any
+		if err := json.Unmarshal(raw, &snap); err != nil {
+			return nil, fmt.Errorf("decode server %d metrics: %w", i, err)
+		}
+		add(snap)
+	}
+	return total, nil
 }
 
 // Mode names the shape the way workload reports record it.
@@ -148,7 +209,7 @@ func (d *Deployment) Mode() string {
 	switch {
 	case d.Router != nil:
 		return fmt.Sprintf("sharded-%d", d.Router.NumShards())
-	case d.World.DB != nil:
+	case d.DB != nil:
 		return "embedded"
 	}
 	return "remote"

@@ -16,7 +16,7 @@ type Params struct {
 	MaxTx    int           // E14: admission slots (Options.MaxConcurrentTx)
 	Deadline time.Duration // E14: per-transaction deadline
 	Overload int           // E14: offered-load multiplier over MaxTx
-	Connect  string        // E15: external ode-server -bench-schema address ("" boots a loopback server)
+	Connect  string        // ode-bench -connect: external ode-server -bench-schema addresses ("" boots loopback servers)
 }
 
 // Defaults is the full-size parameter set: what EXPERIMENTS.md's tables
@@ -170,16 +170,9 @@ func (c *closers) Close() {
 
 func (e *Env) add(c Case) { e.Cases = append(e.Cases, c) }
 
-// world opens a fresh World that Close removes.
-func (e *Env) world(opts *ode.Options) *World {
-	w := must(NewWorld(opts))
-	e.onClose(w.Close)
-	return w
-}
-
-// stock opens a default world holding n stockitems (qty = i).
-func (e *Env) stock(n int) (*World, []ode.OID) {
-	w := e.world(nil)
+// stock opens a default embedded deployment holding n stockitems (qty = i).
+func (e *Env) stock(n int) (*Deployment, []ode.OID) {
+	w := e.deploy(Shape{})
 	return w, must(w.LoadStock(n))
 }
 

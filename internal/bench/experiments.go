@@ -17,12 +17,12 @@ import (
 )
 
 // view wraps fn as an Op running in one read transaction of w.
-func view(w *World, fn func(tx *ode.Tx) error) func() error {
+func view(w *Deployment, fn func(tx *ode.Tx) error) func() error {
 	return func() error { return w.DB.View(fn) }
 }
 
 // counts is an Op asserting that the query q builds matches want rows.
-func counts(w *World, want int, q func(tx *ode.Tx) *ode.Query) func() error {
+func counts(w *Deployment, want int, q func(tx *ode.Tx) *ode.Query) func() error {
 	return view(w, func(tx *ode.Tx) error {
 		got, err := q(tx).Count()
 		if err == nil && got != want {
@@ -37,10 +37,14 @@ func extent(c *ode.Class) func(tx *ode.Tx) *ode.Query {
 	return func(tx *ode.Tx) *ode.Query { return ode.Forall(tx, c) }
 }
 
+// runTx runs fn in one read-write transaction: Deployment.RunTx, or the
+// same over one particular client of a deployment.
+type runTx func(fn func(tx ode.ObjectTx) error) error
+
 // pnewTx is an Op: one transaction through run storing n stockitems.
-func pnewTx(run RunTx, n int, item func(i int) *ode.Object) func() error {
+func pnewTx(run runTx, n int, item func(i int) *ode.Object) func() error {
 	return func() error {
-		return run(func(tx PointTx) error {
+		return run(func(tx ode.ObjectTx) error {
 			for i := 0; i < n; i++ {
 				o := item(i)
 				if _, err := tx.PNew(o.Class(), o); err != nil {
@@ -54,10 +58,10 @@ func pnewTx(run RunTx, n int, item func(i int) *ode.Object) func() error {
 
 // derefWalk is an Op: one transaction through run of n derefs striding
 // through oids, with repeats (the shape navigation produces).
-func derefWalk(run RunTx, oids []ode.OID, n int) func() error {
+func derefWalk(run runTx, oids []ode.OID, n int) func() error {
 	k := 0
 	return func() error {
-		return run(func(tx PointTx) error {
+		return run(func(tx ode.ObjectTx) error {
 			for i := 0; i < n; i++ {
 				k = (k + 7919) % len(oids)
 				if _, err := tx.Deref(oids[k]); err != nil {
@@ -98,7 +102,7 @@ func buildE1(e *Env) {
 		// Two worlds per size: creation fills an empty one (n more
 		// objects per call), the scan reads one loaded and checkpointed
 		// up front.
-		empty := e.world(nil)
+		empty := e.deploy(Shape{})
 		loaded, _ := e.stock(n)
 		check(loaded.DB.Checkpoint())
 		name := fmt.Sprintf("objects=%d", n)
@@ -117,7 +121,7 @@ func buildE1(e *Env) {
 func buildE2(e *Env) {
 	n := e.scale(50000, 50)
 	w, _ := e.stock(n)
-	head := must(LoadChain(w.RunTx, w.Cell, n))
+	head := must(w.LoadChain(n))
 	e.add(Case{Name: fmt.Sprintf("N=%d forall-iterator", n), Reps: 3, Op: counts(w, n, extent(w.Stock))})
 	e.add(Case{Name: fmt.Sprintf("N=%d pointer-navigation", n), Reps: 3,
 		Op: view(w, func(tx *ode.Tx) error {
@@ -182,7 +186,7 @@ func buildE4(e *Env) {
 
 func buildE5(e *Env) {
 	n := e.scale(40000, 40) &^ 3 // LoadPersons cycles person, person, student, faculty
-	w := e.world(nil)
+	w := e.deploy(Shape{})
 	must(w.LoadPersons(n))
 	e.add(Case{Name: fmt.Sprintf("person  (%d objects)", n/2), Reps: 3, Op: counts(w, n/2, extent(w.Person))})
 	e.add(Case{Name: fmt.Sprintf("person* (%d objects)", n), Reps: 3,
@@ -191,7 +195,7 @@ func buildE5(e *Env) {
 
 func buildE6(e *Env) {
 	nEmp, nDept := e.scale(20000, 100), 100
-	w := e.world(nil)
+	w := e.deploy(Shape{})
 	check(w.LoadEmpDept(nEmp, nDept))
 	check(w.DB.CreateIndex(w.Dept, "deptno"))
 	for _, s := range []ode.JoinStrategy{ode.NestedLoop, ode.HashJoin, ode.IndexNestedLoop} {
@@ -212,10 +216,10 @@ func buildE6(e *Env) {
 }
 
 func buildE7(e *Env) {
-	w := e.world(nil)
+	w := e.deploy(Shape{})
 	for _, depth := range []int{3, 6, 9} {
 		rng := rand.New(rand.NewSource(int64(depth)))
-		root, total, err := LoadPartDAG(w.RunTx, w.Part, rng, depth, 30, 5)
+		root, total, err := w.LoadPartDAG(rng, depth, 30, 5)
 		check(err)
 		closure := func(strategy func([]ode.Value, ode.SuccFunc) (*ode.Set, error)) (size int, err error) {
 			err = w.DB.View(func(tx *ode.Tx) error {
@@ -381,7 +385,7 @@ func buildE11(e *Env) {
 		o.MustSet("qty", ode.Int(1))
 		return nil
 	}})
-	w := e.world(nil)
+	w := e.deploy(Shape{})
 	e.add(Case{Name: "pnew + commit (nosync)", Reps: 2000, Op: func() error {
 		return w.DB.RunTx(func(tx *ode.Tx) error {
 			o := ode.NewObject(w.Stock)
@@ -397,13 +401,13 @@ func buildE12(e *Env) {
 		n := e.scale(full, 50)
 		dir := filepath.Join(e.tempDir(), "crash")
 		// open opens the database over a fresh schema (one per Open).
-		open := func() (*World, error) {
+		open := func() (*Deployment, error) {
 			s, w := Schema()
 			db, err := ode.Open(filepath.Join(dir, "r.odb"), s, &ode.Options{NoSync: true})
 			w.DB = db
-			return w, err
+			return &Deployment{World: w}, err
 		}
-		var recovered *World
+		var recovered *Deployment
 		closeRecovered := func() {
 			if recovered != nil {
 				recovered.DB.Close()
@@ -539,7 +543,7 @@ func buildE14(e *Env) {
 	// recycle the slots so fast the gate never engages.
 	const hold = 500 * time.Microsecond
 	burst := func(name string, opts *ode.Options) {
-		w := e.world(opts)
+		w := e.deploy(Shape{Opts: opts})
 		oids := must(w.LoadStock(64))
 		var commits, rejects, timeouts, commitNs atomic.Int64
 		var elapsed time.Duration
@@ -605,7 +609,7 @@ func buildE14(e *Env) {
 	// limit stalls commits when the writer outruns it. The observed peak
 	// must stay near the hard bound.
 	const soft, hard = 64 << 10, 256 << 10
-	w := e.world(&ode.Options{NoSync: true, WALSoftLimit: soft, WALHardLimit: hard})
+	w := e.deploy(Shape{Opts: &ode.Options{NoSync: true, WALSoftLimit: soft, WALHardLimit: hard}})
 	payload := strings.Repeat("x", 1024)
 	var peak, commits int64
 	e.add(Case{Name: fmt.Sprintf("bounded WAL soft=%dKiB hard=%dKiB", soft>>10, hard>>10), Reps: e.scale(2000, 200),
@@ -648,14 +652,16 @@ func buildE15(e *Env) {
 	w, oids := e.stock(nItems)
 	remote := Shape{Kind: Remote}
 	if e.Connect != "" {
-		remote.Addrs = []string{e.Connect}
+		if remote = Connect(e.Connect); remote.Kind != Remote {
+			check(fmt.Errorf("E15 measures one server; -connect names %d", len(remote.Addrs)))
+		}
 	}
 	d := e.deploy(remote)
-	c, stock := d.Client, d.World.Stock
+	c, stock := d.Client, d.Stock
 	item := func(class *ode.Class) func(i int) *ode.Object {
 		return func(i int) *ode.Object { return NewStock(class, fmt.Sprintf("e15-%07d", i), 1, int64(i), 100) }
 	}
-	roids, err := Insert(d.RunTx, nItems, item(stock))
+	roids, err := d.Insert(nItems, item(stock))
 	if err != nil {
 		check(fmt.Errorf("remote load: %w", err))
 	}
@@ -682,10 +688,7 @@ func buildE15(e *Env) {
 		})
 	}})
 
-	embeddedView := func(fn func(PointTx) error) error {
-		return w.DB.View(func(tx *ode.Tx) error { return fn(tx) })
-	}
-	e.add(Case{Name: "deref/op", Col: "embedded", Reps: 3, Units: reps, Op: derefWalk(embeddedView, oids, reps)})
+	e.add(Case{Name: "deref/op", Col: "embedded", Reps: 3, Units: reps, Op: derefWalk(w.View, oids, reps)})
 	e.add(Case{Name: "deref/op", Col: "remote", Reps: 3, Units: reps, Op: derefWalk(d.RunTx, roids, reps)})
 
 	// The rows the pnew cases insert carry qty < txBatch and never match.
@@ -697,7 +700,7 @@ func buildE15(e *Env) {
 	// Not asserted remotely: a -connect daemon may hold earlier runs' rows.
 	e.add(Case{Name: row, Col: "remote", Reps: 3, Op: func() error {
 		return c.RunTx(context.Background(), func(tx *client.Tx) error {
-			_, err := tx.Count(&client.Scan{Class: stock, Field: "qty", Op: client.CmpGe, Value: ode.Int(int64(nItems / 2))})
+			_, err := tx.Count(&ode.Scan{Class: stock, Field: "qty", Op: ode.CmpGe, Value: ode.Int(int64(nItems / 2))})
 			return err
 		})
 	}})
@@ -723,9 +726,9 @@ func buildE16(e *Env) {
 	for _, nw := range []int{1, 4, 8} {
 		var serial time.Duration
 		for _, mode := range []string{"serial-fsync", "group-commit"} {
-			w := e.world(&ode.Options{ // zero NoSync: fsync on every commit
+			w := e.deploy(Shape{Opts: &ode.Options{ // zero NoSync: fsync on every commit
 				GroupCommit: ode.GroupCommitOptions{Disable: mode == "serial-fsync"},
-			})
+			}})
 			e.add(Case{Name: fmt.Sprintf("tx%d pnew %s", txBatch, mode), Workers: nw, Units: nw * txsPerWorker,
 				Op: func() error {
 					return fanOut(nw, func(g int) error {
@@ -758,14 +761,17 @@ func buildE16(e *Env) {
 	// set small enough to stay resident.
 	nItems, reps := e.scale(2000, 256), e.scale(2000, 400)
 	d := e.deploy(Shape{Kind: Remote})
-	ws := must(Insert(d.RunTx, nItems, func(i int) *ode.Object {
-		return NewStock(d.World.Stock, fmt.Sprintf("item-%07d", i), 1, int64(i), 100)
+	ws := must(d.Insert(nItems, func(i int) *ode.Object {
+		return NewStock(d.Stock, fmt.Sprintf("item-%07d", i), 1, int64(i), 100)
 	}))[:256]
 	warm := d.Client
 	cold := must(d.Dial(&client.Options{CacheSize: -1}))
+	coldRunTx := func(fn func(ode.ObjectTx) error) error {
+		return cold.RunTx(context.Background(), func(tx *client.Tx) error { return fn(tx) })
+	}
 	// Fill pass: every working-set object becomes a cached miss, so the
 	// measured transactions see only revalidations and local hits.
-	check(d.RunTx(func(tx PointTx) error {
+	check(d.RunTx(func(tx ode.ObjectTx) error {
 		for _, oid := range ws {
 			if _, err := tx.Deref(oid); err != nil {
 				return err
@@ -774,7 +780,7 @@ func buildE16(e *Env) {
 		return nil
 	}))
 	var coldDeref time.Duration
-	e.add(Case{Name: "remote deref no-cache", Workers: 1, Reps: 3, Units: reps, Op: derefWalk(clientRunTx(cold), ws, reps),
+	e.add(Case{Name: "remote deref no-cache", Workers: 1, Reps: 3, Units: reps, Op: derefWalk(coldRunTx, ws, reps),
 		After: func(m *Measurement) error {
 			coldDeref = m.PerOp
 			return nil

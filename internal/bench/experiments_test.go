@@ -3,6 +3,8 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,7 +130,8 @@ func TestMeasure(t *testing.T) {
 }
 
 // TestOpenShapes opens each deployment shape on loopback, loads a few
-// objects through its RunTx, and reads them back.
+// objects through its RunTx, and reads them back through View; the
+// counters report the work, summed over however many servers there are.
 func TestOpenShapes(t *testing.T) {
 	for _, tc := range []struct {
 		shape Shape
@@ -145,21 +148,33 @@ func TestOpenShapes(t *testing.T) {
 		if d.Mode() != tc.mode {
 			t.Errorf("mode %q, want %q", d.Mode(), tc.mode)
 		}
-		oids, err := Insert(d.RunTx, 7, func(i int) *ode.Object {
+		oids, err := d.Insert(7, func(i int) *ode.Object {
 			return NewStock(d.World.Stock, "x", 1, int64(i), 0)
 		})
 		if err != nil || len(oids) != 7 {
 			t.Fatalf("%s: inserted %d, err %v", tc.mode, len(oids), err)
 		}
-		err = d.RunTx(func(tx PointTx) error {
+		before, err := d.Counters()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.mode, err)
+		}
+		err = d.View(func(tx ode.ObjectTx) error {
 			o, err := tx.Deref(oids[6])
 			if err == nil && o.MustGet("qty").Int() != 6 {
 				err = fmt.Errorf("read back qty %d", o.MustGet("qty").Int())
+			}
+			if n, cerr := tx.Count(&ode.Scan{Class: d.Stock}); err == nil && (cerr != nil || n != 7) {
+				err = fmt.Errorf("counted %d (%v), want 7", n, cerr)
 			}
 			return err
 		})
 		if err != nil {
 			t.Errorf("%s: %v", tc.mode, err)
+		}
+		after, err := d.Counters()
+		if err != nil || after["query.rows_yielded"]-before["query.rows_yielded"] != 7 || after["txn.commits"] == 0 {
+			t.Errorf("%s: counters %v: yielded %d → %d, commits %d", tc.mode, err,
+				before["query.rows_yielded"], after["query.rows_yielded"], after["txn.commits"])
 		}
 		if tc.shape.Kind == Remote {
 			if second, err := d.Dial(&client.Options{CacheSize: -1}); err != nil || second == d.Client {
@@ -169,7 +184,26 @@ func TestOpenShapes(t *testing.T) {
 		d.Close()
 		d.Close() // idempotent
 	}
-	if _, err := Open(Shape{Kind: Remote, Addrs: []string{"127.0.0.1:1"}}); err == nil {
+	if _, err := Open(Connect("127.0.0.1:1")); err == nil {
 		t.Error("dialing a dead address succeeded")
+	}
+}
+
+// TestConnect pins how a -connect list picks the shape: one address is
+// a direct session, several are a shard group in the order given.
+func TestConnect(t *testing.T) {
+	if s := Connect("h:1"); s.Kind != Remote || !reflect.DeepEqual(s.Addrs, []string{"h:1"}) {
+		t.Errorf("one address: %+v", s)
+	}
+	if s := Connect("a:1,b:2,c:3"); s.Kind != Sharded || !reflect.DeepEqual(s.Addrs, []string{"a:1", "b:2", "c:3"}) {
+		t.Errorf("three addresses: %+v", s)
+	}
+	// E15 prices one server's wire hop; a group is refused, not half-used.
+	p := Defaults()
+	p.Div, p.Connect = 100, "a:1,b:2"
+	if x := Experiments[14]; x.ID != "E15" {
+		t.Fatalf("Experiments[14] is %s", x.ID)
+	} else if _, err := x.Build(p); err == nil || !strings.Contains(err.Error(), "E15 measures one server") {
+		t.Errorf("E15 against a group: %v", err)
 	}
 }

@@ -3,11 +3,14 @@
 // is a language/data-model design paper — so each experiment
 // regenerates one of its worked examples or quantifies one of its
 // performance claims. This file holds the benchmark schema and the
-// loaders that fill a World; experiment.go the experiment table and its
-// one timing loop; experiments.go the sixteen experiments; deploy.go
-// the opener for the three deployment shapes. cmd/ode-bench prints the
-// table, BenchmarkExperiments (bench_test.go) runs it under testing.B,
-// and internal/workload runs its mixes on the same worlds.
+// loaders that fill a deployment; experiment.go the experiment table
+// and its one timing loop; experiments.go the sixteen experiments;
+// deploy.go Open, the opener for the three deployment shapes, whose
+// Deployment is the one provider of transactions: RunTx and View hand
+// out ode.ObjectTx, so loaders, experiments and mixes are written once
+// for embedded, remote and sharded. cmd/ode-bench prints the table,
+// BenchmarkExperiments (bench_test.go) runs it under testing.B, and
+// internal/workload runs its mixes on the same deployments.
 package bench
 
 import (
@@ -19,7 +22,7 @@ import (
 	"ode"
 )
 
-// OnOpen, when set, is called with every database NewWorld opens.
+// OnOpen, when set, is called with every benchmark database opened.
 // ode-bench uses it to point its expvar metrics exposition at the
 // world currently under measurement.
 var OnOpen func(*ode.DB)
@@ -98,9 +101,9 @@ func Schema() (*ode.Schema, *World) {
 	return s, w
 }
 
-// NewWorld opens a fresh database in a temp directory with all clusters
-// created. Callers must Close it.
-func NewWorld(opts *ode.Options) (*World, error) {
+// newWorld opens a fresh database in a temp directory with all clusters
+// created; close removes it. Open is its only caller.
+func newWorld(opts *ode.Options) (*World, error) {
 	dir, err := os.MkdirTemp("", "ode-bench")
 	if err != nil {
 		return nil, err
@@ -121,39 +124,16 @@ func NewWorld(opts *ode.Options) (*World, error) {
 	}
 	for _, c := range []*ode.Class{w.Stock, w.Person, w.Student, w.Faculty, w.Part, w.Cell, w.Emp, w.Dept} {
 		if err := db.CreateCluster(c); err != nil {
-			db.Close()
-			os.RemoveAll(dir)
+			w.close()
 			return nil, err
 		}
 	}
 	return w, nil
 }
 
-// Close tears the world down.
-func (w *World) Close() {
-	if w.DB != nil {
-		w.DB.Close()
-	}
-	if w.Dir != "" {
-		os.RemoveAll(w.Dir)
-	}
-}
-
-// PointTx is the point-operation surface the three transaction types
-// share: *ode.Tx, *client.Tx and *client.STx all satisfy it, so one
-// loader fills a world in any deployment shape.
-type PointTx interface {
-	PNew(c *ode.Class, o *ode.Object) (ode.OID, error)
-	Deref(oid ode.OID) (*ode.Object, error)
-	Update(oid ode.OID, o *ode.Object) error
-}
-
-// RunTx runs fn in one read-write transaction, wherever the data lives.
-type RunTx func(fn func(tx PointTx) error) error
-
-// RunTx is the embedded world's RunTx.
-func (w *World) RunTx(fn func(tx PointTx) error) error {
-	return w.DB.RunTx(func(tx *ode.Tx) error { return fn(tx) })
+func (w *World) close() {
+	w.DB.Close()
+	os.RemoveAll(w.Dir)
 }
 
 // NewStock builds one stockitem.
@@ -166,14 +146,15 @@ func NewStock(c *ode.Class, name string, price float64, qty, threshold int64) *o
 	return o
 }
 
-// Insert stores item(0) … item(n-1) through run, 500 objects per
-// transaction, and returns their OIDs.
-func Insert(run RunTx, n int, item func(i int) *ode.Object) ([]ode.OID, error) {
+// Insert stores item(0) … item(n-1), 500 objects per transaction, and
+// returns their OIDs. Like every loader below it goes through RunTx, so
+// it fills a remote or sharded deployment over the wire.
+func (d *Deployment) Insert(n int, item func(i int) *ode.Object) ([]ode.OID, error) {
 	oids := make([]ode.OID, 0, n)
 	const batch = 500
 	for start := 0; start < n; start += batch {
-		err := run(func(tx PointTx) error {
-			oids = oids[:start] // run may retry the transaction
+		err := d.RunTx(func(tx ode.ObjectTx) error {
+			oids = oids[:start] // RunTx may retry the transaction
 			for i := start; i < min(start+batch, n); i++ {
 				o := item(i)
 				oid, err := tx.PNew(o.Class(), o)
@@ -192,26 +173,26 @@ func Insert(run RunTx, n int, item func(i int) *ode.Object) ([]ode.OID, error) {
 }
 
 // LoadStock inserts n stockitems with qty = i and price i/100.
-func (w *World) LoadStock(n int) ([]ode.OID, error) {
-	return Insert(w.RunTx, n, func(i int) *ode.Object {
-		return NewStock(w.Stock, fmt.Sprintf("item-%07d", i), float64(i)/100, int64(i), 100)
+func (d *Deployment) LoadStock(n int) ([]ode.OID, error) {
+	return d.Insert(n, func(i int) *ode.Object {
+		return NewStock(d.Stock, fmt.Sprintf("item-%07d", i), float64(i)/100, int64(i), 100)
 	})
 }
 
 // LoadPersons inserts persons/students/faculty in ratio 2:1:1 with
 // income = i.
-func (w *World) LoadPersons(n int) ([]ode.OID, error) {
-	cycle := []*ode.Class{w.Person, w.Person, w.Student, w.Faculty}
-	return Insert(w.RunTx, n, func(i int) *ode.Object {
+func (d *Deployment) LoadPersons(n int) ([]ode.OID, error) {
+	cycle := []*ode.Class{d.Person, d.Person, d.Student, d.Faculty}
+	return d.Insert(n, func(i int) *ode.Object {
 		c := cycle[i%4]
 		o := ode.NewObject(c)
 		o.MustSet("name", ode.Str(fmt.Sprintf("p-%07d", i)))
 		o.MustSet("income", ode.Int(int64(i)))
 		o.MustSet("age", ode.Int(int64(20+i%60)))
 		switch c {
-		case w.Student:
+		case d.Student:
 			o.MustSet("school", ode.Str("eng"))
-		case w.Faculty:
+		case d.Faculty:
 			o.MustSet("dept", ode.Str("cs"))
 		}
 		return o
@@ -219,18 +200,18 @@ func (w *World) LoadPersons(n int) ([]ode.OID, error) {
 }
 
 // LoadEmpDept loads nEmp employees over nDept departments.
-func (w *World) LoadEmpDept(nEmp, nDept int) error {
-	_, err := Insert(w.RunTx, nDept, func(d int) *ode.Object {
-		o := ode.NewObject(w.Dept)
-		o.MustSet("deptno", ode.Int(int64(d)))
-		o.MustSet("dname", ode.Str(fmt.Sprintf("dept-%03d", d)))
+func (d *Deployment) LoadEmpDept(nEmp, nDept int) error {
+	_, err := d.Insert(nDept, func(no int) *ode.Object {
+		o := ode.NewObject(d.Dept)
+		o.MustSet("deptno", ode.Int(int64(no)))
+		o.MustSet("dname", ode.Str(fmt.Sprintf("dept-%03d", no)))
 		return o
 	})
 	if err != nil {
 		return err
 	}
-	_, err = Insert(w.RunTx, nEmp, func(i int) *ode.Object {
-		o := ode.NewObject(w.Emp)
+	_, err = d.Insert(nEmp, func(i int) *ode.Object {
+		o := ode.NewObject(d.Emp)
 		o.MustSet("name", ode.Str(fmt.Sprintf("emp-%06d", i)))
 		o.MustSet("deptno", ode.Int(int64(i%nDept)))
 		o.MustSet("salary", ode.Int(int64(1000+i%9000)))
@@ -242,16 +223,16 @@ func (w *World) LoadEmpDept(nEmp, nDept int) error {
 // LoadChain builds a linked list of n cells (value = position) back to
 // front, so each cell's next ref is already persistent, and returns the
 // head: the CODASYL-style structure the paper's iterators replace.
-func LoadChain(run RunTx, cell *ode.Class, n int) (ode.OID, error) {
+func (d *Deployment) LoadChain(n int) (ode.OID, error) {
 	head := ode.NilOID
 	const batch = 500
 	for built := 0; built < n; built += batch {
-		err := run(func(tx PointTx) error {
+		err := d.RunTx(func(tx ode.ObjectTx) error {
 			for i := built; i < min(built+batch, n); i++ {
-				o := ode.NewObject(cell)
+				o := ode.NewObject(d.Cell)
 				o.MustSet("value", ode.Int(int64(n-1-i)))
 				o.MustSet("next", ode.Ref(head))
-				oid, err := tx.PNew(cell, o)
+				oid, err := tx.PNew(d.Cell, o)
 				if err != nil {
 					return err
 				}
@@ -270,15 +251,15 @@ func LoadChain(run RunTx, cell *ode.Class, n int) (ode.OID, error) {
 // root, levels 1..depth hold `width` parts each, and every part above
 // the last level points at `fanout` rng-chosen parts of the level below.
 // It returns the root and the number of parts.
-func LoadPartDAG(run RunTx, part *ode.Class, rng *rand.Rand, depth, width, fanout int) (ode.OID, int, error) {
+func (d *Deployment) LoadPartDAG(rng *rand.Rand, depth, width, fanout int) (ode.OID, int, error) {
 	var root ode.OID
 	total := 0
-	err := run(func(tx PointTx) error {
+	err := d.RunTx(func(tx ode.ObjectTx) error {
 		mk := func(name string) (ode.OID, error) {
-			o := ode.NewObject(part)
+			o := ode.NewObject(d.Part)
 			o.MustSet("name", ode.Str(name))
 			total++
-			return tx.PNew(part, o)
+			return tx.PNew(d.Part, o)
 		}
 		levels := make([][]ode.OID, depth+1)
 		var err error

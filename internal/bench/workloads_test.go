@@ -8,7 +8,7 @@ import (
 )
 
 func TestWorldBuilders(t *testing.T) {
-	w, err := NewWorld(nil)
+	w, err := Open(Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,14 +24,14 @@ func TestWorldBuilders(t *testing.T) {
 	if _, err := w.LoadPersons(40); err != nil {
 		t.Fatal(err)
 	}
-	head, err := LoadChain(w.RunTx, w.Cell, 30)
+	head, err := w.LoadChain(30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.LoadEmpDept(50, 5); err != nil {
 		t.Fatal(err)
 	}
-	root, total, err := LoadPartDAG(w.RunTx, w.Part, rand.New(rand.NewSource(1)), 3, 10, 3)
+	root, total, err := w.LoadPartDAG(rand.New(rand.NewSource(1)), 3, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

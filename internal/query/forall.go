@@ -123,6 +123,10 @@ func (q *Query) Plan() string { return q.plan }
 // queries) unless Snapshot or an ordering clause is in effect. Objects
 // deleted in the surrounding transaction are never visited.
 func (q *Query) Do(fn func(it Item) (bool, error)) error {
+	// A finished transaction scans nothing, not even an empty extent.
+	if err := q.tx.Err(); err != nil {
+		return err
+	}
 	if !q.internal {
 		q.met().Foralls.Inc()
 	}

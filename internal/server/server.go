@@ -35,7 +35,6 @@ import (
 	"ode/internal/object"
 	"ode/internal/obs"
 	"ode/internal/oql"
-	"ode/internal/query"
 	"ode/internal/repl"
 	"ode/internal/wire"
 )
@@ -798,27 +797,28 @@ const (
 	maxBatch     = 8192
 )
 
-// buildQuery assembles a server-side forall from a wire request.
-func (c *conn) buildQuery(tx *ode.Tx, req *wire.ForallReq) (*query.Query, error) {
+// scanOf decodes a wire forall request into the scan descriptor the
+// client encoded; ode.Scan.Query plans it.
+func (c *conn) scanOf(req *wire.ForallReq) (*ode.Scan, error) {
 	class, ok := c.s.db.Schema().ClassNamed(req.Class)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", wire.ErrNoClass, req.Class)
 	}
-	q := query.Forall(tx, class)
-	if req.Flags&wire.ForallSubtypes != 0 {
-		q = q.Subtypes()
-	}
-	if req.Flags&wire.ForallNoIndex != 0 {
-		q = q.NoIndex()
+	s := &ode.Scan{
+		Class:    class,
+		Subtypes: req.Flags&wire.ForallSubtypes != 0,
+		NoIndex:  req.Flags&wire.ForallNoIndex != 0,
+		Field:    req.Field,
+		Op:       ode.CmpOp(req.Op),
 	}
 	if req.Field != "" {
 		v, rest, err := object.DecodeValue(req.Value)
 		if err != nil || len(rest) != 0 {
 			return nil, protoErr("forall operand: %v", err)
 		}
-		q = q.SuchThat(query.FieldPred{Name: req.Field, Op: query.CmpOp(req.Op), Value: v})
+		s.Value = v
 	}
-	return q, nil
+	return s, nil
 }
 
 // handleForall streams scan results: RespBatch frames of up to the
@@ -841,7 +841,7 @@ func (c *conn) handleForall(f *wire.Frame) error {
 	if batch > maxBatch {
 		batch = maxBatch
 	}
-	q, err := c.buildQuery(tx, req)
+	scan, err := c.scanOf(req)
 	if err != nil {
 		return c.replyErr(f.ReqID, err)
 	}
@@ -862,7 +862,7 @@ func (c *conn) handleForall(f *wire.Frame) error {
 		}
 		body, inBuf = body[:0], 0
 	}
-	scanErr := q.Do(func(it query.Item) (bool, error) {
+	scanErr := scan.Query(tx).Do(func(it ode.Item) (bool, error) {
 		body = wire.AppendUvarint(body, uint64(it.OID))
 		body = wire.AppendBytes(body, object.Encode(it.Obj))
 		inBuf++
@@ -898,27 +898,23 @@ func (c *conn) handleExplain(f *wire.Frame) error {
 	if err != nil {
 		return c.replyErr(f.ReqID, protoErr("explain: %v", err))
 	}
-	render := func(tx *ode.Tx) (string, error) {
-		q, err := c.buildQuery(tx, req)
-		if err != nil {
-			return "", err
-		}
-		return q.Explain().String(), nil
+	scan, err := c.scanOf(req)
+	if err != nil {
+		return c.replyErr(f.ReqID, err)
 	}
 	var plan string
 	if tx := c.sessionTx(); tx != nil {
-		plan, err = render(tx)
+		plan = scan.Query(tx).Explain().String()
 	} else {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 		err = c.s.db.ViewCtx(ctx, func(tx *ode.Tx) error {
-			var verr error
-			plan, verr = render(tx)
-			return verr
+			plan = scan.Query(tx).Explain().String()
+			return nil
 		})
 		cancel()
-	}
-	if err != nil {
-		return c.replyErr(f.ReqID, err)
+		if err != nil {
+			return c.replyErr(f.ReqID, err)
+		}
 	}
 	return c.reply(f.ReqID, wire.RespText, wire.AppendString(nil, plan))
 }

@@ -371,11 +371,16 @@ func (tx *Tx) OnFinish(fn func()) {
 // Context returns the context governing the transaction (never nil).
 func (tx *Tx) Context() context.Context { return tx.ctx }
 
-// Err maps the transaction context's state onto the engine's typed
-// errors: nil while live, ErrTxTimeout after a deadline expiry,
-// ErrCanceled after cancellation. The query layer polls it between
-// scan batches; it is one atomic load on the live path.
+// Err reports why the transaction can do no more work, as the engine's
+// typed errors: nil while live, ErrTxDone once finished (what every
+// operation of a finished transaction returns), ErrTxTimeout after a
+// deadline expiry, ErrCanceled after cancellation. The query layer polls
+// it at the start of a scan and between batches; it is one atomic load
+// on the live path.
 func (tx *Tx) Err() error {
+	if err := tx.ensureActive(); err != nil {
+		return err
+	}
 	if err := tx.ctx.Err(); err != nil {
 		return tx.noteCtxErr(err)
 	}

@@ -190,8 +190,6 @@ type Log struct {
 	pendingN uint64 // commits staged since the last fsync snapshot
 	syncing  bool   // a leader's fsync is in flight
 	poison   error  // first fsync failure; terminal until reopen
-	maxBatch int    // group accumulation cap (only with maxDelay > 0)
-	maxDelay time.Duration
 }
 
 // Open opens (creating if absent) the log at path. The log is scanned
@@ -223,20 +221,6 @@ func Open(path string) (*Log, error) {
 // durability of recent commits on power failure; it exists for
 // benchmarking the fsync cost (and matches "group commit off").
 func (l *Log) SetSync(sync bool) { l.sync = sync }
-
-// SetGroupCommit tunes the leader's accumulation window: with
-// maxDelay > 0 a group-commit leader waits up to maxDelay (or until
-// maxBatch commits are staged, whichever first) before issuing its
-// fsync, trading commit latency for larger groups. The default (0)
-// fsyncs immediately — batching still arises naturally from commits
-// that stage while a previous fsync is in flight. Call before traffic.
-func (l *Log) SetGroupCommit(maxBatch int, maxDelay time.Duration) {
-	if maxBatch <= 0 {
-		maxBatch = 64
-	}
-	l.maxBatch = maxBatch
-	l.maxDelay = maxDelay
-}
 
 // SetMetrics attaches the WAL metric set; m must be non-nil.
 func (l *Log) SetMetrics(m *obs.WALMetrics) { l.met = m }
@@ -474,16 +458,6 @@ func (l *Log) SyncTo(target int64) error {
 		l.gcCond.Wait() // follow the in-flight fsync
 	}
 	l.syncing = true
-	if l.maxDelay > 0 {
-		// Accumulation window: give concurrent committers up to
-		// maxDelay to join the group before paying the fsync.
-		deadline := time.Now().Add(l.maxDelay)
-		for l.pendingN < uint64(l.maxBatch) && l.poison == nil && time.Now().Before(deadline) {
-			l.gcMu.Unlock()
-			time.Sleep(20 * time.Microsecond)
-			l.gcMu.Lock()
-		}
-	}
 	snap := l.staged
 	n := l.pendingN
 	l.pendingN = 0

@@ -16,23 +16,17 @@ func (r *runner) scaled(short, full int) int {
 	return full
 }
 
-// runTx is the store's RunTx as the bench loaders take it, so a remote
-// or sharded run loads over the wire too.
-func (r *runner) runTx(fn func(bench.PointTx) error) error {
-	return r.store.RunTx(func(tx Tx) error { return fn(tx) })
-}
-
 // loadStock inserts n stock items (qty(i), threshold 100) through the
-// store and returns their OIDs. namePad >= 0 pads names to that width,
+// deployment and returns their OIDs. namePad >= 0 pads names to that width,
 // which fixes the per-record footprint — the larger-than-RAM mix uses
 // it to size its dataset in pages.
 func (r *runner) loadStock(n, namePad int, qty func(i int) int64) ([]ode.OID, error) {
-	return bench.Insert(r.runTx, n, func(i int) *ode.Object {
+	return r.d.Insert(n, func(i int) *ode.Object {
 		name := fmt.Sprintf("wl-%07d", i)
 		if namePad > len(name) {
 			name = fmt.Sprintf("%-*s", namePad, name)
 		}
-		return bench.NewStock(r.w.Stock, name, float64(i)/100, qty(i), 100)
+		return bench.NewStock(r.d.Stock, name, float64(i)/100, qty(i), 100)
 	})
 }
 
@@ -65,7 +59,7 @@ var pointsMix = &Workload{
 					batch = 64
 				}
 				var updates []ode.OID
-				err := r.store.View(func(tx Tx) error {
+				err := r.d.View(func(tx ode.ObjectTx) error {
 					for i := 0; i < batch; i++ {
 						switch roll := rng.Intn(100); {
 						case roll < 80:
@@ -86,7 +80,7 @@ var pointsMix = &Workload{
 							updates = append(updates, mine[rng.Intn(len(mine))])
 						default:
 							if err := r.timed("count", func() error {
-								_, err := tx.Count(r.w.Stock, "qty", int64(n/2))
+								_, err := tx.Count(&ode.Scan{Class: r.d.Stock, Field: "qty", Op: ode.CmpGe, Value: ode.Int(int64(n / 2))})
 								return err
 							}); err != nil {
 								return err
@@ -101,7 +95,7 @@ var pointsMix = &Workload{
 				for _, oid := range updates {
 					oid := oid
 					if err := r.timed("update", func() error {
-						return r.store.RunTx(func(tx Tx) error {
+						return r.d.RunTx(func(tx ode.ObjectTx) error {
 							o, err := tx.Deref(oid)
 							if err != nil {
 								return err
@@ -131,13 +125,13 @@ var traverseMix = &Workload{
 		chainLen := r.scaled(1000, 8000)
 		walks := r.scaled(300, 3000)
 		const hops = 50
-		head, err := bench.LoadChain(r.runTx, r.w.Cell, chainLen)
+		head, err := r.d.LoadChain(chainLen)
 		if err != nil {
 			return err
 		}
 		// One full walk collects the cell OIDs for random restarts.
 		var cells []ode.OID
-		if err := r.store.View(func(tx Tx) error {
+		if err := r.d.View(func(tx ode.ObjectTx) error {
 			for oid := head; oid != ode.NilOID; {
 				cells = append(cells, oid)
 				o, err := tx.Deref(oid)
@@ -155,7 +149,7 @@ var traverseMix = &Workload{
 				start := cells[rng.Intn(len(cells))]
 				var steps int64
 				err := r.timed("walk", func() error {
-					return r.store.View(func(tx Tx) error {
+					return r.d.View(func(tx ode.ObjectTx) error {
 						oid := start
 						for h := 0; h < hops && oid != ode.NilOID; h++ {
 							o, err := tx.Deref(oid)
@@ -198,7 +192,7 @@ var versionsMix = &Workload{
 			newVersion := func() error {
 				oid := mine[rng.Intn(len(mine))]
 				return r.timed("newversion", func() error {
-					return r.store.RunTx(func(tx Tx) error {
+					return r.d.RunTx(func(tx ode.ObjectTx) error {
 						ref, err := tx.NewVersion(oid)
 						if err != nil {
 							return err
@@ -217,7 +211,7 @@ var versionsMix = &Workload{
 				case roll < 80:
 					ref := refs[rng.Intn(len(refs))]
 					if err := r.timed("derefversion", func() error {
-						return r.store.View(func(tx Tx) error {
+						return r.d.View(func(tx ode.ObjectTx) error {
 							_, err := tx.DerefVersion(ref)
 							return err
 						})
@@ -228,7 +222,7 @@ var versionsMix = &Workload{
 					ref := refs[len(refs)-1]
 					refs = refs[:len(refs)-1]
 					if err := r.timed("deleteversion", func() error {
-						return r.store.RunTx(func(tx Tx) error { return tx.DeleteVersion(ref) })
+						return r.d.RunTx(func(tx ode.ObjectTx) error { return tx.DeleteVersion(ref) })
 					}); err != nil {
 						return err
 					}
@@ -254,7 +248,7 @@ var triggersMix = &Workload{
 		if err != nil {
 			return err
 		}
-		db := r.w.DB
+		db := r.d.DB
 		if err := db.RunTx(func(tx *ode.Tx) error {
 			for _, oid := range oids {
 				if _, err := db.Triggers().Activate(tx, oid, "restock", ode.Int(150)); err != nil {
@@ -272,7 +266,7 @@ var triggersMix = &Workload{
 				oid := mine[rng.Intn(len(mine))]
 				dec := int64(1 + rng.Intn(30))
 				if err := r.timed("update", func() error {
-					return r.store.RunTx(func(tx Tx) error {
+					return r.d.RunTx(func(tx ode.ObjectTx) error {
 						o, err := tx.Deref(oid)
 						if err != nil {
 							return err
@@ -301,7 +295,7 @@ var bomMix = &Workload{
 		width := r.scaled(40, 120)
 		const fanout = 4
 		queries := r.scaled(40, 200)
-		root, parts, err := bench.LoadPartDAG(r.runTx, r.w.Part, r.rng, depth, width, fanout)
+		root, parts, err := r.d.LoadPartDAG(r.rng, depth, width, fanout)
 		if err != nil {
 			return err
 		}
@@ -310,7 +304,7 @@ var bomMix = &Workload{
 			for q := 0; q < queries; q++ {
 				var visits int64
 				err := r.timed("bom.query", func() error {
-					return r.store.View(func(tx Tx) error {
+					return r.d.View(func(tx ode.ObjectTx) error {
 						seen := map[ode.OID]bool{root: true}
 						work := []ode.OID{root}
 						for len(work) > 0 {
@@ -386,7 +380,7 @@ var churn10xMix = &Workload{
 			if end > len(doomed) {
 				end = len(doomed)
 			}
-			err := r.store.RunTx(func(tx Tx) error {
+			err := r.d.RunTx(func(tx ode.ObjectTx) error {
 				for _, oid := range doomed[start:end] {
 					if err := tx.PDelete(oid); err != nil {
 						return err
@@ -401,7 +395,7 @@ var churn10xMix = &Workload{
 		}
 
 		if err := r.timed("compact", func() error {
-			_, err := r.w.DB.Compact()
+			_, err := r.d.DB.Compact()
 			return err
 		}); err != nil {
 			return err
@@ -413,7 +407,7 @@ var churn10xMix = &Workload{
 			mine := partition(survivors, w, r.cfg.Workers)
 			for i := 0; i < ops && i < len(mine); i++ {
 				if err := r.timed("deref", func() error {
-					return r.store.View(func(tx Tx) error {
+					return r.d.View(func(tx ode.ObjectTx) error {
 						_, err := tx.Deref(mine[i%len(mine)])
 						return err
 					})
@@ -435,7 +429,7 @@ var churn10xMix = &Workload{
 		}
 		r.count("insert", int64(len(refill)))
 		return r.timed("compact", func() error {
-			_, err := r.w.DB.Compact()
+			_, err := r.d.DB.Compact()
 			return err
 		})
 	},

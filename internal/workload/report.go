@@ -45,7 +45,7 @@ func (r *runner) report(name string, elapsed time.Duration, counters map[string]
 	ops := int64(r.ops.Load())
 	rep := &Report{
 		Workload: name,
-		Mode:     r.store.Mode(),
+		Mode:     r.d.Mode(),
 		Seed:     r.cfg.Seed,
 		Workers:  r.cfg.Workers,
 		Short:    r.cfg.Short,

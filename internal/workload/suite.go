@@ -50,5 +50,5 @@ func (wl *Workload) runOn(shape bench.Shape, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("workload %q: %w", wl.Name, err)
 	}
 	defer d.Close()
-	return wl.Run(NewStore(d), cfg)
+	return wl.Run(d, cfg)
 }

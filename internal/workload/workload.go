@@ -5,9 +5,11 @@
 // storms, and the paper's bill-of-materials fixpoint — plus the
 // larger-than-RAM churn scenario that drives online compaction.
 //
-// Each workload runs against a Store, an adapter over whichever
-// deployment shape bench.Open opened (embedded, one server, a shard group),
-// and produces a Report: throughput, a latency histogram (via the obs
+// Each workload runs against a *bench.Deployment — whichever shape
+// bench.Open opened (embedded, one server, a shard group) — through the
+// ode.ObjectTx its RunTx and View hand out, so a mix is written once and
+// no adapter sits between it and the transaction it measures. A run
+// produces a Report: throughput, a latency histogram (via the obs
 // registry types), the per-op-kind counts (a pure function of the seed,
 // so CI can assert reproducibility), and engine counter deltas.
 // cmd/ode-bench surfaces the suite as -workload <name>;
@@ -26,38 +28,6 @@ import (
 	"ode/internal/bench"
 	"ode/internal/obs"
 )
-
-// Tx is the operation surface a workload step uses: the intersection of
-// the embedded ode.Tx and the remote client.Tx APIs.
-type Tx interface {
-	PNew(c *ode.Class, o *ode.Object) (ode.OID, error)
-	Deref(oid ode.OID) (*ode.Object, error)
-	Update(oid ode.OID, o *ode.Object) error
-	PDelete(oid ode.OID) error
-	NewVersion(oid ode.OID) (ode.VRef, error)
-	DerefVersion(ref ode.VRef) (*ode.Object, error)
-	DeleteVersion(ref ode.VRef) error
-	// Count runs an indexed-or-scanned count of c objects whose int
-	// field is >= min.
-	Count(c *ode.Class, field string, min int64) (int, error)
-}
-
-// Store abstracts where a workload runs. Embedded and remote stores
-// execute the same steps; only the transport differs.
-type Store interface {
-	// Mode is "embedded", "remote" or "sharded-N"; it lands in the report.
-	Mode() string
-	// World exposes the benchmark class handles. Its DB is the embedded
-	// database, nil for a remote or sharded store; workloads that need
-	// it (triggers, compaction) declare RemoteOK = false.
-	World() *bench.World
-	RunTx(fn func(Tx) error) error
-	View(fn func(Tx) error) error
-	// CounterSnapshot flattens the engine's metric registry to the
-	// plain numeric counters (histograms are skipped); the report
-	// carries the delta across the run.
-	CounterSnapshot() (map[string]int64, error)
-}
 
 // Config parameterizes one workload run.
 type Config struct {
@@ -120,14 +90,13 @@ func Lookup(name string) (*Workload, bool) {
 	return nil, false
 }
 
-// runner carries one run's state: the store, the seeded op accounting,
-// and the latency histogram (an obs.Histogram, so the buckets match
-// every other latency metric in the engine).
+// runner carries one run's state: the deployment, the seeded op
+// accounting, and the latency histogram (an obs.Histogram, so the
+// buckets match every other latency metric in the engine).
 type runner struct {
-	store Store
-	cfg   Config
-	w     *bench.World
-	rng   *rand.Rand // setup-phase randomness; workers get their own
+	d   *bench.Deployment
+	cfg Config
+	rng *rand.Rand // setup-phase randomness; workers get their own
 
 	hist obs.Histogram
 	ops  obs.Counter
@@ -206,23 +175,20 @@ func (r *runner) fanout(totalOps int, fn func(w int, rng *rand.Rand, ops int) er
 	return nil
 }
 
-// Run executes the workload against store and builds its report.
-func (wl *Workload) Run(store Store, cfg Config) (*Report, error) {
+// Run executes the workload against d and builds its report; the
+// report's counters are the delta of d.Counters across the run.
+func (wl *Workload) Run(d *bench.Deployment, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if store.Mode() != "embedded" && !wl.RemoteOK {
+	if d.DB == nil && !wl.RemoteOK {
 		return nil, fmt.Errorf("workload %q needs embedded APIs and cannot run remotely", wl.Name)
 	}
-	if !wl.RemoteOK && store.World().DB == nil {
-		return nil, fmt.Errorf("workload %q: store has no embedded DB", wl.Name)
-	}
 	r := &runner{
-		store:    store,
+		d:        d,
 		cfg:      cfg,
-		w:        store.World(),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		opCounts: map[string]int64{},
 	}
-	before, err := store.CounterSnapshot()
+	before, err := d.Counters()
 	if err != nil {
 		return nil, fmt.Errorf("workload %q: counter snapshot: %w", wl.Name, err)
 	}
@@ -231,7 +197,7 @@ func (wl *Workload) Run(store Store, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("workload %q: %w", wl.Name, err)
 	}
 	elapsed := time.Since(start)
-	after, err := store.CounterSnapshot()
+	after, err := d.Counters()
 	if err != nil {
 		return nil, fmt.Errorf("workload %q: counter snapshot: %w", wl.Name, err)
 	}

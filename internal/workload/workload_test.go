@@ -22,7 +22,7 @@ func runOn(t *testing.T, shape bench.Shape, wl *Workload, cfg Config) (*Report, 
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	rep, err := wl.Run(NewStore(d), cfg)
+	rep, err := wl.Run(d, cfg)
 	if err != nil {
 		t.Fatalf("%s (%s): %v", wl.Name, d.Mode(), err)
 	}
@@ -103,7 +103,7 @@ func TestRemoteMatchesEmbedded(t *testing.T) {
 func TestTriggersRefusedRemotely(t *testing.T) {
 	wl, _ := Lookup("triggers")
 	_, cw := bench.Schema()
-	if _, err := wl.Run(NewStore(&bench.Deployment{World: cw}), shortCfg(1)); err == nil {
+	if _, err := wl.Run(&bench.Deployment{World: cw}, shortCfg(1)); err == nil {
 		t.Fatal("trigger mix ran remotely; it needs embedded activation")
 	}
 }
@@ -117,8 +117,7 @@ func TestChurn10xLargerThanRAM(t *testing.T) {
 	cfg := shortCfg(1)
 	opts := wl.DBOptions(cfg)
 	rep, d := runOn(t, bench.Shape{Opts: opts}, wl, cfg)
-	w := d.World
-	if pages := w.DB.Stats().Pages; int(pages) < 5*opts.PoolPages {
+	if pages := d.DB.Stats().Pages; int(pages) < 5*opts.PoolPages {
 		t.Fatalf("dataset is not larger than RAM: %d pages vs %d pool frames", pages, opts.PoolPages)
 	}
 	if rep.Counters["storage.compactions"] != 2 {

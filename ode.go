@@ -145,15 +145,6 @@ type GroupCommitOptions struct {
 	// Disable turns group commit off: commits hold the commit lock
 	// through their fsync, serializing durability waits.
 	Disable bool
-	// MaxBatch caps how many commits a leader accumulates before
-	// fsyncing when MaxDelay is set (0 = 64).
-	MaxBatch int
-	// MaxDelay, when positive, makes a group-commit leader wait up to
-	// this long (or until MaxBatch commits are staged) before issuing
-	// its fsync, trading commit latency for fewer, larger fsyncs. The
-	// default 0 fsyncs immediately; groups still form naturally from
-	// commits staged while a previous fsync is in flight.
-	MaxDelay time.Duration
 }
 
 func (o *Options) withDefaults() Options {
@@ -283,7 +274,6 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	log.SetSync(!o.NoSync)
-	log.SetGroupCommit(o.GroupCommit.MaxBatch, o.GroupCommit.MaxDelay)
 
 	// In-doubt two-phase-commit state must be captured before recovery:
 	// the rebuild below truncates the log, and prepared batches — which

@@ -309,3 +309,51 @@ func TestVersionBranchingThroughFacade(t *testing.T) {
 		return nil
 	})
 }
+
+// TestScanPlansLikeForall pins the one translation from a scan
+// descriptor to the engine's forall: a Scan plans exactly as the
+// hand-built query does, and EmbeddedTx's three scan methods agree.
+func TestScanPlansLikeForall(t *testing.T) {
+	db, stock := openTestDB(t, nil)
+	for i := 0; i < 10; i++ {
+		addItem(t, db, stock, fmt.Sprintf("item-%d", i), int64(i), 1)
+	}
+	if err := db.CreateIndex(stock, "qty"); err != nil {
+		t.Fatal(err)
+	}
+	err := db.View(func(tx *Tx) error {
+		for _, tc := range []struct {
+			scan Scan
+			want *Query
+		}{
+			{Scan{Class: stock}, Forall(tx, stock)},
+			{Scan{Class: stock, Subtypes: true}, Forall(tx, stock).Subtypes()},
+			{Scan{Class: stock, Field: "qty", Op: CmpGe, Value: Int(7)}, Forall(tx, stock).SuchThat(Field("qty").Ge(Int(7)))},
+			{Scan{Class: stock, Field: "qty", Op: CmpLt, Value: Int(7), NoIndex: true}, Forall(tx, stock).SuchThat(Field("qty").Lt(Int(7))).NoIndex()},
+		} {
+			if got, want := Explain(tc.scan.Query(tx)).String(), Explain(tc.want).String(); got != want {
+				t.Errorf("%+v plans as %q, the forall as %q", tc.scan, got, want)
+			}
+		}
+		etx, scan := EmbeddedTx{tx}, &Scan{Class: stock, Field: "qty", Op: CmpGe, Value: Int(7)}
+		count, err := etx.Count(scan)
+		if err != nil {
+			return err
+		}
+		oids, objs, err := etx.Collect(scan)
+		if err != nil {
+			return err
+		}
+		rows, err := etx.Forall(scan, func(OID, *Object) (bool, error) { return true, nil })
+		if count != 3 || len(oids) != 3 || len(objs) != 3 || rows != 3 || err != nil {
+			t.Errorf("count %d, collect %d/%d, forall %d (%v), want 3 each", count, len(oids), len(objs), rows, err)
+		}
+		if rows, err = etx.Forall(scan, func(OID, *Object) (bool, error) { return false, nil }); rows != 1 || err != nil {
+			t.Errorf("early stop delivered %d rows (%v)", rows, err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
