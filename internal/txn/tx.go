@@ -306,14 +306,7 @@ func (e *Engine) BeginCtx(ctx context.Context) *Tx {
 		ctx = context.Background()
 	}
 	e.met.Txn.Begins.Inc()
-	return &Tx{
-		engine:  e,
-		id:      e.nextID.Add(1),
-		ctx:     ctx,
-		writes:  make(map[core.OID]*txWrite),
-		frozen:  make(map[core.VRef]*core.Object),
-		current: make(map[core.OID]uint32),
-	}
+	return &Tx{engine: e, id: e.nextID.Add(1), ctx: ctx}
 }
 
 // FailedTx returns a transaction that was never admitted: every
@@ -347,6 +340,8 @@ type Tx struct {
 	failErr error           // stateFailed: the admission rejection
 	noted   atomic.Bool     // Cancels metric latch (parallel scans share a Tx)
 
+	// The three maps are nil until the first write (setWrite,
+	// setCurrent, NewVersion): a read-only transaction never makes one.
 	writes  map[core.OID]*txWrite
 	ops     []wal.Op
 	frozen  map[core.VRef]*core.Object // buffered newversion snapshots
@@ -357,6 +352,22 @@ type Tx struct {
 	onFinish []func() // run once, after locks release
 
 	// Touched is exported through accessors for the trigger layer.
+}
+
+// setWrite buffers oid's state, making the write set on first use.
+func (tx *Tx) setWrite(oid core.OID, w *txWrite) {
+	if tx.writes == nil {
+		tx.writes = make(map[core.OID]*txWrite)
+	}
+	tx.writes[oid] = w
+}
+
+// setCurrent buffers oid's current-version number.
+func (tx *Tx) setCurrent(oid core.OID, v uint32) {
+	if tx.current == nil {
+		tx.current = make(map[core.OID]uint32)
+	}
+	tx.current[oid] = v
 }
 
 // OnFinish registers fn to run exactly once when the transaction
@@ -513,8 +524,8 @@ func (tx *Tx) PNew(c *core.Class, init *core.Object) (core.OID, error) {
 	if err := tx.lock(oid, Exclusive); err != nil {
 		return core.NilOID, err
 	}
-	tx.writes[oid] = &txWrite{obj: o, created: true, dirty: true}
-	tx.current[oid] = 0
+	tx.setWrite(oid, &txWrite{obj: o, created: true, dirty: true})
+	tx.setCurrent(oid, 0)
 	return oid, nil
 }
 
@@ -546,9 +557,9 @@ func (tx *Tx) Update(oid core.OID, o *core.Object) error {
 	if old.Class() != o.Class() {
 		return fmt.Errorf("txn: update changes class of @%d from %s to %s", oid, old.Class().Name, o.Class().Name)
 	}
-	tx.writes[oid] = &txWrite{obj: o.Copy(), dirty: true}
+	tx.setWrite(oid, &txWrite{obj: o.Copy(), dirty: true})
 	if _, ok := tx.current[oid]; !ok {
-		tx.current[oid] = cur
+		tx.setCurrent(oid, cur)
 	}
 	return nil
 }
@@ -575,7 +586,7 @@ func (tx *Tx) PDelete(oid core.OID) error {
 	} else if !ok {
 		return fmt.Errorf("%w: @%d", object.ErrNoObject, oid)
 	}
-	tx.writes[oid] = &txWrite{dirty: true}
+	tx.setWrite(oid, &txWrite{dirty: true})
 	return nil
 }
 
@@ -617,13 +628,16 @@ func (tx *Tx) NewVersion(oid core.OID) (core.VRef, error) {
 		return core.VRef{}, err
 	}
 	ref := core.VRef{OID: oid, Version: cur}
+	if tx.frozen == nil {
+		tx.frozen = make(map[core.VRef]*core.Object)
+	}
 	tx.frozen[ref] = state
-	tx.current[oid] = cur + 1
+	tx.setCurrent(oid, cur+1)
 	// Ensure the object is in the write set so the version bump lands.
 	if w, ok := tx.writes[oid]; ok {
 		w.dirty = true
 	} else {
-		tx.writes[oid] = &txWrite{obj: state.Copy(), dirty: true}
+		tx.setWrite(oid, &txWrite{obj: state.Copy(), dirty: true})
 	}
 	return ref, nil
 }

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -423,14 +424,25 @@ func TestConcurrentCounterIncrements(t *testing.T) {
 	oid, _ := tx.PNew(item, newItem(item, "ctr", 0))
 	tx.Commit()
 
-	const workers, rounds = 8, 25
+	// Every worker reads then upgrades, so all but one attempt in a
+	// round of contenders is a deadlock victim. Retrying at once keeps
+	// the victims in lockstep (on one CPU under -race, for minutes), so
+	// back off as ode.RetryBackoff does — capped exponential envelope,
+	// jittered — and give up after a bounded number of attempts.
+	const workers, rounds, maxAttempts = 8, 25, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
 			for r := 0; r < rounds; r++ {
-				for {
+				done := false
+				for attempt := 0; attempt < maxAttempts && !done; attempt++ {
+					if attempt > 0 {
+						envelope := 100 * time.Microsecond << min(attempt, 6)
+						time.Sleep(envelope/2 + time.Duration(rng.Int63n(int64(envelope/2))))
+					}
 					tx := e.Begin()
 					o, err := tx.Deref(oid)
 					if err != nil {
@@ -446,12 +458,14 @@ func TestConcurrentCounterIncrements(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if err := tx.Commit(); err == nil {
-						break
-					}
+					done = tx.Commit() == nil
+				}
+				if !done {
+					t.Errorf("worker %d round %d: no commit in %d attempts", w, r, maxAttempts)
+					return
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	tx2 := e.Begin()
