@@ -10,8 +10,6 @@
 //
 //	ode-bench [-quick] [-run E3,E7] [-http :8080] [-workers N] [-json FILE]
 //	          [-max-tx N] [-deadline D] [-overload N] [-connect ADDR]
-//	ode-bench -workload all [-quick] [-seed N] [-workers N] [-json FILE]
-//	          [-loopback | -loopback-shards N | -connect ADDR[,ADDR...]]
 //
 // With -http, the engine metrics of the world currently under
 // measurement are published as expvar at /debug/vars (key "ode",
@@ -42,13 +40,6 @@ type config struct {
 	run      map[string]bool // experiment ids to run (empty: all)
 	httpAddr string
 	jsonPath string
-
-	// -workload mode (workloads.go)
-	workloads      string
-	seed           int64
-	workersSet     bool
-	loopback       bool
-	loopbackShards int
 }
 
 // parseFlags turns the command line into a config; what is wrong with
@@ -70,21 +61,13 @@ func parseFlags(args []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&c.params.Overload, "overload", c.params.Overload,
 		"offered-load multiplier over -max-tx for the governance experiment (E14)")
 	fs.StringVar(&c.params.Connect, "connect", "",
-		"HOST:PORT[,HOST:PORT...] of running ode-server daemons (started with -bench-schema) to measure instead of in-process loopback servers: one address is a direct session (E15, workload mode), several are a shard group behind the router (workload mode: scatter-gather scans, 2PC commits)")
-	fs.StringVar(&c.workloads, "workload", "",
-		"run the macro workload suite instead of the experiments: comma-separated mix names, or 'all' (docs/TESTING.md); -seed/-workers/-quick apply; with -connect the remote-capable mixes run against those servers, with -loopback both embedded and loopback-remote rows are produced")
-	fs.Int64Var(&c.seed, "seed", 0, "workload PRNG seed (0: 1)")
-	fs.BoolVar(&c.loopback, "loopback", false,
-		"workload mode: follow the embedded rows with remote rows through an in-process server (baseline recording)")
-	fs.IntVar(&c.loopbackShards, "loopback-shards", 0,
-		"workload mode: boot N in-process shard servers and run the remote-capable mixes through the router (how BENCH_4.json is recorded)")
+		"HOST:PORT of a running ode-server daemon (started with -bench-schema) for E15 to measure instead of an in-process loopback server")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if *quick {
 		c.params.Div = 10
 	}
-	fs.Visit(func(f *flag.Flag) { c.workersSet = c.workersSet || f.Name == "workers" })
 	known := map[string]bool{}
 	for _, x := range bench.Experiments {
 		known[x.ID] = true
@@ -109,9 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	c, err := parseFlags(args, stderr)
 	if err != nil {
 		return 2
-	}
-	if c.workloads != "" {
-		return runWorkloads(c, stdout, stderr)
 	}
 	if c.httpAddr != "" {
 		serveMetrics(c.httpAddr, stdout, stderr)
@@ -174,8 +154,7 @@ func runExperiment(x bench.Experiment, p bench.Params, stdout io.Writer) ([]benc
 	return results, nil
 }
 
-// benchResult is one measured row of the machine-readable output. The
-// field order is what ci/gate_lib.sh's line scan relies on.
+// benchResult is one measured row of the machine-readable output.
 type benchResult struct {
 	Experiment string             `json:"experiment"`
 	Workload   string             `json:"workload"`

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"ode/internal/bench"
-	"ode/internal/workload"
 )
 
 func TestFlagsToParams(t *testing.T) {
@@ -28,7 +27,7 @@ func TestFlagsToParams(t *testing.T) {
 	if !reflect.DeepEqual(c.run, map[string]bool{"E3": true, "E16": true}) {
 		t.Errorf("run filter %v", c.run)
 	}
-	if c.jsonPath != "out.json" || c.httpAddr != ":0" || !c.workersSet {
+	if c.jsonPath != "out.json" || c.httpAddr != ":0" {
 		t.Errorf("config %+v", c)
 	}
 
@@ -36,16 +35,8 @@ func TestFlagsToParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.params != bench.Defaults() || c.workersSet || len(c.run) != 0 {
+	if c.params != bench.Defaults() || len(c.run) != 0 {
 		t.Errorf("defaults: %+v", c)
-	}
-
-	c, err = parseFlags([]string{"-workload", "all", "-seed", "7", "-loopback", "-loopback-shards", "3", "-connect", "a,b"}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.workloads != "all" || c.seed != 7 || !c.loopback || c.loopbackShards != 3 || c.params.Connect != "a,b" {
-		t.Errorf("workload flags: %+v", c)
 	}
 }
 
@@ -54,7 +45,9 @@ func TestBadCommandLines(t *testing.T) {
 		{"-run", "E3,E99"},         // unknown experiment id
 		{"-faults"},                // removed: TestTortureCI fronts the torture suite
 		{"-connect-shards", "a,b"}, // removed: -connect takes the list
-		{"-workload", "nosuchmix"},
+		{"-workload", "all"},       // removed with its suite: benchmark/ runs the mixes
+		{"-seed", "1"},             // went with -workload
+		{"-loopback"},              // went with -workload
 	} {
 		var stderr bytes.Buffer
 		if code := run(args, io.Discard, &stderr); code != 2 || stderr.Len() == 0 {
@@ -64,8 +57,7 @@ func TestBadCommandLines(t *testing.T) {
 }
 
 // TestRecord pins the -json labels: a row with several timings records
-// each under the row name plus its own column only, and the E16 names
-// ci/bench_gate.sh greps stay as they are.
+// each under the row name plus its own column only.
 func TestRecord(t *testing.T) {
 	m := &bench.Measurement{PerOp: 1500 * time.Nanosecond, Extra: map[string]float64{}}
 	for _, tc := range []struct {
@@ -121,46 +113,5 @@ func TestRunExperimentTable(t *testing.T) {
 	}
 	if len(rows) != 9 || rows[1].Workload != "objects=100 scan" || rows[1].Extra["pages"] == 0 {
 		t.Errorf("rows: %+v", rows)
-	}
-}
-
-// TestWorkloadModeMatchesBaseline is the gate's determinism contract
-// run in-process: a seeded short mix, embedded and loopback-remote,
-// must reproduce the committed WORKLOAD_BASELINE.json op counts.
-func TestWorkloadModeMatchesBaseline(t *testing.T) {
-	decode := func(file string) map[string]*workload.Report {
-		raw, err := os.ReadFile(file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reps, err := workload.DecodeReports(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		byRow := map[string]*workload.Report{}
-		for _, rep := range reps {
-			byRow[rep.Workload+"/"+rep.Mode] = rep
-		}
-		return byRow
-	}
-	file := filepath.Join(t.TempDir(), "wl.json")
-	var stderr bytes.Buffer
-	if code := run([]string{"-workload", "bom,triggers", "-loopback", "-quick", "-seed", "1", "-json", file}, io.Discard, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	got, baseline := decode(file), decode("../../WORKLOAD_BASELINE.json")
-	// bom runs in both shapes; triggers needs embedded APIs and gets no
-	// remote row.
-	if len(got) != 3 {
-		t.Errorf("wrote %d rows, want bom/embedded, bom/remote, triggers/embedded", len(got))
-	}
-	for _, row := range []string{"bom/embedded", "bom/remote", "triggers/embedded"} {
-		rep, base := got[row], baseline[row]
-		if rep == nil || base == nil {
-			t.Errorf("%s: report %v, baseline %v", row, rep, base)
-		} else if !reflect.DeepEqual(base.OpCounts, rep.OpCounts) || base.Workers != rep.Workers {
-			t.Errorf("%s: op counts %v (workers %d), baseline %v (workers %d)",
-				row, rep.OpCounts, rep.Workers, base.OpCounts, base.Workers)
-		}
 	}
 }

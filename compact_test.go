@@ -128,6 +128,79 @@ func TestCompactReclaimsPages(t *testing.T) {
 	checkSurvivors(t, db2, survivors)
 }
 
+// TestCompactLargerThanPool is the larger-than-RAM acceptance test: a
+// dataset many times the buffer pool survives mass delete, online
+// compaction, a read of every survivor through the too-small pool, a
+// refill into the reclaimed pages and a second compaction.
+func TestCompactLargerThanPool(t *testing.T) {
+	const pool = 32
+	db, stock := openTestDB(t, &Options{NoSync: true, PoolPages: pool})
+	// Names padded to 96 bytes put about 40 records on a 4 KiB page, so
+	// 400 per pool frame is about ten times the pool.
+	const n = pool * 400
+	insert := func(count int) []OID { // qty = position
+		oids := make([]OID, 0, count)
+		for start := 0; start < count; start += 500 {
+			if err := db.RunTx(func(tx *Tx) error {
+				oids = oids[:start]
+				for i := start; i < min(start+500, count); i++ {
+					o := NewObject(stock)
+					o.MustSet("name", Str(fmt.Sprintf("%-96s", fmt.Sprintf("item-%07d", i))))
+					o.MustSet("qty", Int(int64(i)))
+					o.MustSet("price", Float(1))
+					oid, err := tx.PNew(stock, o)
+					if err != nil {
+						return err
+					}
+					oids = append(oids, oid)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return oids
+	}
+	oids := insert(n)
+	if pages := db.Stats().Pages; int(pages) < 5*pool {
+		t.Fatalf("dataset is not larger than the pool: %d pages vs %d frames", pages, pool)
+	}
+
+	// Delete a seeded 85 %, which leaves every heap page sparse.
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	doomed, kept := order[:n*85/100], order[n*85/100:]
+	for start := 0; start < len(doomed); start += 500 {
+		if err := db.RunTx(func(tx *Tx) error {
+			for _, i := range doomed[start:min(start+500, len(doomed))] {
+				if err := tx.PDelete(oids[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	survivors := make(map[OID]int64, len(kept))
+	for _, i := range kept {
+		survivors[oids[i]] = int64(i)
+	}
+	checkSurvivors(t, db, survivors)
+
+	insert(n / 4)
+	if _, err := db.Compact(); err != nil {
+		t.Fatalf("second Compact: %v", err)
+	}
+	checkSurvivors(t, db, survivors)
+	st := db.Stats().Storage
+	if st.Compactions != 2 || st.PagesReclaimed == 0 {
+		t.Fatalf("storage.compactions = %d, storage.pages_reclaimed = %d; want 2 and > 0", st.Compactions, st.PagesReclaimed)
+	}
+}
+
 func TestCompactEmptyAndIdempotent(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	if _, err := db.Compact(); err != nil {

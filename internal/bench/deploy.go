@@ -41,6 +41,9 @@ type Shape struct {
 // a shard group behind the router, in shard order.
 func Connect(list string) Shape {
 	addrs := strings.Split(list, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+	}
 	if len(addrs) > 1 {
 		return Shape{Kind: Sharded, Addrs: addrs}
 	}
@@ -179,18 +182,10 @@ func (d *Deployment) Counters() (map[string]int64, error) {
 			}
 		}
 	}
-	var servers []*client.Client
-	switch {
-	case d.DB != nil:
+	if d.DB != nil {
 		add(d.DB.MetricsRegistry().Snapshot())
-	case d.Router != nil:
-		for i := 0; i < d.Router.NumShards(); i++ {
-			servers = append(servers, d.Router.Shard(i))
-		}
-	default:
-		servers = []*client.Client{d.Client}
 	}
-	for i, c := range servers {
+	for i, c := range d.clients() {
 		raw, err := c.MetricsJSON(context.Background())
 		if err != nil {
 			return nil, fmt.Errorf("server %d metrics: %w", i, err)
@@ -204,7 +199,23 @@ func (d *Deployment) Counters() (map[string]int64, error) {
 	return total, nil
 }
 
-// Mode names the shape the way workload reports record it.
+// clients lists the client of every server under the deployment: none
+// when Embedded, one per shard in slot order when Sharded.
+func (d *Deployment) clients() []*client.Client {
+	switch {
+	case d.Router != nil:
+		cs := make([]*client.Client, d.Router.NumShards())
+		for i := range cs {
+			cs[i] = d.Router.Shard(i)
+		}
+		return cs
+	case d.Client != nil:
+		return []*client.Client{d.Client}
+	}
+	return nil
+}
+
+// Mode names the shape, with the shard count of a group.
 func (d *Deployment) Mode() string {
 	switch {
 	case d.Router != nil:

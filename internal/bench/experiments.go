@@ -716,10 +716,8 @@ func buildE15(e *Env) {
 // carrying the image) against a warmed cache (first touch per
 // transaction revalidates by tag, repeats are local). The third fast
 // path, the low-allocation frame codec, is pinned by
-// BenchmarkFrameRoundTrip in internal/wire rather than here.
-//
-// ci/bench_gate.sh greps the tx20 row names out of the -json output, so
-// they must not drift.
+// BenchmarkFrameRoundTrip in internal/wire rather than here. What these
+// rows time, TestWorkGates holds as counts (commit-20, hot-deref).
 func buildE16(e *Env) {
 	const txBatch = 20
 	txsPerWorker := e.scale(60, 8)

@@ -7,10 +7,11 @@
 // and its one timing loop; experiments.go the sixteen experiments;
 // deploy.go Open, the opener for the three deployment shapes, whose
 // Deployment is the one provider of transactions: RunTx and View hand
-// out ode.ObjectTx, so loaders, experiments and mixes are written once
-// for embedded, remote and sharded. cmd/ode-bench prints the table,
+// out ode.ObjectTx, so loaders, experiments and gate scripts are written
+// once for embedded, remote and sharded. cmd/ode-bench prints the table,
 // BenchmarkExperiments (bench_test.go) runs it under testing.B, and
-// internal/workload runs its mixes on the same deployments.
+// TestWorkGates (gates_test.go) holds the work counters of short
+// scripts on the same deployments.
 package bench
 
 import (
