@@ -17,9 +17,11 @@ import (
 //
 //   - A cached object is only ever served after the server proves the
 //     tag still matches — either directly (CmdDerefCached returned
-//     "not modified") or transitively (an earlier round trip in the
-//     same transaction validated the tag, and the server still holds
-//     that transaction's read lock, so the image cannot have changed).
+//     "not modified", for the object asked for or for a neighbour
+//     revalidated in the same frame) or transitively (an earlier round
+//     trip in the same transaction validated the tag, and the server
+//     still holds that transaction's read lock, so the image cannot
+//     have changed).
 //   - Fills and invalidations can race across connections; a stale
 //     fill is harmless because its stale tag fails the next
 //     revalidation. The cache trades at worst one extra round trip,
@@ -82,6 +84,21 @@ func (c *objCache) get(oid ode.OID) (*ode.Object, uint64, bool) {
 	ent := e.Value.(*objCacheEntry)
 	s.mu.Unlock()
 	return ent.obj.Copy(), ent.tag, true
+}
+
+// peek returns the cached image itself and its tag, without copying it
+// or moving it in the LRU order. The object is shared and immutable:
+// the caller reads it and must neither change nor hand it out.
+func (c *objCache) peek(oid ode.OID) (*ode.Object, uint64, bool) {
+	s := c.shard(oid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[oid]
+	if !ok {
+		return nil, 0, false
+	}
+	ent := e.Value.(*objCacheEntry)
+	return ent.obj, ent.tag, true
 }
 
 // put stores obj (which must be a private copy the caller will never

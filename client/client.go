@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"ode"
+	"ode/internal/obs"
 	"ode/internal/wire"
 )
 
@@ -54,7 +55,8 @@ type Options struct {
 	// 4096; negative disables caching). Cached objects are tagged with
 	// the content hash of their encoded image; a deref revalidates the
 	// tag with the server (one cheap "not modified" round trip, no
-	// image shipping or decode) or serves locally when the transaction
+	// image shipping or decode, that also revalidates the cached
+	// objects reachable from it) or serves locally when the transaction
 	// has already proven the tag. docs/SERVER.md describes the
 	// coherence protocol.
 	CacheSize int
@@ -116,9 +118,9 @@ func Dial(addr string, schema *ode.Schema, opts *Options) (*Client, error) {
 // Schema returns the schema images are decoded against.
 func (c *Client) Schema() *ode.Schema { return c.schema }
 
-// CacheMetrics returns the client's object-cache counters (hits,
-// misses, invalidations). The set is owned by the Client; call
-// Metrics.Attach to export it through an obs registry.
+// CacheMetrics returns the client's counters: object-cache hits, misses
+// and invalidations, and round trips. The set is owned by the Client;
+// call Metrics.Attach to export it through an obs registry.
 func (c *Client) CacheMetrics() *Metrics { return &c.met }
 
 // InvalidateCache drops every cached decoded object. The Replicated
@@ -168,7 +170,7 @@ func (c *Client) dial() (*wconn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	br := bufio.NewReader(nc)
-	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, c.opts.MaxFrame)}, nil
+	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, c.opts.MaxFrame), trips: &c.met.RoundTrips}, nil
 }
 
 // get returns an idle connection or dials a new one.
@@ -277,56 +279,38 @@ func (c *Client) View(ctx context.Context, fn func(tx *Tx) error) error {
 	return fn(tx)
 }
 
-// Begin opens a remote transaction pinned to one pooled connection.
-// The context's deadline (or Options.TxDeadline when it has none)
-// travels to the server and bounds the transaction there — lock
-// waits, scans, and commit observe it server-side; the same context
-// also bounds every round trip client-side.
+// Begin opens a remote transaction pinned to one pooled connection. It
+// sends nothing: the begin frame rides in front of the transaction's
+// first request (Tx.send), so a transaction costs no round trip of its
+// own, and one that sends nothing costs none at all. The context's
+// deadline (or Options.TxDeadline when it has none) travels with that
+// begin and bounds the transaction on the server — lock waits, scans,
+// and commit observe it server-side; the same context also bounds every
+// round trip client-side. A server's refusal to begin (overload, a
+// closed database) is therefore the error of the first operation, as
+// with an embedded transaction admission control turned away.
 func (c *Client) Begin(ctx context.Context) (*Tx, error) {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= 0 {
+		return nil, fmt.Errorf("%w: %v", ode.ErrTxTimeout, context.DeadlineExceeded)
+	}
 	cn, err := c.get()
 	if err != nil {
 		return nil, err
 	}
+	return &Tx{c: c, cn: cn, ctx: ctx, beginID: cn.newID()}, nil
+}
+
+// beginFrame builds the begin request, carrying the time left before
+// the context's deadline (or Options.TxDeadline), and leaves room for
+// the frames that follow it.
+func (c *Client) beginFrame(ctx context.Context, id uint64, room int) []byte {
 	var ms uint64
 	if dl, ok := ctx.Deadline(); ok {
-		left := time.Until(dl)
-		if left <= 0 {
-			c.put(cn)
-			return nil, fmt.Errorf("%w: %v", ode.ErrTxTimeout, context.DeadlineExceeded)
-		}
-		ms = uint64((left + time.Millisecond - 1) / time.Millisecond)
+		ms = uint64(max((time.Until(dl)+time.Millisecond-1)/time.Millisecond, 1))
 	} else if c.opts.TxDeadline > 0 {
 		ms = uint64(c.opts.TxDeadline / time.Millisecond)
 	}
-	resp, err := cn.roundTrip(ctx, wire.CmdBegin, wire.AppendUvarint(nil, ms))
-	if err != nil {
-		c.put(cn)
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		// A typed rejection (overload, closed) leaves the connection
-		// healthy; pool it.
-		c.put(cn)
-		return nil, err
-	}
-	d := wire.NewDec(resp.Body)
-	id := d.Uvarint()
-	if err := d.Err(); err != nil {
-		cn.broken = true
-		c.put(cn)
-		return nil, err
-	}
-	tx := &Tx{c: c, cn: cn, ctx: ctx, id: id}
-	// The epoch and the node's applied LSN ride after the id on
-	// epoch-aware servers; a short body is an older server, not an
-	// error.
-	if epoch := d.Uvarint(); d.Err() == nil {
-		tx.epoch = epoch
-	}
-	if applied := d.Uvarint(); d.Err() == nil {
-		tx.applied = applied
-	}
-	return tx, nil
+	return wire.AppendFrame(make([]byte, 0, 32+room), &wire.Frame{ReqID: id, Type: wire.CmdBegin, Body: wire.AppendUvarint(nil, ms)})
 }
 
 // wconn is one protocol connection: socket, buffered reader, request
@@ -338,6 +322,13 @@ type wconn struct {
 	fr     *wire.FrameReader // reused frame+buffer; see recv
 	nextID uint64
 	broken bool
+	trips  *obs.Counter // the owning client's client.round_trips
+}
+
+// newID numbers the next request on the connection.
+func (cn *wconn) newID() uint64 {
+	cn.nextID++
+	return cn.nextID
 }
 
 // send writes request frames (one syscall for a pipeline batch).
@@ -376,8 +367,7 @@ func (cn *wconn) recv(wantID uint64) (*wire.Frame, error) {
 // context's deadline becomes the socket deadline, and cancellation
 // unblocks the read.
 func (cn *wconn) roundTrip(ctx context.Context, typ byte, body []byte) (*wire.Frame, error) {
-	cn.nextID++
-	id := cn.nextID
+	id := cn.newID()
 	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body})
 	var resp *wire.Frame
 	err := cn.do(ctx, func() error {
@@ -391,8 +381,11 @@ func (cn *wconn) roundTrip(ctx context.Context, typ byte, body []byte) (*wire.Fr
 	return resp, err
 }
 
-// do runs one socket exchange with ctx governing the socket deadline.
+// do runs one socket exchange — a send and the reads of its replies —
+// with ctx governing the socket deadline. Each exchange is one round
+// trip, and counted as one.
 func (cn *wconn) do(ctx context.Context, fn func() error) error {
+	cn.trips.Inc()
 	if dl, ok := ctx.Deadline(); ok {
 		cn.nc.SetDeadline(dl)
 	} else {

@@ -21,10 +21,38 @@ import (
 // in flight and the objects and versions earlier steps made.
 type run struct {
 	begin func() ode.ObjectTx
+	trips func() uint64 // client round trips so far; 0 in process
 	tx    ode.ObjectTx
 	stock *ode.Class
+	cell  *ode.Class
+	chain ode.OID // the head of a chain of chainLen cells, value = position
 	oid   map[string]ode.OID
 	ref   map[string]ode.VRef
+}
+
+// chainLen is the conformance chain's length: more cells than one
+// revalidation frame carries, so a remote walk needs two.
+const chainLen = 80
+
+// walk follows the chain in a fresh transaction, reporting the cells
+// whose value differs from the position (as "position=value") and how
+// the walk ended.
+func (r *run) walk() string {
+	tx := r.begin()
+	defer tx.Abort()
+	var odd []any
+	oid := r.chain
+	for i := 0; i < chainLen; i++ {
+		o, err := tx.Deref(oid)
+		if err != nil {
+			return outcome(err)
+		}
+		if v := o.MustGet("value").Int(); v != int64(i) {
+			odd = append(odd, fmt.Sprintf("%d=%d", i, v))
+		}
+		oid, _ = o.MustGet("next").AnyOID()
+	}
+	return join(append(odd, "end", oid == ode.NilOID)...)
 }
 
 func (r *run) item(name string, qty int64) *ode.Object {
@@ -47,6 +75,8 @@ func outcome(err error) string {
 		return "ErrNoObject"
 	case errors.Is(err, ode.ErrNoVersion):
 		return "ErrNoVersion"
+	case errors.Is(err, ode.ErrOverloaded):
+		return "ErrOverloaded"
 	}
 	return "error: " + err.Error()
 }
@@ -209,17 +239,97 @@ var script = []struct {
 		r.tx.Abort()
 		return r.everyOp()
 	}, "ErrTxDone"},
+
+	// A pointer chase: the first walk fills a client's cache, the
+	// second revalidates what it reached, and after a cell changes
+	// behind the cache the walk reads the new value.
+	{"chain walk", func(r *run) string {
+		r.tx = r.begin()
+		head := ode.NilOID
+		for i := chainLen - 1; i >= 0; i-- {
+			o := ode.NewObject(r.cell)
+			o.MustSet("value", ode.Int(int64(i)))
+			o.MustSet("next", ode.Ref(head))
+			var err error
+			if head, err = r.tx.PNew(r.cell, o); err != nil {
+				return outcome(err)
+			}
+		}
+		r.chain = head
+		return join(outcome(r.tx.Commit()), r.walk(), r.walk())
+	}, "ok end true end true"},
+	{"chain walk after a change", func(r *run) string {
+		r.tx = r.begin()
+		oid := r.chain
+		for i := 0; i < 5; i++ {
+			o, err := r.tx.Deref(oid)
+			if err != nil {
+				return outcome(err)
+			}
+			if i == 4 {
+				o.MustSet("value", ode.Int(-4))
+				if err := r.tx.Update(oid, o); err != nil {
+					return outcome(err)
+				}
+			}
+			oid, _ = o.MustGet("next").AnyOID()
+		}
+		return join(outcome(r.tx.Commit()), r.walk())
+	}, "ok 4=-4 end true"},
+
+	// A transaction that touches nothing costs nothing: no round trip
+	// for its begin, its commit or its abort.
+	{"touches nothing", func(r *run) string {
+		before := r.trips()
+		r.begin().Abort()
+		err := r.begin().Commit()
+		return join(outcome(err), r.trips()-before)
+	}, "ok 0"},
+
+	// A begin admission control refuses — every slot held, no queue —
+	// is the error of the transaction's first operation and of all that
+	// follow, and ending the transaction releases nothing it never had.
+	{"begin refused", func(r *run) string {
+		hold := r.begin()
+		if _, err := hold.Deref(r.oid["a"]); err != nil {
+			return outcome(err)
+		}
+		tx := r.begin()
+		_, e1 := tx.Deref(r.oid["a"])
+		e2 := tx.Update(r.oid["a"], r.item("refused", 0)) // a router refuses per shard: stay on a's
+		e3 := tx.Commit()
+		tx.Abort()
+		hold.Abort()
+		r.tx = r.begin()
+		defer r.tx.Abort()
+		return join(outcome(e1), outcome(e2), outcome(e3), qty(r.tx.Deref(r.oid["a"])))
+	}, "ErrOverloaded ErrOverloaded ErrOverloaded qty=11"},
 }
 
 func TestObjectTxConformance(t *testing.T) {
-	for _, shape := range []bench.Shape{{}, {Kind: bench.Remote}, {Kind: bench.Sharded, Shards: 3}} {
+	// One admission slot per database and no queue: the script is
+	// serial, and a second concurrent transaction is refused at once.
+	opts := &ode.Options{NoSync: true, MaxConcurrentTx: 1, MaxQueuedTx: -1}
+	for _, shape := range []bench.Shape{{Opts: opts}, {Kind: bench.Remote, Opts: opts}, {Kind: bench.Sharded, Shards: 3, Opts: opts}} {
 		d, err := bench.Open(shape)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(d.Mode(), func(t *testing.T) {
 			defer d.Close()
-			r := &run{stock: d.Stock, oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
+			r := &run{stock: d.Stock, cell: d.Cell, oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
+			r.trips = func() uint64 {
+				var n uint64
+				if d.Client != nil {
+					n += d.Client.CacheMetrics().RoundTrips.Load()
+				}
+				if d.Router != nil {
+					for i := 0; i < d.Router.NumShards(); i++ {
+						n += d.Router.Shard(i).CacheMetrics().RoundTrips.Load()
+					}
+				}
+				return n
+			}
 			r.begin = func() ode.ObjectTx {
 				ctx := context.Background()
 				switch {

@@ -8,7 +8,8 @@ import (
 
 // Pipeline batches operations into one network round trip: queue
 // operations, then Flush writes every request frame in a single send
-// and reads the responses in order. Each queued operation returns a
+// (behind the transaction's begin, when it is the first) and reads the
+// responses in order. Each queued operation returns a
 // future resolved by Flush. Results within a batch are independent —
 // one operation's typed failure (say, a constraint pre-check) does not
 // stop the rest; each future carries its own outcome.
@@ -62,13 +63,12 @@ func (f *Future) Object(s *ode.Schema) (*ode.Object, error) {
 // enqueue appends one request frame and its future. Once the
 // transaction is done its connection belongs to the pool (and possibly
 // a new owner), so a late enqueue must not touch it: the future carries
-// ErrTxDone and nothing is queued.
+// ErrTxDone (or the begin's refusal) and nothing is queued.
 func (p *Pipeline) enqueue(typ, want byte, body []byte) *Future {
-	if p.tx.done {
-		return &Future{err: ode.ErrTxDone}
+	if err := p.tx.err(); err != nil {
+		return &Future{err: err}
 	}
-	p.tx.cn.nextID++
-	f := &Future{reqID: p.tx.cn.nextID, want: want}
+	f := &Future{reqID: p.tx.cn.newID(), want: want}
 	p.buf = wire.AppendFrame(p.buf, &wire.Frame{ReqID: f.reqID, Type: typ, Body: body})
 	p.pend = append(p.pend, f)
 	return f
@@ -114,16 +114,10 @@ func (p *Pipeline) Flush() error {
 		return nil
 	}
 	tx := p.tx
-	if tx.done {
-		return ode.ErrTxDone
-	}
 	cn := tx.cn
 	buf, pend := p.buf, p.pend
 	p.buf, p.pend = nil, nil
-	return cn.do(tx.context(), func() error {
-		if err := cn.send(buf); err != nil {
-			return err
-		}
+	err := tx.send(buf, func() error {
 		for _, f := range pend {
 			resp, err := cn.recv(f.reqID)
 			if err != nil {
@@ -141,6 +135,14 @@ func (p *Pipeline) Flush() error {
 		}
 		return nil
 	})
+	if tx.failed != nil {
+		// The batch rode the begin the server refused: that refusal is
+		// every operation's outcome.
+		for _, f := range pend {
+			f.err = tx.failed
+		}
+	}
+	return err
 }
 
 // resolve decodes a success response into the future.

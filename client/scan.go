@@ -55,21 +55,17 @@ func scanReq(s *Scan, withBatch bool) []byte {
 // (the remaining stream is drained). An error frame mid-stream ends
 // the scan with that typed error.
 func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
-	if tx.done {
-		return 0, ode.ErrTxDone
+	if err := tx.err(); err != nil {
+		return 0, err
 	}
 	cn := tx.cn
-	cn.nextID++
-	id := cn.nextID
+	id := cn.newID()
 	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: wire.CmdForall, Body: scanReq(s, true)})
 
 	total := 0
 	var scanErr error
 	stop := false
-	err := cn.do(tx.context(), func() error {
-		if err := cn.send(buf); err != nil {
-			return err
-		}
+	err := tx.send(buf, func() error {
 		for {
 			f, err := cn.recv(id)
 			if err != nil {

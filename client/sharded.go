@@ -549,8 +549,8 @@ func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, erro
 		}
 		return tx.Forall(sc, fn)
 	}
-	// Open every shard's transaction up front (serially, before the
-	// fan-out) so the scatter only does scan work.
+	// Pin every shard's transaction up front, serially, before the
+	// fan-out; each begin then rides its shard's scan request.
 	txs := make([]*Tx, n)
 	for i := range txs {
 		tx, err := t.shardTx(i)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"ode"
 	"ode/internal/wire"
 )
 
@@ -22,10 +21,7 @@ import (
 // finish it. On failure the transaction has aborted. Either way the Tx
 // is finished client-side: no further method calls are valid.
 func (tx *Tx) Prepare(gid string) error {
-	if tx.done {
-		return ode.ErrTxDone
-	}
-	resp, err := tx.cn.roundTrip(tx.context(), wire.CmdPrepare, wire.GIDBody(gid))
+	resp, err := tx.roundTrip(wire.CmdPrepare, wire.GIDBody(gid))
 	if err != nil {
 		tx.finish()
 		return err

@@ -30,9 +30,9 @@ type Shape struct {
 	Addrs []string
 	// Shards is the loopback shard count (Sharded with no Addrs).
 	Shards int
-	// Opts opens the Embedded database (nil: NoSync, the benchmark default).
-	// Loopback servers always run over default worlds; loopback shards
-	// add only their shard coordinates.
+	// Opts opens every database the shape boots, loopback shards adding
+	// their shard coordinates. nil is the benchmark default: NoSync for
+	// the embedded and remote worlds, fsync on for loopback shards.
 	Opts *ode.Options
 }
 
@@ -82,11 +82,16 @@ func Open(s Shape) (*Deployment, error) {
 	switch {
 	case len(d.addrs) > 0: // external daemons
 	case s.Kind == Remote:
-		err = d.serve(nil)
+		err = d.serve(s.Opts)
 	default:
 		// Shard coordinates stripe OID allocation across the group.
 		for slot := 0; slot < s.Shards && err == nil; slot++ {
-			err = d.serve(&ode.Options{ShardCount: s.Shards, ShardSlot: slot})
+			var o ode.Options
+			if s.Opts != nil {
+				o = *s.Opts
+			}
+			o.ShardCount, o.ShardSlot = s.Shards, slot
+			err = d.serve(&o)
 		}
 	}
 	if err != nil {

@@ -18,10 +18,12 @@ import (
 // gates" says how to read a failure and when a number may change.
 
 // gateRows is how many stockitems a gate world holds, qty = position;
-// gateHot is how many of them the warm-up view has already read.
+// gateHot is how many of them the warm-up view has already read;
+// gateChain is the length of the cell chain a row's setup may build.
 const (
-	gateRows = 1000
-	gateHot  = 256
+	gateRows  = 1000
+	gateHot   = 256
+	gateChain = 64
 )
 
 // bound holds one counter of a row's delta: exactly want, or at most
@@ -40,7 +42,8 @@ func le(counter string, want int64) bound { return bound{counter, true, want} }
 // cache — and a client's cache in front of it — holds exactly those.
 type gateWorld struct {
 	*Deployment
-	oids []ode.OID
+	oids  []ode.OID
+	chain ode.OID // the chain's head, once setup built one
 	// measured takes what a script counts itself; it is reported beside
 	// the counter deltas.
 	measured map[string]int64
@@ -112,6 +115,7 @@ func (w *gateWorld) counters(t *testing.T) map[string]int64 {
 		cm := c.CacheMetrics()
 		m["client.cache_hits"] += int64(cm.Hits.Load())
 		m["client.cache_misses"] += int64(cm.Misses.Load())
+		m["client.round_trips"] += int64(cm.RoundTrips.Load())
 	}
 	if w.Router != nil {
 		sm := w.Router.ShardMetrics()
@@ -125,7 +129,7 @@ func (w *gateWorld) counters(t *testing.T) map[string]int64 {
 // delta runs script between two counter snapshots and returns what
 // moved. Reading a server's counters is itself a request with a reply,
 // so a snapshot pair taken back to back first prices that, and the
-// price comes off the server.* family. What is left of server.bytes_out
+// price comes off the server.* family and client.round_trips. What is left of server.bytes_out
 // is exact to the few bytes by which two metric replies differ in
 // length, which is why byte counts are only ever held as ceilings.
 func (w *gateWorld) delta(t *testing.T, script func(*gateWorld) error) map[string]int64 {
@@ -138,7 +142,7 @@ func (w *gateWorld) delta(t *testing.T, script func(*gateWorld) error) map[strin
 	for name, v := range got {
 		got[name] = v - before[name]
 	}
-	for _, name := range []string{"server.requests", "server.bytes_in", "server.bytes_out"} {
+	for _, name := range []string{"server.requests", "server.bytes_in", "server.bytes_out", "client.round_trips"} {
 		got[name] -= before[name] - idle[name]
 	}
 	for name, v := range w.measured {
@@ -214,6 +218,36 @@ func restock(n int) func(*gateWorld) error {
 	}
 }
 
+// loadChain builds a chain of gateChain cells and reads it once, so a
+// client's cache holds every cell.
+func (w *gateWorld) loadChain() (err error) {
+	if w.chain, err = w.LoadChain(gateChain); err != nil {
+		return err
+	}
+	return walkChain(w)
+}
+
+// walkChain follows the chain from its head to its end in one view.
+func walkChain(w *gateWorld) error {
+	return w.View(func(tx ode.ObjectTx) error {
+		oid := w.chain
+		for i := 0; i < gateChain; i++ {
+			o, err := tx.Deref(oid)
+			if err != nil {
+				return err
+			}
+			if v := o.MustGet("value").Int(); v != int64(i) {
+				return fmt.Errorf("cell %d holds %d", i, v)
+			}
+			oid, _ = o.MustGet("next").AnyOID()
+		}
+		if oid != ode.NilOID {
+			return fmt.Errorf("the chain goes on past %d cells", gateChain)
+		}
+		return nil
+	})
+}
+
 // cachedDerefAllocs measures the allocations of one deref the object
 // cache answers, inside an open view.
 func cachedDerefAllocs(w *gateWorld) error {
@@ -232,7 +266,8 @@ func cachedDerefAllocs(w *gateWorld) error {
 // them bounds; a counter a row does not name is not held.
 var workGates = []struct {
 	name   string
-	opts   *ode.Options // of the embedded world (nil: NoSync)
+	opts   *ode.Options           // of every database the row opens (nil: the Shape default)
+	setup  func(*gateWorld) error // before the counters are read: what script needs in place
 	script func(*gateWorld) error
 	want   map[Kind][]bound
 }{
@@ -241,15 +276,37 @@ var workGates = []struct {
 		// from the object cache without touching a page, and a client
 		// answers from its own cache for the price of a revalidation —
 		// a reply of 17 bytes where the full image is about 50.
+		// Stockitems hold no references, so each revalidation is of one
+		// object: a request per deref. The begin rides the first one.
 		name: "hot-deref", script: (*gateWorld).readHot,
 		want: map[Kind][]bound{
 			Embedded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0)},
 			Remote: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
-				eq("server.requests", gateHot+2), le("server.bytes_out", gateHot*18)},
+				eq("server.requests", gateHot+2), eq("client.round_trips", gateHot+1), le("server.bytes_out", gateHot*18)},
 			Sharded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
-				eq("server.requests", gateHot+3*2), le("server.bytes_out", gateHot*18)},
+				eq("server.requests", gateHot+3*2), eq("client.round_trips", gateHot+3), le("server.bytes_out", gateHot*18)},
+		},
+	},
+	{
+		// A second walk down a chain already read: one revalidation
+		// carries the whole cached neighbourhood (64 entries, the
+		// protocol's bound), so every later hop is local — begin, one
+		// deref-cached and abort are the requests, two round trips. On
+		// three shards neighbouring cells live on different shards and a
+		// Client caches only its own shard's objects, so each hop is its
+		// own revalidation; those are ceilings, for the router that
+		// splits one neighbourhood per shard to lower.
+		name: "chase", setup: (*gateWorld).loadChain, script: walkChain,
+		want: map[Kind][]bound{
+			Embedded: {eq("object.cache_hits", gateChain), eq("pool.pins", 0), eq("txn.lock_waits", 0)},
+			Remote: {eq("object.cache_hits", gateChain), eq("txn.lock_waits", 0),
+				eq("client.cache_hits", gateChain), eq("client.cache_misses", 0),
+				eq("server.requests", 3), eq("client.round_trips", 2)},
+			Sharded: {eq("object.cache_hits", gateChain), eq("txn.lock_waits", 0),
+				eq("client.cache_hits", gateChain), eq("client.cache_misses", 0),
+				le("server.requests", gateChain+3*2), le("client.round_trips", gateChain+3)},
 		},
 	},
 	{
@@ -298,28 +355,32 @@ var workGates = []struct {
 		name: "commit-20", opts: &ode.Options{}, script: createTwenty,
 		want: map[Kind][]bound{
 			Embedded: {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("wal.fsyncs", 1)},
-			Remote:   {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("server.requests", 20+2)},
+			Remote: {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("wal.fsyncs", 1),
+				eq("server.requests", 20+2), eq("client.round_trips", 20+1)},
 			Sharded: {eq("object.creates", 20), eq("txn.commits", 3), eq("wal.appends", 9), eq("wal.fsyncs", 6),
-				eq("txn.prepared_total", 3), eq("txn.prepared_commits", 3), eq("client.shard.cross_commits", 1), eq("server.requests", 20+3*3)},
+				eq("txn.prepared_total", 3), eq("txn.prepared_commits", 3), eq("client.shard.cross_commits", 1),
+				eq("server.requests", 20+3*3), eq("client.round_trips", 20+3*2)},
 		},
 	},
 	{
 		// An update that stays on one shard commits there directly: no
-		// vote, one fsync.
+		// vote, one fsync; a deref carrying the begin, the update and the
+		// commit are its round trips.
 		name: "transfer-1", script: restock(1),
 		want: map[Kind][]bound{
 			Sharded: {eq("txn.prepared_total", 0), eq("client.shard.single_commits", 1), eq("client.shard.cross_commits", 0),
-				eq("txn.commits", 1), eq("wal.fsyncs", 1), eq("server.requests", 4)},
+				eq("txn.commits", 1), eq("wal.fsyncs", 1), eq("server.requests", 4), eq("client.round_trips", 3)},
 		},
 	},
 	{
 		// The same update over two shards is a 2PC between exactly
-		// those two, and leaves nothing in doubt.
+		// those two, and leaves nothing in doubt. Each shard's begin
+		// rides its first deref: ten requests in eight round trips.
 		name: "transfer-2", script: restock(2),
 		want: map[Kind][]bound{
 			Sharded: {eq("txn.prepared_total", 2), eq("txn.prepared_commits", 2), eq("txn.prepared_indoubt", 0),
 				eq("client.shard.cross_commits", 1), eq("client.shard.single_commits", 0),
-				eq("txn.commits", 2), eq("wal.fsyncs", 4), eq("server.requests", 10)},
+				eq("txn.commits", 2), eq("wal.fsyncs", 4), eq("server.requests", 10), eq("client.round_trips", 8)},
 		},
 	},
 	{
@@ -349,7 +410,13 @@ func TestWorkGates(t *testing.T) {
 			}
 			s.Opts = g.opts
 			t.Run(g.name+"/"+s.name, func(t *testing.T) {
-				got := openGateWorld(t, s.Shape).delta(t, g.script)
+				w := openGateWorld(t, s.Shape)
+				if g.setup != nil {
+					if err := g.setup(w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := w.delta(t, g.script)
 				for _, b := range want {
 					if v := got[b.counter]; b.ceiling && v > b.want {
 						t.Errorf("%s on %s: %s = %d, ceiling %d", g.name, s.name, b.counter, v, b.want)

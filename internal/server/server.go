@@ -316,11 +316,12 @@ func (s *Server) logf(format string, args ...any) {
 // conn is one client session: the socket, its buffered reader/writer,
 // and at most one open transaction.
 type conn struct {
-	s   *Server
-	nc  net.Conn
-	br  *bufio.Reader     // over a connReader counting server.bytes_in
-	fr  *wire.FrameReader // reused-buffer frame reads over br
-	out []byte            // response bytes, flushed once per request burst
+	s    *Server
+	nc   net.Conn
+	br   *bufio.Reader     // over a connReader counting server.bytes_in
+	fr   *wire.FrameReader // reused-buffer frame reads over br
+	out  []byte            // response bytes, flushed once per request burst
+	refs []wire.CachedRef  // reused deref-cached request entries
 
 	busy atomic.Bool // a request is being processed
 
@@ -737,32 +738,48 @@ func (c *conn) handleOID(f *wire.Frame) error {
 	}
 }
 
-// handleDerefCached is a conditional deref: the body carries the oid
-// and the content tag (object.ImageTag) of the image the client holds
-// cached. The server derefs under the transaction's ordinary shared
-// lock and replies RespOK with an empty body when the current image's
-// tag matches ("not modified" — the client reuses its decoded copy),
-// or RespObject with the image when it doesn't.
+// handleDerefCached is a conditional deref of a client's cached
+// neighbourhood: the body carries (oid, content tag) pairs, the oid the
+// client asked for first, then up to wire.MaxDerefCached-1 cached
+// objects reachable from it. The first entry is an ordinary deref under
+// the transaction's shared lock, and its outcome is the request's: an
+// error, RespOK ("not modified" — the client reuses its decoded copy)
+// or RespObject with the current image. Every further entry is
+// speculative: locked only if the lock is free now (Tx.TryDeref), and
+// answered by one status appended to the reply — proven, modified with
+// the image, or skipped. A one-entry body gets exactly the single-object
+// reply.
 func (c *conn) handleDerefCached(f *wire.Frame) error {
 	tx := c.sessionTx()
 	if tx == nil {
 		return c.replyErr(f.ReqID, protoErr("deref-cached without transaction"))
 	}
-	d := wire.NewDec(f.Body)
-	oid := core.OID(d.Uvarint())
-	tag := d.Uvarint()
-	if err := d.Err(); err != nil {
+	refs, err := wire.DecodeDerefCached(f.Body, c.refs)
+	if err != nil {
 		return c.replyErr(f.ReqID, protoErr("deref-cached: %v", err))
 	}
-	obj, err := tx.Deref(oid)
+	c.refs = refs
+	obj, err := tx.Deref(core.OID(refs[0].OID))
 	if err != nil {
 		return c.replyErr(f.ReqID, err)
 	}
-	image := object.Encode(obj)
-	if object.ImageTag(image) == tag {
-		return c.reply(f.ReqID, wire.RespOK, nil)
+	typ, body := byte(wire.RespOK), []byte(nil)
+	if image := object.Encode(obj); object.ImageTag(image) != refs[0].Tag {
+		typ, body = wire.RespObject, wire.AppendBytes(nil, image)
 	}
-	return c.reply(f.ReqID, wire.RespObject, wire.AppendBytes(nil, image))
+	for _, r := range refs[1:] {
+		obj, err := tx.TryDeref(core.OID(r.OID))
+		if err != nil {
+			body = append(body, wire.CachedSkipped)
+			continue
+		}
+		if image := object.Encode(obj); object.ImageTag(image) == r.Tag {
+			body = append(body, wire.CachedProven)
+		} else {
+			body = wire.AppendBytes(append(body, wire.CachedModified), image)
+		}
+	}
+	return c.reply(f.ReqID, typ, body)
 }
 
 // handleVRef covers the commands whose body is oid + version.

@@ -41,6 +41,10 @@ func (m LockMode) String() string {
 // the caller must abort it.
 var ErrDeadlock = errors.New("txn: deadlock detected; transaction chosen as victim")
 
+// ErrLockBusy is Tx.TryDeref declining a read whose lock would have to
+// wait. Nothing was locked and the transaction is unharmed.
+var ErrLockBusy = errors.New("txn: lock not grantable without waiting")
+
 // Table geometry. These are constants, not options: no workload at
 // hand wants a different value (DESIGN.md §7 "Lock table").
 const (
@@ -279,6 +283,27 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			return fmt.Errorf("%w (tx %d on @%d %s)", FromContextErr(ctxErr), txid, oid, mode)
 		}
 	}
+}
+
+// TryAcquire is Acquire for a lock nobody has asked for yet: it grants
+// (or upgrades to) the lock only if that needs no wait, and otherwise
+// reports false at once. It never sleeps, never records a waits-for
+// edge and never counts a lock wait, so it cannot take part in a
+// deadlock. A word somebody is already waiting on counts as busy: a
+// speculative reader must not jump a queued writer.
+func (lm *LockManager) TryAcquire(txid uint64, oid core.OID, mode LockMode) bool {
+	s := lm.stripe(oid)
+	s.mu.Lock()
+	ls := s.word(oid)
+	ok, fresh := false, false
+	if ls.waiting == 0 { // a refused word has holders or waiters: it is not idle
+		ok, fresh = ls.grant(txid, mode)
+	}
+	s.mu.Unlock()
+	if fresh {
+		lm.noteHeld(txid, oid)
+	}
+	return ok
 }
 
 // noteHeld appends oid to txid's held list.

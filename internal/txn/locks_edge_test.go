@@ -305,3 +305,106 @@ func TestGovernorDeadlineWhileQueued(t *testing.T) {
 	}
 	g.Release()
 }
+
+// TryAcquire never waits: against an X holder it refuses at once,
+// leaving no waits-for edge, no lock_waits count and nothing held; a
+// word somebody is queued on is busy too, so a speculative reader does
+// not jump a waiting writer; a grant is an ordinary lock, released by
+// ReleaseAll.
+func TestTryAcquireNeverWaits(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	const oid, free = core.OID(11), core.OID(12)
+	if err := lm.Acquire(bg, 1, oid, Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan bool, 1)
+	go func() { done <- lm.TryAcquire(2, oid, Shared) }()
+	select {
+	case ok := <-done:
+		if ok {
+			t.Fatal("TryAcquire granted S against an X holder")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("TryAcquire blocked")
+	}
+	lm.graphMu.Lock()
+	edges := len(lm.waitsFor)
+	lm.graphMu.Unlock()
+	if edges != 0 || lm.met.LockWaits.Load() != 0 || len(lm.HeldLocks(2)) != 0 {
+		t.Fatalf("a refused TryAcquire left %d waits-for edges, %d lock waits, holds %v; want none",
+			edges, lm.met.LockWaits.Load(), lm.HeldLocks(2))
+	}
+	lm.ReleaseAll(1)
+
+	// tx 3 holds S, tx 4 queues for X: the word is busy for a speculative S.
+	if err := lm.Acquire(bg, 3, oid, Shared); err != nil {
+		t.Fatal(err)
+	}
+	writer := make(chan error, 1)
+	go func() { writer <- lm.Acquire(bg, 4, oid, Exclusive) }()
+	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 1 })
+	if lm.TryAcquire(5, oid, Shared) {
+		t.Fatal("TryAcquire granted S ahead of a queued writer")
+	}
+	lm.ReleaseAll(3)
+	if err := <-writer; err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAll(4)
+
+	if !lm.TryAcquire(6, free, Shared) || !lm.TryAcquire(7, free, Shared) {
+		t.Fatal("TryAcquire refused a free or shared word")
+	}
+	if got := lm.HeldLocks(6)[free]; got != Shared {
+		t.Fatalf("granted TryAcquire holds %v, want S", got)
+	}
+	lm.ReleaseAll(6)
+	lm.ReleaseAll(7)
+	if n := lm.TableSize(); n != 0 {
+		t.Fatalf("lock table holds %d entries after all releases, want 0", n)
+	}
+}
+
+// TryDeref is Deref that declines instead of waiting: ErrLockBusy on a
+// row another transaction writes, the row itself on a free one — and
+// the reader's later Deref of the busy row waits as it always has.
+func TestTryDerefDeclinesBusyRow(t *testing.T) {
+	e, item := newTestEngine(t)
+	setup := e.Begin()
+	a, _ := setup.PNew(item, newItem(item, "a", 1))
+	b, _ := setup.PNew(item, newItem(item, "b", 2))
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	writer := e.Begin()
+	if err := writer.Update(a, newItem(item, "a", 10)); err != nil {
+		t.Fatal(err)
+	}
+	reader := e.Begin()
+	defer reader.Abort()
+	if _, err := reader.TryDeref(a); !errors.Is(err, ErrLockBusy) {
+		t.Fatalf("TryDeref of a written row = %v, want ErrLockBusy", err)
+	}
+	if o, err := reader.TryDeref(b); err != nil || o.MustGet("qty").Int() != 2 {
+		t.Fatalf("TryDeref of a free row = %v, %v", o, err)
+	}
+	if n := e.Metrics().Txn.LockWaits.Load(); n != 0 {
+		t.Fatalf("txn.lock_waits = %d after TryDeref, want 0", n)
+	}
+	got := make(chan int64, 1)
+	go func() {
+		o, err := reader.Deref(a)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- o.MustGet("qty").Int()
+	}()
+	lockWaitUntil(t, func() bool { return e.Locks().Waiting(a) == 1 })
+	if err := writer.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if qty := <-got; qty != 10 {
+		t.Fatalf("Deref after the writer committed = %d, want 10", qty)
+	}
+}

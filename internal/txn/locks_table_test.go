@@ -216,6 +216,9 @@ func TestUncontendedLockCycleDoesNotAllocate(t *testing.T) {
 			if err := lm.Acquire(bg, txid, oid, Shared); err != nil {
 				t.Fatal(err)
 			}
+			if !lm.TryAcquire(txid, oid+64, Shared) {
+				t.Fatal("TryAcquire refused a free word")
+			}
 		}
 		lm.ReleaseAll(txid)
 	}
@@ -223,7 +226,7 @@ func TestUncontendedLockCycleDoesNotAllocate(t *testing.T) {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("Acquire x64 + ReleaseAll allocates %v times per cycle, want 0", allocs)
+		t.Fatalf("Acquire x64 + TryAcquire x64 + ReleaseAll allocates %v times per cycle, want 0", allocs)
 	}
 }
 

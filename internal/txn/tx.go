@@ -457,7 +457,17 @@ func (tx *Tx) ensureWritable() error {
 // Deref implements core.Store: it returns a private copy of the current
 // state of the object. Mutations become part of the transaction only
 // via Update.
-func (tx *Tx) Deref(oid core.OID) (*core.Object, error) {
+func (tx *Tx) Deref(oid core.OID) (*core.Object, error) { return tx.deref(oid, true) }
+
+// TryDeref is Deref for a read the caller only expects to need: it
+// takes oid's shared lock through LockManager.TryAcquire, so where
+// Deref would wait it returns ErrLockBusy instead — no wait, no
+// waits-for edge, no lock_waits count. A lock it does take is held to
+// the end of the transaction like any other. The server revalidates a
+// client's cached neighbourhood with it.
+func (tx *Tx) TryDeref(oid core.OID) (*core.Object, error) { return tx.deref(oid, false) }
+
+func (tx *Tx) deref(oid core.OID, wait bool) (*core.Object, error) {
 	if err := tx.ensureActive(); err != nil {
 		return nil, err
 	}
@@ -470,8 +480,14 @@ func (tx *Tx) Deref(oid core.OID) (*core.Object, error) {
 		}
 		return w.obj.Copy(), nil
 	}
-	if err := tx.lock(oid, Shared); err != nil {
+	if wait {
+		if err := tx.lock(oid, Shared); err != nil {
+			return nil, err
+		}
+	} else if err := tx.Err(); err != nil {
 		return nil, err
+	} else if !tx.engine.locks.TryAcquire(tx.id, oid, Shared) {
+		return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.id, oid)
 	}
 	o, _, err := tx.engine.mgr.Get(oid)
 	if err != nil {

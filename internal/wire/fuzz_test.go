@@ -72,6 +72,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	lie = AppendUvarint(lie, 1<<40)
 	f.Add(AppendFrame(nil, &Frame{ReqID: 20, Type: RespShardStatus, Body: lie}))
 
+	// A deref-cached neighbourhood: the one-entry original, a full
+	// frame of entries, one past the bound, and a list cut inside an
+	// entry. The decoder is strict about all three edges.
+	hood := make([]CachedRef, MaxDerefCached+1)
+	for i := range hood {
+		hood[i] = CachedRef{OID: uint64(3*i + 1), Tag: uint64(i) << 40}
+	}
+	full := AppendDerefCached(nil, hood[:MaxDerefCached])
+	f.Add(AppendFrame(nil, &Frame{ReqID: 21, Type: CmdDerefCached, Body: AppendDerefCached(nil, hood[:1])}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 22, Type: CmdDerefCached, Body: full}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 23, Type: CmdDerefCached, Body: AppendDerefCached(nil, hood)}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 24, Type: CmdDerefCached, Body: full[:len(full)-3]}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data, 0)
 		if err != nil {
@@ -99,5 +112,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		_, _ = DecodeGIDBody(fr.Body)
 		_, _, _ = DecodeTxStatusBody(fr.Body)
 		_, _ = DecodeShardStatus(fr.Body)
+		if refs, err := DecodeDerefCached(fr.Body, nil); err == nil && (len(refs) == 0 || len(refs) > MaxDerefCached) {
+			t.Fatalf("deref-cached decoder accepted %d entries", len(refs))
+		}
 	})
 }

@@ -142,6 +142,56 @@ func DecodeForallReq(body []byte, withBatch bool) (*ForallReq, error) {
 	return r, nil
 }
 
+// MaxDerefCached bounds the entries of one CmdDerefCached request: the
+// oid the client asked for plus the cached neighbourhood it revalidates
+// in the same frame. A constant of the protocol, not an option.
+const MaxDerefCached = 64
+
+// CachedRef is one CmdDerefCached entry: an oid and the content tag
+// (object.ImageTag) of the image the client holds for it.
+type CachedRef struct {
+	OID uint64
+	Tag uint64
+}
+
+// AppendDerefCached serializes a CmdDerefCached body: the (oid, tag)
+// pairs back to back, the requested one first. A one-entry body is the
+// command's original single-object form.
+func AppendDerefCached(b []byte, refs []CachedRef) []byte {
+	for _, r := range refs {
+		b = AppendUvarint(b, r.OID)
+		b = AppendUvarint(b, r.Tag)
+	}
+	return b
+}
+
+// DecodeDerefCached parses a CmdDerefCached body into refs (reusing its
+// capacity). It is strict: at least one entry, at most MaxDerefCached,
+// and a body that ends inside an entry is malformed.
+func DecodeDerefCached(body []byte, refs []CachedRef) ([]CachedRef, error) {
+	d := NewDec(body)
+	refs = refs[:0]
+	for len(d.Rest()) > 0 || len(refs) == 0 {
+		if len(refs) == MaxDerefCached {
+			return nil, fmt.Errorf("%w: more than %d deref-cached entries", ErrMalformed, MaxDerefCached)
+		}
+		r := CachedRef{OID: d.Uvarint(), Tag: d.Uvarint()}
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		refs = append(refs, r)
+	}
+	return refs, nil
+}
+
+// The status of each neighbourhood entry after the first, appended in
+// request order to a CmdDerefCached reply (RespOK or RespObject).
+const (
+	CachedProven   byte = 0 // locked, and the image still hashes to the tag
+	CachedModified byte = 1 // locked; the current image follows, length-prefixed
+	CachedSkipped  byte = 2 // not locked: busy, gone, or failed — the client learns nothing
+)
+
 // SubscribeReq is the body of a CmdWALSubscribe request: the
 // subscriber's replication id, applied LSN, and fencing epoch, plus
 // whether it can accept a full snapshot (only a fresh, empty replica

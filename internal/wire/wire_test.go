@@ -179,3 +179,27 @@ func TestDecSticky(t *testing.T) {
 		t.Fatalf("Bytes after error = %v, want nil", b)
 	}
 }
+
+// The deref-cached entry list round-trips, and its decoder refuses the
+// three malformed shapes: no entry, an entry cut short, and more than
+// MaxDerefCached entries.
+func TestDerefCachedListStrict(t *testing.T) {
+	refs := make([]CachedRef, MaxDerefCached+1)
+	for i := range refs {
+		refs[i] = CachedRef{OID: uint64(i + 1), Tag: ^uint64(i)}
+	}
+	full := AppendDerefCached(nil, refs[:MaxDerefCached])
+	got, err := DecodeDerefCached(full, nil)
+	if err != nil || len(got) != MaxDerefCached || got[MaxDerefCached-1] != refs[MaxDerefCached-1] {
+		t.Fatalf("round trip of %d entries = %d entries, %v", MaxDerefCached, len(got), err)
+	}
+	for name, body := range map[string][]byte{
+		"empty":     nil,
+		"truncated": full[:len(full)-1],
+		"oversized": AppendDerefCached(nil, refs),
+	} {
+		if _, err := DecodeDerefCached(body, nil); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s list: %v, want ErrMalformed", name, err)
+		}
+	}
+}
