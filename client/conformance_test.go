@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -304,7 +305,67 @@ var script = []struct {
 		defer r.tx.Abort()
 		return join(outcome(e1), outcome(e2), outcome(e3), qty(r.tx.Deref(r.oid["a"])))
 	}, "ErrOverloaded ErrOverloaded ErrOverloaded qty=11"},
+
+	// A remote forall arrives in windows of 64, 512, 4 096 … rows, each
+	// asked for only while fn goes on. Stopping on either side of a
+	// window's edge delivers exactly the first rows of the whole scan,
+	// and the transaction goes on: the requests that follow a stopped
+	// scan end it on the server.
+	{"many rows", func(r *run) string {
+		r.tx = r.begin()
+		for i := 0; i < manyRows; i++ {
+			if _, err := r.tx.PNew(r.stock, r.item("many", manyQty+int64(i))); err != nil {
+				return outcome(err)
+			}
+		}
+		return outcome(r.tx.Commit())
+	}, "ok"},
+	{"stop at window edges", func(r *run) string {
+		r.tx = r.begin()
+		all, _, err := r.tx.Collect(r.scan(manyQty))
+		if err != nil || len(all) != manyRows {
+			return join(len(all), outcome(err))
+		}
+		out := []any{}
+		for _, stop := range []int{1, 64, 65, 576, 577} {
+			var got []ode.OID
+			n, err := r.tx.Forall(r.scan(manyQty), func(oid ode.OID, _ *ode.Object) (bool, error) {
+				got = append(got, oid)
+				return len(got) < stop, nil
+			})
+			out = append(out, n, outcome(err), slices.Equal(got, all[:stop]))
+		}
+		return join(out...)
+	}, "1 ok true 64 ok true 65 ok true 576 ok true 577 ok true"},
+	{"callback error mid-window", func(r *run) string {
+		boom := errors.New("boom")
+		rows := 0
+		n, err := r.tx.Forall(r.scan(manyQty), func(ode.OID, *ode.Object) (bool, error) {
+			if rows++; rows == 100 {
+				return false, boom
+			}
+			return true, nil
+		})
+		return join(n, err == boom)
+	}, "100 true"},
+	{"requests after a stopped forall", func(r *run) string {
+		if _, err := r.tx.Forall(r.scan(manyQty), func(ode.OID, *ode.Object) (bool, error) { return false, nil }); err != nil {
+			return outcome(err)
+		}
+		before := qty(r.tx.Deref(r.oid["c"]))
+		uerr := r.tx.Update(r.oid["c"], r.item("c", 4))
+		rows := 0
+		n, ferr := r.tx.Forall(r.scan(0), func(ode.OID, *ode.Object) (bool, error) { rows++; return true, nil })
+		after := qty(r.tx.Deref(r.oid["c"]))
+		return join(before, outcome(uerr), rows, n, outcome(ferr), after, outcome(r.tx.Commit()))
+	}, "qty=3 ok 602 602 ok qty=4 ok"},
 }
+
+// manyRows stockitems, qty from manyQty up, are more than two windows.
+const (
+	manyRows = 600
+	manyQty  = 1000
+)
 
 func TestObjectTxConformance(t *testing.T) {
 	// One admission slot per database and no queue: the script is

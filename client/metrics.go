@@ -10,7 +10,7 @@ type Metrics struct {
 	Hits          obs.Counter // derefs served from the cache: locally (tag proven this transaction) or via a cheap not-modified revalidation
 	Misses        obs.Counter // derefs that shipped and decoded a full image (cold or stale entry)
 	Invalidations obs.Counter // cached objects dropped by writes, routing decisions, or promotion
-	RoundTrips    obs.Counter // sends that waited for their replies: one per request, pipeline flush or scan, with a riding begin included
+	RoundTrips    obs.Counter // sends that waited for their replies: one per request, pipeline flush or forall window asked for, with a riding begin included
 }
 
 // Attach registers the metrics into reg. Call at most once per

@@ -526,6 +526,20 @@ func (t *STx) DeleteVersion(ref ode.VRef) error {
 	return tx.DeleteVersion(ref)
 }
 
+// everyShard pins the transaction on every shard, serially, before a
+// scan fans out; each begin then rides its shard's scan request.
+func (t *STx) everyShard() ([]*Tx, error) {
+	txs := make([]*Tx, len(t.s.shards))
+	for i := range txs {
+		tx, err := t.shardTx(i)
+		if err != nil {
+			return nil, err
+		}
+		txs[i] = tx
+	}
+	return txs, nil
+}
+
 // mergeRow is one element of a per-shard result stream.
 type mergeRow struct {
 	oid ode.OID
@@ -536,28 +550,19 @@ type mergeRow struct {
 // k-way merge of their OID-ordered result streams through fn, in
 // global OID order — the same order, and for identical data the same
 // rows, a single unsharded server would produce. fn's contract matches
-// Tx.Forall: returning false stops consumption (all shard streams are
-// drained), an error ends the scan with that error. When several
-// shards fail, the lowest shard index's error is reported,
+// Tx.Forall: returning false stops the scan, an error ends it with that
+// error; either way each shard has been sent only the windows the merge
+// pulled, and the transaction's next request on a shard ends its scan.
+// When several shards fail, the lowest shard index's error is reported,
 // deterministically.
 func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
-	n := len(t.s.shards)
-	if n == 1 {
-		tx, err := t.shardTx(0)
-		if err != nil {
-			return 0, err
-		}
-		return tx.Forall(sc, fn)
+	txs, err := t.everyShard()
+	if err != nil {
+		return 0, err
 	}
-	// Pin every shard's transaction up front, serially, before the
-	// fan-out; each begin then rides its shard's scan request.
-	txs := make([]*Tx, n)
-	for i := range txs {
-		tx, err := t.shardTx(i)
-		if err != nil {
-			return 0, err
-		}
-		txs[i] = tx
+	n := len(txs)
+	if n == 1 {
+		return txs[0].Forall(sc, fn)
 	}
 	t.s.met.ScatterScans.Inc()
 
@@ -566,12 +571,23 @@ func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, erro
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := range txs {
-		chans[i] = make(chan mergeRow, 64)
+		// Fewer rows than a shard's first window (64): a merge that stops
+		// early leaves every shard's reader inside that window, so no
+		// shard is asked for a second one the merge will not read.
+		chans[i] = make(chan mergeRow, 16)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			defer close(chans[i])
 			_, errs[i] = txs[i].Forall(sc, func(oid ode.OID, obj *ode.Object) (bool, error) {
+				// Stop first: once the merge has stopped, a reader that
+				// could still send would read on to its window's end and
+				// ask for the next one.
+				select {
+				case <-stop:
+					return false, nil
+				default:
+				}
 				select {
 				case chans[i] <- mergeRow{oid, obj}:
 					return true, nil
@@ -616,11 +632,7 @@ func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, erro
 		}
 		pull(best)
 	}
-	close(stop)
-	for i := 0; i < n; i++ {
-		for range chans[i] {
-		}
-	}
+	close(stop) // every reader blocked on a send takes the stop
 	wg.Wait()
 	if scanErr == nil {
 		for i := 0; i < n; i++ {
@@ -645,9 +657,38 @@ func (t *STx) Collect(sc *Scan) ([]ode.OID, []*ode.Object, error) {
 	return oids, objs, err
 }
 
-// Count runs the scan discarding rows.
+// Count asks every shard for its count concurrently and returns the
+// sum: no rows travel and, order not being observable, nothing is
+// merged. When several shards fail, the lowest shard index's error is
+// reported.
 func (t *STx) Count(sc *Scan) (int, error) {
-	return t.Forall(sc, func(ode.OID, *ode.Object) (bool, error) { return true, nil })
+	txs, err := t.everyShard()
+	if err != nil {
+		return 0, err
+	}
+	if len(txs) == 1 {
+		return txs[0].Count(sc)
+	}
+	t.s.met.ScatterScans.Inc()
+	counts := make([]int, len(txs))
+	errs := make([]error, len(txs))
+	var wg sync.WaitGroup
+	for i := range txs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			counts[i], errs[i] = txs[i].Count(sc)
+		}(i)
+	}
+	wg.Wait()
+	total := 0
+	for i := range txs {
+		if errs[i] != nil {
+			return 0, errs[i]
+		}
+		total += counts[i]
+	}
+	return total, nil
 }
 
 // ShardMetrics counts the sharded router's behavior, registered under

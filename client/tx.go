@@ -140,11 +140,17 @@ func (tx *Tx) begun(resp *wire.Frame) error {
 
 // roundTrip sends one request and returns its reply, or the error that
 // kept it from being answered.
-func (tx *Tx) roundTrip(typ byte, body []byte) (resp *wire.Frame, err error) {
+func (tx *Tx) roundTrip(typ byte, body []byte) (*wire.Frame, error) {
 	if err := tx.err(); err != nil {
 		return nil, err
 	}
-	id := tx.cn.newID()
+	return tx.request(tx.cn.newID(), typ, body)
+}
+
+// request sends one frame under id, which the caller numbered, and
+// returns its reply: roundTrip's exchange, for a forall whose windows
+// are all asked for under the scan's id.
+func (tx *Tx) request(id uint64, typ byte, body []byte) (resp *wire.Frame, err error) {
 	err = tx.send(wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body}), func() (err error) {
 		resp, err = tx.cn.recv(id)
 		return err

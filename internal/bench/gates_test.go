@@ -185,6 +185,16 @@ func stopAfterTen(w *gateWorld) error {
 	})
 }
 
+func forallAll(w *gateWorld) error {
+	return w.View(func(tx ode.ObjectTx) error {
+		n, err := tx.Forall(&ode.Scan{Class: w.Stock, NoIndex: true}, func(ode.OID, *ode.Object) (bool, error) { return true, nil })
+		if err == nil && n != gateRows {
+			err = fmt.Errorf("forall delivered %d rows, want %d", n, gateRows)
+		}
+		return err
+	})
+}
+
 func createTwenty(w *gateWorld) error {
 	return w.RunTx(func(tx ode.ObjectTx) error {
 		for i := 0; i < 20; i++ {
@@ -311,16 +321,16 @@ var workGates = []struct {
 	},
 	{
 		// An unindexed count visits every row once on whichever server
-		// holds it. The byte ceilings record that a remote Count ships
-		// every matching row to be counted by the client (ROADMAP item
-		// 4 lowers them to a reply that carries a number).
+		// holds it, and each server answers with the number alone: the
+		// bytes out are the begin, count and abort replies, and the
+		// router adds three numbers.
 		name: "count-scan", script: countUpperHalf,
 		want: map[Kind][]bound{
 			Embedded: {eq("query.foralls", 1), eq("query.plan_extent_scan", 1), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2)},
 			Remote: {eq("query.foralls", 1), eq("query.plan_extent_scan", 1), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2),
-				eq("server.requests", 3), le("server.bytes_out", 17700)},
+				eq("server.requests", 3), le("server.bytes_out", 100)},
 			Sharded: {eq("query.foralls", 3), eq("query.plan_extent_scan", 3), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2),
-				eq("client.shard.scatter_scans", 1), eq("server.requests", 3*3), le("server.bytes_out", 17900)},
+				eq("client.shard.scatter_scans", 1), eq("server.requests", 3*3), le("server.bytes_out", 300)},
 		},
 	},
 	{
@@ -337,13 +347,32 @@ var workGates = []struct {
 	},
 	{
 		// A forall stopped after ten rows reads ten rows in process. A
-		// server streams the whole extent and the client drains it
-		// (ROADMAP item 4): those ceilings are the full scan.
+		// server scans one window (64 rows) and waits; the stop sends
+		// nothing, and the abort ends the scan. Behind the router every
+		// shard fills its first window before the merge stops, and no
+		// shard is asked for a second: 3 × 64 rows.
 		name: "early-stop", script: stopAfterTen,
 		want: map[Kind][]bound{
 			Embedded: {eq("query.rows_scanned", 10), eq("query.rows_yielded", 10)},
-			Remote:   {le("query.rows_scanned", gateRows), le("server.bytes_out", 35100), eq("server.requests", 3)},
-			Sharded:  {le("query.rows_scanned", gateRows), le("server.bytes_out", 35300), eq("server.requests", 3*3)},
+			Remote: {eq("query.rows_scanned", 64), le("server.bytes_out", 2300),
+				eq("server.requests", 3), eq("client.round_trips", 2)},
+			Sharded: {eq("query.rows_scanned", 3*64), le("server.bytes_out", 7000),
+				eq("server.requests", 3*3), eq("client.round_trips", 3*2)},
+		},
+	},
+	{
+		// A forall that reads every row: windows of 64 and 512 rows, each
+		// followed by a forall-more, and the last 424 rows ride the
+		// RespDone — begin, forall, two mores and abort in four round
+		// trips. A shard holds a third of the rows: one window of 64 and
+		// the rest (269 or 270 rows) with its RespDone, one forall-more.
+		name: "forall-all", script: forallAll,
+		want: map[Kind][]bound{
+			Embedded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows)},
+			Remote: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows),
+				eq("server.requests", 5), eq("client.round_trips", 4)},
+			Sharded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows),
+				eq("server.requests", 3*4), eq("client.round_trips", 3*3)},
 		},
 	},
 	{

@@ -19,8 +19,10 @@ type Metrics struct {
 	BytesOut   obs.Counter // frame bytes written to clients
 
 	// Per-command request latency, measured from frame decode to the
-	// final response frame written (a streamed forall counts once, at
-	// RespDone).
+	// final response frame written. A forall counts once, from its
+	// request to the frame that ends it, less the time it spent paused
+	// waiting for the client to ask for the next window; its
+	// CmdForallMore frames are requests, not latencies of their own.
 	LatBegin   obs.Histogram
 	LatCommit  obs.Histogram
 	LatAbort   obs.Histogram

@@ -323,11 +323,19 @@ type conn struct {
 	out  []byte            // response bytes, flushed once per request burst
 	refs []wire.CachedRef  // reused deref-cached request entries
 
+	// next is a frame a forall read while it waited for more: it ended
+	// the scan, and the serve loop dispatches it without another read.
+	next *wire.Frame
+	// waited is how long the request in dispatch spent waiting for its
+	// client (a forall between windows): time that is not the request's.
+	waited time.Duration
+
 	busy atomic.Bool // a request is being processed
 
-	mu       sync.Mutex // guards tx/txCancel against force()
+	mu       sync.Mutex // guards tx/txCancel/paused against force()
 	tx       *ode.Tx
 	txCancel context.CancelFunc
+	paused   bool // a forall waits for the client's next frame
 
 	oqlSess *oql.Session
 	oqlOut  bytes.Buffer
@@ -357,11 +365,23 @@ func (c *conn) idle() bool {
 }
 
 // force cancels the connection's transaction context (waking lock
-// waits and scan boundaries) and closes the socket.
+// waits and scan boundaries) and closes the socket, which wakes a read.
+// A session whose forall is paused between windows is told why first,
+// at request id 0 (a connection-level failure), so its client fails with
+// a typed error rather than a closed socket, whether it is still inside
+// the forall or has stopped it and sent its next request: the session is
+// blocked reading, so force is the only writer, and the short deadline
+// keeps a client that reads nothing from holding up Close.
 func (c *conn) force() {
 	c.mu.Lock()
 	if c.txCancel != nil {
 		c.txCancel()
+	}
+	if c.paused {
+		c.nc.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		n, _ := wire.WriteFrame(c.nc, &wire.Frame{Type: wire.RespErr,
+			Body: wire.ErrBody(wire.CodeDBClosed, "server closed while the forall waited for more")})
+		c.s.met.BytesOut.Add(uint64(n))
 	}
 	c.mu.Unlock()
 	c.nc.Close()
@@ -428,31 +448,49 @@ func (c *conn) serve() {
 		// The frame (and its body) aliases the reader's reused buffer:
 		// valid through dispatch, overwritten by the next Read. Handlers
 		// decode bodies into their own copies (object.Decode and the
-		// string readers copy), so nothing retains the alias.
-		f, _, err := c.fr.Read()
-		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.s.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
+		// string readers copy), so nothing retains the alias. A frame a
+		// paused forall read is dispatched next, with no read between.
+		f := c.next
+		c.next = nil
+		if f == nil {
+			var err error
+			if f, _, err = c.fr.Read(); err != nil {
+				if !sessionEnd(err) {
+					c.s.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
+				}
+				return
 			}
-			return
 		}
 		c.s.met.Requests.Inc()
+		typ := f.Type // a forall's pause reads into f's buffer
 		c.busy.Store(true)
 		start := time.Now()
-		err = c.dispatch(f)
+		c.waited = 0
+		err := c.dispatch(f)
 		// Pipelined clients write bursts of request frames; when more
 		// requests are already buffered, hold the responses and write
 		// the whole burst's replies in one send.
 		if err == nil && c.br.Buffered() == 0 {
 			err = c.flush()
 		}
-		c.s.met.latency(f.Type).Since(start)
+		c.s.met.latency(typ).Observe(time.Since(start) - c.waited)
 		c.busy.Store(false)
 		if err != nil {
-			c.s.logf("server: %s: %s: %v", c.nc.RemoteAddr(), wire.CmdName(f.Type), err)
+			// A forall paused for more reads the socket too, so the
+			// ordinary ends of a session can surface here as well.
+			if !sessionEnd(err) {
+				c.s.logf("server: %s: %s: %v", c.nc.RemoteAddr(), wire.CmdName(typ), err)
+			}
 			return
 		}
 	}
+}
+
+// sessionEnd reports whether a read error is an ordinary end of the
+// session, not worth a log line: the client hung up, or force closed
+// the socket.
+func sessionEnd(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed)
 }
 
 // reply buffers one response frame, serialized straight into the
@@ -509,6 +547,8 @@ func (c *conn) dispatch(f *wire.Frame) error {
 		err = c.handleVRef(f)
 	case wire.CmdForall:
 		err = c.handleForall(f)
+	case wire.CmdForallMore:
+		err = c.replyErr(f.ReqID, protoErr("forall-more for request %d, which is not a paused forall", f.ReqID))
 	case wire.CmdExplain:
 		err = c.handleExplain(f)
 	case wire.CmdOQL:
@@ -808,10 +848,19 @@ func (c *conn) handleVRef(f *wire.Frame) error {
 	}
 }
 
-// Batch size bounds for streamed forall results.
+// The windows a forall's rows travel in: the first is small, so a scan
+// its client stops early costs few rows; each later one is
+// windowGrowth times the last, up to maxWindow, so a long scan costs few
+// pauses. A window also closes once its rows reach maxWindowBytes, so a
+// frame of large objects stays far under the peer's frame limit
+// (wire.DefaultMaxFrame): the row that crosses the bound adds one object
+// image, at most storage.MaxRecordSize. Constants of the protocol, not
+// options.
 const (
-	defaultBatch = 256
-	maxBatch     = 8192
+	firstWindow    = 64
+	windowGrowth   = 8
+	maxWindow      = 8192
+	maxWindowBytes = 1 << 20
 )
 
 // scanOf decodes a wire forall request into the scan descriptor the
@@ -838,80 +887,115 @@ func (c *conn) scanOf(req *wire.ForallReq) (*ode.Scan, error) {
 	return s, nil
 }
 
-// handleForall streams scan results: RespBatch frames of up to the
-// requested batch size, then RespDone with the total row count. Each
-// batch is flushed as it fills, so a large scan streams instead of
-// buffering server-side.
+// handleForall runs a scan and sends its rows a window at a time
+// (wire.ForallReq describes the bodies). A full window goes out as one
+// RespBatch frame and the scan waits, inside Query.Do's callback, for
+// the client's next frame: CmdForallMore under the scan's id resumes
+// it; any other frame ends it silently and is dispatched next. So a
+// scan its client stopped costs the windows it was sent, and the
+// client's next request is its end. The last window rides the RespDone
+// that carries the total; a ForallCount request gets the total alone.
+// An error ends the scan with RespErr instead.
 func (c *conn) handleForall(f *wire.Frame) error {
+	id := f.ReqID // f aliases the read buffer a pause reuses
 	tx := c.sessionTx()
 	if tx == nil {
-		return c.replyErr(f.ReqID, protoErr("forall without transaction"))
+		return c.replyErr(id, protoErr("forall without transaction"))
 	}
-	req, err := wire.DecodeForallReq(f.Body, true)
+	req, err := wire.DecodeForallReq(f.Body)
 	if err != nil {
-		return c.replyErr(f.ReqID, protoErr("forall: %v", err))
-	}
-	batch := int(req.Batch)
-	if batch <= 0 {
-		batch = defaultBatch
-	}
-	if batch > maxBatch {
-		batch = maxBatch
+		return c.replyErr(id, protoErr("forall: %v", err))
 	}
 	scan, err := c.scanOf(req)
 	if err != nil {
-		return c.replyErr(f.ReqID, err)
+		return c.replyErr(id, err)
+	}
+	if req.Flags&wire.ForallCount != 0 {
+		n, err := scan.Query(tx).Count()
+		if err != nil {
+			return c.replyErr(id, err)
+		}
+		return c.reply(id, wire.RespDone, wire.AppendUvarint(wire.AppendUvarint(nil, uint64(n)), 0))
 	}
 	var (
-		body  []byte
-		inBuf int
-		total uint64
-		werr  error
+		rows   []byte // the window being filled
+		n      int    // rows in it
+		total  uint64
+		window = firstWindow
+		werr   error // the socket failed: connection-fatal
 	)
-	emit := func() {
-		if inBuf == 0 || werr != nil {
-			return
-		}
-		frame := wire.AppendUvarint(nil, uint64(inBuf))
-		frame = append(frame, body...)
-		if werr = c.reply(f.ReqID, wire.RespBatch, frame); werr == nil {
-			werr = c.flush()
-		}
-		body, inBuf = body[:0], 0
+	// rowsAfter appends the window to head as a row count and the rows.
+	rowsAfter := func(head []byte) []byte {
+		return append(wire.AppendUvarint(head, uint64(n)), rows...)
 	}
 	scanErr := scan.Query(tx).Do(func(it ode.Item) (bool, error) {
-		body = wire.AppendUvarint(body, uint64(it.OID))
-		body = wire.AppendBytes(body, object.Encode(it.Obj))
-		inBuf++
+		rows = wire.AppendUvarint(rows, uint64(it.OID))
+		rows = wire.AppendBytes(rows, object.Encode(it.Obj))
+		n++
 		total++
-		if inBuf >= batch {
-			emit()
-			if werr != nil {
-				return false, werr
-			}
+		if n < window && len(rows) < maxWindowBytes {
+			return true, nil
 		}
-		return true, nil
+		var more bool
+		if more, werr = c.pause(id, rowsAfter(nil)); werr != nil {
+			return false, werr
+		}
+		rows, n, window = rows[:0], 0, min(window*windowGrowth, maxWindow)
+		return more, nil
 	})
-	if werr != nil {
-		return werr // socket is gone; connection-fatal
-	}
-	if scanErr != nil {
-		// The client treats an error frame mid-stream as the stream's
-		// end; rows already sent are discarded by the caller.
-		return c.replyErr(f.ReqID, scanErr)
-	}
-	emit()
-	if werr != nil {
+	switch {
+	case werr != nil:
 		return werr
+	case scanErr != nil:
+		// An error frame ends the scan; the client reports it in place
+		// of the rows it did not get.
+		return c.replyErr(id, scanErr)
+	case c.next != nil: // the client's next frame ended the scan
+		return nil
 	}
-	return c.reply(f.ReqID, wire.RespDone, wire.AppendUvarint(nil, total))
+	return c.reply(id, wire.RespDone, rowsAfter(wire.AppendUvarint(nil, total)))
+}
+
+// pause sends a full window of forall id and waits for the client's
+// next frame, reporting whether it asks for more. Any other frame ends
+// the scan and is left in c.next for the serve loop. While it waits the
+// session is between requests: not busy, so Server.Close drains it like
+// any open transaction and then forces it (force closing the socket
+// ends the read), and the wait is not the request's time.
+func (c *conn) pause(id uint64, window []byte) (bool, error) {
+	if err := c.reply(id, wire.RespBatch, window); err != nil {
+		return false, err
+	}
+	if err := c.flush(); err != nil {
+		return false, err
+	}
+	start := time.Now()
+	c.mu.Lock()
+	c.paused = true
+	c.mu.Unlock()
+	c.busy.Store(false)
+	f, _, err := c.fr.Read()
+	c.busy.Store(true)
+	c.mu.Lock()
+	c.paused = false
+	c.mu.Unlock()
+	c.waited += time.Since(start)
+	if err != nil {
+		return false, err
+	}
+	if f.Type == wire.CmdForallMore && f.ReqID == id {
+		c.s.met.Requests.Inc()
+		return true, nil
+	}
+	c.next = f
+	return false, nil
 }
 
 // handleExplain renders the access-path plan a forall would use,
 // without running it. It borrows the session transaction when one is
 // open and otherwise uses a short read-only view.
 func (c *conn) handleExplain(f *wire.Frame) error {
-	req, err := wire.DecodeForallReq(f.Body, false)
+	req, err := wire.DecodeForallReq(f.Body)
 	if err != nil {
 		return c.replyErr(f.ReqID, protoErr("explain: %v", err))
 	}

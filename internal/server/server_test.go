@@ -123,7 +123,7 @@ func TestRemoteFullTransaction(t *testing.T) {
 	// Predicated scan sees the uncommitted update (degree-3 within the
 	// transaction) and respects the comparison.
 	var names []string
-	n, err := tx.Forall(&client.Scan{Class: stock, Field: "qty", Op: client.CmpGe, Value: ode.Int(100), Batch: 1},
+	n, err := tx.Forall(&client.Scan{Class: stock, Field: "qty", Op: client.CmpGe, Value: ode.Int(100)},
 		func(_ ode.OID, obj *ode.Object) (bool, error) {
 			names = append(names, obj.MustGet("name").Str())
 			return true, nil

@@ -85,6 +85,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, &Frame{ReqID: 23, Type: CmdDerefCached, Body: AppendDerefCached(nil, hood)}))
 	f.Add(AppendFrame(nil, &Frame{ReqID: 24, Type: CmdDerefCached, Body: full[:len(full)-3]}))
 
+	// A pulled forall: the request (no batch size since version 2), a
+	// count request, the empty CmdForallMore that asks for the next
+	// window, and the RespDone that carries the total and the last
+	// window, whole and cut inside its one row's image.
+	scan := &ForallReq{Class: "stockitem", Flags: ForallNoIndex, Field: "qty", Op: 5, Value: []byte{2, 200, 1}}
+	f.Add(AppendFrame(nil, &Frame{ReqID: 25, Type: CmdForall, Body: scan.Append(nil)}))
+	count := &ForallReq{Class: "stockitem", Flags: ForallCount}
+	f.Add(AppendFrame(nil, &Frame{ReqID: 26, Type: CmdForall, Body: count.Append(nil)}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 25, Type: CmdForallMore}))
+	done := AppendUvarint(AppendUvarint(nil, 65), 1)
+	done = AppendBytes(AppendUvarint(done, 1<<20), []byte("image"))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 25, Type: RespDone, Body: done}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 25, Type: RespDone, Body: done[:len(done)-2]}))
+	f.Add(AppendFrame(nil, &Frame{ReqID: 26, Type: RespDone, Body: AppendUvarint(AppendUvarint(nil, 500), 0)}))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data, 0)
 		if err != nil {
@@ -101,8 +116,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", re, data[:n])
 		}
 		// The body decoders must tolerate arbitrary bodies.
-		_, _ = DecodeForallReq(fr.Body, true)
-		_, _ = DecodeForallReq(fr.Body, false)
+		_, _ = DecodeForallReq(fr.Body)
 		_ = DecodeErrBody(fr.Body)
 		_, _ = DecodeSubscribeReq(fr.Body)
 		_, _, _, _ = DecodeWALFrame(fr.Body)

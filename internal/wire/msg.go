@@ -95,20 +95,24 @@ func (d *Dec) String() string { return string(d.Bytes()) }
 // Rest returns the undecoded remainder of the body.
 func (d *Dec) Rest() []byte { return d.b }
 
-// ForallReq is the body of a CmdForall (and, without Batch, a
-// CmdExplain) request. Field == "" means no suchthat clause; Value is
-// an object.EncodeValue operand.
+// ForallReq is the body of a CmdForall or CmdExplain request. Field ==
+// "" means no suchthat clause; Value is an object.EncodeValue operand.
+//
+// The rows of a forall travel in windows. A RespBatch body is one
+// window: a row count, then per row the oid (uvarint) and the
+// length-prefixed image. The RespDone that ends the scan carries the
+// total row count, then the last window the same way; a ForallCount
+// request's RespDone is the total and an empty window.
 type ForallReq struct {
 	Class string
 	Flags byte
 	Field string
 	Op    byte // query.CmpOp when Field != ""
 	Value []byte
-	Batch uint64 // requested rows per RespBatch frame (CmdForall only)
 }
 
 // Append serializes the request body.
-func (r *ForallReq) Append(b []byte, withBatch bool) []byte {
+func (r *ForallReq) Append(b []byte) []byte {
 	b = AppendString(b, r.Class)
 	b = append(b, r.Flags)
 	b = AppendString(b, r.Field)
@@ -116,14 +120,11 @@ func (r *ForallReq) Append(b []byte, withBatch bool) []byte {
 		b = append(b, r.Op)
 		b = AppendBytes(b, r.Value)
 	}
-	if withBatch {
-		b = AppendUvarint(b, r.Batch)
-	}
 	return b
 }
 
 // DecodeForallReq parses a CmdForall/CmdExplain body.
-func DecodeForallReq(body []byte, withBatch bool) (*ForallReq, error) {
+func DecodeForallReq(body []byte) (*ForallReq, error) {
 	d := NewDec(body)
 	r := &ForallReq{}
 	r.Class = d.String()
@@ -132,9 +133,6 @@ func DecodeForallReq(body []byte, withBatch bool) (*ForallReq, error) {
 	if d.Err() == nil && r.Field != "" {
 		r.Op = d.Byte()
 		r.Value = d.Bytes()
-	}
-	if withBatch {
-		r.Batch = d.Uvarint()
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

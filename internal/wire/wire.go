@@ -15,8 +15,10 @@
 //
 // Request ids are chosen by the client and echoed by the server, so a
 // client may pipeline requests over one connection; the server answers
-// in order. A streamed scan answers one request with any number of
-// RespBatch frames followed by RespDone, all under the request's id.
+// in order. A forall is pulled, not pushed: the server sends a full
+// window of rows as one RespBatch frame and scans no further until the
+// client asks with CmdForallMore under the scan's id; any other frame
+// ends the scan. The last window rides the RespDone carrying the total.
 // Errors travel as RespErr frames carrying a typed code that maps back
 // onto the engine's sentinel errors (ErrOverloaded, ErrTxTimeout, ...),
 // so errors.Is works identically against a remote database. A RespErr
@@ -41,8 +43,10 @@ import (
 const (
 	// Magic opens the hello exchange in both directions.
 	Magic = "ODEW"
-	// Version is the protocol version this build speaks.
-	Version = 1
+	// Version is the protocol version this build speaks. Version 2 made
+	// forall pulled a window at a time: a version-1 peer would wait
+	// forever on a paused scan, so the hello refuses it.
+	Version = 2
 	// HelloLen is the byte length of the hello in each direction.
 	HelloLen = 6
 	// DefaultMaxFrame bounds the payload of a single frame (8 MiB);
@@ -75,6 +79,7 @@ const (
 	CmdDerefVersion   = 0x24
 	CmdForall         = 0x30
 	CmdExplain        = 0x31
+	CmdForallMore     = 0x32
 	CmdOQL            = 0x40
 	CmdMetrics        = 0x41
 	CmdWALSubscribe   = 0x50
@@ -134,6 +139,8 @@ func CmdName(t byte) string {
 		return "version"
 	case CmdForall:
 		return "forall"
+	case CmdForallMore:
+		return "forall-more"
 	case CmdExplain:
 		return "explain"
 	case CmdOQL:
@@ -166,6 +173,7 @@ func CmdName(t byte) string {
 const (
 	ForallSubtypes = 1 << 0 // include subclass extents (person*)
 	ForallNoIndex  = 1 << 1 // force an extent scan
+	ForallCount    = 1 << 2 // answer RespDone with the row count and no rows
 )
 
 // Framing errors. ErrCRC and ErrFrameTooLarge poison the connection:

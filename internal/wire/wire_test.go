@@ -140,27 +140,20 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 func TestForallReqRoundTrip(t *testing.T) {
 	val := object.EncodeValue(core.Int(100))
 	reqs := []ForallReq{
-		{Class: "stockitem", Flags: ForallSubtypes, Field: "qty", Op: 5, Value: val, Batch: 64},
-		{Class: "person", Flags: 0, Field: "", Batch: 1},
+		{Class: "stockitem", Flags: ForallSubtypes, Field: "qty", Op: 5, Value: val},
+		{Class: "person", Flags: ForallCount | ForallNoIndex, Field: ""},
 	}
-	for _, want := range reqs {
-		for _, withBatch := range []bool{true, false} {
-			w := want
-			if !withBatch {
-				w.Batch = 0
-			}
-			body := w.Append(nil, withBatch)
-			got, err := DecodeForallReq(body, withBatch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Class != w.Class || got.Flags != w.Flags || got.Field != w.Field ||
-				got.Op != w.Op || !bytes.Equal(got.Value, w.Value) || got.Batch != w.Batch {
-				t.Fatalf("forall req round-trip: got %+v want %+v", got, w)
-			}
+	for _, w := range reqs {
+		got, err := DecodeForallReq(w.Append(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Class != w.Class || got.Flags != w.Flags || got.Field != w.Field ||
+			got.Op != w.Op || !bytes.Equal(got.Value, w.Value) {
+			t.Fatalf("forall req round-trip: got %+v want %+v", got, w)
 		}
 	}
-	if _, err := DecodeForallReq([]byte{0x05, 'a'}, true); err == nil {
+	if _, err := DecodeForallReq([]byte{0x05, 'a'}); err == nil {
 		t.Fatal("truncated forall req decoded successfully")
 	}
 }

@@ -56,7 +56,6 @@ type Scan struct {
 	Field    string
 	Op       CmpOp
 	Value    Value
-	Batch    int // remote only: rows per result frame; 0 = server default
 }
 
 // Query plans the scan inside tx, index selection included. It is the
