@@ -169,6 +169,14 @@ func PromoteDB(db *ode.DB, met *Metrics) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Activations shipped to this node were never indexed: the first
+	// local commit must see every armed trigger. A database that was
+	// already writable kept its index current through the commit hooks.
+	if db.ReadOnly() {
+		if err := db.Triggers().Reload(); err != nil {
+			return 0, err
+		}
+	}
 	db.SetReadOnly(false)
 	met.Promotions.Inc()
 	met.Epoch.Set(int64(epoch))

@@ -1,46 +1,40 @@
 package torture
 
-// Network-chaos torture: three full nodes — each an internal/node.Node,
-// the lifecycle state machine ode-server runs, configured only with
-// compressed timings — meshed through netchaos proxy links, with
-// client.Replicated traffic riding through per-client links. Rounds
-// inject one network fault each — partitions, node kills, connection
-// resets, latency, asymmetric stalls — while writes and floored reads
-// keep flowing; automatic failover (heartbeat detection, quorum
-// election, epoch fencing, resync self-healing) is what keeps the
-// group serving. After every round the fault heals and the harness
-// demands full convergence: exactly one writable node, one replication
-// identity, equal applied LSNs, byte-identical state digests, and
-// every acknowledged write present.
+// The netchaos row: three full nodes — each an internal/node.Node, the
+// lifecycle state machine ode-server runs, configured only with
+// compressed timings — meshed through netchaos proxy links, with the
+// shared traffic riding a client.Replicated router through one link per
+// node. Each round injects one network fault — a partition, a node
+// kill, connection resets, latency, an asymmetric stall — while plans
+// and floored reads keep flowing; automatic failover (heartbeat
+// detection, quorum election, epoch fencing, resync self-healing) is
+// what keeps the group serving. A plan whose commit errored or timed
+// out is uncertain: fenced until the round's resolve, which the healed
+// group must answer all-before or all-after. After every round the
+// fault heals and the group must converge — exactly one writable node,
+// one replication identity, equal applied LSNs, byte-identical state
+// digests — and verify against the model, so no acknowledged write is
+// lost. A background sampler holds the run to at most one writable
+// node per fencing epoch throughout.
 //
-// Two invariants are checked continuously, not just at round ends:
-//   - at most one node is ever writable at any given fencing epoch
-//     (a background sampler owns an epoch→node ledger for the run);
-//   - a write acknowledged to the client is never lost (verified
-//     against the converged primary each round).
-//
-// Commit acks use CommitAckQuorum=1: the primary only acknowledges a
-// write once a replica holds it, so an isolated primary cannot ack —
-// that is precisely what makes the zero-acked-loss invariant hold
-// across elections that legally discard an isolated primary's
-// unacknowledged tail.
+// Commit acks use CommitAckQuorum=1: the primary acknowledges a write
+// only once a replica holds it, so an isolated primary cannot ack —
+// which is what lets the model survive elections that legally discard
+// an isolated primary's unacknowledged tail.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"ode"
 	"ode/client"
 	"ode/internal/netchaos"
 	"ode/internal/node"
-	"ode/internal/obs"
 	"ode/internal/repl"
 	"ode/internal/server"
 )
@@ -59,75 +53,19 @@ const (
 	ncOpCtx      = 2 * time.Second        // per-client-op context budget
 )
 
-// NetChaosConfig parameterizes a network-chaos torture run.
-type NetChaosConfig struct {
-	// Seed drives every random decision of the run.
-	Seed int64
-	// Rounds is the number of fault/traffic/heal/converge cycles.
-	Rounds int
-	// OpsPerRound bounds the client operations attempted per round.
-	OpsPerRound int
-	// Dir holds all three stores' files. It must exist; the harness
-	// never deletes it (CI uploads it as an artifact on failure).
-	Dir string
-	// Log, if non-nil, receives progress lines.
-	Log io.Writer
-}
-
-// NetChaosResult summarizes a completed network-chaos run.
-type NetChaosResult struct {
-	Rounds     int
-	Ops        int
-	Acked      int // writes acknowledged to the client (verified never lost)
-	Uncertain  int // writes that errored or timed out (may or may not have landed)
-	Reads      int
-	ReadFails  int // reads lost to transport noise mid-fault (never to absence)
-	StaleReads int // floored reads answered "no object" mid-fault (see readAcked)
-	Promotions int
-	Resyncs    int // wipe-and-rebootstrap cycles (self-healing)
-	Partitions int
-	Kills      int
-	Resets     int
-	Stalls     int
-	Delays     int
-	FinalEpoch uint64
-}
-
-// ackedWrite is one client write whose commit was acknowledged — the
-// harness holds the server to it forever after.
-type ackedWrite struct {
-	name string
-	oid  ode.OID
-}
-
-type chaosRun struct {
-	cfg NetChaosConfig
-	rng *rand.Rand
-	log io.Writer
-
-	nmet  *netchaos.Metrics
+type chaosRow struct {
+	r     *run
 	links [ncNodes][ncNodes]*netchaos.Link // [dialer][target]; nil diagonal
 	clink [ncNodes]*netchaos.Link          // client → node i
-
 	nodes [ncNodes]*chaosNode
-
-	cl     *client.Replicated
-	cstock *ode.Class
-	acked  []ackedWrite
+	cl    *client.Replicated
 
 	// Run-long epoch ledger: which node first served writes at each
 	// epoch. A second claimant is split brain.
-	epochMu    sync.Mutex
 	epochOwner map[uint64]int
-
-	fatalMu  sync.Mutex
-	fatalErr error
-
-	checkStop chan struct{}
-	checkDone chan struct{}
-
-	resMu sync.Mutex // event goroutines bump counters concurrently
-	res   NetChaosResult
+	sampling   bool // checkEpochs is running
+	checkStop  chan struct{}
+	checkDone  chan struct{}
 }
 
 // chaosNode is one node of the group: the shared lifecycle runtime plus
@@ -138,101 +76,15 @@ type chaosNode struct {
 	stock *ode.Class // this node's schema instance
 }
 
-// RunNetChaos executes one network-chaos torture run; any invariant
-// violation or unexpected error is returned with the seed for
-// reproduction.
-func RunNetChaos(cfg NetChaosConfig) (*NetChaosResult, error) {
-	if cfg.Dir == "" {
-		return nil, fmt.Errorf("torture: NetChaosConfig.Dir is required")
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 8
-	}
-	if cfg.OpsPerRound <= 0 {
-		cfg.OpsPerRound = 20
-	}
-	logW := cfg.Log
-	if logW == nil {
-		logW = io.Discard
-	}
-	r := &chaosRun{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		log:        logW,
-		nmet:       &netchaos.Metrics{},
-		epochOwner: make(map[uint64]int),
-		checkStop:  make(chan struct{}),
-		checkDone:  make(chan struct{}),
-	}
-	r.nmet.Attach(obs.NewRegistry())
-	err := r.runAll()
-	res := r.result()
-	if err != nil {
-		return &res, fmt.Errorf("torture(netchaos): seed %d: %w (stores kept at %s)", cfg.Seed, err, cfg.Dir)
-	}
-	return &res, nil
+func newNetChaos(r *run) row {
+	return &chaosRow{r: r, epochOwner: make(map[uint64]int), checkStop: make(chan struct{}), checkDone: make(chan struct{})}
 }
 
-// result snapshots the counters under the lock (a plain copy would
-// race the event goroutines on a failed run's early return).
-func (r *chaosRun) result() NetChaosResult {
-	r.resMu.Lock()
-	defer r.resMu.Unlock()
-	return r.res
-}
-
-func (r *chaosRun) count(f func(*NetChaosResult)) {
-	r.resMu.Lock()
-	f(&r.res)
-	r.resMu.Unlock()
-}
-
-func (r *chaosRun) failf(format string, args ...any) {
-	r.fatalMu.Lock()
-	if r.fatalErr == nil {
-		r.fatalErr = fmt.Errorf(format, args...)
-	}
-	r.fatalMu.Unlock()
-}
-
-// violation returns the first recorded invariant violation, if any.
-func (r *chaosRun) violation() error {
-	r.fatalMu.Lock()
-	defer r.fatalMu.Unlock()
-	return r.fatalErr
-}
-
-func (r *chaosRun) runAll() error {
-	defer r.shutdown()
-	if err := r.boot(); err != nil {
-		return err
-	}
-	go r.checkEpochs()
-	if err := r.bootstrapTraffic(); err != nil {
-		// An invariant violation (e.g. split brain) explains a stuck
-		// bootstrap far better than the resulting client timeout does.
-		if verr := r.violation(); verr != nil {
-			return verr
-		}
-		return err
-	}
-	for round := 1; round <= r.cfg.Rounds; round++ {
-		if err := r.round(round); err != nil {
-			return err
-		}
-		r.count(func(res *NetChaosResult) { res.Rounds++ })
-	}
-	if err := r.violation(); err != nil {
-		return err
-	}
-	return nil
-}
-
-// boot reserves stable node addresses, wires the full proxy mesh, and
-// starts all three nodes cold. Nobody self-crowns: every node boots
+// boot reserves stable node addresses, wires the full proxy mesh,
+// starts all three nodes cold — nobody self-crowns: every node boots
 // read-only seeking a primary, and the first election crowns the
-// deterministic winner.
-func (r *chaosRun) boot() error {
+// deterministic winner — and then writes until that election is over.
+func (x *chaosRow) boot() error {
 	// Reserve each node's port up front: links must know their target
 	// address before the target's first Listen, and the address must
 	// survive node restarts.
@@ -245,43 +97,41 @@ func (r *chaosRun) boot() error {
 		addrs[i] = ln.Addr().String()
 		ln.Close()
 	}
+	var err error
 	for i := 0; i < ncNodes; i++ {
 		for j := 0; j < ncNodes; j++ {
-			if i == j {
-				continue
+			if i != j {
+				if x.links[i][j], err = netchaos.NewLink(addrs[j], nil); err != nil {
+					return err
+				}
 			}
-			l, err := netchaos.NewLink(addrs[j], r.nmet)
-			if err != nil {
-				return err
-			}
-			r.links[i][j] = l
 		}
-		cl, err := netchaos.NewLink(addrs[i], r.nmet)
-		if err != nil {
+		if x.clink[i], err = netchaos.NewLink(addrs[i], nil); err != nil {
 			return err
 		}
-		r.clink[i] = cl
 	}
 	for i := 0; i < ncNodes; i++ {
-		r.nodes[i] = r.newNode(i, addrs[i])
-		if err := r.nodes[i].Start(); err != nil {
-			return fmt.Errorf("boot %s: %w", r.nodes[i].name, err)
+		x.nodes[i] = x.newNode(i, addrs[i])
+		if err := x.nodes[i].Start(); err != nil {
+			return fmt.Errorf("%s: %w", x.nodes[i].name, err)
 		}
 	}
-	return nil
+	x.sampling = true
+	go x.checkEpochs()
+	return x.bootstrapTraffic()
 }
 
-// newNode configures node i the way ode-server -auto-failover would
-// be, with the chaos cluster's timings, small-WAL pressure (as in the
-// repl torture mode), and its peers addressed through its own links.
-func (r *chaosRun) newNode(i int, addr string) *chaosNode {
-	cfg, stock := smallWALNode(filepath.Join(r.cfg.Dir, fmt.Sprintf("node%d.odb", i)))
+// newNode configures node i the way ode-server -auto-failover would be,
+// with the chaos cluster's timings, small-WAL pressure (as in the repl
+// row), and its peers addressed through its own links.
+func (x *chaosRow) newNode(i int, addr string) *chaosNode {
+	cfg, stock := smallWALNode(filepath.Join(x.r.cfg.Dir, fmt.Sprintf("node%d.odb", i)))
 	name := fmt.Sprintf("n%d", i)
-	logf := func(format string, args ...any) { fmt.Fprintf(r.log, "["+name+"] "+format+"\n", args...) }
+	logf := func(format string, args ...any) { fmt.Fprintf(x.r.log, "["+name+"] "+format+"\n", args...) }
 	var peers []string
 	for j := 0; j < ncNodes; j++ {
 		if j != i {
-			peers = append(peers, r.links[i][j].Addr())
+			peers = append(peers, x.links[i][j].Addr())
 		}
 	}
 	cfg.Addr = addr
@@ -310,30 +160,27 @@ func (r *chaosRun) newNode(i int, addr string) *chaosNode {
 		logf("%v", t)
 		switch t.Kind {
 		case node.Promoted:
-			r.count(func(res *NetChaosResult) { res.Promotions++ })
+			x.r.count("promotions", 1)
 		case node.Resyncing:
-			r.count(func(res *NetChaosResult) { res.Resyncs++ })
+			x.r.count("resyncs", 1)
 		case node.Failed:
-			r.failf("%s: %v", name, t.Err)
+			x.r.failf("%s: %v", name, t.Err)
 		}
 	}
 	return &chaosNode{name: name, stock: stock, Node: node.New(cfg)}
 }
 
-// bootstrapTraffic waits out the first election by writing: dials the
-// clients through their links and drives writes until one commits.
-func (r *chaosRun) bootstrapTraffic() error {
-	_, cstock := Schema()
-	r.cstock = cstock
+// bootstrapTraffic dials the router through the client links, points
+// the run's topology at the group, and creates until a create commits.
+func (x *chaosRow) bootstrapTraffic() error {
+	r := x.r
+	_, r.stock = Schema()
 	clients := make([]*client.Client, ncNodes)
-	for i := 0; i < ncNodes; i++ {
+	for i := range clients {
 		cschema, _ := Schema()
 		var err error
 		for deadline := time.Now().Add(10 * time.Second); ; {
-			clients[i], err = client.Dial(r.clink[i].Addr(), cschema, &client.Options{
-				DialTimeout: 500 * time.Millisecond,
-				CacheSize:   64,
-			})
+			clients[i], err = client.Dial(x.clink[i].Addr(), cschema, &client.Options{DialTimeout: 500 * time.Millisecond, CacheSize: 64})
 			if err == nil {
 				break
 			}
@@ -343,38 +190,64 @@ func (r *chaosRun) bootstrapTraffic() error {
 			time.Sleep(25 * time.Millisecond)
 		}
 	}
-	r.cl = client.NewReplicated(clients[0], clients[1:]...)
-	r.cl.ProbeTimeout = 400 * time.Millisecond
+	x.cl = client.NewReplicated(clients[0], clients[1:]...)
+	x.cl.ProbeTimeout = 400 * time.Millisecond
+	r.runTx = func(ctx context.Context, fn func(ode.ObjectTx) error) error {
+		return x.cl.RunTx(ctx, func(tx *client.Tx) error { return fn(tx) })
+	}
+	r.view = retried(func(ctx context.Context, fn func(ode.ObjectTx) error) error {
+		return x.cl.View(ctx, func(tx *client.Tx) error { return fn(tx) })
+	})
+	r.dbs = func(fn func(*ode.DB, *ode.Class) error) error {
+		prim := x.primaryIdx()
+		if prim < 0 {
+			return fmt.Errorf("no primary after convergence")
+		}
+		n := x.nodes[prim]
+		return n.WithDB(func(db *ode.DB) error { return fn(db, n.stock) })
+	}
 
-	deadline := time.Now().Add(20 * time.Second)
-	for i := 0; ; i++ {
+	for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(100 * time.Millisecond) {
 		ctx, cancel := context.WithTimeout(context.Background(), ncOpCtx)
-		err := r.cl.RunTx(ctx, func(tx *client.Tx) error {
-			o := ode.NewObject(r.cstock)
-			o.MustSet("name", ode.Str(fmt.Sprintf("seed-%d", i)))
-			o.MustSet("qty", ode.Int(int64(i)))
-			oid, err := tx.PNew(r.cstock, o)
-			if err != nil {
-				return err
-			}
-			_ = oid
-			return nil
-		})
+		p, err := r.createOne(ctx)
 		cancel()
 		if err == nil {
-			fmt.Fprintf(r.log, "bootstrap: first commit landed (primary n%d)\n", r.primaryIdx())
+			fmt.Fprintf(r.log, "bootstrap: first commit landed (primary n%d)\n", x.primaryIdx())
 			return nil
 		}
+		r.doubt(p)
 		if time.Now().After(deadline) {
 			return fmt.Errorf("bootstrap election never produced a writable primary: %w", err)
 		}
-		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// retried wraps a client view so a read that failed on transport noise
+// — a pooled connection that died with a killed node, a node between
+// incarnations, a failover still settling — is tried again, within 10 s
+// in all. Any other error, an engine error above all, is returned at
+// once. Reads change nothing, so repeating one is safe.
+func retried(view func(ctx context.Context, fn func(ode.ObjectTx) error) error) func(fn func(ode.ObjectTx) error) error {
+	return func(fn func(ode.ObjectTx) error) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for {
+			err := view(ctx, fn)
+			var ne net.Error
+			noise := errors.As(err, &ne) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+				errors.Is(err, node.ErrDown) || errors.Is(err, ode.ErrDBClosed) ||
+				errors.Is(err, ode.ErrFailover) || errors.Is(err, ode.ErrStaleEpoch)
+			if !noise || ctx.Err() != nil {
+				return err
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
 	}
 }
 
 // primaryIdx reports which node currently serves writes, or -1.
-func (r *chaosRun) primaryIdx() int {
-	for i, n := range r.nodes {
+func (x *chaosRow) primaryIdx() int {
+	for i, n := range x.nodes {
 		if _, writable, _, _ := n.state(); writable {
 			return i
 		}
@@ -383,75 +256,130 @@ func (r *chaosRun) primaryIdx() int {
 }
 
 // round injects one fault, drives traffic through it, heals, and then
-// demands full convergence plus every acked write intact.
-func (r *chaosRun) round(round int) error {
-	fault := r.injectFault()
-	fmt.Fprintf(r.log, "round %d: %s\n", round, fault)
-	r.traffic(round)
-	if err := r.violation(); err != nil {
-		return fmt.Errorf("round %d: %w", round, err)
-	}
-	r.healAll()
-	if err := r.converge(round); err != nil {
+// demands convergence, every uncertain plan resolved, and the model.
+func (x *chaosRow) round(n int) error {
+	r := x.r
+	fmt.Fprintf(r.log, "round %d: %s\n", n, x.injectFault())
+	if err := r.traffic(x.op); err != nil {
 		return err
 	}
-	if err := r.verifyAcked(round); err != nil {
+	x.healAll()
+	if err := x.converge(n); err != nil {
+		return err
+	}
+	if err := r.resolve(); err != nil {
+		return err
+	}
+	if err := r.verify(); err != nil {
 		return err
 	}
 	return r.violation()
 }
 
+// op is one client operation: mostly a shared plan, sometimes a floored
+// read. Any error leaves a plan uncertain — an isolated primary's tail
+// may legally be discarded, a lost reply may hide a commit.
+func (x *chaosRow) op(int) (bool, error) {
+	r := x.r
+	if r.rng.Intn(4) == 0 && len(r.model) > 0 {
+		x.readFloored()
+	} else {
+		ctx, cancel := context.WithTimeout(context.Background(), ncOpCtx)
+		if p, err := r.transaction(ctx); err != nil {
+			r.doubt(p)
+		}
+		cancel()
+	}
+	time.Sleep(time.Duration(2+r.rng.Intn(15)) * time.Millisecond)
+	return false, nil
+}
+
+// readFloored reads a random live object at the session's freshness
+// floor. A transport failure mid-fault is noise; an affirmative "no
+// such object" from a node that passed the floor is counted as a stale
+// read, not a failure: a wiped node mid-resync against a not-yet-deposed
+// stale primary can transiently serve forked history whose LSNs pass
+// the numeric floor. The authoritative check is the round-end verify
+// against the converged group.
+func (x *chaosRow) readFloored() {
+	r := x.r
+	oid := r.pickLive(r.newPlan(), nil)
+	if oid == ode.NilOID {
+		return
+	}
+	want := r.model[oid].name
+	ctx, cancel := context.WithTimeout(context.Background(), ncOpCtx)
+	defer cancel()
+	err := x.cl.View(ctx, func(tx *client.Tx) error {
+		o, err := tx.Deref(oid)
+		if err == nil && o.MustGet("name").Str() != want {
+			err = fmt.Errorf("@%d holds %q, want %q", oid, o.MustGet("name").Str(), want)
+		}
+		return err
+	})
+	r.count("reads", 1)
+	switch {
+	case err == nil:
+	case errors.Is(err, ode.ErrNoObject):
+		r.count("stale", 1)
+		fmt.Fprintf(r.log, "stale floored read: @%d answered absent mid-fault\n", oid)
+	default:
+		r.count("readfails", 1)
+	}
+}
+
 // injectFault picks and applies one seeded fault, returning its
 // description for the log.
-func (r *chaosRun) injectFault() string {
-	p := r.primaryIdx()
+func (x *chaosRow) injectFault() string {
+	r := x.r
+	p := x.primaryIdx()
 	if p < 0 {
 		p = r.rng.Intn(ncNodes)
 	}
 	other := (p + 1 + r.rng.Intn(ncNodes-1)) % ncNodes
 	switch r.rng.Intn(8) {
 	case 0:
-		r.isolate(p)
-		r.count(func(res *NetChaosResult) { res.Partitions++ })
+		x.isolate(p)
+		r.count("partitions", 1)
 		return fmt.Sprintf("isolate primary n%d", p)
 	case 1:
-		r.isolate(other)
-		r.count(func(res *NetChaosResult) { res.Partitions++ })
+		x.isolate(other)
+		r.count("partitions", 1)
 		return fmt.Sprintf("isolate replica n%d", other)
 	case 2:
-		r.nodes[p].Kill()
-		r.count(func(res *NetChaosResult) { res.Kills++ })
+		x.nodes[p].Kill()
+		r.count("nodekills", 1)
 		return fmt.Sprintf("kill primary n%d", p)
 	case 3:
-		r.nodes[other].Kill()
-		r.count(func(res *NetChaosResult) { res.Kills++ })
+		x.nodes[other].Kill()
+		r.count("nodekills", 1)
 		return fmt.Sprintf("kill replica n%d", other)
 	case 4:
 		// Sever live connections on a few random links; everything
 		// reconnects on its own.
 		n := 1 + r.rng.Intn(3)
 		for k := 0; k < n; k++ {
-			r.randomLink().Reset()
+			x.randomLink().Reset()
 		}
-		r.count(func(res *NetChaosResult) { res.Resets++ })
+		r.count("resets", 1)
 		return fmt.Sprintf("reset %d random links", n)
 	case 5:
 		d := time.Duration(3+r.rng.Intn(18)) * time.Millisecond
 		n := 1 + r.rng.Intn(2)
 		for k := 0; k < n; k++ {
-			r.randomLink().SetLatency(d)
+			x.randomLink().SetLatency(d)
 		}
-		r.count(func(res *NetChaosResult) { res.Delays++ })
+		r.count("delays", 1)
 		return fmt.Sprintf("add %v latency to %d links", d, n)
 	case 6:
 		// Asymmetric drop: silence one direction of one inter-node
 		// link. Stalling FromTarget on a replica's link to its primary
 		// starves the WAL stream (no heartbeats) while the replica's
 		// own sends still flow.
-		l := r.randomMeshLink()
+		l := x.randomMeshLink()
 		dir := netchaos.Dir(r.rng.Intn(2))
 		l.SetStall(dir, true)
-		r.count(func(res *NetChaosResult) { res.Stalls++ })
+		r.count("stalls", 1)
 		return fmt.Sprintf("stall dir=%d on a mesh link", int(dir))
 	default:
 		return "no fault (control round)"
@@ -459,303 +387,165 @@ func (r *chaosRun) injectFault() string {
 }
 
 // isolate partitions node i away from its peers and its client.
-func (r *chaosRun) isolate(i int) {
+func (x *chaosRow) isolate(i int) {
 	for j := 0; j < ncNodes; j++ {
-		if j == i {
-			continue
+		if j != i {
+			x.links[i][j].SetPartition(true)
+			x.links[j][i].SetPartition(true)
 		}
-		r.links[i][j].SetPartition(true)
-		r.links[j][i].SetPartition(true)
 	}
-	r.clink[i].SetPartition(true)
+	x.clink[i].SetPartition(true)
 }
 
-func (r *chaosRun) randomLink() *netchaos.Link {
-	if r.rng.Intn(4) == 0 {
-		return r.clink[r.rng.Intn(ncNodes)]
+func (x *chaosRow) randomLink() *netchaos.Link {
+	if x.r.rng.Intn(4) == 0 {
+		return x.clink[x.r.rng.Intn(ncNodes)]
 	}
-	return r.randomMeshLink()
+	return x.randomMeshLink()
 }
 
-func (r *chaosRun) randomMeshLink() *netchaos.Link {
+func (x *chaosRow) randomMeshLink() *netchaos.Link {
 	for {
-		i, j := r.rng.Intn(ncNodes), r.rng.Intn(ncNodes)
+		i, j := x.r.rng.Intn(ncNodes), x.r.rng.Intn(ncNodes)
 		if i != j {
-			return r.links[i][j]
+			return x.links[i][j]
 		}
 	}
 }
 
 // healAll clears every network fault and revives killed nodes.
-func (r *chaosRun) healAll() {
+func (x *chaosRow) healAll() {
 	for i := 0; i < ncNodes; i++ {
 		for j := 0; j < ncNodes; j++ {
 			if i != j {
-				r.links[i][j].Heal()
+				x.links[i][j].Heal()
 			}
 		}
-		r.clink[i].Heal()
+		x.clink[i].Heal()
 	}
-	for _, n := range r.nodes {
+	for _, n := range x.nodes {
 		// Start leaves a running node alone; a killed one restarts from
 		// disk and rejoins through the boot scan.
 		if err := n.Start(); err != nil {
-			r.failf("revive %s: %v", n.name, err)
+			x.r.failf("revive %s: %v", n.name, err)
 		}
-	}
-}
-
-// traffic drives one round of client operations: mostly named writes
-// (recorded as acked on success), some floored reads of previously
-// acked writes.
-func (r *chaosRun) traffic(round int) {
-	for op := 0; op < r.cfg.OpsPerRound; op++ {
-		r.count(func(res *NetChaosResult) { res.Ops++ })
-		if r.rng.Intn(4) == 0 && len(r.acked) > 0 {
-			r.readAcked()
-		} else {
-			r.write(round, op)
-		}
-		time.Sleep(time.Duration(2+r.rng.Intn(15)) * time.Millisecond)
-		if r.violation() != nil {
-			return
-		}
-	}
-}
-
-func (r *chaosRun) write(round, op int) {
-	name := fmt.Sprintf("w-%d-%d", round, op)
-	qty := int64(r.rng.Intn(1000))
-	ctx, cancel := context.WithTimeout(context.Background(), ncOpCtx)
-	defer cancel()
-	var oid ode.OID
-	err := r.cl.RunTx(ctx, func(tx *client.Tx) error {
-		o := ode.NewObject(r.cstock)
-		o.MustSet("name", ode.Str(name))
-		o.MustSet("qty", ode.Int(qty))
-		id, perr := tx.PNew(r.cstock, o)
-		if perr != nil {
-			return perr
-		}
-		oid = id
-		return nil
-	})
-	if err == nil {
-		// The commit was acknowledged under the semi-sync quorum: the
-		// batch is durable on at least two nodes, and no legal election
-		// outcome may lose it.
-		r.acked = append(r.acked, ackedWrite{name: name, oid: oid})
-		r.count(func(res *NetChaosResult) { res.Acked++ })
-	} else {
-		// Errored or timed out: the write is uncertain (it may have
-		// landed; an isolated primary's tail may legally be discarded).
-		r.count(func(res *NetChaosResult) { res.Uncertain++ })
-	}
-}
-
-// readAcked runs a floored read of a random acked write. A transport
-// failure mid-fault is noise; an affirmative "no such object" from a
-// node that passed the freshness floor is recorded as a stale read.
-// (It is not escalated to a failure here: a wiped node mid-resync
-// against a not-yet-deposed stale primary can transiently serve forked
-// history whose LSNs pass the numeric floor. The authoritative
-// acked-write check runs at round end against the converged group.)
-func (r *chaosRun) readAcked() {
-	w := r.acked[r.rng.Intn(len(r.acked))]
-	ctx, cancel := context.WithTimeout(context.Background(), ncOpCtx)
-	defer cancel()
-	err := r.cl.View(ctx, func(tx *client.Tx) error {
-		o, derr := tx.Deref(w.oid)
-		if derr != nil {
-			return derr
-		}
-		if got := o.MustGet("name").Str(); got != w.name {
-			return fmt.Errorf("acked object @%d holds %q, want %q", w.oid, got, w.name)
-		}
-		return nil
-	})
-	r.count(func(res *NetChaosResult) {
-		res.Reads++
-		switch {
-		case err == nil:
-		case errors.Is(err, ode.ErrNoObject):
-			res.StaleReads++
-		default:
-			res.ReadFails++
-		}
-	})
-	if err != nil && errors.Is(err, ode.ErrNoObject) {
-		fmt.Fprintf(r.log, "stale floored read: acked %q (@%d) answered absent mid-fault\n", w.name, w.oid)
 	}
 }
 
 // converge waits until the healed group has exactly one writable node
 // and every node holds byte-identical state at the same position.
-func (r *chaosRun) converge(round int) error {
-	deadline := time.Now().Add(60 * time.Second)
-	for {
+func (x *chaosRow) converge(round int) error {
+	r := x.r
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(25 * time.Millisecond) {
 		if err := r.violation(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("round %d: group failed to converge: %s", round, r.describe())
+			return fmt.Errorf("group failed to converge: %s", x.describe())
 		}
-		time.Sleep(25 * time.Millisecond)
-
 		prim, primEpoch := -1, uint64(0)
 		ok := true
-		for i, n := range r.nodes {
+		for i, n := range x.nodes {
 			up, writable, epoch, _ := n.state()
-			if !up {
-				ok = false
+			if !up || (writable && prim >= 0) {
+				ok = false // a node restarting, or the old primary not yet deposed
 				break
 			}
 			if writable {
-				if prim >= 0 {
-					ok = false // old primary not yet deposed; keep waiting
-					break
-				}
 				prim, primEpoch = i, epoch
 			}
 		}
 		if !ok || prim < 0 {
 			continue
 		}
-
-		type nodeDigest struct {
-			digest string
-			lsn    uint64
-			replID string
-		}
-		var ds [ncNodes]nodeDigest
-		for i, n := range r.nodes {
-			d, lsn, replID, err := n.digest()
-			if err != nil {
-				ok = false // node restarting mid-sample; retry
+		var ds [ncNodes]string
+		var lsn0 uint64
+		var id0 string
+		for i, n := range x.nodes {
+			d, lsn, replID, err := digest(n.Node, n.stock)
+			if i == 0 {
+				lsn0, id0 = lsn, replID
+			}
+			if err != nil || lsn != lsn0 || replID != id0 {
+				ok = false // a node restarting or still catching up
 				break
 			}
-			ds[i] = nodeDigest{d, lsn, replID}
+			ds[i] = d
 		}
 		if !ok {
 			continue
 		}
-		settled := true
-		for i := 1; i < ncNodes; i++ {
-			if ds[i].lsn != ds[0].lsn || ds[i].replID != ds[0].replID {
-				settled = false
-				break
-			}
-		}
-		if !settled {
-			continue
-		}
 		// Positions agree; now the state must, byte for byte.
 		for i := 1; i < ncNodes; i++ {
-			if ds[i].digest != ds[0].digest {
-				return fmt.Errorf("round %d: state diverged at LSN %d: n0 %s, n%d %s",
-					round, ds[0].lsn, ds[0].digest[:12], i, ds[i].digest[:12])
+			if ds[i] != ds[0] {
+				return r.failf("state diverged at LSN %d: n0 %s, n%d %s", lsn0, ds[0][:12], i, ds[i][:12])
 			}
 		}
-		r.count(func(res *NetChaosResult) { res.FinalEpoch = primEpoch })
-		fmt.Fprintf(r.log, "round %d: converged, primary n%d epoch %d lsn %d digest %s\n",
-			round, prim, primEpoch, ds[0].lsn, ds[0].digest[:12])
+		fmt.Fprintf(r.log, "round %d: converged, primary n%d epoch %d lsn %d digest %s\n", round, prim, primEpoch, lsn0, ds[0][:12])
 		return nil
 	}
 }
 
-// verifyAcked asserts every acknowledged write exists on the converged
-// primary — the zero-acked-write-loss invariant.
-func (r *chaosRun) verifyAcked(round int) error {
-	prim := r.primaryIdx()
-	if prim < 0 {
-		return fmt.Errorf("round %d: no primary after convergence", round)
-	}
-	return r.nodes[prim].WithDB(func(db *ode.DB) error {
-		return db.View(func(tx *ode.Tx) error {
-			for _, w := range r.acked {
-				o, err := tx.Deref(w.oid)
-				if err != nil {
-					return fmt.Errorf("round %d: acked write %q (@%d) lost: %w", round, w.name, w.oid, err)
-				}
-				if got := o.MustGet("name").Str(); got != w.name {
-					return fmt.Errorf("round %d: acked write @%d corrupted: %q, want %q", round, w.oid, got, w.name)
-				}
-			}
-			return nil
-		})
-	})
-}
-
-// describe snapshots every node's role for a convergence-failure
-// message.
-func (r *chaosRun) describe() string {
+// describe snapshots every node's role for a convergence failure.
+func (x *chaosRow) describe() string {
 	s := ""
-	for i, n := range r.nodes {
+	for i, n := range x.nodes {
 		up, writable, epoch, lsn := n.state()
-		switch {
-		case !up:
-			s += fmt.Sprintf("n%d=down ", i)
-		case writable:
-			s += fmt.Sprintf("n%d=rw(e%d,lsn%d) ", i, epoch, lsn)
-		default:
-			s += fmt.Sprintf("n%d=ro(e%d,lsn%d) ", i, epoch, lsn)
-		}
+		s += fmt.Sprintf("n%d(up=%v rw=%v e%d lsn%d) ", i, up, writable, epoch, lsn)
 	}
 	return s
 }
 
-// checkEpochs continuously samples every node for the run's core
-// safety invariant: at most one node ever serves writes at a given
-// fencing epoch. WithDB takes the node's lock shared and never waits on
-// a role change, so a restarting or re-pointing node cannot stall the
-// sampling of the others.
-func (r *chaosRun) checkEpochs() {
-	defer close(r.checkDone)
+// checkEpochs continuously samples every node for the row's core safety
+// invariant: at most one node ever serves writes at a given fencing
+// epoch. WithDB takes the node's lock shared and never waits on a role
+// change, so a restarting node cannot stall sampling of the others.
+func (x *chaosRow) checkEpochs() {
+	defer close(x.checkDone)
 	t := time.NewTicker(2 * time.Millisecond)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.checkStop:
+		case <-x.checkStop:
 			return
 		case <-t.C:
 		}
-		for i, n := range r.nodes {
-			_, writable, e, _ := n.state()
-			if !writable {
-				continue
-			}
-			r.epochMu.Lock()
-			owner, seen := r.epochOwner[e]
-			if !seen {
-				r.epochOwner[e] = i
-			}
-			r.epochMu.Unlock()
-			if seen && owner != i {
-				r.failf("split brain: n%d and n%d both served writes at epoch %d", owner, i, e)
+		for i, n := range x.nodes {
+			if _, writable, e, _ := n.state(); writable {
+				owner, seen := x.epochOwner[e]
+				if !seen {
+					x.epochOwner[e] = i
+				} else if owner != i {
+					x.r.failf("split brain: n%d and n%d both served writes at epoch %d", owner, i, e)
+				}
 			}
 		}
 	}
 }
 
-func (r *chaosRun) shutdown() {
-	close(r.checkStop)
-	<-r.checkDone
-	if r.cl != nil {
-		r.cl.Close()
+func (x *chaosRow) finish() error { return nil }
+
+func (x *chaosRow) shutdown() {
+	close(x.checkStop)
+	if x.sampling {
+		<-x.checkDone
 	}
-	for _, n := range r.nodes {
+	if x.cl != nil {
+		x.cl.Close()
+	}
+	for _, n := range x.nodes {
 		if n != nil {
 			n.Kill()
 		}
 	}
 	for i := 0; i < ncNodes; i++ {
 		for j := 0; j < ncNodes; j++ {
-			if i != j && r.links[i][j] != nil {
-				r.links[i][j].Close()
+			if i != j && x.links[i][j] != nil {
+				x.links[i][j].Close()
 			}
 		}
-		if r.clink[i] != nil {
-			r.clink[i].Close()
+		if x.clink[i] != nil {
+			x.clink[i].Close()
 		}
 	}
 }
@@ -771,20 +561,4 @@ func (n *chaosNode) state() (up, writable bool, epoch, lsn uint64) {
 		return nil
 	})
 	return err == nil, writable, epoch, lsn
-}
-
-// digest hashes this node's state; the node cannot restart under the
-// scan.
-func (n *chaosNode) digest() (d string, lsn uint64, replID string, err error) {
-	err = n.WithDB(func(db *ode.DB) error {
-		lsn, replID = db.AppliedLSN(), db.ReplicationID()
-		if d, err = stateDigest(db, n.stock); err != nil {
-			return err
-		}
-		if db.AppliedLSN() != lsn {
-			return fmt.Errorf("applying mid-digest")
-		}
-		return nil
-	})
-	return d, lsn, replID, err
 }

@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -13,287 +14,191 @@ import (
 	"ode/internal/failpoint"
 )
 
-// TestTortureFixedSeeds is the deterministic tier of the torture suite:
-// three fixed seeds that must pass on every machine and in CI.
-func TestTortureFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
+// fixedSeeds is the deterministic tier of the suite, one row per mode:
+// the seeds that must pass on every machine and in CI, the run size,
+// the counters that must be non-zero on every seed ("a+b" sums two),
+// and those that must be non-zero summed over the row's seeds — faults
+// wherever failpoints are armed.
+var fixedSeeds = []struct {
+	mode            string
+	rounds, ops     int
+	seeds           []int64
+	perSeed, summed []string
+}{
+	{"", 6, 20, []int64{1, 2, 3}, []string{"commits", "verified"}, []string{"faults"}},
+	{"cancel", 6, 25, []int64{7, 11}, []string{"commits", "kills", "verified"}, []string{"overloads", "faults"}},
+	{"compact", 6, 25, []int64{9, 21}, []string{"commits", "compactions", "verified"}, []string{"reclaimed", "faults"}},
+	{"repl", 6, 25, []int64{5, 13}, []string{"commits", "pcrashes+rcrashes+wipes", "verified"}, []string{"pcrashes", "rcrashes", "faults"}},
+	{"netchaos", 5, 18, []int64{17, 42}, []string{"commits", "promotions", "verified"}, []string{"uncertain"}},
+	{"shard", 5, 15, []int64{19, 23}, []string{"commits", "coordkills+partkills", "resolved", "verified"}, []string{"crossacked", "crossmixed", "coordkills", "partkills", "faults"}},
+}
+
+// runFixedSeeds runs one row of fixedSeeds. Each mode keeps its own
+// test function below so a failing mode is named by the test that ran
+// it.
+func runFixedSeeds(t *testing.T, mode string) {
+	i := 0
+	for fixedSeeds[i].mode != mode {
+		i++
+	}
+	row := fixedSeeds[i]
+	total := make(map[string]int)
+	for _, seed := range row.seeds {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := Run(Config{
-				Seed:        seed,
-				Rounds:      6,
-				OpsPerRound: 20,
-				Dir:         t.TempDir(),
-			})
+			res, err := Run(Config{Mode: mode, Seed: seed, Rounds: row.rounds, OpsPerRound: row.ops, Dir: t.TempDir(), Log: testWriter{t}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("seed %d: rounds=%d ops=%d commits=%d aborts=%d faults=%d recoveries=%d resurrected=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
-			if res.Commits == 0 {
-				t.Error("run committed nothing; workload is broken")
+			t.Logf("seed %d: %v", seed, res)
+			for name, n := range res.Counts {
+				total[name] += n
 			}
-			if res.Recoveries < res.Rounds {
-				t.Errorf("recoveries %d < rounds %d; crashes are not happening", res.Recoveries, res.Rounds)
+			for _, names := range row.perSeed {
+				if sum(res.Counts, names) == 0 {
+					t.Errorf("counter %q is zero: the seed no longer exercises what its mode is for", names)
+				}
 			}
-		})
-	}
-}
-
-// TestTortureCancelFixedSeeds runs the governance traffic mode: the
-// store opens with admission control and WAL bounds, and rounds mix
-// deadline-killed transactions, lock-wait timeouts, and overload bursts
-// into the usual fault-injected traffic. A transaction killed by its
-// context must be a clean abort — the model advances only on commits,
-// and every recovery must still verify.
-func TestTortureCancelFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{7, 11} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := Run(Config{
-				Seed:        seed,
-				Rounds:      6,
-				OpsPerRound: 25,
-				Dir:         t.TempDir(),
-				Cancel:      true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: rounds=%d ops=%d commits=%d aborts=%d kills=%d overloads=%d faults=%d recoveries=%d resurrected=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.Kills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
-			if res.Commits == 0 {
-				t.Error("run committed nothing; workload is broken")
-			}
-			if res.Kills == 0 {
-				t.Error("no transaction was killed by deadline/cancellation; cancel traffic is broken")
+			// The embedded rows crash and recover in every round.
+			if c := res.Counts; (mode == "" || mode == "cancel" || mode == "compact") && c["recoveries"] < c["rounds"] {
+				t.Errorf("recoveries %d < rounds %d: crashes are not happening", c["recoveries"], c["rounds"])
 			}
 		})
 	}
-}
-
-// TestTortureCompactFixedSeeds runs the online-compaction mode: rounds
-// mix delete-heavy churn with DB.Compact passes, and the armed fault
-// can land on the compaction failpoints so the crash interrupts a pass
-// with records half-relocated. Recovery must restore a consistent
-// store (extents, indexes, per-object state, heap-chain space
-// accounting), and the run's final clean pass must verify too.
-func TestTortureCompactFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{9, 21} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := Run(Config{
-				Seed:        seed,
-				Rounds:      6,
-				OpsPerRound: 25,
-				Dir:         t.TempDir(),
-				Compact:     true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: rounds=%d ops=%d commits=%d aborts=%d compactions=%d reclaimed=%d faults=%d recoveries=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.Compactions, res.Reclaimed, res.Faults, res.Recoveries, res.SitesFired)
-			if res.Commits == 0 {
-				t.Error("run committed nothing; workload is broken")
-			}
-			if res.Compactions == 0 {
-				t.Error("no compaction pass completed; compact traffic is broken")
-			}
-		})
+	for _, name := range row.summed {
+		if total[name] == 0 {
+			t.Errorf("counter %q is zero across seeds %v: the mode no longer exercises what it is for", name, row.seeds)
+		}
 	}
 }
 
-// TestTortureReplFixedSeeds runs the replication torture: a primary
-// with a wire server and a replica following its WAL stream, random
-// node kills and wipes under the usual armed failpoints, and a
-// byte-level convergence check each round (see repl.go).
-func TestTortureReplFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{5, 13} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunRepl(ReplConfig{
-				Seed:        seed,
-				Rounds:      6,
-				OpsPerRound: 25,
-				Dir:         t.TempDir(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: rounds=%d ops=%d commits=%d aborts=%d pkills=%d rkills=%d wipes=%d resyncs=%d faults=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Commits, res.Aborts, res.PrimaryCrashes, res.ReplicaCrashes, res.Wipes, res.Resyncs, res.Faults, res.SitesFired)
-			if res.Commits == 0 {
-				t.Error("run committed nothing; workload is broken")
-			}
-			if res.PrimaryCrashes+res.ReplicaCrashes+res.Wipes == 0 {
-				t.Error("no node was ever killed; kill schedule is broken")
-			}
-		})
+// sum adds up the counters names lists, joined by "+".
+func sum(counts map[string]int, names string) int {
+	n := 0
+	for _, name := range strings.Split(names, "+") {
+		n += counts[name]
 	}
+	return n
 }
 
-// TestTortureNetChaosFixedSeeds runs the network-chaos torture: three
-// full nodes with automatic failover, meshed through netchaos proxy
-// links, with partitions, kills, resets, latency, and asymmetric
-// stalls injected per round while client traffic flows. The run checks
-// at-most-one-writable-epoch continuously and, per round, convergence
-// plus zero acked-write loss (see netchaos.go).
-func TestTortureNetChaosFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{17, 42} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunNetChaos(NetChaosConfig{
-				Seed:        seed,
-				Rounds:      5,
-				OpsPerRound: 18,
-				Dir:         t.TempDir(),
-				Log:         testWriter{t},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: rounds=%d ops=%d acked=%d uncertain=%d reads=%d readfails=%d stale=%d promotions=%d resyncs=%d parts=%d kills=%d resets=%d stalls=%d delays=%d epoch=%d",
-				seed, res.Rounds, res.Ops, res.Acked, res.Uncertain, res.Reads, res.ReadFails, res.StaleReads,
-				res.Promotions, res.Resyncs, res.Partitions, res.Kills, res.Resets, res.Stalls, res.Delays, res.FinalEpoch)
-			if res.Acked == 0 {
-				t.Error("no write was ever acknowledged; traffic is broken")
-			}
-			if res.Promotions == 0 {
-				t.Error("no promotion ever happened; even the bootstrap election should promote")
-			}
-		})
-	}
-}
+func TestTortureFixedSeeds(t *testing.T)         { runFixedSeeds(t, "") }
+func TestTortureCancelFixedSeeds(t *testing.T)   { runFixedSeeds(t, "cancel") }
+func TestTortureCompactFixedSeeds(t *testing.T)  { runFixedSeeds(t, "compact") }
+func TestTortureReplFixedSeeds(t *testing.T)     { runFixedSeeds(t, "repl") }
+func TestTortureNetChaosFixedSeeds(t *testing.T) { runFixedSeeds(t, "netchaos") }
+func TestTortureShardFixedSeeds(t *testing.T)    { runFixedSeeds(t, "shard") }
 
-// TestTortureShardFixedSeeds runs the sharding torture: three shard
-// servers behind a client.Sharded router, cross-shard 2PC traffic with
-// faults armed on the prepare/decide WAL sites, and every round a
-// hand-staged transaction killed between prepare and the decision (or
-// between the decision and its delivery) on a coordinator or a
-// participant. The atomicity sweep requires each marker either fully
-// present or fully absent, and every acked commit fully present (see
-// shard.go).
-func TestTortureShardFixedSeeds(t *testing.T) {
-	for _, seed := range []int64{19, 23} {
-		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			res, err := RunShard(ShardConfig{
-				Seed:        seed,
-				Rounds:      5,
-				OpsPerRound: 15,
-				Dir:         t.TempDir(),
-				Log:         testWriter{t},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("seed %d: rounds=%d ops=%d acked=%d uncertain=%d crossacked=%d staged=%d ckills=%d pkills=%d resolved=%d faults=%d fired=%v",
-				seed, res.Rounds, res.Ops, res.Acked, res.Uncertain, res.CrossAcked, res.Staged,
-				res.CoordKills, res.PartKills, res.Resolved, res.Faults, res.SitesFired)
-			if res.Acked == 0 {
-				t.Error("no transaction was ever acked; traffic is broken")
-			}
-			if res.CoordKills+res.PartKills == 0 {
-				t.Error("no shard was ever killed; kill schedule is broken")
-			}
-			if res.Resolved == 0 {
-				t.Error("no in-doubt transaction was ever resolved; the kill windows are missing the protocol")
-			}
-		})
-	}
-}
-
-// TestTortureCI is the environment-driven entry point used by the CI
-// torture matrix. TORTURE_SEED is a number, or the string RANDOM for a
-// time-derived seed that is logged so a failure can be reproduced:
+// TestTortureCI is the environment-driven entry point of the CI torture
+// matrix. TORTURE_SEED is a number, or RANDOM for a time-derived seed
+// that is logged so a failure can be reproduced:
 //
-//	TORTURE_SEED=12345 go test -run TestTortureCI -v ./internal/torture
+//	TORTURE_MODE=shard TORTURE_SEED=12345 go test -run TestTortureCI -v ./internal/torture
 //
-// TORTURE_ROUNDS, TORTURE_OPS, and TORTURE_DIR tune the run;
-// TORTURE_MODE=cancel turns on the resource-governance traffic
-// (Config.Cancel), TORTURE_MODE=compact the online-compaction traffic
-// (Config.Compact), TORTURE_MODE=repl runs the replication torture
-// (RunRepl), TORTURE_MODE=netchaos the network-chaos failover torture
-// (RunNetChaos), and TORTURE_MODE=shard the cross-shard 2PC torture
-// (RunShard) instead of the single-node harness. With
-// TORTURE_DIR set, the store files survive the test for artifact
-// upload on failure.
+// TORTURE_MODE names the mode (unset: embedded crash recovery),
+// TORTURE_ROUNDS and TORTURE_OPS size the run (unset: 10 and 30, as in
+// CI), and with TORTURE_DIR set the store files survive the test for
+// artifact upload on failure.
 func TestTortureCI(t *testing.T) {
 	seedEnv := os.Getenv("TORTURE_SEED")
 	if seedEnv == "" {
-		t.Skip("TORTURE_SEED not set (CI entry point; use TestTortureFixedSeeds locally)")
+		t.Skip("TORTURE_SEED not set (CI entry point; the fixed-seed tests run locally)")
 	}
-	var seed int64
+	cfg := Config{Mode: os.Getenv("TORTURE_MODE"), Rounds: 10, OpsPerRound: 30, Dir: os.Getenv("TORTURE_DIR"), Log: testWriter{t}}
+	var err error
 	if strings.EqualFold(seedEnv, "RANDOM") {
-		seed = time.Now().UnixNano()
-	} else {
-		var err error
-		seed, err = strconv.ParseInt(seedEnv, 10, 64)
-		if err != nil {
-			t.Fatalf("bad TORTURE_SEED %q: %v", seedEnv, err)
+		cfg.Seed = time.Now().UnixNano()
+	} else if cfg.Seed, err = strconv.ParseInt(seedEnv, 10, 64); err != nil {
+		t.Fatalf("bad TORTURE_SEED %q: %v", seedEnv, err)
+	}
+	for env, dst := range map[string]*int{"TORTURE_ROUNDS": &cfg.Rounds, "TORTURE_OPS": &cfg.OpsPerRound} {
+		if v := os.Getenv(env); v != "" {
+			if *dst, err = strconv.Atoi(v); err != nil {
+				t.Fatalf("bad %s %q: %v", env, v, err)
+			}
 		}
 	}
-	cfg := Config{Seed: seed, Dir: os.Getenv("TORTURE_DIR"), Log: testWriter{t}}
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	} else if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if v := os.Getenv("TORTURE_ROUNDS"); v != "" {
-		cfg.Rounds, _ = strconv.Atoi(v)
-	}
-	if v := os.Getenv("TORTURE_OPS"); v != "" {
-		cfg.OpsPerRound, _ = strconv.Atoi(v)
-	}
-	cfg.Cancel = strings.EqualFold(os.Getenv("TORTURE_MODE"), "cancel")
-	cfg.Compact = strings.EqualFold(os.Getenv("TORTURE_MODE"), "compact")
 	t.Logf("torture seed %d mode=%s (reproduce: TORTURE_SEED=%d TORTURE_MODE=%s go test -run TestTortureCI -v ./internal/torture)",
-		seed, os.Getenv("TORTURE_MODE"), seed, os.Getenv("TORTURE_MODE"))
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "netchaos") {
-		res, err := RunNetChaos(NetChaosConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=netchaos): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d acked=%d uncertain=%d reads=%d readfails=%d stale=%d promotions=%d resyncs=%d parts=%d kills=%d resets=%d stalls=%d delays=%d epoch=%d",
-			res.Rounds, res.Ops, res.Acked, res.Uncertain, res.Reads, res.ReadFails, res.StaleReads,
-			res.Promotions, res.Resyncs, res.Partitions, res.Kills, res.Resets, res.Stalls, res.Delays, res.FinalEpoch)
-		return
-	}
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "shard") {
-		res, err := RunShard(ShardConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=shard): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d acked=%d uncertain=%d crossacked=%d staged=%d ckills=%d pkills=%d resolved=%d faults=%d fired=%v",
-			res.Rounds, res.Ops, res.Acked, res.Uncertain, res.CrossAcked, res.Staged,
-			res.CoordKills, res.PartKills, res.Resolved, res.Faults, res.SitesFired)
-		return
-	}
-	if strings.EqualFold(os.Getenv("TORTURE_MODE"), "repl") {
-		res, err := RunRepl(ReplConfig{
-			Seed: seed, Rounds: cfg.Rounds, OpsPerRound: cfg.OpsPerRound,
-			Dir: cfg.Dir, Log: cfg.Log,
-		})
-		if err != nil {
-			t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=repl): %v", seed, err)
-		}
-		t.Logf("rounds=%d ops=%d commits=%d aborts=%d pkills=%d rkills=%d wipes=%d resyncs=%d faults=%d fired=%v",
-			res.Rounds, res.Ops, res.Commits, res.Aborts, res.PrimaryCrashes, res.ReplicaCrashes, res.Wipes, res.Resyncs, res.Faults, res.SitesFired)
-		return
-	}
+		cfg.Seed, cfg.Mode, cfg.Seed, cfg.Mode)
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatalf("torture failed (reproduce with TORTURE_SEED=%d TORTURE_MODE=%s): %v", seed, os.Getenv("TORTURE_MODE"), err)
+		t.Fatal(err)
 	}
-	t.Logf("rounds=%d ops=%d commits=%d aborts=%d kills=%d overloads=%d faults=%d recoveries=%d resurrected=%d fired=%v",
-		res.Rounds, res.Ops, res.Commits, res.Aborts, res.Kills, res.Overloads, res.Faults, res.Recoveries, res.Resurrected, res.SitesFired)
+	t.Log(res)
+}
+
+func TestRunRejectsUnknownMode(t *testing.T) {
+	if _, err := Run(Config{Mode: "chaos"}); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Fatalf("Run(Mode: chaos) = %v, want an unknown-mode error", err)
+	}
+	if _, err := Run(Config{Rounds: 1, Dir: t.TempDir()}); err == nil || !strings.Contains(err.Error(), "must be positive") {
+		t.Fatalf("Run(OpsPerRound: 0) = %v, want a size error", err)
+	}
+}
+
+// bootRun boots mode's topology and seeds it, without running rounds.
+func bootRun(t *testing.T, mode string) *run {
+	t.Helper()
+	r, err := newRun(Config{Mode: mode, Seed: 1, Rounds: 1, OpsPerRound: 1, Dir: t.TempDir(), Log: testWriter{t}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.row.shutdown)
+	if err := r.row.boot(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestVerifyCatchesWriteBehindModel proves the shared verify has teeth:
+// a committed write the model never saw is reported as divergence.
+func TestVerifyCatchesWriteBehindModel(t *testing.T) {
+	r := bootRun(t, "")
+	if err := r.verify(); err != nil {
+		t.Fatalf("verify before the rogue write: %v", err)
+	}
+	oid := keys(r.model)[0]
+	err := r.row.(*embedded).db.RunTx(func(tx *ode.Tx) error {
+		o, err := tx.Deref(oid)
+		if err != nil {
+			return err
+		}
+		o.MustSet("qty", ode.Int(o.MustGet("qty").Int()+1))
+		return tx.Update(oid, o)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.verify(); err == nil || !strings.Contains(err.Error(), "diverged") {
+		t.Fatalf("verify after a write behind the model = %v, want divergence", err)
+	}
+}
+
+// TestResolveCatchesSplitDecision proves the shared resolve is the 2PC
+// atomicity sweep: a staged transaction committed on its coordinator
+// and aborted on a participant is reported as an atomicity violation.
+func TestResolveCatchesSplitDecision(t *testing.T) {
+	r := bootRun(t, "shard")
+	x := r.row.(*shardRow)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	p, gid := r.newPlan(), "s0-split-1"
+	if ok, err := x.stage(ctx, p, []int{0, 1}, gid); !ok {
+		t.Fatalf("stage: %v", err)
+	}
+	if _, _, err := x.router.Shard(0).CommitPrepared(ctx, gid); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.router.Shard(1).AbortPrepared(ctx, gid); err != nil {
+		t.Fatal(err)
+	}
+	r.doubt(p)
+	if err := r.resolve(); err == nil || !strings.Contains(err.Error(), "atomicity violation") {
+		t.Fatalf("resolve of a split decision = %v, want an atomicity violation", err)
+	}
 }
 
 type testWriter struct{ t *testing.T }
@@ -380,11 +285,13 @@ func tornFlushAttempt(t *testing.T, skipDoubleWrite bool, afterN int) (fired boo
 	}
 	// Tear the (afterN+1)-th in-place page write of the checkpoint
 	// flush, then crash.
-	failpoint.Arm("storage.page_write", failpoint.Spec{
+	if err := failpoint.Arm("storage.page_write", failpoint.Spec{
 		Action:  failpoint.ActTornWrite,
 		AfterN:  uint64(afterN),
 		OneShot: true,
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	err = db.Checkpoint()
 	failpoint.DisarmAll()
 	if err == nil {

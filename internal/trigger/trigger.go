@@ -41,6 +41,9 @@ var (
 	// ErrNotActivation is returned when a deactivation id does not name
 	// an activation object.
 	ErrNotActivation = errors.New("trigger: id does not name an activation")
+	// ErrReloadWritable is returned by Reload on a writable engine: an
+	// activation committed behind its scan would be dropped.
+	ErrReloadWritable = errors.New("trigger: Reload needs a read-only database")
 )
 
 // RegisterActivationClass adds the system activation class to a schema.
@@ -123,7 +126,7 @@ func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
 			return nil, err
 		}
 	}
-	if err := s.loadActivations(); err != nil {
+	if err := s.reload(); err != nil {
 		return nil, err
 	}
 	engine.PreCommit = s.preCommit
@@ -135,20 +138,44 @@ func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
 // SetMetrics attaches the trigger metric set; tm must be non-nil.
 func (s *Service) SetMetrics(tm *obs.TriggerMetrics) { s.met = tm }
 
-// loadActivations rebuilds the in-memory target index from the
-// activation extent (after open or recovery).
-func (s *Service) loadActivations() error {
+// Reload rebuilds the in-memory target index from the activation
+// extent before a replica is promoted: replicated batches create and
+// delete activation objects without the commit hooks that keep the
+// index current. Nothing may commit while it runs (an activation
+// committed behind the scan would be dropped), so it refuses a writable
+// engine with ErrReloadWritable.
+func (s *Service) Reload() error {
+	if !s.engine.ReadOnly() {
+		return ErrReloadWritable
+	}
+	return s.reload()
+}
+
+// reload rebuilds the target index; NewService runs it at open, before
+// any transaction.
+func (s *Service) reload() error {
+	byTarget := make(map[core.OID]map[core.OID]bool)
 	mgr := s.engine.Manager()
-	return mgr.ScanCluster(s.actClass, func(oid core.OID) (bool, error) {
+	err := mgr.ScanCluster(s.actClass, func(oid core.OID) (bool, error) {
 		o, _, err := mgr.Get(oid)
 		if err != nil {
 			return false, err
 		}
 		if target, ok := o.MustGet("target").AnyOID(); ok && o.MustGet("active").Bool() {
-			s.indexActivation(target, oid)
+			if byTarget[target] == nil {
+				byTarget[target] = make(map[core.OID]bool)
+			}
+			byTarget[target][oid] = true
 		}
 		return true, nil
 	})
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.byTarget = byTarget
+	s.mu.Unlock()
+	return nil
 }
 
 func (s *Service) indexActivation(target, act core.OID) {

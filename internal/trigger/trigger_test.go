@@ -91,6 +91,20 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{engine: engine, svc: svc, item: item}
 }
 
+// TestReloadRefusesWritableEngine: rebuilding the index while local
+// commits run would drop activations indexed behind the scan, so Reload
+// serves only a read-only engine (a replica about to be promoted).
+func TestReloadRefusesWritableEngine(t *testing.T) {
+	f := newFixture(t)
+	if err := f.svc.Reload(); !errors.Is(err, ErrReloadWritable) {
+		t.Fatalf("Reload on a writable engine = %v, want ErrReloadWritable", err)
+	}
+	f.engine.SetReadOnly(true)
+	if err := f.svc.Reload(); err != nil {
+		t.Fatalf("Reload on a read-only engine: %v", err)
+	}
+}
+
 func (f *fixture) newItem(t testing.TB, name string, qty int64) core.OID {
 	t.Helper()
 	tx := f.engine.Begin()
