@@ -288,13 +288,17 @@ var workGates = []struct {
 		// a reply of 17 bytes where the full image is about 50.
 		// Stockitems hold no references, so each revalidation is of one
 		// object: a request per deref. The begin rides the first one.
+		// A point read locks its row and no cluster: one grant per deref.
 		name: "hot-deref", script: (*gateWorld).readHot,
 		want: map[Kind][]bound{
-			Embedded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0)},
+			Embedded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
+				eq("txn.lock_grants", gateHot)},
 			Remote: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
+				eq("txn.lock_grants", gateHot),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
 				eq("server.requests", gateHot+2), eq("client.round_trips", gateHot+1), le("server.bytes_out", gateHot*18)},
 			Sharded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
+				eq("txn.lock_grants", gateHot),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
 				eq("server.requests", gateHot+3*2), eq("client.round_trips", gateHot+3), le("server.bytes_out", gateHot*18)},
 		},
@@ -323,26 +327,32 @@ var workGates = []struct {
 		// An unindexed count visits every row once on whichever server
 		// holds it, and each server answers with the number alone: the
 		// bytes out are the begin, count and abort replies, and the
-		// router adds three numbers.
+		// router adds three numbers. The scan locks the stockitem
+		// cluster S and reads its rows under it: one grant. A shard
+		// takes no cluster S (Tx.LockCluster), so there the scan locks
+		// each row it reads: one grant per row.
 		name: "count-scan", script: countUpperHalf,
 		want: map[Kind][]bound{
-			Embedded: {eq("query.foralls", 1), eq("query.plan_extent_scan", 1), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2)},
+			Embedded: {eq("query.foralls", 1), eq("query.plan_extent_scan", 1), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2),
+				eq("txn.lock_grants", 1)},
 			Remote: {eq("query.foralls", 1), eq("query.plan_extent_scan", 1), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2),
-				eq("server.requests", 3), le("server.bytes_out", 100)},
+				eq("txn.lock_grants", 1), eq("server.requests", 3), le("server.bytes_out", 100)},
 			Sharded: {eq("query.foralls", 3), eq("query.plan_extent_scan", 3), eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows/2),
-				eq("client.shard.scatter_scans", 1), eq("server.requests", 3*3), le("server.bytes_out", 300)},
+				eq("txn.lock_grants", gateRows), eq("client.shard.scatter_scans", 1), eq("server.requests", 3*3), le("server.bytes_out", 300)},
 		},
 	},
 	{
 		// A 2 % range through the qty index reads the rows it returns
-		// and no others.
+		// and no others. An index scan keeps row locks, one per row
+		// read, and takes no cluster word.
 		name: "indexed-collect", script: collectTopFiftieth,
 		want: map[Kind][]bound{
-			Embedded: {eq("query.plan_index_range", 1), eq("query.plan_extent_scan", 0), eq("query.rows_scanned", gateRows/50), eq("query.rows_yielded", gateRows/50)},
+			Embedded: {eq("query.plan_index_range", 1), eq("query.plan_extent_scan", 0), eq("query.rows_scanned", gateRows/50), eq("query.rows_yielded", gateRows/50),
+				eq("txn.lock_grants", gateRows/50)},
 			Remote: {eq("query.plan_index_range", 1), eq("query.plan_extent_scan", 0), eq("query.rows_scanned", gateRows/50), eq("query.rows_yielded", gateRows/50),
-				eq("server.requests", 3), le("server.bytes_out", 800)},
+				eq("txn.lock_grants", gateRows/50), eq("server.requests", 3), le("server.bytes_out", 800)},
 			Sharded: {eq("query.plan_index_range", 3), eq("query.plan_extent_scan", 0), eq("query.rows_scanned", gateRows/50), eq("query.rows_yielded", gateRows/50),
-				eq("server.requests", 3*3), le("server.bytes_out", 950)},
+				eq("txn.lock_grants", gateRows/50), eq("server.requests", 3*3), le("server.bytes_out", 950)},
 		},
 	},
 	{
@@ -350,13 +360,15 @@ var workGates = []struct {
 		// server scans one window (64 rows) and waits; the stop sends
 		// nothing, and the abort ends the scan. Behind the router every
 		// shard fills its first window before the merge stops, and no
-		// shard is asked for a second: 3 × 64 rows.
+		// shard is asked for a second: 3 × 64 rows. However many rows
+		// a scan reads, it locks only the cluster: one grant; a shard
+		// locks the rows it read instead.
 		name: "early-stop", script: stopAfterTen,
 		want: map[Kind][]bound{
-			Embedded: {eq("query.rows_scanned", 10), eq("query.rows_yielded", 10)},
-			Remote: {eq("query.rows_scanned", 64), le("server.bytes_out", 2300),
+			Embedded: {eq("query.rows_scanned", 10), eq("query.rows_yielded", 10), eq("txn.lock_grants", 1)},
+			Remote: {eq("query.rows_scanned", 64), eq("txn.lock_grants", 1), le("server.bytes_out", 2300),
 				eq("server.requests", 3), eq("client.round_trips", 2)},
-			Sharded: {eq("query.rows_scanned", 3*64), le("server.bytes_out", 7000),
+			Sharded: {eq("query.rows_scanned", 3*64), eq("txn.lock_grants", 3*64), le("server.bytes_out", 7000),
 				eq("server.requests", 3*3), eq("client.round_trips", 3*2)},
 		},
 	},
@@ -366,12 +378,14 @@ var workGates = []struct {
 		// RespDone — begin, forall, two mores and abort in four round
 		// trips. A shard holds a third of the rows: one window of 64 and
 		// the rest (269 or 270 rows) with its RespDone, one forall-more.
+		// The windows share one cluster S: one grant, or one per row on
+		// a shard.
 		name: "forall-all", script: forallAll,
 		want: map[Kind][]bound{
-			Embedded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows)},
-			Remote: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows),
+			Embedded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows), eq("txn.lock_grants", 1)},
+			Remote: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows), eq("txn.lock_grants", 1),
 				eq("server.requests", 5), eq("client.round_trips", 4)},
-			Sharded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows),
+			Sharded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows), eq("txn.lock_grants", gateRows),
 				eq("server.requests", 3*4), eq("client.round_trips", 3*3)},
 		},
 	},
@@ -380,13 +394,16 @@ var workGates = []struct {
 		// fsync on, one fsync; over the wire, one request per call. On
 		// three shards (which run with fsync on) the creates stride over
 		// all of them, so the commit is a three-way 2PC: a vote and a
-		// decision fsynced on each.
+		// decision fsynced on each. Each create locks its new row X, and
+		// each database's first create also takes IX on the cell cluster.
 		name: "commit-20", opts: &ode.Options{}, script: createTwenty,
 		want: map[Kind][]bound{
-			Embedded: {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("wal.fsyncs", 1)},
+			Embedded: {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("wal.fsyncs", 1),
+				eq("txn.lock_grants", 20+1)},
 			Remote: {eq("object.creates", 20), eq("txn.commits", 1), eq("wal.appends", 1), eq("wal.fsyncs", 1),
-				eq("server.requests", 20+2), eq("client.round_trips", 20+1)},
+				eq("txn.lock_grants", 20+1), eq("server.requests", 20+2), eq("client.round_trips", 20+1)},
 			Sharded: {eq("object.creates", 20), eq("txn.commits", 3), eq("wal.appends", 9), eq("wal.fsyncs", 6),
+				eq("txn.lock_grants", 20+3),
 				eq("txn.prepared_total", 3), eq("txn.prepared_commits", 3), eq("client.shard.cross_commits", 1),
 				eq("server.requests", 20+3*3), eq("client.round_trips", 20+3*2)},
 		},

@@ -24,6 +24,11 @@ type OID uint64
 // NilOID is the null persistent reference.
 const NilOID OID = 0
 
+// ReservedOIDBit is never set in an object id: the lock table keys its
+// cluster words with it (internal/txn), so the object manager refuses
+// to allocate or note an id that has it.
+const ReservedOIDBit OID = 1 << 63
+
 // VRef is a reference to a specific version of a persistent object.
 // A plain OID is a *generic* reference (it dereferences to the current
 // version); a VRef pins one version (paper, section 4).

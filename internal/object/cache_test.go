@@ -12,7 +12,7 @@ import (
 
 func TestCacheHitAfterGet(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	if err := m.Apply(putOp(m, oid, mkPart(t, part, "bolt", 4), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestCacheHitAfterGet(t *testing.T) {
 
 func TestCacheInvalidatedOnPut(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	if err := m.Apply(putOp(m, oid, mkPart(t, part, "bolt", 4), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCacheInvalidatedOnPut(t *testing.T) {
 
 func TestCacheInvalidatedOnDelete(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	if err := m.Apply(putOp(m, oid, mkPart(t, part, "bolt", 4), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCacheSizeBound(t *testing.T) {
 	const n = 4 * bound
 	oids := make([]core.OID, n)
 	for i := range oids {
-		oids[i] = m.AllocOID()
+		oids[i] = alloc(t, m)
 		if err := m.Apply(putOp(m, oids[i], mkPart(t, part, "p", int64(i)), 0)); err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestCacheSizeBound(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
 	m.SetObjectCacheSize(-1)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	if err := m.Apply(putOp(m, oid, mkPart(t, part, "bolt", 4), 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheDisabled(t *testing.T) {
 // written together and must be read together).
 func TestCacheConcurrentReadersSeeFreshImages(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	if err := m.Apply(putOp(m, oid, mkPart(t, part, "v0", 0), 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -37,6 +37,11 @@ var (
 	ErrIndexExists = errors.New("object: index already exists")
 	// ErrNoIndex is returned when dropping a missing index.
 	ErrNoIndex = errors.New("object: no such index")
+	// ErrReservedOID is returned for an object id with
+	// core.ReservedOIDBit set: that range keys the lock table's cluster
+	// words, so a corrupt or replayed id there is refused instead of
+	// colliding with one.
+	ErrReservedOID = errors.New("object: object id in the reserved range")
 )
 
 // Heap record kinds (first uvarint of every heap record).
@@ -443,29 +448,39 @@ func (m *Manager) SetOIDStride(slot, count int) {
 
 // AllocOID reserves a fresh object id. Ids burned by aborted
 // transactions are never reused.
-func (m *Manager) AllocOID() core.OID {
+func (m *Manager) AllocOID() (core.OID, error) {
+	var oid core.OID
 	if m.oidCount < 2 {
-		return core.OID(m.nextOID.Add(1) - 1)
-	}
-	for {
-		cur := m.nextOID.Load()
-		oid := cur
-		if r := oid % m.oidCount; r != m.oidSlot {
-			oid += (m.oidSlot + m.oidCount - r) % m.oidCount
+		oid = core.OID(m.nextOID.Add(1) - 1)
+	} else {
+		for {
+			cur := m.nextOID.Load()
+			next := cur
+			if r := next % m.oidCount; r != m.oidSlot {
+				next += (m.oidSlot + m.oidCount - r) % m.oidCount
+			}
+			if m.nextOID.CompareAndSwap(cur, next+1) {
+				oid = core.OID(next)
+				break
+			}
 		}
-		if m.nextOID.CompareAndSwap(cur, oid+1) {
-			return core.OID(oid)
-		}
 	}
+	if oid&core.ReservedOIDBit != 0 {
+		return core.NilOID, fmt.Errorf("%w: allocator reached @%d", ErrReservedOID, oid)
+	}
+	return oid, nil
 }
 
 // NoteOID raises the OID allocator above oid; used during WAL replay.
-func (m *Manager) NoteOID(oid core.OID) {
+func (m *Manager) NoteOID(oid core.OID) error {
+	if oid&core.ReservedOIDBit != 0 {
+		return fmt.Errorf("%w: @%d", ErrReservedOID, oid)
+	}
 	want := uint64(oid) + 1
 	for {
 		cur := m.nextOID.Load()
 		if cur >= want || m.nextOID.CompareAndSwap(cur, want) {
-			return
+			return nil
 		}
 	}
 }

@@ -47,6 +47,16 @@ func putOp(m *Manager, oid core.OID, o *core.Object, ver uint32) *wal.Op {
 	}
 }
 
+// alloc is AllocOID for tests, failing t on an error.
+func alloc(t testing.TB, m *Manager) core.OID {
+	t.Helper()
+	oid, err := m.AllocOID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return oid
+}
+
 func mkPart(t testing.TB, c *core.Class, name string, qty int64) *core.Object {
 	t.Helper()
 	o := core.NewObject(c)
@@ -57,7 +67,7 @@ func mkPart(t testing.TB, c *core.Class, name string, qty int64) *core.Object {
 
 func TestInsertGetUpdateDelete(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	o := mkPart(t, part, "bolt", 100)
 	if err := m.Apply(putOp(m, oid, o, 0)); err != nil {
 		t.Fatal(err)
@@ -96,7 +106,7 @@ func TestInsertGetUpdateDelete(t *testing.T) {
 
 func TestApplyIsIdempotent(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	op := putOp(m, oid, mkPart(t, part, "nut", 5), 0)
 	if err := m.Apply(op); err != nil {
 		t.Fatal(err)
@@ -111,8 +121,8 @@ func TestApplyIsIdempotent(t *testing.T) {
 
 func TestClusterMembershipByDynamicClass(t *testing.T) {
 	m, _, part, widget := newTestManager(t)
-	po := m.AllocOID()
-	wo := m.AllocOID()
+	po := alloc(t, m)
+	wo := alloc(t, m)
 	m.Apply(putOp(m, po, mkPart(t, part, "p", 1), 0))
 	m.Apply(putOp(m, wo, mkPart(t, widget, "w", 1), 0))
 
@@ -137,7 +147,7 @@ func TestClusterMembershipByDynamicClass(t *testing.T) {
 
 func TestVersioning(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	v0 := mkPart(t, part, "gear", 10)
 	m.Apply(putOp(m, oid, v0, 0))
 
@@ -178,7 +188,7 @@ func TestVersioning(t *testing.T) {
 
 func TestDeleteRemovesAllVersions(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	o := mkPart(t, part, "x", 1)
 	m.Apply(putOp(m, oid, o, 0))
 	for v := uint32(0); v < 5; v++ {
@@ -205,7 +215,7 @@ func TestClusterLifecycle(t *testing.T) {
 	if err := m.CreateCluster(gadget); !errors.Is(err, ErrClusterExists) {
 		t.Errorf("duplicate create = %v", err)
 	}
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	m.Apply(putOp(m, oid, core.NewObject(gadget), 0))
 	if err := m.DestroyCluster(gadget); !errors.Is(err, ErrClusterNotEmpty) {
 		t.Errorf("destroy non-empty = %v", err)
@@ -230,7 +240,7 @@ func TestSecondaryIndexMaintenance(t *testing.T) {
 	}
 	var oids []core.OID
 	for i := 0; i < 20; i++ {
-		oid := m.AllocOID()
+		oid := alloc(t, m)
 		c := part
 		if i%2 == 0 {
 			c = widget // subclass objects must be indexed too
@@ -295,7 +305,7 @@ func TestCreateIndexBackfillsExistingObjects(t *testing.T) {
 		if i >= 5 {
 			c = widget
 		}
-		m.Apply(putOp(m, m.AllocOID(), mkPart(t, c, fmt.Sprintf("p%d", i), int64(i)), 0))
+		m.Apply(putOp(m, alloc(t, m), mkPart(t, c, fmt.Sprintf("p%d", i), int64(i)), 0))
 	}
 	if err := m.CreateIndex(part, "qty"); err != nil {
 		t.Fatal(err)
@@ -334,7 +344,7 @@ func TestPersistAcrossReopen(t *testing.T) {
 	m.CreateIndex(part, "qty")
 	var oids []core.OID
 	for i := 0; i < 50; i++ {
-		oid := m.AllocOID()
+		oid := alloc(t, m)
 		m.Apply(putOp(m, oid, mkPart(t, part, fmt.Sprintf("p%d", i), int64(i)), 0))
 		oids = append(oids, oid)
 	}
@@ -374,7 +384,7 @@ func TestPersistAcrossReopen(t *testing.T) {
 		}
 	}
 	// OID allocation continues past the persisted counter.
-	if newOID := m2.AllocOID(); newOID <= oids[len(oids)-1] {
+	if newOID := alloc(t, m2); newOID <= oids[len(oids)-1] {
 		t.Errorf("AllocOID after reopen = %d, must exceed %d", newOID, oids[len(oids)-1])
 	}
 	if n, _ := m2.ClusterSize(part2); n != 50 {
@@ -412,7 +422,7 @@ func TestSchemaMismatchDetected(t *testing.T) {
 
 func TestScanAllRecordsSeesEverything(t *testing.T) {
 	m, _, part, _ := newTestManager(t)
-	oid := m.AllocOID()
+	oid := alloc(t, m)
 	o := mkPart(t, part, "x", 1)
 	m.Apply(putOp(m, oid, o, 0))
 	m.Apply(&wal.Op{Type: wal.OpPutVersion, OID: uint64(oid), Version: 0, ClassID: uint32(part.ID()), Image: Encode(o)})
@@ -432,12 +442,46 @@ func TestScanAllRecordsSeesEverything(t *testing.T) {
 
 func TestNoteOID(t *testing.T) {
 	m, _, _, _ := newTestManager(t)
-	m.NoteOID(100)
-	if oid := m.AllocOID(); oid != 101 {
+	if err := m.NoteOID(100); err != nil {
+		t.Fatal(err)
+	}
+	if oid := alloc(t, m); oid != 101 {
 		t.Errorf("AllocOID after NoteOID(100) = %d", oid)
 	}
-	m.NoteOID(50) // lower: no effect
-	if oid := m.AllocOID(); oid != 102 {
+	if err := m.NoteOID(50); err != nil { // lower: no effect
+		t.Fatal(err)
+	}
+	if oid := alloc(t, m); oid != 102 {
 		t.Errorf("AllocOID = %d", oid)
+	}
+}
+
+// TestReservedOIDRefused holds the cluster-word key space: an id with
+// the top bit set is refused by NoteOID, by a replayed put and by the
+// allocator that reaches it, and nothing is stored.
+func TestReservedOIDRefused(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	if err := m.NoteOID(core.ReservedOIDBit | 7); !errors.Is(err, ErrReservedOID) {
+		t.Errorf("NoteOID(reserved) = %v, want ErrReservedOID", err)
+	}
+	bad := core.ReservedOIDBit | 9
+	if err := m.Apply(putOp(m, bad, mkPart(t, part, "bad", 1), 0)); !errors.Is(err, ErrReservedOID) {
+		t.Errorf("Apply(put of reserved @%d) = %v, want ErrReservedOID", bad, err)
+	}
+	if ok, err := m.Exists(bad); err != nil || ok {
+		t.Errorf("refused put left @%d behind (exists %v, err %v)", bad, ok, err)
+	}
+	if n, err := m.ClusterSize(part); err != nil || n != 0 {
+		t.Errorf("refused put left the extent at %d (err %v)", n, err)
+	}
+	// The last id below the reserved range is still an object id.
+	if err := m.NoteOID(core.ReservedOIDBit - 2); err != nil {
+		t.Fatal(err)
+	}
+	if oid := alloc(t, m); oid != core.ReservedOIDBit-1 {
+		t.Errorf("AllocOID = %d, want %d", oid, core.ReservedOIDBit-1)
+	}
+	if oid, err := m.AllocOID(); !errors.Is(err, ErrReservedOID) {
+		t.Errorf("AllocOID past the range = (%d, %v), want ErrReservedOID", oid, err)
 	}
 }

@@ -85,7 +85,10 @@ func (m *Manager) applyPut(op *wal.Op) error {
 		m.met.Updates.Inc()
 		return m.dir.Put(key, encodeDirEntry(cid, op.Version, nrid))
 	case errors.Is(err, btree.ErrNotFound):
-		// New object.
+		// New object: a reserved id is refused before anything changes.
+		if err := m.NoteOID(oid); err != nil {
+			return err
+		}
 		rid, err := m.heap.Insert(rec)
 		if err != nil {
 			return err
@@ -96,7 +99,6 @@ func (m *Manager) applyPut(op *wal.Op) error {
 		if err := m.cluster.Put(clusterKey(cid, oid), nil); err != nil {
 			return err
 		}
-		m.NoteOID(oid)
 		m.met.Creates.Inc()
 		return m.updateIndexEntries(cid, oid, nil, newObj)
 	default:

@@ -246,6 +246,7 @@ type TxnMetrics struct {
 	Commits              Counter   // transactions committed
 	Aborts               Counter   // transactions aborted (incl. deadlock victims)
 	ConstraintViolations Counter   // commits rejected by class constraints
+	LockGrants           Counter   // fresh lock grants (rows and clusters), added at release
 	LockWaits            Counter   // lock requests that had to block
 	LockWaitTimeouts     Counter   // lock waits abandoned by deadline or cancellation
 	Deadlocks            Counter   // waits-for cycles detected
@@ -526,6 +527,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"txn.commits", &m.Txn.Commits},
 		{"txn.aborts", &m.Txn.Aborts},
 		{"txn.constraint_violations", &m.Txn.ConstraintViolations},
+		{"txn.lock_grants", &m.Txn.LockGrants},
 		{"txn.lock_waits", &m.Txn.LockWaits},
 		{"txn.lock_wait_timeouts", &m.Txn.LockWaitTimeouts},
 		{"txn.deadlocks", &m.Txn.Deadlocks},

@@ -195,10 +195,13 @@ func (q *Query) eval(it Item) (bool, error) {
 // choosing an index access path when possible. No item buffering:
 // extents of distinct classes are disjoint and index entries are
 // unique per object, so no dedup set is needed beyond the dirty map.
+// An extent path takes S on each cluster before listing it and reads
+// the rows under it (on a shard, Tx.LockCluster declines and the rows
+// are locked); an index path locks each row it reads.
 func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 	stopped := false
-	visit := func(oid core.OID) (bool, error) {
-		it, ok, err := q.fetch(oid)
+	visit := func(oid core.OID, covered bool) (bool, error) {
+		it, ok, err := q.fetch(oid, covered)
 		if err != nil || !ok {
 			return err == nil, err
 		}
@@ -225,7 +228,7 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		dirty = make(map[core.OID]bool, len(writeSet))
 		for _, oid := range writeSet {
 			dirty[oid] = true
-			if cont, err := visit(oid); err != nil || !cont {
+			if cont, err := visit(oid, false); err != nil || !cont {
 				return err
 			}
 		}
@@ -243,7 +246,7 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 			if dirty[oid] {
 				return true, nil // already handled from the write set
 			}
-			return visit(oid)
+			return visit(oid, false)
 		})
 	}
 
@@ -257,11 +260,15 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		if err := q.tx.Err(); err != nil {
 			return err
 		}
-		err := q.tx.Manager().ScanCluster(c, func(oid core.OID) (bool, error) {
+		covered, err := q.tx.LockCluster(c)
+		if err != nil {
+			return err
+		}
+		err = q.tx.Manager().ScanCluster(c, func(oid core.OID) (bool, error) {
 			if dirty[oid] {
 				return true, nil
 			}
-			return visit(oid)
+			return visit(oid, covered)
 		})
 		if err != nil || stopped {
 			return err
@@ -273,8 +280,10 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 // candidateOIDs snapshots the OIDs the loop must visit, choosing the
 // same access path (index range vs extent scan) as gatherEach and
 // recording the same plan string and plan counters. OIDs in dirty are
-// excluded (the serial write-set pass already visited them).
-func (q *Query) candidateOIDs(dirty map[core.OID]bool) ([]core.OID, error) {
+// excluded (the serial write-set pass already visited them). covered
+// reports that every listed cluster is locked S (Tx.LockCluster), so
+// its rows are read without row locks.
+func (q *Query) candidateOIDs(dirty map[core.OID]bool) (oids []core.OID, covered bool, err error) {
 	keep := func(oids []core.OID) []core.OID {
 		if len(dirty) == 0 {
 			return oids
@@ -297,23 +306,28 @@ func (q *Query) candidateOIDs(dirty map[core.OID]bool) ([]core.OID, error) {
 		}
 		oids, err := q.tx.Manager().IndexOIDs(q.class, field, lo, hi)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return keep(oids), nil
+		return keep(oids), false, nil
 	}
 	q.plan = fmt.Sprintf("extent-scan(%s%s)", q.class.Name, starIf(q.subtypes))
 	if !q.internal {
 		q.met().PlanExtentScan.Inc()
 	}
-	var all []core.OID
+	covered = true
 	for _, c := range q.classes() {
-		oids, err := q.tx.Manager().ClusterOIDs(c)
+		ok, err := q.tx.LockCluster(c)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		all = append(all, keep(oids)...)
+		covered = covered && ok
+		ext, err := q.tx.Manager().ClusterOIDs(c)
+		if err != nil {
+			return nil, false, err
+		}
+		oids = append(oids, keep(ext)...)
 	}
-	return all, nil
+	return oids, covered, nil
 }
 
 // runParallel is the snapshot loop partitioned across q.workers
@@ -325,8 +339,8 @@ func (q *Query) candidateOIDs(dirty map[core.OID]bool) ([]core.OID, error) {
 // chunk wins, so the reported error does not depend on goroutine
 // scheduling.
 func (q *Query) runParallel(fn func(Item) (bool, error)) error {
-	visit := func(oid core.OID) (bool, error) {
-		it, ok, err := q.fetch(oid)
+	visit := func(oid core.OID, covered bool) (bool, error) {
+		it, ok, err := q.fetch(oid, covered)
 		if err != nil || !ok {
 			return err == nil, err
 		}
@@ -347,14 +361,14 @@ func (q *Query) runParallel(fn func(Item) (bool, error)) error {
 		dirty = make(map[core.OID]bool, len(writeSet))
 		for _, oid := range writeSet {
 			dirty[oid] = true
-			cont, err := visit(oid)
+			cont, err := visit(oid, false)
 			if err != nil || !cont {
 				return err
 			}
 		}
 	}
 
-	oids, err := q.candidateOIDs(dirty)
+	oids, covered, err := q.candidateOIDs(dirty)
 	if err != nil {
 		return err
 	}
@@ -405,7 +419,7 @@ func (q *Query) runParallel(fn func(Item) (bool, error)) error {
 					if stop.Load() {
 						return
 					}
-					cont, err := visit(oid)
+					cont, err := visit(oid, covered)
 					if err != nil {
 						chunkErr[ci] = err // one worker per chunk: no race
 						stop.Store(true)
@@ -446,12 +460,13 @@ func starIf(b bool) string {
 }
 
 // fetch loads the tx-visible state of oid and reports whether it binds
-// the loop variable (exists, not deleted, class matches). It is the
-// per-row cancellation point of every scan shape: an expired or
-// canceled transaction context stops the loop with a typed error even
-// when the row would have been served from tx-local state without a
-// lock wait.
-func (q *Query) fetch(oid core.OID) (Item, bool, error) {
+// the loop variable (exists, not deleted, class matches). covered
+// means the row's cluster is locked S (an extent path) and the row
+// takes no lock of its own. It is the per-row cancellation point of
+// every scan shape: an expired or canceled transaction context stops
+// the loop with a typed error even when the row would have been served
+// from tx-local state without a lock wait.
+func (q *Query) fetch(oid core.OID, covered bool) (Item, bool, error) {
 	if err := q.tx.Err(); err != nil {
 		return Item{}, false, err
 	}
@@ -459,9 +474,16 @@ func (q *Query) fetch(oid core.OID) (Item, bool, error) {
 	if q.tx.IsDeleted(oid) {
 		return Item{}, false, nil
 	}
-	o, err := q.tx.Deref(oid)
+	var o *core.Object
+	var err error
+	if covered {
+		o, err = q.tx.DerefCovered(oid)
+	} else {
+		o, err = q.tx.Deref(oid)
+	}
 	if errors.Is(err, object.ErrNoObject) {
-		// The scan lists OIDs before it locks them, so another
+		// A scan that locks its rows (an index scan, or an extent scan
+		// on a shard) lists OIDs before it locks them, so another
 		// transaction can delete and commit a listed row before this
 		// Deref's lock reaches it: the row is gone, exactly as if the
 		// delete had committed before the scan started.
@@ -595,7 +617,7 @@ func (q *Query) runFixpoint(fn func(it Item) (bool, error)) error {
 			if visited[oid] {
 				continue
 			}
-			it, ok, err := q.fetch(oid)
+			it, ok, err := q.fetch(oid, false)
 			if err != nil {
 				return err
 			}

@@ -142,6 +142,93 @@ func TestShardedSingleShardFastPath(t *testing.T) {
 	}
 }
 
+// TestShardedCountBesideCrossShardCreates: a scatter count runs while a
+// transaction that created on one shard goes on to create on another,
+// with no deadline anywhere. Each shard's deadlock detector sees only
+// its own waits, so a count that held one shard's extent while waiting
+// on another's would hang beside the writer for ever; both must finish.
+func TestShardedCountBesideCrossShardCreates(t *testing.T) {
+	dbs, _, sh, stock := startShardGroup(t, 3)
+	const seeded = 6
+	if err := sh.RunTx(context.Background(), func(tx *client.STx) error {
+		for i := 0; i < seeded; i++ {
+			if _, err := tx.PNew(stock, item(stock, fmt.Sprintf("seed-%d", i), int64(i), 1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	w := sh.Begin(context.Background())
+	defer w.Abort()
+	first, err := w.PNew(stock, item(stock, "w-0", 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := sh.ShardFor(first)
+
+	type result struct {
+		n   int
+		err error
+	}
+	counted := make(chan result, 1)
+	go func() {
+		c := sh.Begin(context.Background())
+		defer c.Abort()
+		n, err := c.Count(&client.Scan{Class: stock, NoIndex: true})
+		counted <- result{n, err}
+	}()
+	// Let the count reach the writer's home shard (and wait there, if it
+	// waits at all) before the writer moves on to another shard.
+	var got *result
+	for deadline := time.Now().Add(2 * time.Second); got == nil && dbs[home].Stats().Txn.LockWaits == 0 && time.Now().Before(deadline); {
+		select {
+		case r := <-counted:
+			got = &r
+		case <-time.After(time.Millisecond):
+		}
+	}
+	early := got != nil // counted before the writer could commit
+	created := 1
+	committed := make(chan error, 1)
+	go func() {
+		for {
+			oid, err := w.PNew(stock, item(stock, "w-n", 1, 1))
+			if err != nil {
+				committed <- err
+				return
+			}
+			created++
+			if sh.ShardFor(oid) != home {
+				committed <- w.Commit()
+				return
+			}
+		}
+	}()
+
+	timeout := time.After(10 * time.Second)
+	for got == nil || committed != nil {
+		select {
+		case r := <-counted:
+			got = &r
+		case err := <-committed:
+			if err != nil {
+				t.Fatalf("cross-shard writer: %v", err)
+			}
+			committed = nil
+		case <-timeout:
+			t.Fatalf("hung: count finished %v, writer finished %v", got != nil, committed == nil)
+		}
+	}
+	// A count still running when the writer committed may see some of
+	// its creates: a scatter scan locks rows, not the extents.
+	if got.err != nil || got.n < seeded || got.n > seeded+created || early && got.n != seeded {
+		t.Fatalf("count = %d (err %v), want %d (writer created %d)", got.n, got.err, seeded, created)
+	}
+}
+
 // seedKeyed inserts n objects through insert and then rewrites each so
 // its content is a pure function of its OID — making the dataset's
 // (oid, image) stream identical wherever the same OID set exists.

@@ -237,7 +237,9 @@ func (e *embedded) governed() (*pending, error) {
 
 // lockTimeoutPair pins an object under an exclusive lock (a holder that
 // never commits) and requires a second transaction with a short
-// deadline to time out on the wait as a clean abort.
+// deadline — a read of that object, or a count of its extent, which the
+// holder's IX on the cluster keeps out — to time out on the wait as a
+// clean abort.
 func (e *embedded) lockTimeoutPair() error {
 	r := e.r
 	oid := r.pickLive(r.newPlan(), nil)
@@ -257,12 +259,17 @@ func (e *embedded) lockTimeoutPair() error {
 	defer cancel()
 	victim := e.db.BeginCtx(ctx)
 	defer victim.Abort()
-	switch _, err := victim.Deref(oid); {
+	if r.rng.Intn(2) == 0 {
+		_, err = victim.Deref(oid)
+	} else {
+		_, err = ode.Forall(victim, r.stock).Count()
+	}
+	switch {
 	case errors.Is(err, ode.ErrTxTimeout):
 		r.count("kills", 1)
 		return nil
 	case err == nil:
-		return r.failf("lock-wait victim read @%d through the holder's X lock", oid)
+		return r.failf("lock-wait victim read through the holder's lock on @%d", oid)
 	default:
 		return err
 	}

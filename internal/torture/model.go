@@ -60,6 +60,7 @@ const (
 	opNewVersion
 	opDeleteVersion
 	opActivate
+	opCount
 )
 
 // step is one operation of a plan: its kind, its target (a create's
@@ -86,13 +87,22 @@ func (r *run) newPlan() *pending {
 	return &pending{before: make(map[ode.OID]*snap), after: make(map[ode.OID]*snap)}
 }
 
-// plan draws a transaction of up to nops operations on distinct objects.
+// plan draws a transaction of up to nops operations on distinct
+// objects. A count is drawn only while nothing is fenced: an in-doubt
+// 2PC participant keeps its locks until resolve (X on its rows, IX on
+// their cluster), so a count would wait out the round.
 func (r *run) plan(nops int) *pending {
 	p := r.newPlan()
 	for i := 0; i < nops; i++ {
-		k := r.rng.Intn(10)
+		k := r.rng.Intn(11)
 		if k <= 2 {
 			r.planNew(p)
+			continue
+		}
+		if k == 10 {
+			if len(r.fenced) == 0 {
+				p.steps = append(p.steps, step{kind: opCount})
+			}
 			continue
 		}
 		oid := r.pickLive(p, nil)
@@ -212,11 +222,40 @@ func (r *run) applyStep(tx ode.ObjectTx, p *pending, s *step) error {
 		return err
 	case opDeleteVersion:
 		return tx.DeleteVersion(ode.VRef{OID: s.oid, Version: s.ver})
+	case opCount:
+		return r.countTwice(tx)
 	default: // opActivate, drawn only where traffic runs embedded
 		dt := tx.(dbTx)
 		_, err := dt.db.Triggers().Activate(dt.Tx, s.oid, "sentinel")
 		return err
 	}
+}
+
+// errLockAborted marks a plan whose count lost a lock wait — a
+// deadline or a deadlock — before anything was committed: an ordinary
+// abort, not a fault.
+var errLockAborted = errors.New("torture: count aborted on a lock wait")
+
+// countTwice counts the extent twice in one transaction. The scan holds
+// the cluster S between the counts, so no writer can commit into it
+// and the two must agree. (A shard locks the rows instead and admits a
+// phantom, but shard traffic runs one transaction at a time.)
+func (r *run) countTwice(tx ode.ObjectTx) error {
+	scan := &ode.Scan{Class: r.stock, NoIndex: true}
+	first, err := tx.Count(scan)
+	if err == nil {
+		var second int
+		if second, err = tx.Count(scan); err == nil && second != first {
+			return r.failf("phantom: one transaction counted %d, then %d", first, second)
+		}
+	}
+	if errors.Is(err, ode.ErrDeadlock) || errors.Is(err, ode.ErrTxTimeout) {
+		return fmt.Errorf("%w: %w", errLockAborted, err)
+	}
+	if err == nil {
+		r.count("counts", 1)
+	}
+	return err
 }
 
 // minted records the oid PNew returned for a create step. An oid the
@@ -264,13 +303,19 @@ func (r *run) execute(ctx context.Context, p *pending) error {
 }
 
 // transaction draws a plan of 1–3 operations and executes it; the plan
-// is nil when the draw came up empty.
+// is nil when the draw came up empty or its count aborted it on a lock
+// wait (counted as lockaborts).
 func (r *run) transaction(ctx context.Context) (*pending, error) {
 	p := r.plan(1 + r.rng.Intn(3))
 	if len(p.steps) == 0 {
 		return nil, nil
 	}
-	return p, r.execute(ctx, p)
+	err := r.execute(ctx, p)
+	if errors.Is(err, errLockAborted) {
+		r.count("lockaborts", 1)
+		return nil, nil
+	}
+	return p, err
 }
 
 // createOne executes a plan of one create (seed populations).

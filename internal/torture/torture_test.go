@@ -16,7 +16,8 @@ import (
 
 // fixedSeeds is the deterministic tier of the suite, one row per mode:
 // the seeds that must pass on every machine and in CI, the run size,
-// the counters that must be non-zero on every seed ("a+b" sums two),
+// the counters that must be non-zero on every seed ("a+b" sums two) —
+// counts (an extent counted twice in one transaction) on every row —
 // and those that must be non-zero summed over the row's seeds — faults
 // wherever failpoints are armed.
 var fixedSeeds = []struct {
@@ -25,12 +26,12 @@ var fixedSeeds = []struct {
 	seeds           []int64
 	perSeed, summed []string
 }{
-	{"", 6, 20, []int64{1, 2, 3}, []string{"commits", "verified"}, []string{"faults"}},
-	{"cancel", 6, 25, []int64{7, 11}, []string{"commits", "kills", "verified"}, []string{"overloads", "faults"}},
-	{"compact", 6, 25, []int64{9, 21}, []string{"commits", "compactions", "verified"}, []string{"reclaimed", "faults"}},
-	{"repl", 6, 25, []int64{5, 13}, []string{"commits", "pcrashes+rcrashes+wipes", "verified"}, []string{"pcrashes", "rcrashes", "faults"}},
-	{"netchaos", 5, 18, []int64{17, 42}, []string{"commits", "promotions", "verified"}, []string{"uncertain"}},
-	{"shard", 5, 15, []int64{19, 23}, []string{"commits", "coordkills+partkills", "resolved", "verified"}, []string{"crossacked", "crossmixed", "coordkills", "partkills", "faults"}},
+	{"", 6, 20, []int64{1, 2, 3}, []string{"commits", "counts", "verified"}, []string{"faults"}},
+	{"cancel", 6, 25, []int64{7, 11}, []string{"commits", "counts", "kills", "verified"}, []string{"overloads", "faults"}},
+	{"compact", 6, 25, []int64{9, 21}, []string{"commits", "counts", "compactions", "verified"}, []string{"reclaimed", "faults"}},
+	{"repl", 6, 25, []int64{5, 13}, []string{"commits", "counts", "pcrashes+rcrashes+wipes", "verified"}, []string{"pcrashes", "rcrashes", "faults"}},
+	{"netchaos", 5, 18, []int64{17, 42}, []string{"commits", "counts", "promotions", "verified"}, []string{"uncertain"}},
+	{"shard", 5, 15, []int64{19, 23}, []string{"commits", "counts", "coordkills+partkills", "resolved", "verified"}, []string{"crossacked", "crossmixed", "coordkills", "partkills", "faults"}},
 }
 
 // runFixedSeeds runs one row of fixedSeeds. Each mode keeps its own
@@ -50,6 +51,7 @@ func runFixedSeeds(t *testing.T, mode string) {
 				t.Fatal(err)
 			}
 			t.Logf("seed %d: %v", seed, res)
+			t.Logf("seed %d: %d counts, %d plans aborted by a count's lock wait", seed, res.Counts["counts"], res.Counts["lockaborts"])
 			for name, n := range res.Counts {
 				total[name] += n
 			}

@@ -1,8 +1,13 @@
 // Package txn implements transactions for an Ode database: strict
-// two-phase locking at object granularity with deadlock detection,
-// private write buffering (no-steal), and a commit that appends the
-// transaction's logical operations to the WAL and applies them to the
-// object manager.
+// two-phase locking at two granularities — a cluster (a class's extent,
+// the paper's unit of iteration) above the objects in it — with
+// deadlock detection, private write buffering (no-steal), and a commit
+// that appends the transaction's logical operations to the WAL and
+// applies them to the object manager. An extent scan takes S on the
+// cluster and reads its rows unlocked (on a shard of a group it locks
+// the rows instead); a writer takes IX on the cluster before X on the
+// row; a point reader takes S on the row only (DESIGN.md §7 "Cluster
+// words").
 //
 // The paper sets transactions aside ("any O++ program that interacts
 // with the database will be considered to be a single transaction") but
@@ -21,21 +26,38 @@ import (
 	"ode/internal/obs"
 )
 
-// LockMode is shared (read) or exclusive (write).
+// LockMode is shared (read), exclusive (write) or, on a cluster word
+// only, intention-exclusive (some row of the cluster is being written).
 type LockMode uint8
 
-// Lock modes.
+// Lock modes. S–S and IX–IX are compatible; every other pair
+// conflicts. A row word is only ever held S or X.
 const (
 	Shared LockMode = iota
 	Exclusive
+	IntentExclusive
 )
 
 func (m LockMode) String() string {
-	if m == Shared {
+	switch m {
+	case Shared:
 		return "S"
+	case IntentExclusive:
+		return "IX"
 	}
 	return "X"
 }
+
+// compatible reports whether a new holder in mode a can join holders
+// in mode b.
+func compatible(a, b LockMode) bool { return a == b && a != Exclusive }
+
+// ClusterLockOID is the lock-table key of class id's cluster word. The
+// same striped table holds rows and clusters, so deadlock detection,
+// ReleaseAll, HeldLocks, the locks a prepared transaction keeps and
+// TryAcquire need nothing of their own for clusters; no object id has
+// core.ReservedOIDBit set, so a cluster word cannot collide with a row.
+func ClusterLockOID(id core.ClassID) core.OID { return core.ReservedOIDBit | core.OID(id) }
 
 // ErrDeadlock is returned to a transaction chosen as deadlock victim;
 // the caller must abort it.
@@ -116,13 +138,17 @@ type holder struct {
 // against a context — release is broadcast by closing the wake channel;
 // a waiter creates the channel if there is none, snapshots it under the
 // stripe mutex and then selects on it against its context's Done
-// channel. A sleeping waiter keeps a pointer to its word: waiting > 0
+// channel. A waiter keeps a pointer to its word: a non-empty queue
 // pins the word in the table and out of the free list.
 type lockState struct {
 	holders []holder // aliases inline until a third holder spills it
 	inline  [inlineHolders]holder
-	waiting int
-	wake    chan struct{} // nil until a waiter arrives; nil again once closed
+	// queue is the requests waiting on the word, in arrival order, each
+	// from its first sleep until it is granted or gives up. A fresh
+	// request is not granted past a queued one it conflicts with, so a
+	// stream of compatible newcomers cannot starve a waiter.
+	queue []holder
+	wake  chan struct{} // nil until a waiter arrives; nil again once closed
 }
 
 // NewLockManager returns an empty lock table.
@@ -167,7 +193,7 @@ func (s *lockStripe) word(oid core.OID) *lockState {
 // entry) and recycles it reset: holders back in place and empty, no
 // channel. Caller holds s.mu.
 func (s *lockStripe) dropIfIdle(oid core.OID, ls *lockState) {
-	if len(ls.holders) != 0 || ls.waiting != 0 {
+	if len(ls.holders) != 0 || len(ls.queue) != 0 {
 		return
 	}
 	delete(s.locks, oid)
@@ -179,14 +205,18 @@ func (s *lockStripe) dropIfIdle(oid core.OID, ls *lockState) {
 }
 
 // grant tries to give txid the lock in the given mode. fresh reports a
-// new holder entry (as opposed to a re-acquire or an upgrade).
+// new holder entry (as opposed to a re-acquire or an upgrade). A fresh
+// entry also waits for every conflicting request queued ahead of
+// txid's own; an upgrade does not, since the queue waits on it.
 func (ls *lockState) grant(txid uint64, mode LockMode) (ok, fresh bool) {
 	for i := range ls.holders {
 		if h := &ls.holders[i]; h.txid == txid {
-			if h.mode == Exclusive || mode == Shared {
+			if h.mode == mode || h.mode == Exclusive {
 				return true, false // already sufficient
 			}
-			// Upgrade S -> X: only once we are the sole holder.
+			// Upgrade: S -> X on a row; on a cluster S and IX together
+			// are X, since there is no SIX. Only once we are the sole
+			// holder.
 			if len(ls.holders) == 1 {
 				h.mode = Exclusive
 				return true, false
@@ -194,11 +224,89 @@ func (ls *lockState) grant(txid uint64, mode LockMode) (ok, fresh bool) {
 			return false, false
 		}
 	}
-	if len(ls.holders) == 0 || (mode == Shared && ls.holders[0].mode == Shared) {
+	// Holders of a shared word all hold one mode: only equal modes are
+	// compatible.
+	if ls.admits(mode) && !ls.queuedAhead(txid, mode) {
 		ls.holders = append(ls.holders, holder{txid, mode})
 		return true, true
 	}
 	return false, false
+}
+
+// admits reports whether the holders are compatible with a new holder
+// in mode.
+func (ls *lockState) admits(mode LockMode) bool {
+	return len(ls.holders) == 0 || compatible(mode, ls.holders[0].mode)
+}
+
+// queuedAhead reports whether a request conflicting with mode is queued
+// ahead of txid's own entry (ahead of all of them when txid has none).
+func (ls *lockState) queuedAhead(txid uint64, mode LockMode) bool {
+	for _, q := range ls.queue {
+		if q.txid == txid {
+			return false
+		}
+		if !compatible(mode, q.mode) {
+			return true
+		}
+	}
+	return false
+}
+
+// blockers lists the transactions txid's refused request waits on: the
+// other holders when it is an upgrade or the holders' mode conflicts
+// with it, and every conflicting request queued ahead of it.
+func (ls *lockState) blockers(txid uint64, mode LockMode) []uint64 {
+	out := make([]uint64, 0, len(ls.holders))
+	upgrade := false
+	for _, h := range ls.holders {
+		upgrade = upgrade || h.txid == txid
+	}
+	if upgrade || !ls.admits(mode) {
+		for _, h := range ls.holders {
+			if h.txid != txid {
+				out = append(out, h.txid)
+			}
+		}
+	}
+	if !upgrade {
+		for _, q := range ls.queue {
+			if q.txid == txid {
+				break
+			}
+			if !compatible(mode, q.mode) {
+				out = append(out, q.txid)
+			}
+		}
+	}
+	return out
+}
+
+// dequeue takes txid's entry out of the queue. A granted request
+// leaves with it: whoever queued behind it now waits on it as a holder
+// in the same mode, so nobody needs waking.
+func (ls *lockState) dequeue(txid uint64) {
+	for i, q := range ls.queue {
+		if q.txid == txid {
+			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+			return
+		}
+	}
+}
+
+// leave is dequeue for a request that gives up: it wakes the others, as
+// one that queued behind it may now be grantable.
+func (ls *lockState) leave(txid uint64) {
+	ls.dequeue(txid)
+	ls.wakeAll()
+}
+
+// wakeAll broadcasts to every waiter: each snapshotted the channel.
+func (ls *lockState) wakeAll() {
+	if ls.wake != nil {
+		close(ls.wake)
+		ls.wake = nil
+	}
 }
 
 // release removes txid from the holders, reporting whether it was one.
@@ -223,8 +331,12 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 	s := lm.stripe(oid)
 	s.mu.Lock()
 	ls := s.word(oid)
+	queued := false
 	for {
 		if ok, fresh := ls.grant(txid, mode); ok {
+			if queued {
+				ls.dequeue(txid)
+			}
 			s.mu.Unlock()
 			if fresh {
 				lm.noteHeld(txid, oid)
@@ -232,16 +344,12 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			return nil
 		}
 		// Must wait: record edges and check for a cycle. The blockers
-		// are exact here, under the stripe mutex. One that releases
+		// are exact here, under the stripe mutex. A holder that releases
 		// before we wake leaves a stale edge, but strict 2PL means it
 		// never waits again, so it has no outgoing edge to close a
-		// cycle with.
-		blockers := make([]uint64, 0, len(ls.holders))
-		for _, h := range ls.holders {
-			if h.txid != txid {
-				blockers = append(blockers, h.txid)
-			}
-		}
+		// cycle with; a queued request that gives up wakes us to
+		// recompute.
+		blockers := ls.blockers(txid, mode)
 		lm.graphMu.Lock()
 		lm.waitsFor[txid] = blockers
 		cycle := lm.cycleFrom(txid)
@@ -250,6 +358,9 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 		}
 		lm.graphMu.Unlock()
 		if cycle {
+			if queued {
+				ls.leave(txid)
+			}
 			s.dropIfIdle(oid, ls)
 			s.mu.Unlock()
 			lm.met.Deadlocks.Inc()
@@ -263,7 +374,10 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 				ls.wake = make(chan struct{})
 			}
 			wake := ls.wake
-			ls.waiting++
+			if !queued {
+				ls.queue = append(ls.queue, holder{txid, mode})
+				queued = true
+			}
 			s.mu.Unlock()
 			select {
 			case <-wake:
@@ -271,12 +385,14 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 				ctxErr = ctx.Err()
 			}
 			s.mu.Lock()
-			ls.waiting--
 		}
 		lm.graphMu.Lock()
 		delete(lm.waitsFor, txid)
 		lm.graphMu.Unlock()
 		if ctxErr != nil {
+			if queued {
+				ls.leave(txid)
+			}
 			s.dropIfIdle(oid, ls)
 			s.mu.Unlock()
 			lm.met.LockWaitTimeouts.Inc()
@@ -296,7 +412,7 @@ func (lm *LockManager) TryAcquire(txid uint64, oid core.OID, mode LockMode) bool
 	s.mu.Lock()
 	ls := s.word(oid)
 	ok, fresh := false, false
-	if ls.waiting == 0 { // a refused word has holders or waiters: it is not idle
+	if len(ls.queue) == 0 { // a refused word has holders or waiters: it is not idle
 		ok, fresh = ls.grant(txid, mode)
 	}
 	s.mu.Unlock()
@@ -349,7 +465,8 @@ func (lm *LockManager) cycleFrom(start uint64) bool {
 // at commit or abort (strict 2PL: no early release). Release is by
 // txid, not by a handle the Tx carries, because a prepared transaction
 // keeps its locks after its Tx is gone and a recovered one re-locks by
-// txid at boot.
+// txid at boot. The transaction's fresh grants — its held list — are
+// added to txn.lock_grants here, once, so granting adds no shared write.
 func (lm *LockManager) ReleaseAll(txid uint64) { lm.releaseAll(txid) }
 
 // releaseAll is ReleaseAll reporting how many lock words it visited
@@ -369,16 +486,13 @@ func (lm *LockManager) releaseAll(txid uint64) (visited int) {
 		s := lm.stripe(oid)
 		s.mu.Lock()
 		if ls := s.locks[oid]; ls != nil && ls.release(txid) {
-			if ls.wake != nil {
-				// Broadcast: every waiter snapshotted this channel.
-				close(ls.wake)
-				ls.wake = nil
-			}
+			ls.wakeAll()
 			s.dropIfIdle(oid, ls)
 		}
 		s.mu.Unlock()
 	}
 	visited = len(hl.oids)
+	lm.met.LockGrants.Add(uint64(visited))
 	if cap(hl.oids) <= maxKeptHeld {
 		hl.oids = hl.oids[:0]
 		hs.mu.Lock()
@@ -426,13 +540,13 @@ func (lm *LockManager) TableSize() int {
 	return n
 }
 
-// Waiting reports how many waiters are blocked on oid (tests).
+// Waiting reports how many waiters are queued on oid (tests).
 func (lm *LockManager) Waiting(oid core.OID) int {
 	s := lm.stripe(oid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if ls, ok := s.locks[oid]; ok {
-		return ls.waiting
+		return len(ls.queue)
 	}
 	return 0
 }

@@ -2,11 +2,13 @@ package txn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"ode/internal/core"
 	"ode/internal/failpoint"
+	"ode/internal/object"
 	"ode/internal/wal"
 )
 
@@ -541,9 +543,10 @@ func (e *Engine) NoteTxID(id uint64) {
 }
 
 // RestorePrepared reinstates in-doubt transactions found in the WAL by
-// crash recovery: each gets its write locks back (exclusive, on every
-// OID its batch touches — read locks do not survive a crash), its txid
-// fenced off the allocator, and a prepared-table entry. Decisions found
+// crash recovery: each gets its write locks back (IX on the cluster of
+// every object its batch writes, as the live transaction held, and X on
+// every OID its batch touches — read locks do not survive a crash), its
+// txid fenced off the allocator, and a prepared-table entry. Decisions found
 // in the log seed the decision map, so redelivered CommitPrepared /
 // TxStatus calls answer correctly after a restart. Recovered entries on
 // a participant get no orphan timer — only their coordinator may
@@ -563,7 +566,14 @@ func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]boo
 			// OIDs in a prepared batch were allocated before the crash but
 			// appear in no committed record — fence the allocator so a new
 			// transaction cannot be handed the same identity.
-			e.mgr.NoteOID(oid)
+			if err := e.mgr.NoteOID(oid); err != nil {
+				return fmt.Errorf("txn: restore prepared %q: %w", p.GID, err)
+			}
+			// Without its cluster's IX a recovered write would be invisible
+			// to the cluster S of a scan, which would then read around it.
+			if err := e.relockCluster(p.TxID, op); err != nil {
+				return fmt.Errorf("txn: restore prepared %q: relock cluster of @%d: %w", p.GID, op.OID, err)
+			}
 			if seen[oid] {
 				continue
 			}
@@ -580,6 +590,31 @@ func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]boo
 		e.armPrepareTimer(entry)
 	}
 	return nil
+}
+
+// relockCluster takes IX for txid on the cluster of the object op
+// writes. A put names its class; a delete's object still exists, since
+// the batch is not applied; a version drop takes no IX (Tx.DeleteVersion
+// takes none: no scan reads frozen versions). Re-acquiring a held IX is
+// a no-op in the lock table.
+func (e *Engine) relockCluster(txid uint64, op *wal.Op) error {
+	var cid core.ClassID
+	switch op.Type {
+	case wal.OpPut, wal.OpPutVersion:
+		cid = core.ClassID(op.ClassID)
+	case wal.OpDelete:
+		c, err := e.mgr.ClassOf(core.OID(op.OID))
+		if errors.Is(err, object.ErrNoObject) {
+			return nil // nothing there for a scan to read around
+		}
+		if err != nil {
+			return err
+		}
+		cid = c.ID()
+	default:
+		return nil
+	}
+	return e.locks.Acquire(context.Background(), txid, ClusterLockOID(cid), IntentExclusive)
 }
 
 // StopPrepareTimers disarms every orphan timer (shutdown): prepared

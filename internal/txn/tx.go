@@ -349,9 +349,21 @@ type Tx struct {
 
 	commitLSN uint64 // LSN of this transaction's batch; 0 for read-only commits
 
+	// clusters are the cluster words this transaction holds and in
+	// which mode, so a writer's IX costs a lock-table visit once per
+	// cluster, not once per row. Appended to only by lockCluster, which
+	// no parallel scan worker calls.
+	clusters []clusterHold
+
 	onFinish []func() // run once, after locks release
 
 	// Touched is exported through accessors for the trigger layer.
+}
+
+// clusterHold is one cluster word a transaction holds.
+type clusterHold struct {
+	id   core.ClassID
+	mode LockMode
 }
 
 // setWrite buffers oid's state, making the write set on first use.
@@ -457,7 +469,7 @@ func (tx *Tx) ensureWritable() error {
 // Deref implements core.Store: it returns a private copy of the current
 // state of the object. Mutations become part of the transaction only
 // via Update.
-func (tx *Tx) Deref(oid core.OID) (*core.Object, error) { return tx.deref(oid, true) }
+func (tx *Tx) Deref(oid core.OID) (*core.Object, error) { return tx.deref(oid, rowWait) }
 
 // TryDeref is Deref for a read the caller only expects to need: it
 // takes oid's shared lock through LockManager.TryAcquire, so where
@@ -465,9 +477,24 @@ func (tx *Tx) Deref(oid core.OID) (*core.Object, error) { return tx.deref(oid, t
 // waits-for edge, no lock_waits count. A lock it does take is held to
 // the end of the transaction like any other. The server revalidates a
 // client's cached neighbourhood with it.
-func (tx *Tx) TryDeref(oid core.OID) (*core.Object, error) { return tx.deref(oid, false) }
+func (tx *Tx) TryDeref(oid core.OID) (*core.Object, error) { return tx.deref(oid, rowTry) }
 
-func (tx *Tx) deref(oid core.OID, wait bool) (*core.Object, error) {
+// DerefCovered is Deref for a row of a cluster the transaction holds S
+// (or X) on through LockCluster: the cluster word excludes every
+// writer of the cluster, so the row takes no lock of its own. An
+// extent scan reads its rows with it. A row whose cluster the
+// transaction does not hold so is an error, never a read around a
+// writer.
+func (tx *Tx) DerefCovered(oid core.OID) (*core.Object, error) { return tx.deref(oid, rowCovered) }
+
+// How deref locks the row it reads.
+const (
+	rowWait    = iota // S, waiting if need be (Deref)
+	rowTry            // S only if grantable at once (TryDeref)
+	rowCovered        // none: the cluster's S covers the row (DerefCovered)
+)
+
+func (tx *Tx) deref(oid core.OID, how int) (*core.Object, error) {
 	if err := tx.ensureActive(); err != nil {
 		return nil, err
 	}
@@ -480,20 +507,108 @@ func (tx *Tx) deref(oid core.OID, wait bool) (*core.Object, error) {
 		}
 		return w.obj.Copy(), nil
 	}
-	if wait {
+	switch how {
+	case rowWait:
 		if err := tx.lock(oid, Shared); err != nil {
 			return nil, err
 		}
-	} else if err := tx.Err(); err != nil {
-		return nil, err
-	} else if !tx.engine.locks.TryAcquire(tx.id, oid, Shared) {
-		return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.id, oid)
+	case rowTry:
+		if err := tx.Err(); err != nil {
+			return nil, err
+		} else if !tx.engine.locks.TryAcquire(tx.id, oid, Shared) {
+			return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.id, oid)
+		}
 	}
 	o, _, err := tx.engine.mgr.Get(oid)
 	if err != nil {
 		return nil, err
 	}
+	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
+		return nil, fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
+	}
 	return o, nil
+}
+
+// LockCluster takes S on class c's cluster word (c's own extent, not
+// its subclasses') for the rest of the transaction and reports true: it
+// waits for every writer of the cluster to finish, and keeps new
+// writers out, so the extent can be listed and its rows read with
+// DerefCovered — a scan that sees no phantoms and takes one lock
+// instead of one per row.
+//
+// On a database that is one shard of a group it takes nothing and
+// reports false, and the scan locks each row it reads, as an index scan
+// does. A shard's deadlock detector sees only its own waits: a scan
+// holding one shard's cluster S while waiting for another's would close
+// cycles with cross-shard writers that no shard can see. Without S, a
+// shard's cluster words are only ever IX, which never wait on each
+// other (DESIGN.md §7 "Shards take no cluster S").
+func (tx *Tx) LockCluster(c *core.Class) (covered bool, err error) {
+	if err := tx.ensureActive(); err != nil {
+		return false, err
+	}
+	if tx.engine.shardSlot >= 0 {
+		return false, nil
+	}
+	return true, tx.lockCluster(c.ID(), Shared)
+}
+
+// lockCluster takes mode on cluster id's word unless the transaction
+// already holds it in that mode or X. Holding the other one of S and
+// IX, the lock table upgrades to X (there is no SIX), and so does the
+// record here.
+func (tx *Tx) lockCluster(id core.ClassID, mode LockMode) error {
+	i := 0
+	for ; i < len(tx.clusters); i++ {
+		if h := tx.clusters[i]; h.id == id {
+			if h.mode == mode || h.mode == Exclusive {
+				return nil
+			}
+			break
+		}
+	}
+	if err := tx.lock(ClusterLockOID(id), mode); err != nil {
+		return err
+	}
+	if i < len(tx.clusters) {
+		tx.clusters[i].mode = Exclusive
+	} else {
+		tx.clusters = append(tx.clusters, clusterHold{id, mode})
+	}
+	return nil
+}
+
+// readsCluster reports whether the transaction holds cluster id's word
+// in a mode that excludes its writers.
+func (tx *Tx) readsCluster(id core.ClassID) bool {
+	for _, h := range tx.clusters {
+		if h.id == id {
+			return h.mode != IntentExclusive
+		}
+	}
+	return false
+}
+
+// lockWrite takes what a write of oid, an object of class c, needs: IX
+// on c's cluster, then X on the row.
+func (tx *Tx) lockWrite(c *core.Class, oid core.OID) error {
+	if err := tx.lockCluster(c.ID(), IntentExclusive); err != nil {
+		return err
+	}
+	return tx.lock(oid, Exclusive)
+}
+
+// classOf returns the class of oid as this transaction sees it, or
+// ErrNoObject. It needs no lock: a class never changes, so the read is
+// exact for an object that exists.
+func (tx *Tx) classOf(oid core.OID) (*core.Class, error) {
+	if w, ok := tx.writes[oid]; ok {
+		if w.obj == nil {
+			return nil, fmt.Errorf("%w: @%d (deleted in this transaction)", object.ErrNoObject, oid)
+		}
+		return w.obj.Class(), nil
+	}
+	return tx.engine.mgr.ClassOf(oid)
 }
 
 // DerefVersion implements core.Store for pinned version references.
@@ -536,8 +651,11 @@ func (tx *Tx) PNew(c *core.Class, init *core.Object) (core.OID, error) {
 		}
 		o = init.Copy()
 	}
-	oid := tx.engine.mgr.AllocOID()
-	if err := tx.lock(oid, Exclusive); err != nil {
+	oid, err := tx.engine.mgr.AllocOID()
+	if err != nil {
+		return core.NilOID, err
+	}
+	if err := tx.lockWrite(c, oid); err != nil {
 		return core.NilOID, err
 	}
 	tx.setWrite(oid, &txWrite{obj: o, created: true, dirty: true})
@@ -551,7 +669,7 @@ func (tx *Tx) Update(oid core.OID, o *core.Object) error {
 	if err := tx.ensureWritable(); err != nil {
 		return err
 	}
-	if err := tx.lock(oid, Exclusive); err != nil {
+	if err := tx.lockWrite(o.Class(), oid); err != nil {
 		return err
 	}
 	if w, ok := tx.writes[oid]; ok {
@@ -586,21 +704,23 @@ func (tx *Tx) PDelete(oid core.OID) error {
 	if err := tx.ensureWritable(); err != nil {
 		return err
 	}
+	// The row's X, then its class, which under that lock is the
+	// existence check, then the cluster's IX. Writes are buffered, so
+	// nothing of the delete is visible before the IX is held.
 	if err := tx.lock(oid, Exclusive); err != nil {
 		return err
 	}
+	c, err := tx.classOf(oid)
+	if err != nil {
+		return err
+	}
+	if err := tx.lockCluster(c.ID(), IntentExclusive); err != nil {
+		return err
+	}
 	if w, ok := tx.writes[oid]; ok {
-		if w.obj == nil {
-			return fmt.Errorf("%w: @%d", object.ErrNoObject, oid)
-		}
 		w.obj = nil
 		w.dirty = true
 		return nil
-	}
-	if ok, err := tx.engine.mgr.Exists(oid); err != nil {
-		return err
-	} else if !ok {
-		return fmt.Errorf("%w: @%d", object.ErrNoObject, oid)
 	}
 	tx.setWrite(oid, &txWrite{dirty: true})
 	return nil
@@ -632,7 +752,11 @@ func (tx *Tx) NewVersion(oid core.OID) (core.VRef, error) {
 	if err := tx.ensureWritable(); err != nil {
 		return core.VRef{}, err
 	}
-	if err := tx.lock(oid, Exclusive); err != nil {
+	c, err := tx.classOf(oid)
+	if err != nil {
+		return core.VRef{}, err
+	}
+	if err := tx.lockWrite(c, oid); err != nil {
 		return core.VRef{}, err
 	}
 	cur, err := tx.CurrentVersion(oid)
@@ -658,7 +782,8 @@ func (tx *Tx) NewVersion(oid core.OID) (core.VRef, error) {
 	return ref, nil
 }
 
-// DeleteVersion removes one frozen version of an object.
+// DeleteVersion removes one frozen version of an object. It takes no
+// IX on the object's cluster: no scan reads frozen versions.
 func (tx *Tx) DeleteVersion(ref core.VRef) error {
 	if err := tx.ensureWritable(); err != nil {
 		return err

@@ -525,7 +525,9 @@ func TestCommitsSurviveReplay(t *testing.T) {
 	defer log2.Close()
 	if err := log2.Replay(func(op *wal.Op) error {
 		if op.OID != 0 {
-			mgr2.NoteOID(core.OID(op.OID))
+			if err := mgr2.NoteOID(core.OID(op.OID)); err != nil {
+				return err
+			}
 		}
 		return mgr2.Apply(op)
 	}); err != nil {
@@ -538,8 +540,8 @@ func TestCommitsSurviveReplay(t *testing.T) {
 	if got.MustGet("qty").Int() != 43 {
 		t.Errorf("replayed qty = %d, want 43", got.MustGet("qty").Int())
 	}
-	if next := mgr2.AllocOID(); next <= oid {
-		t.Errorf("OID allocator not advanced by replay: %d", next)
+	if next, err := mgr2.AllocOID(); err != nil || next <= oid {
+		t.Errorf("OID allocator not advanced by replay: %d (%v)", next, err)
 	}
 }
 

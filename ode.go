@@ -1067,13 +1067,17 @@ func rebuild(path string, fs *storage.FileStore, dw *storage.DoubleWriter, log *
 			return nil, err
 		}
 	}
-	nmgr.NoteOID(maxOID)
 	// The allocator must never regress below the last checkpoint's
 	// persisted value: oids whose objects were deleted after that
 	// checkpoint leave no heap record or WAL op to scan, and handing
 	// one out again would give a new object a dead object's identity.
-	if stored := object.BootNextOID(fs); stored > 0 {
-		nmgr.NoteOID(core.OID(stored - 1))
+	next := maxOID
+	if stored := core.OID(object.BootNextOID(fs)); stored > next+1 {
+		next = stored - 1
+	}
+	if err := nmgr.NoteOID(next); err != nil {
+		nfs.Close()
+		return nil, err
 	}
 	// The fencing epoch survives a rebuild for the same reason the
 	// allocator does: regressing it would let this node rejoin a

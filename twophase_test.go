@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"ode/internal/txn"
 )
 
 // prepItem opens a transaction that creates one item and prepares it
@@ -196,6 +198,59 @@ func TestPreparedSurvivesCrash(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveredPreparedBlocksClusterScan: a recovered in-doubt
+// transaction holds IX on the cluster it writes, as its live self did,
+// so a count over that cluster waits for the decision — it cannot read
+// around the in-doubt insert — and then sees the decided state.
+func TestRecoveredPreparedBlocksClusterScan(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		name := map[bool]string{true: "commit", false: "abort"}[commit]
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "prep.odb")
+			crashAfter(t, path, func(db *DB, stock *Class) {
+				addItem(t, db, stock, "settled", 1, 1)
+				prepItem(t, db, stock, "g-scan", "in-doubt")
+			})
+			db, stock := reopen(t, path)
+			counted := make(chan int, 1)
+			go func() {
+				n := -1
+				if err := db.View(func(tx *Tx) (err error) {
+					n, err = Forall(tx, stock).Count()
+					return err
+				}); err != nil {
+					t.Error(err)
+				}
+				counted <- n
+			}()
+			key := txn.ClusterLockOID(stock.ID())
+			for deadline := time.Now().Add(5 * time.Second); db.engine.Locks().Waiting(key) == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the count did not wait on the recovered transaction's cluster")
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			select {
+			case n := <-counted:
+				t.Fatalf("the count finished (%d) while the transaction was in doubt", n)
+			default:
+			}
+			want := 1
+			if commit {
+				want = 2
+				if _, err := db.CommitPrepared("g-scan"); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := db.AbortPrepared("g-scan"); err != nil {
+				t.Fatal(err)
+			}
+			if n := <-counted; n != want {
+				t.Fatalf("count after %s = %d, want %d", name, n, want)
+			}
+		})
 	}
 }
 
