@@ -40,17 +40,8 @@ import (
 
 // Options configures a Client.
 type Options struct {
-	// PoolSize bounds the idle-connection pool (default 4). Demand
-	// beyond the pool dials new connections; surplus connections are
-	// closed on release instead of pooled.
-	PoolSize int
 	// DialTimeout bounds connect plus handshake (default 5s).
 	DialTimeout time.Duration
-	// TxDeadline is sent with Begin when the context carries no
-	// deadline; zero defers to the server's MaxDeadline policy.
-	TxDeadline time.Duration
-	// MaxFrame bounds one response frame (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// CacheSize bounds the decoded-object cache in objects (default
 	// 4096; negative disables caching). Cached objects are tagged with
 	// the content hash of their encoded image; a deref revalidates the
@@ -67,20 +58,19 @@ func (o *Options) withDefaults() Options {
 	if o != nil {
 		out = *o
 	}
-	if out.PoolSize <= 0 {
-		out.PoolSize = 4
-	}
 	if out.DialTimeout <= 0 {
 		out.DialTimeout = 5 * time.Second
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
 	}
 	if out.CacheSize == 0 {
 		out.CacheSize = 4096
 	}
 	return out
 }
+
+// poolSize bounds the idle-connection pool. Demand beyond it dials new
+// connections; surplus connections are closed on release instead of
+// pooled.
+const poolSize = 4
 
 // ErrClosed is returned by operations on a closed client.
 var ErrClosed = errors.New("client: closed")
@@ -170,7 +160,7 @@ func (c *Client) dial() (*wconn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	br := bufio.NewReader(nc)
-	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, c.opts.MaxFrame), trips: &c.met.RoundTrips}, nil
+	return &wconn{nc: nc, br: br, fr: wire.NewFrameReader(br, wire.DefaultMaxFrame), trips: &c.met.RoundTrips}, nil
 }
 
 // get returns an idle connection or dials a new one.
@@ -198,7 +188,7 @@ func (c *Client) put(cn *wconn) {
 		return
 	}
 	c.mu.Lock()
-	if c.closed || len(c.idle) >= c.opts.PoolSize {
+	if c.closed || len(c.idle) >= poolSize {
 		c.mu.Unlock()
 		cn.nc.Close()
 		return
@@ -283,10 +273,10 @@ func (c *Client) View(ctx context.Context, fn func(tx *Tx) error) error {
 // sends nothing: the begin frame rides in front of the transaction's
 // first request (Tx.send), so a transaction costs no round trip of its
 // own, and one that sends nothing costs none at all. The context's
-// deadline (or Options.TxDeadline when it has none) travels with that
-// begin and bounds the transaction on the server — lock waits, scans,
-// and commit observe it server-side; the same context also bounds every
-// round trip client-side. A server's refusal to begin (overload, a
+// deadline, if it has one, travels with that begin and bounds the
+// transaction on the server — lock waits, scans, and commit observe it
+// server-side; the same context also bounds every round trip
+// client-side. A server's refusal to begin (overload, a
 // closed database) is therefore the error of the first operation, as
 // with an embedded transaction admission control turned away.
 func (c *Client) Begin(ctx context.Context) (*Tx, error) {
@@ -301,14 +291,12 @@ func (c *Client) Begin(ctx context.Context) (*Tx, error) {
 }
 
 // beginFrame builds the begin request, carrying the time left before
-// the context's deadline (or Options.TxDeadline), and leaves room for
-// the frames that follow it.
+// the context's deadline (0, none: the server's MaxDeadline policy
+// applies), and leaves room for the frames that follow it.
 func (c *Client) beginFrame(ctx context.Context, id uint64, room int) []byte {
 	var ms uint64
 	if dl, ok := ctx.Deadline(); ok {
 		ms = uint64(max((time.Until(dl)+time.Millisecond-1)/time.Millisecond, 1))
-	} else if c.opts.TxDeadline > 0 {
-		ms = uint64(c.opts.TxDeadline / time.Millisecond)
 	}
 	return wire.AppendFrame(make([]byte, 0, 32+room), &wire.Frame{ReqID: id, Type: wire.CmdBegin, Body: wire.AppendUvarint(nil, ms)})
 }

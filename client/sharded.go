@@ -190,7 +190,9 @@ func (s *Sharded) Status(ctx context.Context) ([]*ShardStatus, error) {
 // coordinates than (i, len(shards)) nothing is resolved and
 // ErrNotWholeGroup is returned — asked of a participant, "still
 // prepared" would abort a transaction its real coordinator committed. A
-// gid whose coordinator did not answer the sweep is left for the next.
+// gid whose coordinator did not answer the sweep, or answered with an
+// error (ErrUnknownOutcome: a staged decision unsettled until the
+// coordinator reopens), is left for the next.
 func (s *Sharded) ResolveInDoubt(ctx context.Context) (int, error) {
 	holders := make(map[string][]int)
 	sts, firstErr := s.Status(ctx)

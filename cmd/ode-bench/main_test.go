@@ -66,7 +66,7 @@ func TestRecord(t *testing.T) {
 	}{
 		{bench.Case{Name: "pnew/op (tx of 20)", Col: "embedded"}, "pnew/op (tx of 20) embedded"},
 		{bench.Case{Name: "pnew/op (tx of 20)", Col: "remote pipelined"}, "pnew/op (tx of 20) remote pipelined"},
-		{bench.Case{Name: "tx20 pnew serial-fsync", Workers: 4}, "tx20 pnew serial-fsync"},
+		{bench.Case{Name: "tx20 pnew group-commit", Workers: 4}, "tx20 pnew group-commit"},
 	} {
 		r := record("E15", tc.c, m)
 		if r.Workload != tc.want || r.NsPerOp != 1500 || r.Workers != tc.c.Workers || r.Experiment != "E15" {

@@ -116,16 +116,13 @@ func (sh *shell) local(dbPath string, poolPages int, scripts []string) error {
 	if len(programs) == 0 {
 		sh.repl("ode-sh — O++ subset shell. End statements with ';'. Ctrl-D to exit.", func(src string) error {
 			err := sess.Exec(src)
-			db.Triggers().Wait()
 			for _, e := range db.Triggers().Errors() {
 				fmt.Fprintln(sh.stderr, "trigger error:", e)
 			}
 			return err
 		})
 	}
-	err = sess.Close()
-	db.Triggers().Wait()
-	return err
+	return sess.Close()
 }
 
 // remote runs scripts (or the REPL) against ode-server daemons through

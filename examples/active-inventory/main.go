@@ -115,7 +115,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		db.Triggers().Wait()
 	}
 
 	fmt.Println("withdraw 300 (no trigger):")
@@ -151,7 +150,6 @@ func main() {
 	if _, err := db.ExpireTimedTriggers(); err != nil {
 		log.Fatal(err)
 	}
-	db.Triggers().Wait()
 	db.View(func(tx *ode.Tx) error {
 		o, _ := tx.Deref(dram)
 		fmt.Printf("escalations: %d\n", o.MustGet("escalations").Int())

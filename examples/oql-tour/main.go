@@ -96,5 +96,4 @@ func main() {
 	if err := sess.Close(); err != nil {
 		log.Fatal(err)
 	}
-	db.Triggers().Wait()
 }

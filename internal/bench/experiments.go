@@ -367,7 +367,6 @@ func buildE10(e *Env) {
 	e.add(Case{Name: "update, armed but quiescent", Reps: 500, Op: setInt(armed, armedOID, "qty", 5)})
 	e.add(Case{Name: "update that fires (incl. action tx)", Reps: 500, Op: setInt(armed, armedOID, "qty", -1),
 		After: func(*Measurement) error {
-			armed.Triggers().Wait()
 			return armed.View(func(tx *ode.Tx) error {
 				o, err := tx.Deref(armedOID)
 				if err == nil && o.MustGet("fires").Int() == 0 {
@@ -707,52 +706,48 @@ func buildE15(e *Env) {
 }
 
 // buildE16 quantifies the commit and wire fast paths. Part one is group
-// commit: transactions of 20 pnews against a sync-on-commit store, with
-// N concurrent committers, comparing serialized fsyncs
-// (GroupCommit.Disable) against the shared-fsync default — the win
-// comes from committers overlapping in one fsync, so it appears only
-// under concurrency. Part two is the client object cache on the remote
-// deref path: a cache-disabled client (every deref a full round trip
-// carrying the image) against a warmed cache (first touch per
-// transaction revalidates by tag, repeats are local). The third fast
-// path, the low-allocation frame codec, is pinned by
+// commit: transactions of 20 pnews against a sync-on-commit store with
+// 1, 4 and 8 concurrent committers, each row's speedup taken over the
+// lone committer's and avg_group counting the commits one fsync
+// covers — the win comes from committers overlapping in one fsync, so
+// it appears only under concurrency. Part two is the client object
+// cache on the remote deref path: a cache-disabled client (every deref
+// a full round trip carrying the image) against a warmed cache (first
+// touch per transaction revalidates by tag, repeats are local). The
+// third fast path, the low-allocation frame codec, is pinned by
 // BenchmarkFrameRoundTrip in internal/wire rather than here. What these
 // rows time, TestWorkGates holds as counts (commit-20, hot-deref).
 func buildE16(e *Env) {
 	const txBatch = 20
 	txsPerWorker := e.scale(60, 8)
+	var lone time.Duration
 	for _, nw := range []int{1, 4, 8} {
-		var serial time.Duration
-		for _, mode := range []string{"serial-fsync", "group-commit"} {
-			w := e.deploy(Shape{Opts: &ode.Options{ // zero NoSync: fsync on every commit
-				GroupCommit: ode.GroupCommitOptions{Disable: mode == "serial-fsync"},
-			}})
-			e.add(Case{Name: fmt.Sprintf("tx%d pnew %s", txBatch, mode), Workers: nw, Units: nw * txsPerWorker,
-				Op: func() error {
-					return fanOut(nw, func(g int) error {
-						for t := 0; t < txsPerWorker; t++ {
-							err := pnewTx(w.RunTx, txBatch, func(i int) *ode.Object {
-								return NewStock(w.Stock, fmt.Sprintf("e16-%d-%d-%d", g, t, i), 1, int64(i), 0)
-							})()
-							if err != nil {
-								return err
-							}
+		w := e.deploy(Shape{Opts: &ode.Options{}}) // zero NoSync: fsync on every commit
+		e.add(Case{Name: fmt.Sprintf("tx%d pnew group-commit", txBatch), Workers: nw, Units: nw * txsPerWorker,
+			Op: func() error {
+				return fanOut(nw, func(g int) error {
+					for t := 0; t < txsPerWorker; t++ {
+						err := pnewTx(w.RunTx, txBatch, func(i int) *ode.Object {
+							return NewStock(w.Stock, fmt.Sprintf("e16-%d-%d-%d", g, t, i), 1, int64(i), 0)
+						})()
+						if err != nil {
+							return err
 						}
-						return nil
-					})
-				},
-				After: func(m *Measurement) error {
-					if mode == "serial-fsync" {
-						serial = m.PerOp
-						return nil
-					}
-					speedup(m, serial)
-					if st := w.DB.Stats().WAL; st.GroupCommits > 0 {
-						m.Extra["avg_group"] = float64(st.GroupCommitSize) / float64(st.GroupCommits)
 					}
 					return nil
-				}})
-		}
+				})
+			},
+			After: func(m *Measurement) error {
+				if nw == 1 {
+					lone = m.PerOp
+				} else {
+					speedup(m, lone)
+				}
+				if st := w.DB.Stats().WAL; st.GroupCommits > 0 {
+					m.Extra["avg_group"] = float64(st.GroupCommitSize) / float64(st.GroupCommits)
+				}
+				return nil
+			}})
 	}
 
 	// Client cache on the remote deref path: loopback server, working

@@ -29,8 +29,6 @@ type ReplicaOptions struct {
 	// per failed attempt up to MaxBackoff (default 5s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// MaxFrame bounds one incoming frame (default wire.DefaultMaxFrame).
-	MaxFrame int
 	// HeartbeatTimeout is the longest silence tolerated on the stream
 	// before the connection is declared dead and redialed (default 15s).
 	// The primary heartbeats every SourceOptions.HeartbeatEvery, so a
@@ -52,9 +50,6 @@ func (o *ReplicaOptions) withDefaults() ReplicaOptions {
 	}
 	if out.MaxBackoff <= 0 {
 		out.MaxBackoff = 5 * time.Second
-	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
 	}
 	if out.HeartbeatTimeout <= 0 {
 		out.HeartbeatTimeout = 15 * time.Second
@@ -278,7 +273,7 @@ func (r *Replica) connect() (*replConn, error) {
 		nc.Close()
 		return nil, err
 	}
-	f, _, err := wire.ReadFrame(c.br, r.opts.MaxFrame)
+	f, _, err := wire.ReadFrame(c.br, wire.DefaultMaxFrame)
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -379,7 +374,7 @@ func (r *Replica) stream(c *replConn) error {
 		// deadline turns it into a reconnectable read error instead of a
 		// hang.
 		c.nc.SetReadDeadline(time.Now().Add(r.opts.HeartbeatTimeout))
-		f, _, err := wire.ReadFrame(c.br, r.opts.MaxFrame)
+		f, _, err := wire.ReadFrame(c.br, wire.DefaultMaxFrame)
 		if err != nil {
 			return err
 		}

@@ -54,12 +54,6 @@ type Options struct {
 	// connections get this long to finish their in-flight request and
 	// transaction, then their contexts are canceled and sockets closed.
 	DrainTimeout time.Duration
-	// MaxFrame bounds a single wire frame (default wire.DefaultMaxFrame).
-	MaxFrame int
-	// Registry receives the server.* metrics (default: the database's
-	// MetricsRegistry). A second Server over the same database must
-	// supply its own registry — metric names register once.
-	Registry *obs.Registry
 	// Repl, when set, serves CmdWALSubscribe streams: replicas of this
 	// database subscribe here. Without it, subscription requests are
 	// rejected as protocol errors.
@@ -101,9 +95,6 @@ func (o *Options) withDefaults() Options {
 	if out.DrainTimeout <= 0 {
 		out.DrainTimeout = 5 * time.Second
 	}
-	if out.MaxFrame <= 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
-	}
 	if out.AckTimeout <= 0 {
 		out.AckTimeout = 2 * time.Second
 	}
@@ -115,7 +106,6 @@ type Server struct {
 	db   *ode.DB
 	opts Options
 	met  *Metrics
-	reg  *obs.Registry
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -132,23 +122,17 @@ type Server struct {
 }
 
 // New builds a server over an open database and registers the server.*
-// metrics (into the database's registry unless Options.Registry
-// overrides it).
+// metrics into the database's registry, so a database has at most one
+// Server.
 func New(db *ode.DB, opts *Options) *Server {
-	o := opts.withDefaults()
-	reg := o.Registry
-	if reg == nil {
-		reg = db.MetricsRegistry()
-	}
 	s := &Server{
 		db:    db,
-		opts:  o,
+		opts:  opts.withDefaults(),
 		met:   &Metrics{},
-		reg:   reg,
 		conns: make(map[*conn]struct{}),
 		done:  make(chan struct{}),
 	}
-	s.met.Attach(reg)
+	s.met.Attach(db.MetricsRegistry())
 	return s
 }
 
@@ -443,7 +427,7 @@ func (c *conn) serve() {
 	c.nc.SetDeadline(time.Time{})
 
 	c.br = bufio.NewReader(&connReader{r: c.nc, met: &c.s.met.BytesIn})
-	c.fr = wire.NewFrameReader(c.br, c.s.opts.MaxFrame)
+	c.fr = wire.NewFrameReader(c.br, wire.DefaultMaxFrame)
 	for {
 		// The frame (and its body) aliases the reader's reused buffer:
 		// valid through dispatch, overwritten by the next Read. Handlers
@@ -1038,7 +1022,6 @@ func (c *conn) handleOQL(f *wire.Frame) error {
 		c.oqlSess = oql.NewSession(c.s.db, &c.oqlOut)
 	}
 	execErr := c.oqlSess.Exec(src)
-	c.s.db.Triggers().Wait()
 	if errs := c.s.db.Triggers().Errors(); len(errs) > 0 {
 		for _, e := range errs {
 			fmt.Fprintf(&c.oqlOut, "trigger error: %v\n", e)
@@ -1068,7 +1051,7 @@ func (c *conn) handleMetrics(f *wire.Frame) error {
 	return c.reply(f.ReqID, wire.RespText, wire.AppendBytes(nil, buf))
 }
 
-func (c *conn) reg() map[string]any { return c.s.reg.Snapshot() }
+func (c *conn) reg() map[string]any { return c.s.db.MetricsRegistry().Snapshot() }
 
 // handleSubscribe hands the connection over to the replication source:
 // after a CmdWALSubscribe the socket carries only WAL frames one way

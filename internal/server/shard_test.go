@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"ode"
 	"ode/client"
+	"ode/internal/failpoint"
 	"ode/internal/netchaos"
 	"ode/internal/object"
 	"ode/internal/server"
@@ -474,6 +476,40 @@ func TestShardedInDoubtRecovery(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardedStagedDecisionIsInDoubt: when the coordinator's decide
+// fsync fails, its decide record is already in the log file and its
+// fate is unknown until reopen. The router must report ErrInDoubt, not
+// abort the participants "by coordinator timeout", and resolution must
+// leave the gid prepared instead of reading the coordinator as abort.
+func TestShardedStagedDecisionIsInDoubt(t *testing.T) {
+	dbs, _, sh, stock := startShardGroup(t, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	tx := sh.Begin(ctx)
+	for i := 0; i < 2; i++ { // round-robin placement: one object per shard
+		if _, err := tx.PNew(stock, item(stock, fmt.Sprintf("staged-%d", i), 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The two votes fsync first; the third fsync is the decision's.
+	if err := failpoint.Arm("wal.fsync", failpoint.Spec{Action: failpoint.ActError, AfterN: 2, OneShot: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisarmAll()
+	if err := tx.Commit(); !errors.Is(err, client.ErrInDoubt) {
+		t.Fatalf("commit with a failed decide fsync: %v, want ErrInDoubt", err)
+	}
+	if n := len(dbs[1].PreparedTxs()); n != 1 {
+		t.Fatalf("participant holds %d prepared transactions, want 1", n)
+	}
+	if n, err := sh.ResolveInDoubt(ctx); n != 0 || !errors.Is(err, ode.ErrUnknownOutcome) {
+		t.Fatalf("ResolveInDoubt = %d, %v; want 0 and ErrUnknownOutcome", n, err)
+	}
+	if n := len(dbs[1].PreparedTxs()); n != 1 {
+		t.Fatalf("resolution settled the participant against an unknown decision (%d prepared left)", n)
 	}
 }
 

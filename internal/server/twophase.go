@@ -77,7 +77,11 @@ func (c *conn) handleTxStatus(f *wire.Frame) error {
 	if derr != nil {
 		return c.replyErr(f.ReqID, protoErr("tx-status: %v", derr))
 	}
-	return c.reply(f.ReqID, wire.RespTxStatus, wire.TxStatusBody(c.s.db.TxStatus(gid), 0))
+	st, err := c.s.db.TxStatus(gid)
+	if err != nil {
+		return c.replyErr(f.ReqID, err)
+	}
+	return c.reply(f.ReqID, wire.RespTxStatus, wire.TxStatusBody(st, 0))
 }
 
 // handleShardStatus reports the node's shard coordinates, durability

@@ -91,7 +91,6 @@ func (e ActionError) Error() string {
 type Service struct {
 	engine   *txn.Engine
 	actClass *core.Class
-	sync     bool // run actions inline in PostCommit (deterministic tests)
 	met      *obs.TriggerMetrics
 
 	mu       sync.Mutex
@@ -99,14 +98,11 @@ type Service struct {
 	pending  map[uint64][]firing            // txid -> fired this tx
 	suppress map[uint64]core.OID            // action txid -> its own activation
 	errs     []ActionError
-	wg       sync.WaitGroup
 }
 
-// NewService installs trigger processing on the engine. If syncActions
-// is true, fired actions run inline at commit (still as independent
-// transactions); otherwise they run on background goroutines and
-// Wait drains them.
-func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
+// NewService installs trigger processing on the engine. Fired actions
+// run after the triggering commit, each as its own transaction.
+func NewService(engine *txn.Engine) (*Service, error) {
 	schema := engine.Manager().Schema()
 	actClass, ok := schema.ClassNamed(ActivationClassName)
 	if !ok {
@@ -115,7 +111,6 @@ func NewService(engine *txn.Engine, syncActions bool) (*Service, error) {
 	s := &Service{
 		engine:   engine,
 		actClass: actClass,
-		sync:     syncActions,
 		met:      &obs.TriggerMetrics{},
 		byTarget: make(map[core.OID]map[core.OID]bool),
 		pending:  make(map[uint64][]firing),
@@ -299,10 +294,6 @@ func (s *Service) Errors() []ActionError {
 	return out
 }
 
-// Wait blocks until all scheduled (asynchronous) trigger actions have
-// finished, including actions those actions fired in turn.
-func (s *Service) Wait() { s.wg.Wait() }
-
 // preCommit evaluates trigger conditions over the transaction's write
 // set — "conceptually, trigger conditions are evaluated at the end of
 // each transaction". Fired once-only activations are deactivated as
@@ -457,28 +448,17 @@ func (s *Service) postAbort(tx *txn.Tx) {
 
 // schedule runs a fired action as its own transaction (weak coupling).
 func (s *Service) schedule(f firing) {
-	run := func() {
-		if err := s.runAction(f); err != nil {
-			s.met.ActionErrors.Inc()
-			s.mu.Lock()
-			s.errs = append(s.errs, ActionError{
-				Activation: f.activation,
-				Target:     f.target,
-				Trigger:    f.triggerName,
-				Err:        err,
-			})
-			s.mu.Unlock()
-		}
+	if err := s.runAction(f); err != nil {
+		s.met.ActionErrors.Inc()
+		s.mu.Lock()
+		s.errs = append(s.errs, ActionError{
+			Activation: f.activation,
+			Target:     f.target,
+			Trigger:    f.triggerName,
+			Err:        err,
+		})
+		s.mu.Unlock()
 	}
-	if s.sync {
-		run()
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		run()
-	}()
 }
 
 func (s *Service) runAction(f firing) error {

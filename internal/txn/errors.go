@@ -44,6 +44,13 @@ var (
 	// such transaction" only for CommitPrepared; AbortPrepared treats
 	// the same condition as success.
 	ErrNoPrepared = errors.New("txn: no prepared transaction with that gid")
+	// ErrUnknownOutcome reports a write whose records reached the WAL
+	// file before its apply or fsync failed: it counts if and only if
+	// the records are found when the database is reopened. A commit
+	// decision in that state is answered with this error, never with a
+	// presumed abort, until then. Not retryable: the outcome is fixed,
+	// only unknown.
+	ErrUnknownOutcome = errors.New("txn: outcome unknown until the database is reopened (database needs recovery)")
 	// ErrFailover reports an operation lost to a replication failover
 	// in progress: the primary went unreachable mid-flight, or its role
 	// moved while the request was on the wire. Retryable for the same

@@ -83,6 +83,11 @@ type decision struct {
 	commit bool
 	lsn    uint64    // commit LSN on this node; 0 for aborts and read-only commits
 	at     time.Time // when the decision was recorded (or restored)
+	// err, when set, wraps ErrUnknownOutcome: the commit decision was
+	// staged but its apply or fsync failed, so only reopening the
+	// database tells whether it holds. Every query about the gid
+	// answers err until then.
+	err error
 }
 
 // Transaction status values reported by TxStatus.
@@ -221,35 +226,23 @@ func (e *Engine) Prepare(tx *Tx, gid string) error {
 	if err != nil {
 		return err
 	}
+	var vote []byte
 	if len(ops) > 0 {
-		e.commitMu.Lock()
-		if e.closed.Load() {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("%w (prepare of tx %d rejected)", ErrDBClosed, tx.id)
-		}
-		if err := fpPrepareWAL.Check(); err != nil {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("txn: prepare: %w", err)
-		}
-		target, err := e.log.StageMeta(wal.EncodePrepared(tx.id, gid, ops))
-		if err != nil {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("txn: wal append of prepare record: %w", err)
-		}
-		if fn := e.AfterAppend; fn != nil {
-			fn(e.log.Size())
-		}
-		e.commitMu.Unlock()
-		// The vote must be durable before it is given: a yes answered
-		// from volatile state could be forgotten by a crash while the
-		// coordinator goes on to commit everyone else.
-		if err := e.log.SyncTo(target); err != nil {
-			tx.finish(stateAborted)
-			return fmt.Errorf("txn: wal sync of prepare record: %w", err)
-		}
+		vote = wal.EncodePrepared(tx.id, gid, ops)
+	}
+	e.commitMu.Lock()
+	target, _, err := e.stage(write{meta: vote, stageFault: fpPrepareWAL})
+	e.commitMu.Unlock()
+	if err != nil {
+		tx.Abort()
+		return fmt.Errorf("txn: prepare of tx %d: %w", tx.id, err)
+	}
+	// The vote must be durable before it is given: a yes answered from
+	// volatile state could be forgotten by a crash while the coordinator
+	// goes on to commit everyone else.
+	if err := e.syncTo(target); err != nil {
+		tx.finish(stateAborted)
+		return fmt.Errorf("txn: prepare of tx %d: %w", tx.id, err)
 	}
 	entry := &preparedTx{gid: gid, txid: tx.id, ops: ops, since: time.Now()}
 	tx.finishPrepared()
@@ -298,96 +291,59 @@ func (e *Engine) reinstate(entry *preparedTx) {
 // Delivering the same commit twice is idempotent (the recorded
 // decision answers with the original LSN); an unknown gid fails with
 // ErrNoPrepared — under presumed abort that means the transaction
-// never prepared here or was already aborted.
+// never prepared here or was already aborted. A failure before the
+// decide record is staged leaves the transaction prepared for a retry;
+// one after it (the apply or the fsync) leaves the decision's fate to
+// the next reopen, and until then every question about gid is
+// answered with ErrUnknownOutcome.
 func (e *Engine) CommitPrepared(gid string) (uint64, error) {
 	entry := e.claim(gid)
 	if entry == nil {
 		e.prepMu.Lock()
 		d, dec := e.decided[gid]
 		e.prepMu.Unlock()
-		if dec && d.commit {
+		switch {
+		case dec && d.err != nil:
+			return 0, d.err
+		case dec && d.commit:
 			return d.lsn, nil
-		}
-		if dec {
+		case dec:
 			return 0, fmt.Errorf("%w: gid %q was aborted", ErrNoPrepared, gid)
 		}
 		return 0, fmt.Errorf("%w: gid %q", ErrNoPrepared, gid)
 	}
 	met := &e.met.Txn
-	var lsn uint64
 	var raw []byte
 	if len(entry.ops) > 0 {
-		e.commitMu.Lock()
-		if e.closed.Load() {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("%w (commit-prepared of %q rejected)", ErrDBClosed, gid)
-		}
-		if err := fpDecideWAL.Check(); err != nil {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: commit-prepared: %w", err)
-		}
-		if _, err := e.log.StageMeta(wal.EncodeDecide(entry.txid, gid, true)); err != nil {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: wal append of decide record: %w", err)
-		}
 		raw = wal.EncodeBatch(entry.txid, entry.ops)
-		target, err := e.log.StageRaw(raw)
-		if err != nil {
-			e.commitMu.Unlock()
+	}
+	e.commitMu.Lock()
+	target, lsn, err := e.stage(write{
+		meta:       wal.EncodeDecide(entry.txid, gid, true),
+		batch:      raw,
+		ops:        entry.ops,
+		stageFault: fpDecideWAL,
+	})
+	e.commitMu.Unlock()
+	if err == nil {
+		err = e.syncTo(target)
+	}
+	if err != nil {
+		err = fmt.Errorf("txn: commit-prepared %q: %w", gid, err)
+		if !errors.Is(err, ErrUnknownOutcome) {
 			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: wal append: %w", err)
+			return 0, err
 		}
-		if fn := e.AfterAppend; fn != nil {
-			fn(e.log.Size())
-		}
-		for i := range entry.ops {
-			if err := e.mgr.Apply(&entry.ops[i]); err != nil {
-				e.commitMu.Unlock()
-				e.locks.ReleaseAll(entry.txid)
-				met.PreparedInDoubt.Add(-1)
-				return 0, fmt.Errorf("txn: apply after logging (database needs recovery): %w", err)
-			}
-		}
-		lsn = e.log.LSN()
-		e.commitMu.Unlock()
-		if err := e.log.SyncTo(target); err != nil {
-			e.locks.ReleaseAll(entry.txid)
-			met.PreparedInDoubt.Add(-1)
-			return 0, fmt.Errorf("txn: wal sync after apply (database needs recovery): %w", err)
-		}
+		// The decide record is in the log file: the next fsync may make
+		// it durable, and recovery would then commit. Presuming abort
+		// here could contradict it.
+		e.locks.ReleaseAll(entry.txid)
+		e.recordDecision(gid, decision{txid: entry.txid, commit: true, err: err})
+		met.PreparedInDoubt.Add(-1)
+		return 0, err
+	}
+	if raw != nil {
 		e.announce(lsn, raw)
-	} else {
-		// Empty write set: there is no batch whose fsync would carry the
-		// decide record along, so stage and sync it on its own. Nothing
-		// has been applied, so every failure reinstates for a retry.
-		e.commitMu.Lock()
-		if e.closed.Load() {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("%w (commit-prepared of %q rejected)", ErrDBClosed, gid)
-		}
-		if err := fpDecideWAL.Check(); err != nil {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: commit-prepared: %w", err)
-		}
-		target, err := e.log.StageMeta(wal.EncodeDecide(entry.txid, gid, true))
-		if err != nil {
-			e.commitMu.Unlock()
-			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: wal append of decide record: %w", err)
-		}
-		if fn := e.AfterAppend; fn != nil {
-			fn(e.log.Size())
-		}
-		e.commitMu.Unlock()
-		if err := e.log.SyncTo(target); err != nil {
-			e.reinstate(entry)
-			return 0, fmt.Errorf("txn: wal sync of decide record: %w", err)
-		}
 	}
 	e.locks.ReleaseAll(entry.txid)
 	e.recordDecision(gid, decision{txid: entry.txid, commit: true, lsn: lsn})
@@ -399,30 +355,32 @@ func (e *Engine) CommitPrepared(gid string) (uint64, error) {
 
 // AbortPrepared runs the second phase for gid with an abort decision.
 // Unknown gids succeed: under presumed abort, "never prepared here" and
-// "already aborted" are both the caller's desired state.
+// "already aborted" are both the caller's desired state. A gid whose
+// commit decision was staged but not settled fails with
+// ErrUnknownOutcome.
 func (e *Engine) AbortPrepared(gid string) error { return e.abortPrepared(gid, false) }
 
 func (e *Engine) abortPrepared(gid string, timedOut bool) error {
 	entry := e.claim(gid)
 	if entry == nil {
-		return nil
+		e.prepMu.Lock()
+		d := e.decided[gid]
+		e.prepMu.Unlock()
+		return d.err
 	}
 	met := &e.met.Txn
+	var tombstone []byte
 	if len(entry.ops) > 0 {
-		e.commitMu.Lock()
-		if !e.closed.Load() {
-			// Durable tombstone, best effort and not fsynced: without it
-			// a crash before the next truncation resurrects the prepared
-			// batch as in-doubt and resolution has to abort it a second
-			// time; with it lost, the same resolution still converges.
-			if _, err := e.log.StageMeta(wal.EncodeDecide(entry.txid, gid, false)); err == nil {
-				if fn := e.AfterAppend; fn != nil {
-					fn(e.log.Size())
-				}
-			}
-		}
-		e.commitMu.Unlock()
+		tombstone = wal.EncodeDecide(entry.txid, gid, false)
 	}
+	// A durable tombstone, best effort and not fsynced: without it a
+	// crash before the next truncation resurrects the prepared batch as
+	// in-doubt and resolution has to abort it a second time; with it
+	// lost, the same resolution still converges. A closed engine writes
+	// none.
+	e.commitMu.Lock()
+	_, _, _ = e.stage(write{meta: tombstone})
+	e.commitMu.Unlock()
 	e.locks.ReleaseAll(entry.txid)
 	e.recordDecision(gid, decision{txid: entry.txid, commit: false})
 	met.Aborts.Inc()
@@ -452,20 +410,25 @@ func (e *Engine) recordDecision(gid string, d decision) {
 // TxStatus reports gid's fate on this node: prepared (in-doubt),
 // committed, aborted, or unknown. Resolvers treat the coordinator's
 // "unknown" as abort (presumed abort: the decision record is written
-// before any participant may commit).
-func (e *Engine) TxStatus(gid string) string {
+// before any participant may commit). A commit decision staged but not
+// settled has no status until the database is reopened: the error
+// wraps ErrUnknownOutcome.
+func (e *Engine) TxStatus(gid string) (string, error) {
 	e.prepMu.Lock()
 	defer e.prepMu.Unlock()
 	if _, ok := e.prepared[gid]; ok {
-		return StatusPrepared
+		return StatusPrepared, nil
 	}
 	if d, ok := e.decided[gid]; ok {
-		if d.commit {
-			return StatusCommitted
+		switch {
+		case d.err != nil:
+			return "", d.err
+		case d.commit:
+			return StatusCommitted, nil
 		}
-		return StatusAborted
+		return StatusAborted, nil
 	}
-	return StatusUnknown
+	return StatusUnknown, nil
 }
 
 // PreparedCount returns the number of in-doubt transactions.

@@ -58,16 +58,12 @@ type Engine struct {
 	closed   atomic.Bool  // set by MarkClosed; checked under commitMu
 	readOnly atomic.Bool  // replica mode: write operations fail with ErrReadOnly
 
+	// commitMu serializes stage: the WAL order is the apply order.
 	commitMu sync.Mutex
 
-	// groupCommit splits Commit's WAL write into stage (under the
-	// commit lock) and sync (outside it), so concurrent committers
-	// share fsyncs (wal.SyncTo). Set once before traffic.
-	groupCommit bool
-
 	// The announcer delivers OnCommit callbacks in strict LSN order.
-	// With group commit, committers leave the commit lock before their
-	// fsync completes, so they reach the announcement point out of
+	// Committers leave the commit lock before their fsync completes
+	// (group commit), so they reach the announcement point out of
 	// order; announce buffers early arrivals until the gap fills.
 	// Lock order: commitMu → annMu → (OnCommit's own locks).
 	annMu      sync.Mutex
@@ -92,16 +88,16 @@ type Engine struct {
 	// transaction. The database layer installs the WAL hard-limit
 	// stall.
 	Backpressure func(ctx context.Context) error
-	// AfterAppend, if set, is called (under the commit lock) after
-	// each WAL append with the new log size. The database layer uses
-	// it to kick the background checkpointer past the soft limit.
+	// AfterAppend, if set, is called by stage (under the commit lock)
+	// after each WAL write with the new log size. The database layer
+	// uses it to kick the background checkpointer past the soft limit.
 	AfterAppend func(walSize int64)
 	// onCommit, if set (SetOnCommit), is called after a batch is
 	// durable in the WAL and applied, with the batch's LSN and its raw
 	// log encoding. It fires for local commits and for replicated
 	// batches applied through ApplyReplicatedBatch alike, in strict LSN
 	// order — the replication layer ships committed batches from here.
-	// With group commit the call happens outside the commit lock (see
+	// A local commit makes the call outside the commit lock (see
 	// announce). Guarded by annMu.
 	onCommit func(lsn uint64, raw []byte)
 
@@ -133,11 +129,6 @@ func NewEngine(mgr *object.Manager, log *wal.Log) *Engine {
 	e.SetMetrics(obs.NewMetrics(nil))
 	return e
 }
-
-// SetGroupCommit enables the group-commit fast path: Commit stages its
-// batch under the commit lock but waits for durability outside it, so
-// concurrent committers share fsyncs. Call before traffic.
-func (e *Engine) SetGroupCommit(on bool) { e.groupCommit = on }
 
 // SetOnCommit installs (or, with nil, removes) the committed-batch
 // listener.
@@ -231,30 +222,26 @@ func (e *Engine) ApplyReplicatedBatch(lsn uint64, raw []byte) error {
 	if err != nil {
 		return fmt.Errorf("txn: replicated batch: %w", err)
 	}
+	ops := make([]wal.Op, len(b.Ops))
+	for i, op := range b.Ops {
+		ops[i] = *op
+	}
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
-	if e.closed.Load() {
-		return ErrDBClosed
-	}
 	if want := e.log.LSN() + 1; lsn != 0 && lsn != want {
 		return fmt.Errorf("%w: batch %d, log expects %d", wal.ErrLSNGap, lsn, want)
 	}
-	if err := fpCommitWAL.Check(); err != nil {
-		return fmt.Errorf("txn: replicated append: %w", err)
+	// Durable before visible: a replica holds no locks that would hide
+	// an applied batch from its readers while the fsync is pending.
+	target, _, err := e.stage(write{batch: raw, stageFault: fpCommitWAL})
+	if err == nil {
+		err = e.syncTo(target)
 	}
-	if err := e.log.AppendRaw(raw); err != nil {
-		return fmt.Errorf("txn: replicated append: %w", err)
+	if err == nil {
+		_, _, err = e.stage(write{ops: ops, applyFault: fpCommitApply})
 	}
-	if fn := e.AfterAppend; fn != nil {
-		fn(e.log.Size())
-	}
-	if err := fpCommitApply.Check(); err != nil {
-		return fmt.Errorf("txn: replicated apply after logging (database needs recovery): %w", err)
-	}
-	for _, op := range b.Ops {
-		if err := e.mgr.Apply(op); err != nil {
-			return fmt.Errorf("txn: replicated apply after logging (database needs recovery): %w", err)
-		}
+	if err != nil {
+		return fmt.Errorf("txn: replicated batch %d: %w", lsn, err)
 	}
 	e.met.Txn.Commits.Inc()
 	if lsn != 0 {
@@ -280,18 +267,98 @@ func (e *Engine) WithCommitLock(fn func() error) error {
 // replication like any commit, so replicas stay gap-free; replaying it
 // re-puts images that are already current, which is idempotent.
 func (e *Engine) AppendSideBatch(ops []wal.Op) error {
-	if e.closed.Load() {
-		return ErrDBClosed
-	}
 	raw := wal.EncodeBatch(0, ops)
-	if err := e.log.AppendRaw(raw); err != nil {
-		return fmt.Errorf("txn: side batch append: %w", err)
+	target, lsn, err := e.stage(write{batch: raw})
+	if err == nil {
+		err = e.syncTo(target)
 	}
-	if fn := e.AfterAppend; fn != nil {
-		fn(e.log.Size())
+	if err != nil {
+		return fmt.Errorf("txn: side batch: %w", err)
 	}
-	e.announce(e.log.LSN(), raw)
+	e.announce(lsn, raw)
 	return nil
+}
+
+// A write is one durable act of the engine: the records a writer
+// stages into the WAL under the commit lock and the ops it then
+// applies. Every field is optional; an absent one skips its step.
+type write struct {
+	meta  []byte   // a metadata record (a vote or a decision): no LSN
+	batch []byte   // a committed batch, staged after meta: one LSN
+	ops   []wal.Op // applied after meta and batch are staged
+	// stageFault fires before anything is staged, applyFault before the
+	// first op is applied.
+	stageFault, applyFault *failpoint.Site
+}
+
+// stage is the staging step every WAL writer shares; the caller holds
+// commitMu. If w has a record or a batch, it refuses a closed engine,
+// stages w.meta then w.batch and reports the new log size to
+// AfterAppend; then it applies w.ops. It returns the target the caller
+// hands to syncTo where it waits for durability, and the batch's LSN
+// (0 without a batch). An error wrapping ErrUnknownOutcome means
+// records reached the log before the failure; any other error means
+// nothing did.
+func (e *Engine) stage(w write) (target int64, lsn uint64, err error) {
+	if w.meta != nil || w.batch != nil {
+		if e.closed.Load() {
+			return 0, 0, ErrDBClosed
+		}
+		if w.stageFault != nil {
+			if err := w.stageFault.Check(); err != nil {
+				return 0, 0, fmt.Errorf("txn: %w", err)
+			}
+		}
+		if w.meta != nil {
+			if target, err = e.log.StageMeta(w.meta); err != nil {
+				return 0, 0, fmt.Errorf("txn: wal append: %w", err)
+			}
+		}
+		if w.batch != nil {
+			if target, err = e.log.StageRaw(w.batch); err != nil {
+				if w.meta != nil {
+					return 0, 0, unknownOutcome("wal append after a metadata record", err)
+				}
+				return 0, 0, fmt.Errorf("txn: wal append: %w", err)
+			}
+			lsn = e.log.LSN()
+		}
+		if fn := e.AfterAppend; fn != nil {
+			fn(e.log.Size())
+		}
+	}
+	if len(w.ops) > 0 && w.applyFault != nil {
+		if err := w.applyFault.Check(); err != nil {
+			return 0, 0, unknownOutcome("apply after logging", err)
+		}
+	}
+	for i := range w.ops {
+		// The op is logged but not applied: replay at reopen repairs
+		// the database, but this process's state may be inconsistent.
+		if err := e.mgr.Apply(&w.ops[i]); err != nil {
+			return 0, 0, unknownOutcome("apply after logging", err)
+		}
+	}
+	return target, lsn, nil
+}
+
+// syncTo waits until everything stage wrote up to target is durable,
+// sharing one fsync with every writer staged meanwhile (wal.SyncTo). A
+// zero target, nothing staged, returns at once. A failure poisons the
+// log and leaves the staged records' durability unknown.
+func (e *Engine) syncTo(target int64) error {
+	if target == 0 {
+		return nil
+	}
+	if err := e.log.SyncTo(target); err != nil {
+		return unknownOutcome("wal sync", err)
+	}
+	return nil
+}
+
+// unknownOutcome reports a failure after records reached the WAL file.
+func unknownOutcome(step string, err error) error {
+	return fmt.Errorf("%w: %s: %w", ErrUnknownOutcome, step, err)
 }
 
 // Begin starts a transaction with no deadline (context.Background).
@@ -899,8 +966,12 @@ func (tx *Tx) Created(oid core.OID) bool {
 }
 
 // Commit makes the transaction durable: constraints are checked, the
-// PreCommit hook runs, the logical operations are appended to the WAL
-// (fsync), applied to the object manager, and the locks released.
+// PreCommit hook runs, the logical operations are staged to the WAL
+// and applied to the object manager under the commit lock, and the
+// commit waits outside that lock for the fsync it shares with every
+// committer staged meanwhile (group commit). Strict 2PL keeps that
+// window sound: the locks are held until finish, so no other
+// transaction reads the applied-but-not-yet-durable state.
 func (tx *Tx) Commit() error {
 	if err := tx.ensureActive(); err != nil {
 		return err
@@ -913,74 +984,29 @@ func (tx *Tx) Commit() error {
 	}
 	e := tx.engine
 	var raw []byte
-	var syncTarget int64
-	e.commitMu.Lock()
 	if len(ops) > 0 {
-		if e.closed.Load() {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("%w (commit of tx %d rejected)", ErrDBClosed, tx.id)
-		}
-		if err := fpCommitWAL.Check(); err != nil {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("txn: commit: %w", err)
-		}
 		raw = wal.EncodeBatch(tx.id, ops)
-		if e.groupCommit {
-			// Group-commit fast path: write the batch and apply it under
-			// the commit lock, but wait for durability outside it — the
-			// next committer can stage meanwhile, and wal.SyncTo lets the
-			// whole group share one fsync. Strict 2PL keeps the window
-			// sound: this transaction's locks are held until finish, so
-			// no other transaction can read the applied-but-not-yet-
-			// durable state, and the ordered announcer below keeps the
-			// replication stream in LSN order.
-			target, err := e.log.StageRaw(raw)
-			if err != nil {
-				e.commitMu.Unlock()
-				tx.Abort()
-				return fmt.Errorf("txn: wal append: %w", err)
-			}
-			syncTarget = target
-		} else if err := e.log.AppendRaw(raw); err != nil {
-			e.commitMu.Unlock()
-			tx.Abort()
-			return fmt.Errorf("txn: wal append: %w", err)
-		}
-		if fn := e.AfterAppend; fn != nil {
-			fn(e.log.Size())
-		}
-		if err := fpCommitApply.Check(); err != nil {
-			e.commitMu.Unlock()
-			tx.finish(stateAborted)
-			return fmt.Errorf("txn: apply after logging (database needs recovery): %w", err)
-		}
-		for i := range ops {
-			if err := e.mgr.Apply(&ops[i]); err != nil {
-				// The op is durable but not applied: the database is
-				// recoverable by replay, but this process's in-memory
-				// state may be inconsistent. Surface loudly.
-				e.commitMu.Unlock()
-				tx.finish(stateAborted)
-				return fmt.Errorf("txn: apply after logging (database needs recovery): %w", err)
-			}
-		}
-		tx.commitLSN = e.log.LSN()
 	}
+	e.commitMu.Lock()
+	target, lsn, err := e.stage(write{batch: raw, ops: ops, stageFault: fpCommitWAL, applyFault: fpCommitApply})
 	e.commitMu.Unlock()
-	if len(ops) > 0 {
-		if e.groupCommit {
-			if err := e.log.SyncTo(syncTarget); err != nil {
-				// The batch is applied in memory but its durability is
-				// unknown; the WAL is poisoned, so no later commit can
-				// succeed and nothing is announced to replication. Only
-				// reopening the database resolves the commit either way.
-				tx.finish(stateAborted)
-				return fmt.Errorf("txn: wal sync after apply (database needs recovery): %w", err)
-			}
+	if err == nil {
+		tx.commitLSN = lsn
+		// A failed fsync leaves the batch applied in memory with its
+		// durability unknown; the WAL is poisoned, so no later commit
+		// succeeds and nothing is announced to replication.
+		err = e.syncTo(target)
+	}
+	if err != nil {
+		if errors.Is(err, ErrUnknownOutcome) {
+			tx.finish(stateAborted)
+		} else {
+			tx.Abort()
 		}
-		e.announce(tx.commitLSN, raw)
+		return fmt.Errorf("txn: commit of tx %d: %w", tx.id, err)
+	}
+	if raw != nil {
+		e.announce(lsn, raw)
 	}
 	tx.finish(stateCommitted)
 	if hook := e.PostCommit; hook != nil {

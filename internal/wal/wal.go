@@ -48,7 +48,7 @@ import (
 // Failpoint sites on the log's I/O paths (no-ops unless armed; see
 // docs/TESTING.md).
 var (
-	// fpAppend fires in AppendRaw after the batch buffer is built.
+	// fpAppend fires in StageRaw and StageMeta before the write.
 	// Partial actions persist a prefix of the batch — a torn log tail
 	// that scanEnd must truncate on the next open.
 	fpAppend = failpoint.New("wal.append")
@@ -219,7 +219,7 @@ func Open(path string) (*Log, error) {
 
 // SetSync controls whether commits fsync. Disabling it surrenders
 // durability of recent commits on power failure; it exists for
-// benchmarking the fsync cost (and matches "group commit off").
+// benchmarking the fsync cost.
 func (l *Log) SetSync(sync bool) { l.sync = sync }
 
 // SetMetrics attaches the WAL metric set; m must be non-nil.
@@ -333,20 +333,12 @@ func DecodeBatch(raw []byte) (*Batch, error) {
 	return nil, fmt.Errorf("%w: batch lacks commit record", ErrCorrupt)
 }
 
-// Append encodes the operations as one committed batch for txid and
-// appends it. This and AppendRaw are the only writing entry points:
-// the log never contains uncommitted operations.
-func (l *Log) Append(txid uint64, ops []Op) error {
-	return l.AppendRaw(EncodeBatch(txid, ops))
-}
-
-// AppendRaw appends one pre-encoded committed batch (exactly one
-// commit record, as produced by EncodeBatch) and, when sync is
-// enabled, fsyncs before returning. Equivalent to StageRaw + SyncTo;
-// the group-commit fast path calls the two halves separately so the
+// Append encodes the operations as one committed batch for txid,
+// stages it and, when sync is enabled, fsyncs before returning:
+// StageRaw then SyncTo. The engine calls the two halves itself, so its
 // commit lock is released between them.
-func (l *Log) AppendRaw(raw []byte) error {
-	target, err := l.StageRaw(raw)
+func (l *Log) Append(txid uint64, ops []Op) error {
+	target, err := l.StageRaw(EncodeBatch(txid, ops))
 	if err != nil {
 		return err
 	}

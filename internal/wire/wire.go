@@ -384,12 +384,13 @@ const (
 	CodeCanceled
 	CodeOverloaded
 	CodeDBClosed
-	CodeSchema     // image's class id does not match the server's schema
-	CodeReadOnly   // write against a read-only replica
-	CodeReplResync // subscriber position unserviceable: full resync required
-	CodeStaleEpoch // epoch fencing: the peer was deposed by a newer promotion
-	CodeFailover   // operation lost to a replication failover in progress
-	CodeNoPrepared // two-phase commit: no prepared transaction with that gid
+	CodeSchema         // image's class id does not match the server's schema
+	CodeReadOnly       // write against a read-only replica
+	CodeReplResync     // subscriber position unserviceable: full resync required
+	CodeStaleEpoch     // epoch fencing: the peer was deposed by a newer promotion
+	CodeFailover       // operation lost to a replication failover in progress
+	CodeNoPrepared     // two-phase commit: no prepared transaction with that gid
+	CodeUnknownOutcome // a write reached the WAL before its apply or fsync failed
 )
 
 // ErrProto reports a request the server could not honor as sent (no
@@ -433,6 +434,8 @@ func Code(err error) uint16 {
 		return CodeFailover
 	case errors.Is(err, txn.ErrNoPrepared):
 		return CodeNoPrepared
+	case errors.Is(err, txn.ErrUnknownOutcome):
+		return CodeUnknownOutcome
 	case errors.Is(err, ErrResync):
 		return CodeReplResync
 	case errors.Is(err, ErrProto):
@@ -481,6 +484,8 @@ func CodeErr(code uint16, msg string) error {
 		sentinel = txn.ErrFailover
 	case CodeNoPrepared:
 		sentinel = txn.ErrNoPrepared
+	case CodeUnknownOutcome:
+		sentinel = txn.ErrUnknownOutcome
 	case CodeReplResync:
 		sentinel = ErrResync
 	default:

@@ -110,6 +110,7 @@ func TestErrorCodeRoundTrip(t *testing.T) {
 		object.ErrNoObject,
 		object.ErrNoVersion,
 		object.ErrNoCluster,
+		txn.ErrUnknownOutcome,
 		ErrProto,
 		ErrSchema,
 	}

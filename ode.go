@@ -76,9 +76,6 @@ type Options struct {
 	// NoSync disables the fsync at commit (durability of recent commits
 	// is lost on power failure; benchmarking only).
 	NoSync bool
-	// AsyncTriggers runs fired trigger actions on background goroutines
-	// instead of inline at commit. Use Triggers().Wait() to drain.
-	AsyncTriggers bool
 	// ObjectCacheSize bounds the decoded-object cache in objects: 0
 	// means the default (4096), negative disables the cache. The cache
 	// serves repeated Derefs of hot objects without re-reading and
@@ -118,12 +115,6 @@ type Options struct {
 	// CloseTimeout bounds how long Close waits for active transactions
 	// to drain before canceling them (default 5s).
 	CloseTimeout time.Duration
-	// GroupCommit tunes the group-commit fast path: concurrent
-	// committers stage their WAL batches under the commit lock but wait
-	// for durability outside it, sharing one fsync per group (the first
-	// waiter leads, the rest follow). On by default — a lone committer
-	// pays exactly the old write+fsync cost.
-	GroupCommit GroupCommitOptions
 	// ShardCount and ShardSlot configure this database as shard
 	// ShardSlot of a ShardCount-wide group: every OID it allocates
 	// satisfies oid % ShardCount == ShardSlot, so a client-side router
@@ -138,13 +129,6 @@ type Options struct {
 	// presumes abort and releases the locks (default 60s). Participants
 	// never time out on their own — see docs/SHARDING.md.
 	PrepareTimeout time.Duration
-}
-
-// GroupCommitOptions configures commit batching (Options.GroupCommit).
-type GroupCommitOptions struct {
-	// Disable turns group commit off: commits hold the commit lock
-	// through their fsync, serializing durability waits.
-	Disable bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -339,12 +323,11 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 		return nil, err
 	}
 	engine := txn.NewEngine(mgr, log)
-	engine.SetGroupCommit(!o.GroupCommit.Disable)
 	if o.ShardCount > 1 {
 		engine.SetShardSlot(o.ShardSlot)
 	}
 	engine.SetPrepareTimeout(o.PrepareTimeout)
-	svc, err := trigger.NewService(engine, !o.AsyncTriggers)
+	svc, err := trigger.NewService(engine)
 	if err != nil {
 		log.Close()
 		dw.Close()
@@ -650,7 +633,7 @@ func (db *DB) ViewCtx(ctx context.Context, fn func(tx *Tx) error) error {
 }
 
 // Triggers exposes the trigger service (activation, deactivation,
-// expiry of timed triggers, draining of asynchronous actions).
+// expiry of timed triggers, the errors of failed actions).
 func (db *DB) Triggers() *trigger.Service { return db.triggers }
 
 // Versions exposes the tree-versioning service (branching version
@@ -856,7 +839,6 @@ func (db *DB) CrashForTesting() {
 		return
 	}
 	db.closed = true
-	db.triggers.Wait()
 	db.log.Close()
 	db.dw.Close()
 	db.fs.Close()
@@ -880,10 +862,10 @@ func (db *DB) stopCheckpointer() {
 // Close shuts the database down gracefully: new transactions are
 // rejected with ErrDBClosed, active ones get CloseTimeout to finish
 // and are then canceled (aborting with ErrCanceled at their next lock
-// wait or scan boundary; RunTx reports that as ErrDBClosed), trigger
-// actions drain, the checkpointer stops, a final checkpoint marks a
-// clean shutdown and truncates the WAL, and the files close. A
-// concurrent or repeated Close is a no-op.
+// wait or scan boundary; RunTx reports that as ErrDBClosed), the
+// checkpointer stops, a final checkpoint marks a clean shutdown and
+// truncates the WAL, and the files close. A concurrent or repeated
+// Close is a no-op.
 func (db *DB) Close() error {
 	if !db.closing.CompareAndSwap(false, true) {
 		return nil
@@ -905,7 +887,6 @@ func (db *DB) Close() error {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	db.triggers.Wait()
 	// From here commits with a write set are rejected under the commit
 	// lock: nothing can reach the WAL once the final checkpoint runs.
 	db.engine.MarkClosed()

@@ -261,6 +261,10 @@ var (
 	// ErrNoPrepared rejects a two-phase-commit decision for a gid with
 	// no prepared state and no recorded commit decision on this node.
 	ErrNoPrepared = txn.ErrNoPrepared
+	// ErrUnknownOutcome: a write (or a two-phase commit decision)
+	// reached the WAL before its apply or fsync failed; whether it
+	// counts is known only once the database is reopened.
+	ErrUnknownOutcome = txn.ErrUnknownOutcome
 	// ErrSchemaMismatch: the registered schema does not match the file.
 	ErrSchemaMismatch = object.ErrSchemaMismatch
 	// ErrNoTrigger: activation of an undeclared trigger.

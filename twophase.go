@@ -54,8 +54,10 @@ func (db *DB) AbortPrepared(gid string) error {
 // TxStatus reports gid's fate on this node: prepared (in-doubt),
 // committed, aborted, or unknown. A resolver treats the coordinator's
 // "unknown" as abort: the decision record is made durable before any
-// participant may commit.
-func (db *DB) TxStatus(gid string) string { return db.engine.TxStatus(gid) }
+// participant may commit. A commit decision that was staged but whose
+// apply or fsync failed has no status until the database is reopened:
+// the error wraps ErrUnknownOutcome.
+func (db *DB) TxStatus(gid string) (string, error) { return db.engine.TxStatus(gid) }
 
 // PreparedTxs lists this node's in-doubt transactions, oldest first.
 func (db *DB) PreparedTxs() []PreparedInfo { return db.engine.PreparedList() }

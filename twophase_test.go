@@ -7,8 +7,19 @@ import (
 	"testing"
 	"time"
 
+	"ode/internal/failpoint"
 	"ode/internal/txn"
 )
+
+// txStatus is db.TxStatus(gid) for a gid that has a status.
+func txStatus(t testing.TB, db *DB, gid string) string {
+	t.Helper()
+	st, err := db.TxStatus(gid)
+	if err != nil {
+		t.Fatalf("TxStatus(%q): %v", gid, err)
+	}
+	return st
+}
 
 // prepItem opens a transaction that creates one item and prepares it
 // under gid, returning the new OID.
@@ -35,7 +46,7 @@ func TestPrepareCommitPrepared(t *testing.T) {
 
 	// Prepared: in-doubt, lock-protected, listed. A reader blocks on
 	// the prepared write lock rather than observing either outcome.
-	if st := db.TxStatus("g-commit"); st != TxStatusPrepared {
+	if st := txStatus(t, db, "g-commit"); st != TxStatusPrepared {
 		t.Fatalf("status = %q, want prepared", st)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -58,7 +69,7 @@ func TestPrepareCommitPrepared(t *testing.T) {
 	if lsn == 0 {
 		t.Fatal("commit LSN = 0 for a write batch")
 	}
-	if st := db.TxStatus("g-commit"); st != TxStatusCommitted {
+	if st := txStatus(t, db, "g-commit"); st != TxStatusCommitted {
 		t.Fatalf("status = %q, want committed", st)
 	}
 	// Redelivery is idempotent and answers with the original LSN.
@@ -86,7 +97,7 @@ func TestPrepareAbortPrepared(t *testing.T) {
 	if err := db.AbortPrepared("g-abort"); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.TxStatus("g-abort"); st != TxStatusAborted {
+	if st := txStatus(t, db, "g-abort"); st != TxStatusAborted {
 		t.Fatalf("status = %q, want aborted", st)
 	}
 	if err := db.View(func(tx *Tx) error {
@@ -176,7 +187,7 @@ func TestPreparedSurvivesCrash(t *testing.T) {
 	if len(list) != 1 || list[0].GID != "s9-crash-1" || !list[0].Recovered {
 		t.Fatalf("PreparedTxs after crash = %+v", list)
 	}
-	if st := db.TxStatus("s9-crash-1"); st != TxStatusPrepared {
+	if st := txStatus(t, db, "s9-crash-1"); st != TxStatusPrepared {
 		t.Fatalf("status = %q, want prepared", st)
 	}
 	// The recovered in-doubt OID must be fenced against reuse.
@@ -273,7 +284,7 @@ func TestPreparedSurvivesCleanClose(t *testing.T) {
 	}
 
 	db2, _ := reopen(t, path)
-	if st := db2.TxStatus("s9-clean-1"); st != TxStatusPrepared {
+	if st := txStatus(t, db2, "s9-clean-1"); st != TxStatusPrepared {
 		t.Fatalf("status after clean close = %q, want prepared", st)
 	}
 	if err := db2.AbortPrepared("s9-clean-1"); err != nil {
@@ -301,7 +312,7 @@ func TestPreparedSurvivesCheckpoint(t *testing.T) {
 		}
 	})
 	db, _ := reopen(t, path)
-	if st := db.TxStatus("s9-ckpt-1"); st != TxStatusPrepared {
+	if st := txStatus(t, db, "s9-ckpt-1"); st != TxStatusPrepared {
 		t.Fatalf("status = %q, want prepared (checkpoint ate the vote?)", st)
 	}
 	if _, err := db.CommitPrepared("s9-ckpt-1"); err != nil {
@@ -327,9 +338,9 @@ func TestPrepareTimeoutCoordinatorOnly(t *testing.T) {
 	// Coordinator gid (s0- matches our slot): presumed abort fires.
 	prepItem(t, db, stock, "s0-own-1", "timed")
 	deadline := time.Now().Add(5 * time.Second)
-	for db.TxStatus("s0-own-1") != TxStatusAborted {
+	for txStatus(t, db, "s0-own-1") != TxStatusAborted {
 		if time.Now().After(deadline) {
-			t.Fatalf("coordinator prepare never timed out; status %q", db.TxStatus("s0-own-1"))
+			t.Fatalf("coordinator prepare never timed out; status %q", txStatus(t, db, "s0-own-1"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -337,7 +348,7 @@ func TestPrepareTimeoutCoordinatorOnly(t *testing.T) {
 	// in-doubt well past the timeout.
 	prepItem(t, db, stock, "s1-other-1", "patient")
 	time.Sleep(250 * time.Millisecond)
-	if st := db.TxStatus("s1-other-1"); st != TxStatusPrepared {
+	if st := txStatus(t, db, "s1-other-1"); st != TxStatusPrepared {
 		t.Fatalf("participant presumed abort on its own: status %q", st)
 	}
 	if err := db.AbortPrepared("s1-other-1"); err != nil {
@@ -383,7 +394,7 @@ func TestReadOnlyPreparedDecisionSurvivesCrash(t *testing.T) {
 		}
 	})
 	db, _ := reopen(t, path)
-	if st := db.TxStatus("s0-ro-crash-1"); st != TxStatusCommitted {
+	if st := txStatus(t, db, "s0-ro-crash-1"); st != TxStatusCommitted {
 		t.Fatalf("status after crash = %q, want committed", st)
 	}
 }
@@ -407,5 +418,43 @@ func TestPreparedEmptyTx(t *testing.T) {
 	}
 	if lsn != 0 {
 		t.Fatalf("read-only prepared commit LSN = %d, want 0", lsn)
+	}
+}
+
+// TestStagedDecisionIsNotPresumedAborted: once a coordinator's decide
+// record is in the log file, a failed fsync leaves the decision's fate
+// to recovery, so until the database is reopened it must answer no
+// question about the gid with anything a resolver reads as abort
+// (ErrNoPrepared, unknown, aborted or prepared). After the crash the
+// log answers: the record survived, the transaction committed.
+func TestStagedDecisionIsNotPresumedAborted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "staged.odb")
+	const gid = "s0-staged-1"
+	var oid OID
+	crashAfter(t, path, func(db *DB, stock *Class) {
+		oid = prepItem(t, db, stock, gid, "staged")
+		if err := failpoint.Arm("wal.fsync", failpoint.Spec{Action: failpoint.ActError, OneShot: true}); err != nil {
+			t.Fatal(err)
+		}
+		defer failpoint.DisarmAll()
+		if _, err := db.CommitPrepared(gid); !errors.Is(err, ErrUnknownOutcome) {
+			t.Fatalf("CommitPrepared with a failing fsync: %v, want ErrUnknownOutcome", err)
+		}
+		if _, err := db.CommitPrepared(gid); !errors.Is(err, ErrUnknownOutcome) {
+			t.Fatalf("redelivered CommitPrepared: %v, want ErrUnknownOutcome", err)
+		}
+		if err := db.AbortPrepared(gid); !errors.Is(err, ErrUnknownOutcome) {
+			t.Fatalf("AbortPrepared: %v, want ErrUnknownOutcome", err)
+		}
+		if st, err := db.TxStatus(gid); !errors.Is(err, ErrUnknownOutcome) {
+			t.Fatalf("TxStatus = %q, %v; want ErrUnknownOutcome", st, err)
+		}
+	})
+	db, _ := reopen(t, path)
+	if st := txStatus(t, db, gid); st != TxStatusCommitted {
+		t.Fatalf("status after reopen = %q, want committed", st)
+	}
+	if err := db.View(func(tx *Tx) error { _, err := tx.Deref(oid); return err }); err != nil {
+		t.Fatalf("the committed write is missing after reopen: %v", err)
 	}
 }
