@@ -26,9 +26,11 @@ import (
 //     fill is harmless because its stale tag fails the next
 //     revalidation. The cache trades at worst one extra round trip,
 //     never correctness.
-//   - Cached objects are immutable: put stores a private copy and get
-//     hands out a fresh deep copy, so callers may freely mutate what
-//     Deref returns.
+//   - Cached objects are immutable: put stores the result of an
+//     ode.Object Copy, which is marked shared, and get hands out another
+//     Copy of it — a small header over the same slots for an object
+//     with no set or array slot, whose first Set makes the slots its
+//     own — so callers may freely mutate what Deref returns.
 //
 // The cache is sharded 16 ways with per-shard LRU so concurrent
 // transactions on different connections do not serialize on one mutex.
@@ -69,9 +71,10 @@ func (c *objCache) shard(oid ode.OID) *objCacheShard {
 	return &c.shards[h>>60]
 }
 
-// get returns a private copy of the cached image and its tag. The deep
-// copy runs outside the shard lock: the entry's object is immutable,
-// so holding only the pointer is safe.
+// get returns a copy of the cached image (ode.Object Copy: shared
+// slots, private header) and its tag. The copy runs outside the shard
+// lock: the entry's object is immutable, so holding only the pointer
+// is safe.
 func (c *objCache) get(oid ode.OID) (*ode.Object, uint64, bool) {
 	s := c.shard(oid)
 	s.mu.Lock()
@@ -101,7 +104,7 @@ func (c *objCache) peek(oid ode.OID) (*ode.Object, uint64, bool) {
 	return ent.obj, ent.tag, true
 }
 
-// put stores obj (which must be a private copy the caller will never
+// put stores obj (the result of an ode.Object Copy the caller will never
 // touch again) as the image of oid at tag.
 func (c *objCache) put(oid ode.OID, obj *ode.Object, tag uint64) {
 	s := c.shard(oid)

@@ -359,6 +359,45 @@ var script = []struct {
 		after := qty(r.tx.Deref(r.oid["c"]))
 		return join(before, outcome(uerr), rows, n, outcome(ferr), after, outcome(r.tx.Commit()))
 	}, "qty=3 ok 602 602 ok qty=4 ok"},
+
+	// What Deref returns is the caller's own: writing it without Update
+	// changes nothing stored, in this transaction or the next, however
+	// many cached readers share its image. Update stores the state it is
+	// handed, and writes after it stay the caller's.
+	{"write without update", func(r *run) string {
+		r.tx = r.begin()
+		c := r.oid["c"]
+		if _, err := r.tx.Deref(c); err != nil { // the second deref is a proven hit remotely
+			return outcome(err)
+		}
+		o, err := r.tx.Deref(c)
+		if err != nil {
+			return outcome(err)
+		}
+		o.MustSet("qty", ode.Int(50))
+		same := qty(r.tx.Deref(c))
+		cerr := r.tx.Commit()
+		tx := r.begin()
+		defer tx.Abort()
+		return join(same, outcome(cerr), qty(tx.Deref(c)))
+	}, "qty=4 ok qty=4"},
+	{"write after update", func(r *run) string {
+		r.tx = r.begin()
+		c := r.oid["c"]
+		o, err := r.tx.Deref(c)
+		if err != nil {
+			return outcome(err)
+		}
+		o.MustSet("qty", ode.Int(5))
+		uerr := r.tx.Update(c, o)
+		o.MustSet("qty", ode.Int(6))
+		own := qty(r.tx.Deref(c))
+		o.MustSet("qty", ode.Int(7))
+		cerr := r.tx.Commit()
+		tx := r.begin()
+		defer tx.Abort()
+		return join(outcome(uerr), own, outcome(cerr), qty(tx.Deref(c)), qty(o, nil))
+	}, "ok qty=5 ok qty=5 qty=7"},
 }
 
 // manyRows stockitems, qty from manyQty up, are more than two windows.

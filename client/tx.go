@@ -469,7 +469,7 @@ func (tx *Tx) fillCache(oid ode.OID, resp *wire.Frame) (*ode.Object, error) {
 	return obj, err
 }
 
-// fill decodes image, stores a private copy in the client cache tagged
+// fill decodes image, stores a copy in the client cache tagged
 // with the image's content hash, marks that tag proven for this
 // transaction, and returns the decoded object.
 func (tx *Tx) fill(oid ode.OID, image []byte) (*ode.Object, error) {

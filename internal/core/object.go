@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // Object is an in-memory instance of a class: the slot vector plus the
@@ -10,9 +11,21 @@ import (
 // of persistent objects use this representation; persistence is a
 // property of where the object lives, not of its type (the central claim
 // of the paper's persistence model).
+//
+// Objects are copy-on-write: Copy of an object that holds no set or
+// array shares its slot vector, and Set/SetSlot — the only writers of
+// the vector — first give a shared object a private one. So a shared
+// vector never holds a set or an array, and no write through one
+// object can reach another. The race rule: any number of goroutines
+// may read and Copy one object at once, and Set/SetSlot need the
+// object to themselves. The first Copy of an unshared object marks it
+// with an atomic store; an object handed to other goroutines (a cache
+// entry) is stored as the result of a Copy, already marked, so copying
+// it writes nothing.
 type Object struct {
-	class *Class
-	slots []Value
+	class  *Class
+	slots  []Value
+	shared atomic.Bool // slots may be another object's too: Set copies first
 }
 
 // NewObject allocates an instance of class c with zero-valued slots.
@@ -38,8 +51,21 @@ func (o *Object) NumSlots() int { return len(o.slots) }
 func (o *Object) Slot(i int) Value { return o.slots[i] }
 
 // SetSlot stores v into slot i without type checking; callers that take
-// values from outside the schema should use Set instead.
-func (o *Object) SetSlot(i int, v Value) { o.slots[i] = v }
+// values from outside the schema should use Set instead. A shared
+// object gets a private slot vector first.
+func (o *Object) SetSlot(i int, v Value) {
+	o.own()
+	o.slots[i] = v
+}
+
+// own gives a shared object a slot vector of its own. The copy is
+// shallow: a shared vector holds no set or array.
+func (o *Object) own() {
+	if o.shared.Load() {
+		o.slots = append([]Value(nil), o.slots...)
+		o.shared.Store(false)
+	}
+}
 
 // Get returns the value of the named field.
 func (o *Object) Get(name string) (Value, error) {
@@ -70,6 +96,7 @@ func (o *Object) Set(name string, v Value) error {
 	if err != nil {
 		return fmt.Errorf("field %s.%s: %w", o.class.Name, name, err)
 	}
+	o.own()
 	o.slots[i] = cv
 	return nil
 }
@@ -82,12 +109,26 @@ func (o *Object) MustSet(name string, v Value) {
 	}
 }
 
-// Copy returns a deep copy of the object (sets and arrays are copied).
+// Copy returns an object with o's class and state that no write to
+// either side reaches the other through. If no slot holds a set or an
+// array, the copy shares o's slot vector and both are marked shared
+// (one allocation, no slot copied); otherwise it is a deep copy, since
+// sets and arrays change in place (Set.Insert, Array.SetAt).
 func (o *Object) Copy() *Object {
-	out := &Object{class: o.class, slots: make([]Value, len(o.slots))}
-	for i, v := range o.slots {
-		out.slots[i] = v.Copy()
+	if !o.shared.Load() {
+		for _, v := range o.slots {
+			if v.kind == KSet || v.kind == KArray {
+				out := &Object{class: o.class, slots: make([]Value, len(o.slots))}
+				for i, v := range o.slots {
+					out.slots[i] = v.Copy()
+				}
+				return out
+			}
+		}
+		o.shared.Store(true)
 	}
+	out := &Object{class: o.class, slots: o.slots}
+	out.shared.Store(true)
 	return out
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -57,6 +58,122 @@ func TestObjectCopyIsDeep(t *testing.T) {
 	}
 	if o.EqualState(p) {
 		t.Error("EqualState should detect the diverged set")
+	}
+}
+
+func TestObjectCopyOnWrite(t *testing.T) {
+	_, person, _, _ := buildPersonSchema(t)
+	o := NewObject(person)
+	o.MustSet("name", Str("ann"))
+	o.MustSet("income", Int(10))
+
+	// A write to the copy does not reach the original.
+	p := o.Copy()
+	p.MustSet("income", Int(20))
+	if o.MustGet("income").Int() != 10 || p.MustGet("income").Int() != 20 {
+		t.Errorf("after writing the copy: original %s, copy %s", o, p)
+	}
+
+	// A write to the original does not reach the copy.
+	q := o.Copy()
+	o.SetSlot(0, Str("bob"))
+	if q.MustGet("name").Str() != "ann" || o.MustGet("name").Str() != "bob" {
+		t.Errorf("after writing the original: original %s, copy %s", o, q)
+	}
+
+	// Copies of a copy: three objects over one vector, each write lands
+	// on its writer only.
+	r := q.Copy()
+	s := r.Copy()
+	r.MustSet("age", Int(1))
+	s.MustSet("age", Int(2))
+	if q.MustGet("age").Int() != 0 || r.MustGet("age").Int() != 1 || s.MustGet("age").Int() != 2 {
+		t.Errorf("copies of a copy: %s, %s, %s", q, r, s)
+	}
+	if !o.EqualState(o.Copy()) || o.EqualState(q) {
+		t.Error("EqualState disagrees with the copies' values")
+	}
+}
+
+// cacheStore is the object cache's protocol in miniature: it keeps a
+// Copy of what it is given and hands out a Copy of what it keeps.
+type cacheStore struct {
+	NullStore
+	objs map[OID]*Object
+}
+
+func (c *cacheStore) Deref(oid OID) (*Object, error) { return c.objs[oid].Copy(), nil }
+
+func (c *cacheStore) PNew(_ *Class, init *Object) (OID, error) {
+	oid := OID(len(c.objs) + 1)
+	c.objs[oid] = init.Copy()
+	return oid, nil
+}
+
+func partSchema() *Class {
+	return NewClass("part").Field("name", TString).Field("subparts", SetOfType(RefTo("part"))).Register(NewSchema())
+}
+
+func TestObjectCopyWithSetIsDeep(t *testing.T) {
+	part := partSchema()
+	st := &cacheStore{objs: map[OID]*Object{}}
+	leaf, _ := st.PNew(part, NewObject(part))
+	root, _ := st.PNew(part, NewObject(part))
+	o, _ := st.Deref(root)
+	o.MustGet("subparts").Set().Insert(Ref(leaf))
+	if n := st.objs[root].MustGet("subparts").Set().Len(); n != 0 {
+		t.Errorf("an insert into a dereffed part reached the cached image: %d subparts", n)
+	}
+	again, _ := st.Deref(root)
+	if again.MustGet("subparts").Set().Len() != 0 {
+		t.Error("a re-deref sees the uncommitted insert")
+	}
+}
+
+// TestObjectInPlaceInsertThenPNew is the bulk loader's pattern: fill a
+// fresh object's set in place, then make it persistent. The stored
+// image holds the elements, and later inserts into the fresh object do
+// not reach it.
+func TestObjectInPlaceInsertThenPNew(t *testing.T) {
+	part := partSchema()
+	st := &cacheStore{objs: map[OID]*Object{}}
+	o := NewObject(part)
+	o.MustSet("name", Str("root"))
+	set := o.MustGet("subparts").Set()
+	set.Insert(Ref(7))
+	set.Insert(Ref(8))
+	oid, _ := st.PNew(part, o)
+	set.Insert(Ref(9))
+	got, _ := st.Deref(oid)
+	if n := got.MustGet("subparts").Set().Len(); n != 2 || got.MustGet("name").Str() != "root" {
+		t.Errorf("stored part = %s, want root with 2 subparts", got)
+	}
+}
+
+// TestObjectCopiesConcurrently holds the race rule: one object, shared
+// or not yet, may be copied by many goroutines at once, each writing
+// its own copy (run under -race).
+func TestObjectCopiesConcurrently(t *testing.T) {
+	_, person, _, _ := buildPersonSchema(t)
+	for _, o := range []*Object{NewObject(person), NewObject(person).Copy()} {
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					c := o.Copy()
+					c.MustSet("age", Int(int64(g)))
+					if c.MustGet("age").Int() != int64(g) {
+						t.Error("a copy lost its own write")
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if o.MustGet("age").Int() != 0 {
+			t.Errorf("the copied object changed: %s", o)
+		}
 	}
 }
 

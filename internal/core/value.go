@@ -433,7 +433,8 @@ func (v Value) Hash() uint64 {
 }
 
 // Copy returns a deep copy of v: sets and arrays are copied recursively,
-// other kinds are value types already.
+// other kinds are value types already. Object.Copy calls it only for an
+// object that holds a set or an array; other objects share their slots.
 func (v Value) Copy() Value {
 	switch v.kind {
 	case KSet:

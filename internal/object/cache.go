@@ -19,9 +19,13 @@ import (
 //     full write lock. A stale fill therefore cannot land after the
 //     invalidation that supersedes it — the filling reader's RLock
 //     ordered it entirely before the writer's critical section.
-//   - Cached objects are immutable: put stores a private deep copy and
-//     get hands out a fresh deep copy, so callers may freely mutate
-//     what Deref returns (they do) without corrupting the cache.
+//   - Cached objects are immutable: put stores the result of a
+//     core.Object.Copy, which is marked shared, and get hands out
+//     another Copy of it. For an object with no set or array slot that
+//     is one small header over the same slot vector; the caller's first
+//     Set gives its header a private vector, so callers may freely
+//     mutate what Deref returns (they do) without corrupting the cache.
+//     A hit only reads the entry (core.Object's race rule).
 //
 // The cache is sharded 16 ways with per-shard LRU so concurrent readers
 // of different objects do not serialize on one mutex. Capacity <= 0
@@ -63,9 +67,10 @@ func (c *objCache) shard(oid core.OID) *objCacheShard {
 	return &c.shards[h>>60]
 }
 
-// get returns a private copy of the cached image and its version. The
-// deep copy runs outside the shard lock: the entry's object is
-// immutable, so holding only the pointer is safe.
+// get returns a copy of the cached image (core.Object.Copy: shared
+// slots, private header) and its version. The copy runs outside the
+// shard lock: the entry's object is immutable, so holding only the
+// pointer is safe.
 func (c *objCache) get(oid core.OID) (*core.Object, uint32, bool) {
 	if c.perShard <= 0 {
 		return nil, 0, false
@@ -83,7 +88,7 @@ func (c *objCache) get(oid core.OID) (*core.Object, uint32, bool) {
 	return ent.obj.Copy(), ent.ver, true
 }
 
-// put stores obj (which must be a private copy the caller will never
+// put stores obj (the result of a core.Object.Copy the caller will never
 // touch again) as the image of oid at version ver, and returns how many
 // entries the size bound evicted (0 or 1).
 func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32) uint64 {

@@ -277,9 +277,9 @@ func (m *Manager) updateIndexEntries(cid core.ClassID, oid core.OID, oldObj, new
 }
 
 // Get returns the current image of the object and its current version
-// number. The returned object is private to the caller (cache hits
-// return a deep copy; misses return the freshly decoded image, whose
-// copy is what gets cached).
+// number. The returned object is the caller's to mutate: a hit returns
+// a copy-on-write copy of the cached image, a miss the freshly decoded
+// image, whose copy is what gets cached (core.Object.Copy).
 func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
