@@ -276,6 +276,20 @@ func cachedDerefAllocs(w *gateWorld) error {
 	})
 }
 
+// chaseAllocs measures the allocations of one warm walk down the chain,
+// its view's begin and abort included. AllocsPerRun counts the whole
+// process, so on a remote shape this is client, wire and in-process
+// server together.
+func chaseAllocs(w *gateWorld) error {
+	var err error
+	w.measured["chase_allocs"] = int64(testing.AllocsPerRun(20, func() {
+		if werr := walkChain(w); werr != nil {
+			err = werr
+		}
+	}))
+	return err
+}
+
 // scanAllocs measures the allocations of one embedded extent-scan
 // count over the whole stock, inside an open view.
 func scanAllocs(w *gateWorld) error {
@@ -305,7 +319,8 @@ var workGates = []struct {
 		// answers from its own cache for the price of a revalidation —
 		// a reply of 17 bytes where the full image is about 50.
 		// Stockitems hold no references, so each revalidation is of one
-		// object: a request per deref. The begin rides the first one.
+		// object: a request per deref, each entry proven. The begin
+		// rides the first one.
 		// A point read locks its row and no cluster: one grant per deref.
 		name: "hot-deref", script: (*gateWorld).readHot,
 		want: map[Kind][]bound{
@@ -314,11 +329,13 @@ var workGates = []struct {
 			Remote: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
 				eq("txn.lock_grants", gateHot),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
-				eq("server.requests", gateHot+2), eq("client.round_trips", gateHot+1), le("server.bytes_out", gateHot*18)},
+				eq("server.requests", gateHot+2), eq("client.round_trips", gateHot+1), le("server.bytes_out", gateHot*18),
+				eq("server.reval_proven", gateHot), eq("server.reval_modified", 0), eq("server.reval_skipped", 0)},
 			Sharded: {eq("object.cache_hits", gateHot), eq("object.cache_misses", 0), eq("pool.pins", 0), eq("txn.lock_waits", 0),
 				eq("txn.lock_grants", gateHot),
 				eq("client.cache_hits", gateHot), eq("client.cache_misses", 0),
-				eq("server.requests", gateHot+3*2), eq("client.round_trips", gateHot+3), le("server.bytes_out", gateHot*18)},
+				eq("server.requests", gateHot+3*2), eq("client.round_trips", gateHot+3), le("server.bytes_out", gateHot*18),
+				eq("server.reval_proven", gateHot), eq("server.reval_modified", 0), eq("server.reval_skipped", 0)},
 		},
 	},
 	{
@@ -329,16 +346,19 @@ var workGates = []struct {
 		// three shards neighbouring cells live on different shards and a
 		// Client caches only its own shard's objects, so each hop is its
 		// own revalidation; those are ceilings, for the router that
-		// splits one neighbourhood per shard to lower.
+		// splits one neighbourhood per shard to lower. Either way all 64
+		// entries are proven: one frame of 64, or 64 frames of one.
 		name: "chase", setup: (*gateWorld).loadChain, script: walkChain,
 		want: map[Kind][]bound{
 			Embedded: {eq("object.cache_hits", gateChain), eq("pool.pins", 0), eq("txn.lock_waits", 0)},
 			Remote: {eq("object.cache_hits", gateChain), eq("txn.lock_waits", 0),
 				eq("client.cache_hits", gateChain), eq("client.cache_misses", 0),
-				eq("server.requests", 3), eq("client.round_trips", 2)},
+				eq("server.requests", 3), eq("client.round_trips", 2),
+				eq("server.reval_proven", gateChain), eq("server.reval_modified", 0), eq("server.reval_skipped", 0)},
 			Sharded: {eq("object.cache_hits", gateChain), eq("txn.lock_waits", 0),
 				eq("client.cache_hits", gateChain), eq("client.cache_misses", 0),
-				le("server.requests", gateChain+3*2), le("client.round_trips", gateChain+3)},
+				le("server.requests", gateChain+3*2), le("client.round_trips", gateChain+3),
+				eq("server.reval_proven", gateChain), eq("server.reval_modified", 0), eq("server.reval_skipped", 0)},
 		},
 	},
 	{
@@ -457,6 +477,17 @@ var workGates = []struct {
 			Embedded: {le("allocs_per_deref", 1)},
 			Remote:   {le("allocs_per_deref", 1)},
 			Sharded:  {le("allocs_per_deref", 1)},
+		},
+	},
+	{
+		// A warm walk down the 64-cell chain: one frame carries all 64
+		// revalidations and every one is proven. Proving an entry costs
+		// its lock and a compare of the engine cache's memoized tag, and
+		// allocates nothing: a copy and an encode per entry would add
+		// two allocations per cell.
+		name: "chase-allocs", setup: (*gateWorld).loadChain, script: chaseAllocs,
+		want: map[Kind][]bound{
+			Remote: {le("chase_allocs", 137)},
 		},
 	},
 	{

@@ -3,14 +3,17 @@ package object
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"ode/internal/core"
 )
 
 // objCache is the decoded-object cache: OID -> decoded current image,
-// tagged with the current-version number it was decoded at. It sits in
-// front of the heap-fetch-plus-Decode path of Manager.Get, which
-// dominates pointer-chase reads.
+// tagged with the current-version number it was decoded at and, once a
+// revalidation has asked for it, with the image's content tag. It sits
+// in front of the heap-fetch-plus-Decode path of Manager.Get, which
+// dominates pointer-chase reads, and lets Manager.Revalidate prove a
+// client's copy without copying or encoding anything.
 //
 // Correctness protocol (see DESIGN.md "Concurrency architecture"):
 //
@@ -20,16 +23,25 @@ import (
 //     invalidation that supersedes it — the filling reader's RLock
 //     ordered it entirely before the writer's critical section.
 //   - Cached objects are immutable: put stores the result of a
-//     core.Object.Copy, which is marked shared, and get hands out
+//     core.Object.Copy, which is marked shared, and Get hands out
 //     another Copy of it. For an object with no set or array slot that
 //     is one small header over the same slot vector; the caller's first
 //     Set gives its header a private vector, so callers may freely
 //     mutate what Deref returns (they do) without corrupting the cache.
 //     A hit only reads the entry (core.Object's race rule).
+//   - The tag is ImageTag(Encode(obj)) of the entry's own object, never
+//     of the heap record it was decoded from: Decode pads a record
+//     written before its class grew, so the stored bytes can differ
+//     from every image a client was ever sent. It is computed by the
+//     first revalidation of the entry, not at fill time, so readers
+//     that never revalidate pay nothing for it. It is the only field
+//     written after put, and it is written atomically; racing
+//     revalidations compute the same value and either store wins. An
+//     Apply replaces the whole entry, tag included.
 //
 // The cache is sharded 16 ways with per-shard LRU so concurrent readers
 // of different objects do not serialize on one mutex. Capacity <= 0
-// disables the cache (every get misses, put is a no-op).
+// disables the cache (every lookup misses, put is a no-op).
 type objCache struct {
 	perShard int // max entries per shard; <= 0 disables
 	shards   [objCacheShards]objCacheShard
@@ -47,6 +59,18 @@ type objCacheEntry struct {
 	oid core.OID
 	obj *core.Object // immutable once stored
 	ver uint32
+	tag atomic.Uint64 // ImageTag(Encode(obj)); 0 until imageTag memoizes it
+}
+
+// imageTag returns the content tag of the entry's image, computing and
+// memoizing it on first use.
+func (e *objCacheEntry) imageTag() uint64 {
+	if t := e.tag.Load(); t != 0 {
+		return t
+	}
+	t := ImageTag(Encode(e.obj))
+	e.tag.Store(t)
+	return t
 }
 
 func newObjCache(capacity int) *objCache {
@@ -67,39 +91,43 @@ func (c *objCache) shard(oid core.OID) *objCacheShard {
 	return &c.shards[h>>60]
 }
 
-// get returns a copy of the cached image (core.Object.Copy: shared
-// slots, private header) and its version. The copy runs outside the
-// shard lock: the entry's object is immutable, so holding only the
-// pointer is safe.
-func (c *objCache) get(oid core.OID) (*core.Object, uint32, bool) {
+// lookup returns oid's entry and marks it most recently used. The
+// caller reads the entry outside the shard lock: its object is
+// immutable and its tag atomic.
+func (c *objCache) lookup(oid core.OID) *objCacheEntry {
 	if c.perShard <= 0 {
-		return nil, 0, false
+		return nil
 	}
 	s := c.shard(oid)
 	s.mu.Lock()
 	e, ok := s.entries[oid]
 	if !ok {
 		s.mu.Unlock()
-		return nil, 0, false
+		return nil
 	}
 	s.lru.MoveToFront(e)
 	ent := e.Value.(*objCacheEntry)
 	s.mu.Unlock()
-	return ent.obj.Copy(), ent.ver, true
+	return ent
 }
 
 // put stores obj (the result of a core.Object.Copy the caller will never
-// touch again) as the image of oid at version ver, and returns how many
+// touch again) as the image of oid at version ver, with its content tag
+// when the caller has computed it (0 otherwise), and returns how many
 // entries the size bound evicted (0 or 1).
-func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32) uint64 {
+func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32, tag uint64) uint64 {
 	if c.perShard <= 0 {
 		return 0
+	}
+	ent := &objCacheEntry{oid: oid, obj: obj, ver: ver}
+	if tag != 0 {
+		ent.tag.Store(tag)
 	}
 	s := c.shard(oid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[oid]; ok {
-		e.Value = &objCacheEntry{oid: oid, obj: obj, ver: ver}
+		e.Value = ent
 		s.lru.MoveToFront(e)
 		return 0
 	}
@@ -110,7 +138,7 @@ func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32) uint64 {
 		s.lru.Remove(last)
 		evicted = 1
 	}
-	s.entries[oid] = s.lru.PushFront(&objCacheEntry{oid: oid, obj: obj, ver: ver})
+	s.entries[oid] = s.lru.PushFront(ent)
 	return evicted
 }
 

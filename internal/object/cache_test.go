@@ -1,6 +1,7 @@
 package object
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -189,5 +190,131 @@ func TestCacheConcurrentReadersSeeFreshImages(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// tagOf is the content tag a client holds for o: the tag of the image
+// it was sent.
+func tagOf(o *core.Object) uint64 { return ImageTag(Encode(o)) }
+
+// revalidate is Manager.Revalidate for tests, failing t on an error.
+func revalidate(t *testing.T, m *Manager, oid core.OID, tag uint64) *core.Object {
+	t.Helper()
+	o, err := m.Revalidate(oid, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// A revalidation proves a copy whose tag is the current image's and
+// answers any other with the current image; after Apply the entry's
+// memoized tag is the new image's, and each revalidation is one cache
+// hit or miss whatever the tag says.
+func TestRevalidateTagFollowsApply(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oid := alloc(t, m)
+	old, now := mkPart(t, part, "bolt", 4), mkPart(t, part, "bolt", 5)
+	if err := m.Apply(putOp(m, oid, old, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if o := revalidate(t, m, oid, tagOf(old)); o != nil { // miss: fills with the tag
+		t.Fatalf("revalidating the current image answered %v, want proven", o)
+	}
+	if o := revalidate(t, m, oid, tagOf(old)); o != nil { // hit: compares the memoized tag
+		t.Fatalf("revalidating the current image again answered %v, want proven", o)
+	}
+	if err := m.Apply(putOp(m, oid, now, 1)); err != nil {
+		t.Fatal(err)
+	}
+	o := revalidate(t, m, oid, tagOf(old))
+	if o == nil || !o.EqualState(now) {
+		t.Fatalf("revalidating the superseded image answered %v, want the new image", o)
+	}
+	if o := revalidate(t, m, oid, tagOf(now)); o != nil {
+		t.Fatalf("revalidating the new image answered %v, want proven", o)
+	}
+	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != tagOf(now) {
+		t.Fatal("the entry does not carry the new image's tag")
+	}
+	if h, ms := m.met.CacheHits.Load(), m.met.CacheMisses.Load(); h != 2 || ms != 2 {
+		t.Fatalf("four revalidations counted %d hits and %d misses, want 2 and 2", h, ms)
+	}
+}
+
+// A record written before its class grew decodes padded, so the image
+// a reader is sent is not the stored record. A revalidation proves the
+// tag of what Get returns, whether the entry was filled by Get or by
+// the revalidation itself, and never the tag of the stored bytes.
+func TestRevalidateShortRecordProvesDecodedImage(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oid := alloc(t, m)
+	// The class's first slot only: what an older, one-field part wrote.
+	stored := binary.AppendUvarint(nil, uint64(part.ID()))
+	stored = binary.AppendUvarint(stored, 1)
+	stored = appendValue(stored, core.Str("washer"))
+	if err := m.Apply(&wal.Op{Type: wal.OpPut, OID: uint64(oid), ClassID: uint32(part.ID()), Image: stored}); err != nil {
+		t.Fatal(err)
+	}
+	for _, fill := range []string{"Get", "Revalidate"} {
+		m.SetObjectCacheSize(DefaultObjectCacheSize) // empty
+		if fill == "Get" {
+			if _, _, err := m.Get(oid); err != nil {
+				t.Fatal(err)
+			}
+		} else if o := revalidate(t, m, oid, ImageTag(stored)); o == nil {
+			t.Fatalf("%s fill: the stored record's tag proved a padded image", fill)
+		}
+		got, _, err := m.Get(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tagOf(got) == ImageTag(stored) {
+			t.Fatal("the padded image encodes to the stored record")
+		}
+		if o := revalidate(t, m, oid, tagOf(got)); o != nil {
+			t.Fatalf("%s fill: the tag of the image Get returns answered %v, want proven", fill, o)
+		}
+		if o := revalidate(t, m, oid, ImageTag(stored)); o == nil {
+			t.Fatalf("%s fill: the stored record's tag proved", fill)
+		}
+	}
+}
+
+// Eight revalidations of one freshly filled entry race to memoize its
+// tag; -race holds the field to its rule (written only atomically), and
+// every one of them proves.
+func TestRevalidateConcurrentTagMemo(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oid := alloc(t, m)
+	o := mkPart(t, part, "nut", 9)
+	o.MustGet("subparts").Set().Insert(core.Ref(oid))
+	if err := m.Apply(putOp(m, oid, o, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Get(oid); err != nil { // fills, tag not yet computed
+		t.Fatal(err)
+	}
+	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != 0 {
+		t.Fatal("a Get fill computed the tag")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := m.Revalidate(oid, tagOf(o)); err != nil || got != nil {
+				errs <- fmt.Errorf("revalidate = %v, %v; want proven", got, err)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != tagOf(o) {
+		t.Fatal("the entry's tag is not the image's")
 	}
 }

@@ -217,3 +217,40 @@ func TestEncodeKeyIntFloatAgree(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzDecodeObject feeds Decode arbitrary bytes. It must never panic,
+// and whatever decodes must re-encode to a fixed point: the image a
+// server sends is Encode of what it decoded, a client's tag is the tag
+// of those bytes, and the server's cache memoizes the tag of Encode of
+// its own decoded copy — the two agree only if decoding and
+// re-encoding a sent image gives the image back.
+func FuzzDecodeObject(f *testing.F) {
+	s, part, widget := testSchema(f)
+	full := core.NewObject(part)
+	full.MustSet("name", core.Str("sprocket"))
+	full.MustSet("cost", core.Float(2.75))
+	full.MustSet("qty", core.Int(-12))
+	full.MustSet("critical", core.Bool(true))
+	full.MustSet("grade", core.Char('A'))
+	full.MustGet("subparts").Set().Insert(core.Ref(42))
+	full.MustGet("tags").Array().Append(core.Str("spare"))
+	full.MustSet("blessed", core.VersionRef(core.VRef{OID: 7, Version: 2}))
+	f.Add(Encode(full))
+	f.Add(Encode(core.NewObject(widget)))
+	f.Add(Encode(full)[:5]) // a short record: the class grew since
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := Decode(s, data)
+		if err != nil {
+			return
+		}
+		image := Encode(o)
+		again, err := Decode(s, image)
+		if err != nil {
+			t.Fatalf("re-encoded image does not decode: %v", err)
+		}
+		if reimage := Encode(again); !bytes.Equal(reimage, image) {
+			t.Fatalf("re-encoding is not a fixed point:\n%x\n%x", image, reimage)
+		}
+	})
+}

@@ -279,13 +279,14 @@ func (m *Manager) updateIndexEntries(cid core.ClassID, oid core.OID, oldObj, new
 // Get returns the current image of the object and its current version
 // number. The returned object is the caller's to mutate: a hit returns
 // a copy-on-write copy of the cached image, a miss the freshly decoded
-// image, whose copy is what gets cached (core.Object.Copy).
+// image, whose copy is what gets cached (core.Object.Copy). A fill
+// leaves the entry's content tag to the first Revalidate that asks.
 func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if o, ver, ok := m.cache.get(oid); ok {
+	if e := m.cache.lookup(oid); e != nil {
 		m.met.CacheHits.Inc()
-		return o, ver, nil
+		return e.obj.Copy(), e.ver, nil
 	}
 	m.met.CacheMisses.Inc()
 	o, cur, err := m.getLocked(oid)
@@ -293,8 +294,39 @@ func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 		return nil, 0, err
 	}
 	// Fill while still holding RLock (see cache.go for why).
-	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur))
+	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur, 0))
 	return o, cur, nil
+}
+
+// Revalidate is Get for a reader that already holds a copy of oid whose
+// content tag, ImageTag of its encoded image, is tag. It returns nil
+// when the current image has that tag, and the current image (the
+// caller's, as from Get) when it has another. A hit compares the
+// entry's memoized tag and copies nothing; the first revalidation of an
+// entry computes the tag from the entry's own object. A miss fills the
+// cache as Get does, tag included. Either way it counts one cache hit or
+// miss, whatever the tag says.
+func (m *Manager) Revalidate(oid core.OID, tag uint64) (*core.Object, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	if e := m.cache.lookup(oid); e != nil {
+		m.met.CacheHits.Inc()
+		if e.imageTag() == tag {
+			return nil, nil
+		}
+		return e.obj.Copy(), nil
+	}
+	m.met.CacheMisses.Inc()
+	o, cur, err := m.getLocked(oid)
+	if err != nil {
+		return nil, err
+	}
+	now := ImageTag(Encode(o))
+	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur, now))
+	if now == tag {
+		return nil, nil
+	}
+	return o, nil
 }
 
 func (m *Manager) getLocked(oid core.OID) (*core.Object, uint32, error) {
@@ -326,9 +358,9 @@ func (m *Manager) getLocked(oid core.OID) (*core.Object, uint32, error) {
 func (m *Manager) GetVersion(oid core.OID, ver uint32) (*core.Object, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if o, cur, ok := m.cache.get(oid); ok && cur == ver {
+	if e := m.cache.lookup(oid); e != nil && e.ver == ver {
 		m.met.CacheHits.Inc()
-		return o, nil
+		return e.obj.Copy(), nil
 	}
 	entry, err := m.dir.Get(dirKey(oid))
 	if errors.Is(err, btree.ErrNotFound) {

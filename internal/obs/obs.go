@@ -244,7 +244,8 @@ type WALMetrics struct {
 type TxnMetrics struct {
 	Begins               Counter   // transactions started
 	Commits              Counter   // transactions committed
-	Aborts               Counter   // transactions aborted (incl. deadlock victims)
+	Aborts               Counter   // transactions that ended uncommitted with a write set to discard (incl. deadlock victims)
+	ReadOnlyEnds         Counter   // transactions that ended uncommitted with no write set (View, read-only aborts)
 	ConstraintViolations Counter   // commits rejected by class constraints
 	LockGrants           Counter   // fresh lock grants (rows and clusters), added at release
 	LockWaits            Counter   // lock requests that had to block
@@ -350,6 +351,7 @@ type TxnStats struct {
 	Begins               uint64
 	Commits              uint64
 	Aborts               uint64
+	ReadOnlyEnds         uint64
 	ConstraintViolations uint64
 	LockWaits            uint64
 	LockWaitTimeouts     uint64
@@ -447,6 +449,7 @@ func (m *Metrics) Stats() Snapshot {
 			Begins:               m.Txn.Begins.Load(),
 			Commits:              m.Txn.Commits.Load(),
 			Aborts:               m.Txn.Aborts.Load(),
+			ReadOnlyEnds:         m.Txn.ReadOnlyEnds.Load(),
 			ConstraintViolations: m.Txn.ConstraintViolations.Load(),
 			LockWaits:            m.Txn.LockWaits.Load(),
 			LockWaitTimeouts:     m.Txn.LockWaitTimeouts.Load(),
@@ -526,6 +529,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"txn.begins", &m.Txn.Begins},
 		{"txn.commits", &m.Txn.Commits},
 		{"txn.aborts", &m.Txn.Aborts},
+		{"txn.read_only_ends", &m.Txn.ReadOnlyEnds},
 		{"txn.constraint_violations", &m.Txn.ConstraintViolations},
 		{"txn.lock_grants", &m.Txn.LockGrants},
 		{"txn.lock_waits", &m.Txn.LockWaits},

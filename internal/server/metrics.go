@@ -18,6 +18,14 @@ type Metrics struct {
 	BytesIn    obs.Counter // frame bytes read from clients
 	BytesOut   obs.Counter // frame bytes written to clients
 
+	// The entries of deref-cached requests, by outcome, the requested
+	// entry included: proven (the client's copy is current), modified
+	// (the current image was sent) and skipped (a neighbour whose lock
+	// was busy or that is gone). A request that fails counts none.
+	RevalProven   obs.Counter
+	RevalModified obs.Counter
+	RevalSkipped  obs.Counter
+
 	// Per-command request latency, measured from frame decode to the
 	// final response frame written. A forall counts once, from its
 	// request to the frame that ends it, less the time it spent paused
@@ -46,6 +54,9 @@ func (m *Metrics) Attach(reg *obs.Registry) {
 	reg.RegisterCounter("server.requests", &m.Requests)
 	reg.RegisterCounter("server.bytes_in", &m.BytesIn)
 	reg.RegisterCounter("server.bytes_out", &m.BytesOut)
+	reg.RegisterCounter("server.reval_proven", &m.RevalProven)
+	reg.RegisterCounter("server.reval_modified", &m.RevalModified)
+	reg.RegisterCounter("server.reval_skipped", &m.RevalSkipped)
 	for name, h := range map[string]*obs.Histogram{
 		"server.req_ns.begin":   &m.LatBegin,
 		"server.req_ns.commit":  &m.LatCommit,

@@ -385,6 +385,134 @@ func TestNeighbourhoodResumesAcrossFrames(t *testing.T) {
 	}
 }
 
+// revals reads the server.reval_* counters: proven, modified, skipped.
+func revals(db *ode.DB) [3]uint64 {
+	snap := db.MetricsRegistry().Snapshot()
+	var out [3]uint64
+	for i, name := range []string{"server.reval_proven", "server.reval_modified", "server.reval_skipped"} {
+		out[i], _ = snap[name].(uint64)
+	}
+	return out
+}
+
+// cellValue decodes an image a reply carried and returns its value.
+func cellValue(t *testing.T, db *ode.DB, image []byte) int64 {
+	t.Helper()
+	o, err := object.Decode(db.Schema(), image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.MustGet("value").Int()
+}
+
+// A cell the remote transaction itself updated is answered from its
+// write set, as its deref would be: the committed image's tag is not
+// proven, neither as the requested entry nor as a neighbour, and the
+// image sent back is the buffered one, whose own tag then proves.
+func TestNeighbourhoodOwnWriteAnswersBuffered(t *testing.T) {
+	const n, mine = 4, 2
+	db, addr, oids := startChainServer(t, n)
+	refs := chainRefs(t, db, oids)
+	_, cell := cellSchema()
+	before := revals(db)
+
+	rc := dialRaw(t, addr)
+	defer rc.nc.Close()
+	rc.ok(wire.CmdBegin, wire.AppendUvarint(nil, 0))
+	buffered := object.Encode(setCell(cell, ode.NewObject(cell), 700, oids[mine+1]))
+	rc.ok(wire.CmdUpdate, wire.AppendBytes(wire.AppendUvarint(nil, uint64(oids[mine])), buffered))
+
+	f := rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, refs[mine:mine+1]))
+	if f.Type != wire.RespObject {
+		t.Fatalf("requested entry written in this transaction: reply 0x%02x, want RespObject", f.Type)
+	}
+	if v := cellValue(t, db, wire.NewDec(f.Body).Bytes()); v != 700 {
+		t.Fatalf("requested entry's image holds %d, want the buffered 700", v)
+	}
+
+	statuses, images := neighbourStatuses(t, rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, refs)), n-1)
+	for i, st := range statuses {
+		want := wire.CachedProven
+		if i+1 == mine {
+			want = wire.CachedModified
+		}
+		if st != want {
+			t.Errorf("cell %d: status %d, want %d", i+1, st, want)
+		}
+	}
+	if v := cellValue(t, db, images[mine]); v != 700 {
+		t.Fatalf("neighbour's image holds %d, want the buffered 700", v)
+	}
+
+	own := []wire.CachedRef{{OID: uint64(oids[mine]), Tag: object.ImageTag(buffered)}}
+	if f := rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, own)); f.Type != wire.RespOK {
+		t.Fatalf("the buffered image's own tag: reply 0x%02x, want RespOK", f.Type)
+	}
+	after := revals(db)
+	if got, want := [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}, [3]uint64{1 + 3, 1 + 1, 0}; got != want {
+		t.Fatalf("server.reval_{proven,modified,skipped} moved by %v, want %v", got, want)
+	}
+}
+
+// A revalidation memoizes each cell's tag in the engine's cache; a
+// commit by another session then replaces the cell's entry, and the
+// next revalidation of the old tag answers modified with the committed
+// image, as the requested entry and as a neighbour.
+func TestNeighbourhoodMemoizedTagThenCommit(t *testing.T) {
+	const n, moved = 5, 3
+	db, addr, oids := startChainServer(t, n)
+	refs := chainRefs(t, db, oids)
+	_, cell := cellSchema()
+	before := revals(db)
+
+	rc := dialRaw(t, addr)
+	defer rc.nc.Close()
+	rc.ok(wire.CmdBegin, wire.AppendUvarint(nil, 0))
+	statuses, _ := neighbourStatuses(t, rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, refs)), n-1)
+	for i, st := range statuses {
+		if st != wire.CachedProven {
+			t.Fatalf("cell %d: status %d before any commit, want proven", i+1, st)
+		}
+	}
+	rc.ok(wire.CmdAbort, nil)
+
+	if err := db.RunTx(func(tx *ode.Tx) error {
+		o, err := tx.Deref(oids[moved])
+		if err != nil {
+			return err
+		}
+		return tx.Update(oids[moved], setCell(cell, o, 300, oids[moved+1]))
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	rc.ok(wire.CmdBegin, wire.AppendUvarint(nil, 0))
+	statuses, images := neighbourStatuses(t, rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, refs)), n-1)
+	for i, st := range statuses {
+		want := wire.CachedProven
+		if i+1 == moved {
+			want = wire.CachedModified
+		}
+		if st != want {
+			t.Errorf("cell %d: status %d, want %d", i+1, st, want)
+		}
+	}
+	if v := cellValue(t, db, images[moved]); v != 300 {
+		t.Fatalf("modified neighbour's image holds %d, want 300", v)
+	}
+	f := rc.roundTrip(wire.CmdDerefCached, wire.AppendDerefCached(nil, refs[moved:]))
+	if f.Type != wire.RespObject {
+		t.Fatalf("requested entry committed since: reply 0x%02x, want RespObject", f.Type)
+	}
+	if v := cellValue(t, db, wire.NewDec(f.Body).Bytes()); v != 300 {
+		t.Fatalf("requested entry's image holds %d, want 300", v)
+	}
+	after := revals(db)
+	if got, want := [3]uint64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}, [3]uint64{n + (n - 1) + 1, 1 + 1, 0}; got != want {
+		t.Fatalf("server.reval_{proven,modified,skipped} moved by %v, want %v", got, want)
+	}
+}
+
 // FuzzDerefCachedBody drives the deref-cached handler with arbitrary
 // entry lists. Whatever the body, the reply is one well-formed answer —
 // a malformed list (truncated inside an entry, empty, more than

@@ -765,14 +765,16 @@ func (c *conn) handleOID(f *wire.Frame) error {
 // handleDerefCached is a conditional deref of a client's cached
 // neighbourhood: the body carries (oid, content tag) pairs, the oid the
 // client asked for first, then up to wire.MaxDerefCached-1 cached
-// objects reachable from it. The first entry is an ordinary deref under
-// the transaction's shared lock, and its outcome is the request's: an
-// error, RespOK ("not modified" — the client reuses its decoded copy)
+// objects reachable from it. The first entry is revalidated under the
+// lock a deref takes (Tx.Revalidate), and its outcome is the request's:
+// an error, RespOK ("not modified" — the client reuses its decoded copy)
 // or RespObject with the current image. Every further entry is
-// speculative: locked only if the lock is free now (Tx.TryDeref), and
-// answered by one status appended to the reply — proven, modified with
-// the image, or skipped. A one-entry body gets exactly the single-object
-// reply.
+// speculative: locked only if the lock is free now, and answered by one
+// status appended to the reply — proven, modified with the image, or
+// skipped. A proven entry costs its lock and a compare against the
+// engine cache's memoized tag; only a modified entry is copied and
+// encoded. A one-entry body gets exactly the single-object reply. The
+// outcomes are counted in server.reval_*, once per frame.
 func (c *conn) handleDerefCached(f *wire.Frame) error {
 	tx := c.sessionTx()
 	if tx == nil {
@@ -783,26 +785,35 @@ func (c *conn) handleDerefCached(f *wire.Frame) error {
 		return c.replyErr(f.ReqID, protoErr("deref-cached: %v", err))
 	}
 	c.refs = refs
-	obj, err := tx.Deref(core.OID(refs[0].OID))
+	obj, err := tx.Revalidate(core.OID(refs[0].OID), refs[0].Tag, false)
 	if err != nil {
 		return c.replyErr(f.ReqID, err)
 	}
+	var proven, modified, skipped uint64
 	typ, body := byte(wire.RespOK), []byte(nil)
-	if image := object.Encode(obj); object.ImageTag(image) != refs[0].Tag {
-		typ, body = wire.RespObject, wire.AppendBytes(nil, image)
+	if obj == nil {
+		proven++
+	} else {
+		modified++
+		typ, body = wire.RespObject, wire.AppendBytes(nil, object.Encode(obj))
 	}
 	for _, r := range refs[1:] {
-		obj, err := tx.TryDeref(core.OID(r.OID))
-		if err != nil {
+		obj, err := tx.Revalidate(core.OID(r.OID), r.Tag, true)
+		switch {
+		case err != nil:
+			skipped++
 			body = append(body, wire.CachedSkipped)
-			continue
-		}
-		if image := object.Encode(obj); object.ImageTag(image) == r.Tag {
+		case obj == nil:
+			proven++
 			body = append(body, wire.CachedProven)
-		} else {
-			body = wire.AppendBytes(append(body, wire.CachedModified), image)
+		default:
+			modified++
+			body = wire.AppendBytes(append(body, wire.CachedModified), object.Encode(obj))
 		}
 	}
+	c.s.met.RevalProven.Add(proven)
+	c.s.met.RevalModified.Add(modified)
+	c.s.met.RevalSkipped.Add(skipped)
 	return c.reply(f.ReqID, typ, body)
 }
 

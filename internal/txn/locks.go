@@ -63,8 +63,8 @@ func ClusterLockOID(id core.ClassID) core.OID { return core.ReservedOIDBit | cor
 // the caller must abort it.
 var ErrDeadlock = errors.New("txn: deadlock detected; transaction chosen as victim")
 
-// ErrLockBusy is Tx.TryDeref declining a read whose lock would have to
-// wait. Nothing was locked and the transaction is unharmed.
+// ErrLockBusy is Tx.Revalidate with try declining a read whose lock
+// would have to wait. Nothing was locked and the transaction is unharmed.
 var ErrLockBusy = errors.New("txn: lock not grantable without waiting")
 
 // Table geometry. These are constants, not options: no workload at

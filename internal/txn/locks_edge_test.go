@@ -366,10 +366,11 @@ func TestTryAcquireNeverWaits(t *testing.T) {
 	}
 }
 
-// TryDeref is Deref that declines instead of waiting: ErrLockBusy on a
-// row another transaction writes, the row itself on a free one — and
-// the reader's later Deref of the busy row waits as it always has.
-func TestTryDerefDeclinesBusyRow(t *testing.T) {
+// A try revalidation declines instead of waiting: ErrLockBusy on a row
+// another transaction writes, the row itself on a free one whose tag it
+// does not prove — and the reader's later Deref of the busy row waits as
+// it always has.
+func TestTryRevalidateDeclinesBusyRow(t *testing.T) {
 	e, item := newTestEngine(t)
 	setup := e.Begin()
 	a, _ := setup.PNew(item, newItem(item, "a", 1))
@@ -383,14 +384,14 @@ func TestTryDerefDeclinesBusyRow(t *testing.T) {
 	}
 	reader := e.Begin()
 	defer reader.Abort()
-	if _, err := reader.TryDeref(a); !errors.Is(err, ErrLockBusy) {
-		t.Fatalf("TryDeref of a written row = %v, want ErrLockBusy", err)
+	if _, err := reader.Revalidate(a, 0, true); !errors.Is(err, ErrLockBusy) {
+		t.Fatalf("try revalidation of a written row = %v, want ErrLockBusy", err)
 	}
-	if o, err := reader.TryDeref(b); err != nil || o.MustGet("qty").Int() != 2 {
-		t.Fatalf("TryDeref of a free row = %v, %v", o, err)
+	if o, err := reader.Revalidate(b, 0, true); err != nil || o.MustGet("qty").Int() != 2 {
+		t.Fatalf("try revalidation of a free row = %v, %v", o, err)
 	}
 	if n := e.Metrics().Txn.LockWaits.Load(); n != 0 {
-		t.Fatalf("txn.lock_waits = %d after TryDeref, want 0", n)
+		t.Fatalf("txn.lock_waits = %d after a try revalidation, want 0", n)
 	}
 	got := make(chan int64, 1)
 	go func() {

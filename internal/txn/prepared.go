@@ -383,7 +383,11 @@ func (e *Engine) abortPrepared(gid string, timedOut bool) error {
 	e.commitMu.Unlock()
 	e.locks.ReleaseAll(entry.txid)
 	e.recordDecision(gid, decision{txid: entry.txid, commit: false})
-	met.Aborts.Inc()
+	if len(entry.ops) > 0 {
+		met.Aborts.Inc()
+	} else {
+		met.ReadOnlyEnds.Inc() // a read-only participant: nothing to discard
+	}
 	met.PreparedAborts.Inc()
 	if timedOut {
 		met.PreparedTimeouts.Inc()

@@ -538,14 +538,6 @@ func (tx *Tx) ensureWritable() error {
 // via Update.
 func (tx *Tx) Deref(oid core.OID) (*core.Object, error) { return tx.deref(oid, rowWait) }
 
-// TryDeref is Deref for a read the caller only expects to need: it
-// takes oid's shared lock through LockManager.TryAcquire, so where
-// Deref would wait it returns ErrLockBusy instead — no wait, no
-// waits-for edge, no lock_waits count. A lock it does take is held to
-// the end of the transaction like any other. The server revalidates a
-// client's cached neighbourhood with it.
-func (tx *Tx) TryDeref(oid core.OID) (*core.Object, error) { return tx.deref(oid, rowTry) }
-
 // DerefCovered is Deref for a row of a cluster the transaction holds S
 // (or X) on through LockCluster: the cluster word excludes every
 // writer of the cluster, so the row takes no lock of its own. An
@@ -557,11 +549,65 @@ func (tx *Tx) DerefCovered(oid core.OID) (*core.Object, error) { return tx.deref
 // How deref locks the row it reads.
 const (
 	rowWait    = iota // S, waiting if need be (Deref)
-	rowTry            // S only if grantable at once (TryDeref)
+	rowTry            // S only if grantable at once (Revalidate with try)
 	rowCovered        // none: the cluster's S covers the row (DerefCovered)
 )
 
 func (tx *Tx) deref(oid core.OID, how int) (*core.Object, error) {
+	w, err := tx.readRow(oid, how)
+	if err != nil {
+		return nil, err
+	}
+	if w != nil {
+		return w.obj.Copy(), nil
+	}
+	o, _, err := tx.engine.mgr.Get(oid)
+	if err != nil {
+		return nil, err
+	}
+	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
+		return nil, fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
+	}
+	return o, nil
+}
+
+// Revalidate is Deref for a reader that already holds a copy of oid
+// whose content tag, object.ImageTag of its encoded image, is tag: it
+// takes Deref's lock, then returns nil when the object Deref would
+// return still has that tag, and that object when it has another. An
+// object this transaction wrote or deleted is answered from the write
+// set, as Deref answers it. The server proves a client's cached
+// neighbourhood with it: a proven entry costs the lock and a compare of
+// the cache entry's memoized tag (object.Manager.Revalidate).
+//
+// With try, the read is one the caller only expects to need: the shared
+// lock is taken through LockManager.TryAcquire, so where Deref would
+// wait it returns ErrLockBusy instead — no wait, no waits-for edge, no
+// lock_waits count. A lock it does take is held to the end of the
+// transaction like any other.
+func (tx *Tx) Revalidate(oid core.OID, tag uint64, try bool) (*core.Object, error) {
+	how := rowWait
+	if try {
+		how = rowTry
+	}
+	w, err := tx.readRow(oid, how)
+	switch {
+	case err != nil:
+		return nil, err
+	case w == nil:
+		return tx.engine.mgr.Revalidate(oid, tag)
+	case object.ImageTag(object.Encode(w.obj)) == tag:
+		return nil, nil
+	default:
+		return w.obj.Copy(), nil
+	}
+}
+
+// readRow is what a read does before it asks the object manager: the
+// transaction must be active and oid not nil; an object in the write
+// set is answered from it (w non-nil; an error when this transaction
+// deleted it); any other row is locked as how says, and w is nil.
+func (tx *Tx) readRow(oid core.OID, how int) (*txWrite, error) {
 	if err := tx.ensureActive(); err != nil {
 		return nil, err
 	}
@@ -572,13 +618,11 @@ func (tx *Tx) deref(oid core.OID, how int) (*core.Object, error) {
 		if w.obj == nil {
 			return nil, fmt.Errorf("%w: @%d (deleted in this transaction)", object.ErrNoObject, oid)
 		}
-		return w.obj.Copy(), nil
+		return w, nil
 	}
 	switch how {
 	case rowWait:
-		if err := tx.lock(oid, Shared); err != nil {
-			return nil, err
-		}
+		return nil, tx.lock(oid, Shared)
 	case rowTry:
 		if err := tx.Err(); err != nil {
 			return nil, err
@@ -586,14 +630,7 @@ func (tx *Tx) deref(oid core.OID, how int) (*core.Object, error) {
 			return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.id, oid)
 		}
 	}
-	o, _, err := tx.engine.mgr.Get(oid)
-	if err != nil {
-		return nil, err
-	}
-	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
-		return nil, fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
-	}
-	return o, nil
+	return nil, nil
 }
 
 // LockCluster takes S on class c's cluster word (c's own extent, not
@@ -1130,11 +1167,17 @@ func (tx *Tx) Abort() {
 	}
 }
 
+// finish ends the transaction. An end that is not a commit counts as an
+// abort only when there was a write set to discard; a read-only end
+// (every View, a remote reader's abort) counts in ReadOnlyEnds.
 func (tx *Tx) finish(state int) {
 	tx.state = state
-	if state == stateCommitted {
+	switch {
+	case state == stateCommitted:
 		tx.engine.met.Txn.Commits.Inc()
-	} else {
+	case len(tx.writes) == 0 && len(tx.ops) == 0 && len(tx.frozen) == 0 && len(tx.current) == 0:
+		tx.engine.met.Txn.ReadOnlyEnds.Inc()
+	default:
 		tx.engine.met.Txn.Aborts.Inc()
 	}
 	tx.engine.locks.ReleaseAll(tx.id)

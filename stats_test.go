@@ -1,6 +1,7 @@
 package ode
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -47,6 +48,51 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if st.Txn.CommitNS.Sum <= 0 {
 		t.Errorf("CommitNS.Sum = %v, want positive", st.Txn.CommitNS.Sum)
+	}
+}
+
+// TestAbortsCountOnlyWriteSets checks that txn.aborts counts only
+// transactions that had writes to discard: a View ends read-only and
+// counts in txn.read_only_ends, and a RunTx whose function fails after
+// an Update is an abort.
+func TestAbortsCountOnlyWriteSets(t *testing.T) {
+	db, stock := openTestDB(t, nil)
+	oid := addItem(t, db, stock, "item", 1, 1.0)
+	txm := &db.Metrics().Txn
+	aborts, ends := txm.Aborts.Load(), txm.ReadOnlyEnds.Load()
+	if err := db.View(func(tx *Tx) error {
+		_, err := tx.Deref(oid)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if d := txm.Aborts.Load() - aborts; d != 0 {
+		t.Errorf("a View added %d to txn.aborts, want 0", d)
+	}
+	if d := txm.ReadOnlyEnds.Load() - ends; d != 1 {
+		t.Errorf("a View added %d to txn.read_only_ends, want 1", d)
+	}
+
+	aborts, ends = txm.Aborts.Load(), txm.ReadOnlyEnds.Load()
+	failed := errors.New("changed my mind")
+	if err := db.RunTx(func(tx *Tx) error {
+		o, err := tx.Deref(oid)
+		if err != nil {
+			return err
+		}
+		o.MustSet("qty", Int(2))
+		if err := tx.Update(oid, o); err != nil {
+			return err
+		}
+		return failed
+	}); !errors.Is(err, failed) {
+		t.Fatalf("RunTx = %v, want %v", err, failed)
+	}
+	if d := txm.Aborts.Load() - aborts; d != 1 {
+		t.Errorf("a failed RunTx with one Update added %d to txn.aborts, want 1", d)
+	}
+	if d := txm.ReadOnlyEnds.Load() - ends; d != 0 {
+		t.Errorf("a failed RunTx with one Update added %d to txn.read_only_ends, want 0", d)
 	}
 }
 
