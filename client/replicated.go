@@ -139,12 +139,6 @@ func failoverish(err error) bool {
 // epoch floor are shared, so one goroutine's commits bound every
 // goroutine's reads.
 type Replicated struct {
-	// ProbeTimeout bounds each per-node repl-status probe during
-	// primary discovery and freshness polls (default 2s). Set before
-	// first use if the defaults don't fit (tests with aggressive
-	// failover windows lower it).
-	ProbeTimeout time.Duration
-
 	nodes      []*nodeState
 	rr         atomic.Uint64
 	lastLSN    atomic.Uint64 // highest commit LSN this session must observe
@@ -216,16 +210,13 @@ func (r *Replicated) observeEpoch(epoch uint64) {
 	}
 }
 
-func (r *Replicated) probeTimeout() time.Duration {
-	if r.ProbeTimeout > 0 {
-		return r.ProbeTimeout
-	}
-	return 2 * time.Second
-}
+// probeTimeout bounds each per-node repl-status probe during primary
+// discovery and freshness polls.
+const probeTimeout = 2 * time.Second
 
 // probeStatus polls one node's repl-status under the probe timeout.
 func (r *Replicated) probeStatus(ctx context.Context, ns *nodeState) *ReplStatus {
-	pctx, cancel := context.WithTimeout(ctx, r.probeTimeout())
+	pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	st, err := ns.c.ReplStatus(pctx)
 	if err != nil {

@@ -168,14 +168,17 @@ func TestCacheInvalidationNoStaleDeref(t *testing.T) {
 	}
 }
 
-// TestParallelQueryOnSharedDB runs parallel foralls from multiple
-// goroutines while the pool and cache serve them concurrently.
+// TestParallelQueryOnSharedDB runs four counts at once, each in a view
+// of its own, while the pool and cache serve them concurrently: a
+// transaction belongs to one goroutine, and concurrency comes from
+// running many of them.
 func TestParallelQueryOnSharedDB(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	const n = 300
 	for i := 0; i < n; i++ {
 		addItem(t, db, stock, fmt.Sprintf("item-%d", i), int64(i), float64(i))
 	}
+	before := db.Stats().Query.Foralls
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -184,12 +187,12 @@ func TestParallelQueryOnSharedDB(t *testing.T) {
 			err := db.View(func(tx *Tx) error {
 				got, err := Forall(tx, stock).
 					SuchThat(Field("qty").Ge(Int(100))).
-					Parallel(4).Count()
+					Count()
 				if err != nil {
 					return err
 				}
 				if got != n-100 {
-					return fmt.Errorf("parallel count = %d, want %d", got, n-100)
+					return fmt.Errorf("count = %d, want %d", got, n-100)
 				}
 				return nil
 			})
@@ -199,8 +202,8 @@ func TestParallelQueryOnSharedDB(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if db.Stats().Query.ParallelForalls == 0 {
-		t.Error("no parallel foralls recorded")
+	if got := db.Stats().Query.Foralls - before; got != 4 {
+		t.Errorf("query.foralls moved by %d, want 4", got)
 	}
 }
 

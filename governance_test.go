@@ -235,22 +235,44 @@ func TestScanObservesDeadline(t *testing.T) {
 	}
 }
 
+// TestParallelScanObservesCancel cancels a view between Begin and its
+// scan, while other goroutines scan the same extent in views of their
+// own: the canceled scan visits no row and ends with ErrCanceled.
 func TestParallelScanObservesCancel(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	for i := 0; i < 512; i++ {
 		addItem(t, db, stock, "bulk", int64(i), 1.0)
 	}
 
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := db.View(func(tx *Tx) error {
+				_, err := Forall(tx, stock).Count()
+				return err
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	visited := 0
 	err := db.ViewCtx(ctx, func(tx *Tx) error {
-		cancel() // cancel between Begin and the scan: no chunk may be visited
-		return Forall(tx, stock).Parallel(4).Do(func(it Item) (bool, error) {
+		cancel() // cancel between Begin and the scan: no row may be visited
+		return Forall(tx, stock).Do(func(it Item) (bool, error) {
+			visited++
 			return true, nil
 		})
 	})
+	wg.Wait()
 	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled parallel scan = %v, want ErrCanceled", err)
+		t.Fatalf("canceled scan = %v, want ErrCanceled", err)
+	}
+	if visited != 0 {
+		t.Fatalf("canceled scan visited %d rows, want 0", visited)
 	}
 }
 

@@ -207,7 +207,7 @@ var Experiments = []Experiment{
 	{"E10", "trigger activation / firing / quiescence (WE §6)", buildE10},
 	{"E11", "volatile vs persistent manipulation (PC §2)", buildE11},
 	{"E12", "crash recovery (repair-on-open)", buildE12},
-	{"E13", "multi-core read path: parallel forall and concurrent deref", buildE13},
+	{"E13", "multi-core read path: concurrent readers, one view each", buildE13},
 	{"E14", "resource governance: admission control, deadlines, bounded WAL", buildE14},
 	{"E15", "network server: embedded vs remote wire protocol", buildE15},
 	{"E16", "commit & wire fast paths: group commit, client object cache", buildE16},

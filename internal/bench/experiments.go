@@ -459,40 +459,12 @@ func buildE13(e *Env) {
 		sweep = append(sweep, e.Workers)
 	}
 
-	// Parallel forall: one cluster scan partitioned across workers.
-	scan := func(nw int) func() error {
-		return func() error {
-			var sum atomic.Int64
-			err := w.DB.View(func(tx *ode.Tx) error {
-				return ode.Forall(tx, w.Stock).Parallel(nw).Do(func(it ode.Item) (bool, error) {
-					sum.Add(it.Obj.MustGet("qty").Int())
-					return true, nil
-				})
-			})
-			if want := int64(n) * int64(n-1) / 2; err == nil && sum.Load() != want {
-				err = fmt.Errorf("scan summed %d, want %d", sum.Load(), want)
-			}
-			return err
-		}
-	}
-	check(scan(1)()) // untimed warm-up, so workers=1 is not charged the cold pool
-	var scanBase time.Duration
-	for _, nw := range sweep {
-		e.add(Case{Name: fmt.Sprintf("cluster-scan workers=%d", nw), Workers: nw, Reps: 3, Op: scan(nw),
-			After: func(m *Measurement) error {
-				if nw == 1 {
-					scanBase = m.PerOp
-				} else {
-					speedup(m, scanBase)
-				}
-				return nil
-			}})
-	}
-
-	// Concurrent deref: goroutines sharing one read transaction, hitting
-	// the sharded pool and the decoded-object cache. The hot set fits
-	// the default cache, so the steady state is cache-resident; time is
-	// per deref across all goroutines (aggregate throughput).
+	// Concurrent readers: each goroutine derefs in a view of its own (a
+	// transaction belongs to one goroutine), hitting the sharded pool
+	// and the decoded-object cache. The hot set fits the default cache,
+	// so the steady state is cache-resident; time is per deref across
+	// all goroutines (aggregate throughput), each view's begin and end
+	// included.
 	hot := oids[:min(len(oids), 4000)]
 	var derefBase time.Duration
 	for _, nw := range sweep {
@@ -501,8 +473,8 @@ func buildE13(e *Env) {
 		e.add(Case{Name: fmt.Sprintf("deref workers=%d", nw), Workers: nw, Units: nw * perG,
 			Op: func() error {
 				before = w.DB.Stats().Object
-				return w.DB.View(func(tx *ode.Tx) error {
-					return fanOut(nw, func(g int) error {
+				return fanOut(nw, func(g int) error {
+					return w.DB.View(func(tx *ode.Tx) error {
 						for k, i := 0, g*7919; k < perG; k, i = k+1, i+1 {
 							if _, err := tx.Deref(hot[i%len(hot)]); err != nil {
 								return err

@@ -354,7 +354,7 @@ func (t *Tree) insert(id storage.PageID, key, value []byte) ([]byte, storage.Pag
 			copy(n.vals[i+1:], n.vals[i:])
 			n.vals[i] = clone(value)
 		}
-		return t.finishInsert(n)
+		return t.finishInsert(n, !found && i == len(n.keys)-1 && n.next == storage.InvalidPage)
 	}
 	ci := n.childIndex(key)
 	sep, right, err := t.insert(n.children[ci], key, value)
@@ -370,11 +370,15 @@ func (t *Tree) insert(id storage.PageID, key, value []byte) ([]byte, storage.Pag
 	n.children = append(n.children, 0)
 	copy(n.children[ci+2:], n.children[ci+1:])
 	n.children[ci+1] = right
-	return t.finishInsert(n)
+	return t.finishInsert(n, false)
 }
 
-// finishInsert stores n, splitting it first if it overflows.
-func (t *Tree) finishInsert(n *node) ([]byte, storage.PageID, error) {
+// finishInsert stores n, splitting it first if it overflows. appended
+// says the insert put a new largest key into the rightmost leaf: the
+// leaf then keeps every other cell and the new key starts the right
+// sibling, so ascending inserts (OIDs into the directory and cluster
+// trees) leave full leaves behind instead of half-empty ones.
+func (t *Tree) finishInsert(n *node, appended bool) ([]byte, storage.PageID, error) {
 	if n.size() <= nodeCapacity {
 		return nil, storage.InvalidPage, t.store(n)
 	}
@@ -384,7 +388,7 @@ func (t *Tree) finishInsert(n *node) ([]byte, storage.PageID, error) {
 	}
 	var sep []byte
 	if n.leaf {
-		// Split at the midpoint by bytes.
+		// Split at the midpoint by bytes, or before the appended key.
 		half := n.size() / 2
 		acc, cut := 6, 0
 		for i := range n.keys {
@@ -393,6 +397,9 @@ func (t *Tree) finishInsert(n *node) ([]byte, storage.PageID, error) {
 				cut = i + 1
 				break
 			}
+		}
+		if appended {
+			cut = len(n.keys) - 1
 		}
 		if cut <= 0 || cut >= len(n.keys) {
 			cut = len(n.keys) / 2

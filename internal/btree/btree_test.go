@@ -127,6 +127,34 @@ func TestManyInsertsSplitAndOrder(t *testing.T) {
 	}
 }
 
+// Ascending inserts split the rightmost leaf before the new key, not at
+// its midpoint: every leaf but the last is left full, so a bulk load
+// takes about half the leaves a midpoint split would leave behind.
+func TestAscendingInsertsFillLeaves(t *testing.T) {
+	tr := newTestTree(t, 64)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(k(i), v(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := tr.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries != n {
+		t.Fatalf("Entries = %d, want %d", st.Entries, n)
+	}
+	cell := 4 + len(k(n-1)) + len(v(n-1))
+	perLeaf := (nodeCapacity - 6) / cell
+	if want := (n + perLeaf - 1) / perLeaf; st.Leaves > want {
+		t.Errorf("%d ascending inserts fill %d leaves, want at most %d (%d cells a leaf)", n, st.Leaves, want, perLeaf)
+	}
+}
+
 func TestScanRange(t *testing.T) {
 	tr := newTestTree(t, 64)
 	for i := 0; i < 100; i++ {
@@ -223,6 +251,38 @@ func TestDeleteHalfKeepsRest(t *testing.T) {
 	for i := 0; i < n; i++ {
 		got, err := tr.Get(k(i))
 		if i%2 == 0 {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("deleted key %d still present", i)
+			}
+		} else if err != nil || !bytes.Equal(got, v(i)) {
+			t.Fatalf("surviving key %d: %q, %v", i, got, err)
+		}
+	}
+}
+
+// Deleting a contiguous run from a tree of full leaves empties a leaf
+// whose neighbour is still full: the two no longer fit one page, so the
+// underflowing leaf takes half its neighbour's cells instead of merging.
+func TestDeleteRunRedistributesFullLeaves(t *testing.T) {
+	tr := newTestTree(t, 64)
+	const n = 3000
+	for i := 0; i < n; i++ {
+		if err := tr.Put(k(i), v(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := func(i int) bool { return i >= 1000 && i < 1300 }
+	for i := 1000; i < 1300; i++ {
+		if err := tr.Delete(k(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("after deleting %d: %v", i, err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, err := tr.Get(k(i))
+		if gone(i) {
 			if !errors.Is(err, ErrNotFound) {
 				t.Fatalf("deleted key %d still present", i)
 			}

@@ -524,9 +524,8 @@ func (m *Manager) RequireCluster(c *core.Class) error {
 
 // ClusterOIDs snapshots the OIDs in class c's own extent (not
 // subclasses), in OID order. The tree walk runs under RLock; callers
-// then visit the OIDs unlocked, so callbacks may re-enter Get (or run
-// on other goroutines, as the parallel forall does) without holding the
-// manager lock across user code.
+// then visit the OIDs unlocked, so callbacks may re-enter Get without
+// holding the manager lock across user code.
 func (m *Manager) ClusterOIDs(c *core.Class) ([]core.OID, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -67,16 +67,16 @@ var histBounds = [...]int64{
 	1_048_576_000, // ~1s
 }
 
-// NumHistBuckets is the bucket count of every Histogram, including the
+// numHistBuckets is the bucket count of every Histogram, including the
 // overflow bucket.
-const NumHistBuckets = len(histBounds) + 1
+const numHistBuckets = len(histBounds) + 1
 
 // Histogram is a fixed-bucket latency histogram. The recording path is
 // a linear scan over eleven int64 bounds plus two atomic adds — cheap
 // enough for per-commit and per-fsync use. The zero value is ready to
 // use.
 type Histogram struct {
-	buckets [NumHistBuckets]atomic.Uint64
+	buckets [numHistBuckets]atomic.Uint64
 	count   atomic.Uint64
 	sum     atomic.Int64 // nanoseconds
 }
@@ -118,12 +118,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 func (h *Histogram) value() any { return h.Snapshot() }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Buckets[i]
-// counts samples with duration <= BucketBound(i); the last bucket is
+// counts samples with duration <= bucketBound(i); the last bucket is
 // the overflow (everything slower than the largest bound).
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     time.Duration
-	Buckets [NumHistBuckets]uint64
+	Buckets [numHistBuckets]uint64
 }
 
 // Mean returns the average sample, or 0 with no samples.
@@ -134,9 +134,9 @@ func (s HistogramSnapshot) Mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// BucketBound returns the inclusive upper bound of bucket i, or a
+// bucketBound returns the inclusive upper bound of bucket i, or a
 // negative duration for the overflow bucket.
-func BucketBound(i int) time.Duration {
+func bucketBound(i int) time.Duration {
 	if i < 0 || i >= len(histBounds) {
 		return -1
 	}
@@ -290,7 +290,6 @@ type QueryMetrics struct {
 	RowsScanned        Counter // objects fetched by scans (before predicates)
 	RowsYielded        Counter // objects that satisfied predicates and reached the body
 	FixpointRounds     Counter // delta rounds executed by fixpoint iteration
-	ParallelForalls    Counter // foralls executed by the parallel worker pool
 }
 
 // TriggerMetrics instruments the trigger service.
@@ -394,7 +393,6 @@ type QueryStats struct {
 	RowsScanned        uint64
 	RowsYielded        uint64
 	FixpointRounds     uint64
-	ParallelForalls    uint64
 }
 
 // TriggerStats is a point-in-time copy of TriggerMetrics.
@@ -488,7 +486,6 @@ func (m *Metrics) Stats() Snapshot {
 			RowsScanned:        m.Query.RowsScanned.Load(),
 			RowsYielded:        m.Query.RowsYielded.Load(),
 			FixpointRounds:     m.Query.FixpointRounds.Load(),
-			ParallelForalls:    m.Query.ParallelForalls.Load(),
 		},
 		Trigger: TriggerStats{
 			Activations:  m.Trigger.Activations.Load(),
@@ -565,7 +562,6 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"query.rows_scanned", &m.Query.RowsScanned},
 		{"query.rows_yielded", &m.Query.RowsYielded},
 		{"query.fixpoint_rounds", &m.Query.FixpointRounds},
-		{"query.parallel_foralls", &m.Query.ParallelForalls},
 		{"trigger.activations", &m.Trigger.Activations},
 		{"trigger.firings", &m.Trigger.Firings},
 		{"trigger.timeouts", &m.Trigger.Timeouts},

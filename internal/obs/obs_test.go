@@ -46,7 +46,7 @@ func TestHistogramBucketing(t *testing.T) {
 		{2 * time.Microsecond, 1},              // between 1µs and 4µs
 		{100 * time.Microsecond, 4},            // (64µs, 256µs]
 		{time.Millisecond, 5},                  // (256µs, 1.024ms]
-		{10 * time.Second, NumHistBuckets - 1}, // overflow
+		{10 * time.Second, numHistBuckets - 1}, // overflow
 	}
 	for _, c := range cases {
 		h.Observe(c.d)
@@ -55,7 +55,7 @@ func TestHistogramBucketing(t *testing.T) {
 	if s.Count != uint64(len(cases)) {
 		t.Fatalf("Count = %d, want %d", s.Count, len(cases))
 	}
-	want := [NumHistBuckets]uint64{}
+	want := [numHistBuckets]uint64{}
 	var wantSum time.Duration
 	for _, c := range cases {
 		want[c.bucket]++
@@ -100,13 +100,13 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestBucketBound(t *testing.T) {
-	if BucketBound(0) != time.Microsecond {
-		t.Fatalf("BucketBound(0) = %v", BucketBound(0))
+	if bucketBound(0) != time.Microsecond {
+		t.Fatalf("bucketBound(0) = %v", bucketBound(0))
 	}
-	if BucketBound(NumHistBuckets-1) >= 0 {
+	if bucketBound(numHistBuckets-1) >= 0 {
 		t.Fatalf("overflow bucket must report a negative bound")
 	}
-	if BucketBound(-1) >= 0 {
+	if bucketBound(-1) >= 0 {
 		t.Fatalf("out-of-range bucket must report a negative bound")
 	}
 }

@@ -3,10 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"ode/internal/core"
 	"ode/internal/object"
@@ -30,7 +27,6 @@ type Query struct {
 	desc     bool
 	snapshot bool
 	noIndex  bool
-	workers  int  // > 1: partition the scan across a worker pool
 	internal bool // subquery of a join: excluded from forall/plan counters
 	plan     string
 }
@@ -94,24 +90,6 @@ func (q *Query) NoIndex() *Query {
 	return q
 }
 
-// Parallel partitions the scan across n worker goroutines (n <= 0 means
-// GOMAXPROCS). Parallel implies Snapshot: objects created during the
-// loop are not visited, because fixpoint semantics need a serial view
-// of the growing write set. Ordered runs (By/ByKey) stay serial too —
-// their output order must be deterministic. The body runs concurrently,
-// so it must be safe for concurrent invocation; reading through the
-// transaction (Deref, field access) is safe, mutating it (Update, PNew,
-// Delete) is not. Collect and Count synchronize internally. Iteration
-// order across workers is unspecified.
-func (q *Query) Parallel(n int) *Query {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	q.workers = n
-	q.snapshot = true
-	return q
-}
-
 // Plan returns a description of the access path chosen by the last run
 // ("" before any run).
 func (q *Query) Plan() string { return q.plan }
@@ -134,23 +112,16 @@ func (q *Query) Do(fn func(it Item) (bool, error)) error {
 		return q.runOrdered(fn)
 	}
 	if q.snapshot {
-		if q.workers > 1 {
-			return q.runParallel(fn)
-		}
 		return q.gatherEach(fn)
 	}
 	return q.runFixpoint(fn)
 }
 
-// Collect runs the loop and returns all bindings. With Parallel the
-// result order is unspecified.
+// Collect runs the loop and returns all bindings.
 func (q *Query) Collect() ([]Item, error) {
-	var mu sync.Mutex
 	var out []Item
 	err := q.Do(func(it Item) (bool, error) {
-		mu.Lock()
 		out = append(out, it)
-		mu.Unlock()
 		return true, nil
 	})
 	return out, err
@@ -158,12 +129,12 @@ func (q *Query) Collect() ([]Item, error) {
 
 // Count runs the loop and counts bindings.
 func (q *Query) Count() (int, error) {
-	var n atomic.Int64
+	n := 0
 	err := q.Do(func(Item) (bool, error) {
-		n.Add(1)
+		n++
 		return true, nil
 	})
-	return int(n.Load()), err
+	return n, err
 }
 
 // classes returns the extents to visit.
@@ -272,171 +243,6 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		})
 		if err != nil || stopped {
 			return err
-		}
-	}
-	return nil
-}
-
-// candidateOIDs snapshots the OIDs the loop must visit, choosing the
-// same access path (index range vs extent scan) as gatherEach and
-// recording the same plan string and plan counters. OIDs in dirty are
-// excluded (the serial write-set pass already visited them). covered
-// reports that every listed cluster is locked S (Tx.LockCluster), so
-// its rows are read without row locks.
-func (q *Query) candidateOIDs(dirty map[core.OID]bool) (oids []core.OID, covered bool, err error) {
-	keep := func(oids []core.OID) []core.OID {
-		if len(dirty) == 0 {
-			return oids
-		}
-		out := oids[:0]
-		for _, oid := range oids {
-			if !dirty[oid] {
-				out = append(out, oid)
-			}
-		}
-		return out
-	}
-	if lo, hi, field, residualOnly := q.indexPath(); field != "" {
-		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, lo, hi)
-		if residualOnly {
-			q.plan += " + residual"
-		}
-		if !q.internal {
-			q.met().PlanIndexRange.Inc()
-		}
-		oids, err := q.tx.Manager().IndexOIDs(q.class, field, lo, hi)
-		if err != nil {
-			return nil, false, err
-		}
-		return keep(oids), false, nil
-	}
-	q.plan = fmt.Sprintf("extent-scan(%s%s)", q.class.Name, starIf(q.subtypes))
-	if !q.internal {
-		q.met().PlanExtentScan.Inc()
-	}
-	covered = true
-	for _, c := range q.classes() {
-		ok, err := q.tx.LockCluster(c)
-		if err != nil {
-			return nil, false, err
-		}
-		covered = covered && ok
-		ext, err := q.tx.Manager().ClusterOIDs(c)
-		if err != nil {
-			return nil, false, err
-		}
-		oids = append(oids, keep(ext)...)
-	}
-	return oids, covered, nil
-}
-
-// runParallel is the snapshot loop partitioned across q.workers
-// goroutines. The transaction write set is visited first, serially
-// (those objects live in tx-local state and are authoritative); the
-// committed candidates are then split into chunks claimed from a shared
-// counter. A body returning false or an error raises a stop flag that
-// every worker polls per object, and the error of the lowest-numbered
-// chunk wins, so the reported error does not depend on goroutine
-// scheduling.
-func (q *Query) runParallel(fn func(Item) (bool, error)) error {
-	visit := func(oid core.OID, covered bool) (bool, error) {
-		it, ok, err := q.fetch(oid, covered)
-		if err != nil || !ok {
-			return err == nil, err
-		}
-		match, err := q.eval(it)
-		if err != nil {
-			return false, err
-		}
-		if !match {
-			return true, nil
-		}
-		q.met().RowsYielded.Inc()
-		return fn(it)
-	}
-
-	writeSet := q.tx.WriteSet()
-	var dirty map[core.OID]bool
-	if len(writeSet) > 0 {
-		dirty = make(map[core.OID]bool, len(writeSet))
-		for _, oid := range writeSet {
-			dirty[oid] = true
-			cont, err := visit(oid, false)
-			if err != nil || !cont {
-				return err
-			}
-		}
-	}
-
-	oids, covered, err := q.candidateOIDs(dirty)
-	if err != nil {
-		return err
-	}
-	q.plan += fmt.Sprintf(" parallel(%d)", q.workers)
-	if !q.internal {
-		q.met().ParallelForalls.Inc()
-	}
-	if len(oids) == 0 {
-		return nil
-	}
-	workers := q.workers
-	if workers > len(oids) {
-		workers = len(oids)
-	}
-	// ~8 chunks per worker balances skew against claim traffic.
-	chunk := len(oids) / (workers * 8)
-	if chunk < 1 {
-		chunk = 1
-	}
-	nchunks := (len(oids) + chunk - 1) / chunk
-
-	chunkErr := make([]error, nchunks)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= nchunks {
-					return
-				}
-				// Chunk boundary: each worker re-checks the transaction
-				// context before claiming more work, so a Parallel(n)
-				// scan stops within one chunk of cancellation.
-				if err := q.tx.Err(); err != nil {
-					chunkErr[ci] = err
-					stop.Store(true)
-					return
-				}
-				lo, hi := ci*chunk, (ci+1)*chunk
-				if hi > len(oids) {
-					hi = len(oids)
-				}
-				for _, oid := range oids[lo:hi] {
-					if stop.Load() {
-						return
-					}
-					cont, err := visit(oid, covered)
-					if err != nil {
-						chunkErr[ci] = err // one worker per chunk: no race
-						stop.Store(true)
-						return
-					}
-					if !cont {
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, e := range chunkErr {
-		if e != nil {
-			return e
 		}
 	}
 	return nil

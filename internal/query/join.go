@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ode/internal/core"
 )
@@ -70,15 +69,6 @@ func (j *Join) Strategy(s JoinStrategy) *Join {
 	return j
 }
 
-// Parallel partitions the outer (left) side of the join across n
-// workers; the inner side — collected snapshot, hash table, or index
-// probes — is built serially and then only read concurrently. The pair
-// body must be safe for concurrent invocation, as with Query.Parallel.
-func (j *Join) Parallel(n int) *Join {
-	j.left.Parallel(n)
-	return j
-}
-
 // Plan describes the strategy chosen by the last run.
 func (j *Join) Plan() string { return j.plan }
 
@@ -119,12 +109,12 @@ func (j *Join) Do(fn func(a, b Item) (bool, error)) error {
 
 // Count runs the join and counts pairs.
 func (j *Join) Count() (int, error) {
-	var n atomic.Int64
+	n := 0
 	err := j.Do(func(_, _ Item) (bool, error) {
-		n.Add(1)
+		n++
 		return true, nil
 	})
-	return int(n.Load()), err
+	return n, err
 }
 
 func (j *Join) nestedLoopTheta(fn func(a, b Item) (bool, error)) error {

@@ -191,7 +191,6 @@ func (x *chaosRow) bootstrapTraffic() error {
 		}
 	}
 	x.cl = client.NewReplicated(clients[0], clients[1:]...)
-	x.cl.ProbeTimeout = 400 * time.Millisecond
 	r.runTx = func(ctx context.Context, fn func(ode.ObjectTx) error) error {
 		return x.cl.RunTx(ctx, func(tx *client.Tx) error { return fn(tx) })
 	}

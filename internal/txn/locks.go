@@ -116,9 +116,9 @@ type lockStripe struct {
 }
 
 // heldStripe remembers, for the transactions whose id maps to it, the
-// OIDs each was granted, in grant order. Parallel forall workers share
-// one transaction, so one txid's list is appended to from several
-// goroutines; mu orders them.
+// OIDs each was granted, in grant order. Many transactions share a
+// stripe, each on its own goroutine; mu orders their appends and
+// releases.
 type heldStripe struct {
 	mu   sync.Mutex
 	byTx map[uint64]*heldList

@@ -168,8 +168,11 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 	}
 }
 
-// Parallel forall workers share one Tx, so one txid acquires from
-// several goroutines at once and is released once.
+// The lock table knows holders by txid, not by goroutine, and every
+// method is safe for concurrent use: one txid acquiring from several
+// goroutines at once still ends with one word per OID, released once.
+// The engine never does this (a Tx belongs to one goroutine); the
+// table's contract does not depend on it.
 func TestSameTxConcurrentAcquire(t *testing.T) {
 	const goroutines, perGo, distinct = 8, 400, 1000
 	lm := NewLockManager()

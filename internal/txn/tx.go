@@ -1,9 +1,11 @@
 package txn
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,15 +399,16 @@ type txWrite struct {
 // functions, constraints, and triggers run against the transactional
 // view.
 //
-// A Tx is not safe for concurrent use by multiple goroutines (as in
-// database/sql); concurrency comes from running many transactions.
+// A Tx belongs to one goroutine, as in database/sql: none of its state
+// is synchronized, and concurrency comes from running many
+// transactions, each on its own goroutine.
 type Tx struct {
 	engine  *Engine
 	id      uint64
 	state   int
 	ctx     context.Context // never nil; Background without a governor
 	failErr error           // stateFailed: the admission rejection
-	noted   atomic.Bool     // Cancels metric latch (parallel scans share a Tx)
+	noted   bool            // Cancels metric latch: counted once
 
 	// The three maps are nil until the first write (setWrite,
 	// setCurrent, NewVersion): a read-only transaction never makes one.
@@ -418,8 +421,7 @@ type Tx struct {
 
 	// clusters are the cluster words this transaction holds and in
 	// which mode, so a writer's IX costs a lock-table visit once per
-	// cluster, not once per row. Appended to only by lockCluster, which
-	// no parallel scan worker calls.
+	// cluster, not once per row. Appended to only by lockCluster.
 	clusters []clusterHold
 
 	onFinish []func() // run once, after locks release
@@ -452,7 +454,7 @@ func (tx *Tx) setCurrent(oid core.OID, v uint32) {
 // OnFinish registers fn to run exactly once when the transaction
 // finishes (commit or abort), after its locks are released. The
 // database layer uses it to return admission slots and untrack the
-// transaction. Register before sharing the Tx; a finished or failed
+// transaction. Register before handing the Tx out; a finished or failed
 // transaction never runs late registrations.
 func (tx *Tx) OnFinish(fn func()) {
 	tx.onFinish = append(tx.onFinish, fn)
@@ -478,12 +480,9 @@ func (tx *Tx) Err() error {
 }
 
 // noteCtxErr types a context failure and counts the transaction as
-// canceled exactly once (parallel scan workers share the Tx, so the
-// latch is atomic).
+// canceled once, however many of its calls see the dead context.
 func (tx *Tx) noteCtxErr(err error) error {
-	if tx.noted.CompareAndSwap(false, true) {
-		tx.engine.met.Txn.Cancels.Inc()
-	}
+	tx.noteCancel()
 	return fmt.Errorf("%w (tx %d)", FromContextErr(err), tx.id)
 }
 
@@ -491,9 +490,16 @@ func (tx *Tx) noteCtxErr(err error) error {
 // failure surfaced by a lower layer (lock manager, backpressure).
 func (tx *Tx) noteIfCtx(err error) {
 	if errors.Is(err, ErrTxTimeout) || errors.Is(err, ErrCanceled) {
-		if tx.noted.CompareAndSwap(false, true) {
-			tx.engine.met.Txn.Cancels.Inc()
-		}
+		tx.noteCancel()
+	}
+}
+
+// noteCancel counts the transaction in txn.cancels the first time it
+// is called.
+func (tx *Tx) noteCancel() {
+	if !tx.noted {
+		tx.noted = true
+		tx.engine.met.Txn.Cancels.Inc()
 	}
 }
 
@@ -1116,7 +1122,11 @@ func (tx *Tx) precommit() ([]wal.Op, error) {
 
 // buildOps lowers the buffered write set to WAL operations: frozen
 // version snapshots first, then puts/deletes, then any explicit
-// buffered ops (version deletions).
+// buffered ops (version deletions). The first two runs are in OID
+// order, not map order, so one program writes the same log and grows
+// the same trees every time it runs: a batch of creates applied in map
+// order splits its cluster leaves at random points, and every later
+// extent scan reads a leaf count that differs from run to run.
 func (tx *Tx) buildOps() []wal.Op {
 	var ops []wal.Op
 	for ref, obj := range tx.frozen {
@@ -1132,6 +1142,10 @@ func (tx *Tx) buildOps() []wal.Op {
 			Image:   object.Encode(obj),
 		})
 	}
+	slices.SortFunc(ops, func(a, b wal.Op) int {
+		return cmp.Or(cmp.Compare(a.OID, b.OID), cmp.Compare(a.Version, b.Version))
+	})
+	versions := len(ops)
 	for oid, w := range tx.writes {
 		if !w.dirty {
 			continue
@@ -1151,6 +1165,7 @@ func (tx *Tx) buildOps() []wal.Op {
 			Image:   object.Encode(w.obj),
 		})
 	}
+	slices.SortFunc(ops[versions:], func(a, b wal.Op) int { return cmp.Compare(a.OID, b.OID) })
 	return append(ops, tx.ops...)
 }
 

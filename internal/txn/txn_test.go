@@ -635,3 +635,60 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 		t.Fatalf("deadlocks=%d oks=%d, want at least one of each", deadlocks, oks)
 	}
 }
+
+// A commit lowers its write set in OID order whatever order it was
+// written in: version snapshots first, then puts and deletes, so the
+// same program writes the same log and grows the same trees every run.
+func TestBuildOpsInOIDOrder(t *testing.T) {
+	e, item := newTestEngine(t)
+	tx := e.Begin()
+	var oids []core.OID
+	for i := 0; i < 64; i++ {
+		oid, err := tx.PNew(item, newItem(item, fmt.Sprintf("i%d", i), int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		oids = append(oids, oid)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx = e.Begin()
+	defer tx.Abort()
+	for i := len(oids) - 1; i >= 0; i-- {
+		oid := oids[i]
+		switch i % 3 {
+		case 0:
+			if _, err := tx.NewVersion(oid); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if err := tx.PDelete(oid); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := tx.Update(oid, newItem(item, "u", int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.PNew(item, newItem(item, "new", 1)); err != nil {
+		t.Fatal(err)
+	}
+	ops := tx.buildOps()
+	versions := 0
+	for versions < len(ops) && ops[versions].Type == wal.OpPutVersion {
+		versions++
+	}
+	if versions == 0 || versions == len(ops) {
+		t.Fatalf("%d version ops of %d, want both kinds", versions, len(ops))
+	}
+	for _, run := range [][]wal.Op{ops[:versions], ops[versions:]} {
+		for i := 1; i < len(run); i++ {
+			if run[i-1].OID >= run[i].OID {
+				t.Fatalf("op %d (%s @%d) follows @%d: not in OID order", i, run[i].Type, run[i].OID, run[i-1].OID)
+			}
+		}
+	}
+}

@@ -81,9 +81,6 @@ type Options struct {
 	// serves repeated Derefs of hot objects without re-reading and
 	// re-decoding their heap records.
 	ObjectCacheSize int
-	// DisableRecovery refuses to open an unclean database instead of
-	// rebuilding it (diagnostics).
-	DisableRecovery bool
 	// UnsafeSkipDoubleWrite writes dirty pages in place without staging
 	// them in the double-write buffer first, surrendering torn-page
 	// protection. It exists so the crash-recovery torture suite can
@@ -150,10 +147,6 @@ func (o *Options) withDefaults() Options {
 	}
 	return out
 }
-
-// ErrNeedsRecovery is returned when DisableRecovery is set and the
-// database was not shut down cleanly.
-var ErrNeedsRecovery = errors.New("ode: database needs recovery")
 
 // DB is an open Ode database.
 type DB struct {
@@ -273,12 +266,6 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 
 	needRebuild := !fresh && !object.WasCleanShutdown(fs) && !log.Empty()
 	if needRebuild {
-		if o.DisableRecovery {
-			log.Close()
-			dw.Close()
-			fs.Close()
-			return nil, ErrNeedsRecovery
-		}
 		nfs, rerr := rebuild(path, fs, dw, log, schema, o)
 		if rerr != nil {
 			log.Close()

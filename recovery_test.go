@@ -207,17 +207,6 @@ func TestRecoveryActivationsSurvive(t *testing.T) {
 	}
 }
 
-func TestDisableRecoveryRefusesUncleanFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.odb")
-	crashAfter(t, path, func(db *DB, stock *Class) {
-		addItem(t, db, stock, "x", 1, 1)
-	})
-	schema, _ := inventorySchema()
-	if _, err := Open(path, schema, &Options{DisableRecovery: true}); err != ErrNeedsRecovery {
-		t.Fatalf("Open = %v, want ErrNeedsRecovery", err)
-	}
-}
-
 func TestCleanShutdownSkipsRebuild(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "clean.odb")
 	db, stock := openInventory(t, path)
@@ -233,13 +222,17 @@ func TestCleanShutdownSkipsRebuild(t *testing.T) {
 	if err != nil || fi.Size() == 0 || fi.Size() >= 128 {
 		t.Errorf("wal size = %v after clean close, want only the base record", fi)
 	}
-	// DisableRecovery open succeeds on a clean file.
-	schema2, _ := inventorySchema()
-	db2, err := Open(path, schema2, &Options{DisableRecovery: true})
-	if err != nil {
-		t.Fatal(err)
+	// The clean file reopens with its row.
+	db2, stock2 := openInventory(t, path)
+	if err := db2.View(func(tx *Tx) error {
+		n, err := Forall(tx, stock2).Count()
+		if err == nil && n != 1 {
+			err = fmt.Errorf("reopened clean file holds %d stockitems, want 1", n)
+		}
+		return err
+	}); err != nil {
+		t.Error(err)
 	}
-	db2.Close()
 }
 
 func TestRepeatedCrashesConverge(t *testing.T) {
