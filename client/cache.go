@@ -1,10 +1,8 @@
 package client
 
 import (
-	"container/list"
-	"sync"
-
 	"ode"
+	"ode/internal/clockmap"
 )
 
 // objCache is the client-side decoded-object cache: OID -> decoded
@@ -32,133 +30,48 @@ import (
 //     with no set or array slot, whose first Set makes the slots its
 //     own — so callers may freely mutate what Deref returns.
 //
-// The cache is sharded 16 ways with per-shard LRU so concurrent
-// transactions on different connections do not serialize on one mutex.
+// The entries live in a clockmap.Map, 16 shards each evicting by
+// CLOCK: a hit takes its shard's read lock and sets its entry's
+// reference bit if it is clear, so concurrent transactions on
+// different connections neither serialize on one mutex nor reorder a
+// shared list.
 type objCache struct {
-	perShard int // max entries per shard
-	shards   [objCacheShards]objCacheShard
-}
-
-const objCacheShards = 16
-
-type objCacheShard struct {
-	mu      sync.Mutex
-	entries map[ode.OID]*list.Element
-	lru     *list.List // of *objCacheEntry; front = most recently used
+	clockmap.Map[ode.OID, objCacheEntry]
 }
 
 type objCacheEntry struct {
-	oid ode.OID
 	obj *ode.Object // immutable once stored
 	tag uint64      // object.ImageTag of the encoded image
 }
 
 func newObjCache(capacity int) *objCache {
-	c := &objCache{perShard: capacity / objCacheShards}
-	if capacity > 0 && c.perShard == 0 {
-		c.perShard = 1
-	}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[ode.OID]*list.Element)
-		c.shards[i].lru = list.New()
-	}
+	c := &objCache{}
+	c.Reset(capacity)
 	return c
 }
 
-// shard maps an OID to its shard (Fibonacci hash of the id's low bits).
-func (c *objCache) shard(oid ode.OID) *objCacheShard {
-	h := uint64(oid) * 0x9E3779B97F4A7C15
-	return &c.shards[h>>60]
-}
-
 // get returns a copy of the cached image (ode.Object Copy: shared
-// slots, private header) and its tag. The copy runs outside the shard
-// lock: the entry's object is immutable, so holding only the pointer
-// is safe.
+// slots or shared container storage, private headers) and its tag, and
+// marks the entry referenced. The copy runs outside the shard lock:
+// the entry's object is immutable.
 func (c *objCache) get(oid ode.OID) (*ode.Object, uint64, bool) {
-	s := c.shard(oid)
-	s.mu.Lock()
-	e, ok := s.entries[oid]
+	e, ok := c.Get(oid)
 	if !ok {
-		s.mu.Unlock()
 		return nil, 0, false
 	}
-	s.lru.MoveToFront(e)
-	ent := e.Value.(*objCacheEntry)
-	s.mu.Unlock()
-	return ent.obj.Copy(), ent.tag, true
+	return e.obj.Copy(), e.tag, true
 }
 
 // peek returns the cached image itself and its tag, without copying it
-// or moving it in the LRU order. The object is shared and immutable:
-// the caller reads it and must neither change nor hand it out.
+// or marking it referenced. The object is shared and immutable: the
+// caller reads it and must neither change nor hand it out.
 func (c *objCache) peek(oid ode.OID) (*ode.Object, uint64, bool) {
-	s := c.shard(oid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[oid]
-	if !ok {
-		return nil, 0, false
-	}
-	ent := e.Value.(*objCacheEntry)
-	return ent.obj, ent.tag, true
+	e, ok := c.Peek(oid)
+	return e.obj, e.tag, ok
 }
 
 // put stores obj (the result of an ode.Object Copy the caller will never
 // touch again) as the image of oid at tag.
 func (c *objCache) put(oid ode.OID, obj *ode.Object, tag uint64) {
-	s := c.shard(oid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[oid]; ok {
-		e.Value = &objCacheEntry{oid: oid, obj: obj, tag: tag}
-		s.lru.MoveToFront(e)
-		return
-	}
-	if s.lru.Len() >= c.perShard {
-		last := s.lru.Back()
-		delete(s.entries, last.Value.(*objCacheEntry).oid)
-		s.lru.Remove(last)
-	}
-	s.entries[oid] = s.lru.PushFront(&objCacheEntry{oid: oid, obj: obj, tag: tag})
-}
-
-// invalidate drops oid's entry; reports whether one was present.
-func (c *objCache) invalidate(oid ode.OID) bool {
-	s := c.shard(oid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[oid]
-	if !ok {
-		return false
-	}
-	delete(s.entries, oid)
-	s.lru.Remove(e)
-	return true
-}
-
-// flush empties the cache, returning how many entries were dropped.
-func (c *objCache) flush() uint64 {
-	var n uint64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += uint64(s.lru.Len())
-		s.entries = make(map[ode.OID]*list.Element)
-		s.lru = list.New()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// len counts cached entries (test helper).
-func (c *objCache) len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.Put(oid, objCacheEntry{obj: obj, tag: tag})
 }

@@ -121,7 +121,7 @@ func (c *Client) CacheMetrics() *Metrics { return &c.met }
 // freshness/footprint decision, not a correctness one.
 func (c *Client) InvalidateCache() {
 	if c.cache != nil {
-		c.met.Invalidations.Add(c.cache.flush())
+		c.met.Invalidations.Add(uint64(c.cache.Clear()))
 	}
 }
 

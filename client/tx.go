@@ -500,7 +500,7 @@ func (tx *Tx) invalidate(oid ode.OID) {
 	if tx.c.cache == nil {
 		return
 	}
-	if tx.c.cache.invalidate(oid) {
+	if tx.c.cache.Delete(oid) {
 		tx.c.met.Invalidations.Inc()
 	}
 	delete(tx.seen, oid)

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ode"
@@ -19,11 +20,15 @@ import (
 
 // gateRows is how many stockitems a gate world holds, qty = position;
 // gateHot is how many of them the warm-up view has already read;
-// gateChain is the length of the cell chain a row's setup may build.
+// gateChain is the length of the cell chain a row's setup may build;
+// gateFanout is the size of every subparts set above the last level
+// of the part DAG a row's setup may build, and gateBOM its part count.
 const (
-	gateRows  = 1000
-	gateHot   = 256
-	gateChain = 64
+	gateRows   = 1000
+	gateHot    = 256
+	gateChain  = 64
+	gateFanout = 3
+	gateBOM    = 1 + gateFanout + gateFanout
 )
 
 // bound holds one counter of a row's delta: exactly want, or at most
@@ -44,6 +49,7 @@ type gateWorld struct {
 	*Deployment
 	oids  []ode.OID
 	chain ode.OID // the chain's head, once setup built one
+	bom   ode.OID // the part DAG's root, once setup built one
 	// measured takes what a script counts itself; it is reported beside
 	// the counter deltas.
 	measured map[string]int64
@@ -259,6 +265,81 @@ func walkChain(w *gateWorld) error {
 			return fmt.Errorf("the chain goes on past %d cells", gateChain)
 		}
 		return nil
+	})
+}
+
+// loadBOM builds a part DAG of three levels — the root, gateFanout
+// parts under it, and gateFanout parts under every one of those — and
+// walks it once, so a client's cache holds every part.
+func (w *gateWorld) loadBOM() error {
+	err := w.RunTx(func(tx ode.ObjectTx) error {
+		var below []ode.OID
+		for level := 0; level < 3; level++ {
+			n := gateFanout
+			if level == 2 {
+				n = 1
+			}
+			var made []ode.OID
+			for i := 0; i < n; i++ {
+				o := ode.NewObject(w.Part)
+				o.MustSet("name", ode.Str(fmt.Sprintf("p-%d-%d", level, i)))
+				for _, kid := range below {
+					o.MustGet("subparts").Set().Insert(ode.Ref(kid))
+				}
+				oid, err := tx.PNew(w.Part, o)
+				if err != nil {
+					return err
+				}
+				made = append(made, oid)
+			}
+			below = made
+		}
+		w.bom = below[0]
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return w.View(func(tx ode.ObjectTx) error {
+		_, err := bomClosure(tx, w.bom, nil)
+		return err
+	})
+}
+
+// bomClosure visits every part reachable from root once, breadth
+// first, and returns them in visiting order in seen's storage.
+func bomClosure(tx ode.ObjectTx, root ode.OID, seen []ode.OID) ([]ode.OID, error) {
+	seen = append(seen[:0], root)
+	for i := 0; i < len(seen); i++ {
+		o, err := tx.Deref(seen[i])
+		if err != nil {
+			return seen, err
+		}
+		o.MustGet("subparts").Set().Iter(func(v ode.Value) bool {
+			if oid := v.OID(); !slices.Contains(seen, oid) {
+				seen = append(seen, oid)
+			}
+			return true
+		})
+	}
+	if len(seen) != gateBOM {
+		return seen, fmt.Errorf("the closure visited %d parts, want %d", len(seen), gateBOM)
+	}
+	return seen, nil
+}
+
+// bomAllocs measures the allocations of one warm closure over the part
+// DAG, inside an open view: every part a cache hit.
+func bomAllocs(w *gateWorld) error {
+	return w.View(func(tx ode.ObjectTx) error {
+		var err error
+		seen := make([]ode.OID, 0, gateBOM)
+		w.measured["bom_allocs"] = int64(testing.AllocsPerRun(20, func() {
+			if seen, err = bomClosure(tx, w.bom, seen); err != nil {
+				return
+			}
+		}))
+		return err
 	})
 }
 
@@ -494,13 +575,27 @@ var workGates = []struct {
 		// The scan mechanism itself: one embedded extent-scan count of
 		// the 1 000 stockitems, every row a cache hit. Each row read
 		// costs its copy's one header; the rest is the scan's per-scan
-		// work: the cluster leaves it decodes, the OID list, the
-		// visited set. The leaf count is a function of the load, since
+		// work: the cluster leaves it decodes and the OID list. A count
+		// takes the snapshot path and keeps no visited set (1 053 with
+		// one). The leaf count is a function of the load, since
 		// a commit applies its writes in OID order and an appending
 		// split leaves a full leaf behind, so the number is exact.
 		name: "scan-allocs", script: scanAllocs,
 		want: map[Kind][]bound{
-			Embedded: {eq("scan_allocs", 1053)},
+			Embedded: {eq("scan_allocs", 1038)},
+		},
+	},
+	{
+		// A warm closure over a 7-part DAG whose sets hold 3 parts, in
+		// one view: on a client every part is a hit the view has
+		// proven. Each part read costs its copy, and a copy of a part
+		// is three allocations: its header, its slot vector and a
+		// header for its subparts set over the cached set's storage
+		// (56 in all when a copy deep-copied the set).
+		name: "bom-allocs", setup: (*gateWorld).loadBOM, script: bomAllocs,
+		want: map[Kind][]bound{
+			Embedded: {eq("bom_allocs", 21)},
+			Remote:   {eq("bom_allocs", 21)},
 		},
 	},
 }

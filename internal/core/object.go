@@ -16,12 +16,16 @@ import (
 // array shares its slot vector, and Set/SetSlot — the only writers of
 // the vector — first give a shared object a private one. So a shared
 // vector never holds a set or an array, and no write through one
-// object can reach another. The race rule: any number of goroutines
-// may read and Copy one object at once, and Set/SetSlot need the
-// object to themselves. The first Copy of an unshared object marks it
-// with an atomic store; an object handed to other goroutines (a cache
-// entry) is stored as the result of a Copy, already marked, so copying
-// it writes nothing.
+// object can reach another. An object that holds one gets a vector of
+// its own on Copy, whose sets and arrays are Copies in turn: new
+// headers over the same storage, copy-on-write one level down (Set,
+// Array). The race rule: any number of goroutines may read and Copy
+// one object, and its sets and arrays, at once; Set/SetSlot, and the
+// writers and Iter of its containers, need the object to themselves.
+// The first Copy of an unshared object or container marks it with an
+// atomic store; an object handed to other goroutines (a cache entry)
+// is stored as the result of a Copy, whose vector or containers are
+// marked already, so copying it writes nothing.
 type Object struct {
 	class  *Class
 	slots  []Value
@@ -112,8 +116,10 @@ func (o *Object) MustSet(name string, v Value) {
 // Copy returns an object with o's class and state that no write to
 // either side reaches the other through. If no slot holds a set or an
 // array, the copy shares o's slot vector and both are marked shared
-// (one allocation, no slot copied); otherwise it is a deep copy, since
-// sets and arrays change in place (Set.Insert, Array.SetAt).
+// (one allocation, no slot copied). Otherwise the copy has a vector of
+// its own, since sets and arrays change in place (Set.Insert,
+// Array.SetAt) through the header the vector holds; each container in
+// it is a Copy, a new header over the same storage.
 func (o *Object) Copy() *Object {
 	if !o.shared.Load() {
 		for _, v := range o.slots {

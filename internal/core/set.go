@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Set is the container behind set values: an unordered collection of
 // distinct values (paper, section 2.6). Iteration order is insertion
@@ -8,13 +11,20 @@ import "sort"
 // fixpoint queries rely on: elements inserted while a forall loop runs
 // are appended and therefore visited by that loop (section 3.2).
 //
-// Set is not safe for concurrent mutation; the transaction layer
-// serializes access to the objects that own sets.
+// Sets are copy-on-write, as Object is one level up: Copy of a set that
+// holds no set or array returns a new header over the same storage and
+// marks both shared, and every writer (Insert, Remove, compaction)
+// first gives a shared set storage of its own. So shared storage never
+// holds a container, and no write through one set reaches another. The
+// race rule is Object's: any number of goroutines may read and Copy one
+// set at once; Insert, Remove and Iter need it to themselves.
 type Set struct {
-	index map[uint64][]int // hash -> indices into elems
-	elems []Value
-	dead  int // number of tombstoned elements in elems
-	iters int // active Iter calls; compaction is deferred while > 0
+	index  map[uint64][]int // hash -> indices into elems
+	elems  []Value
+	dead   int         // tombstoned elements in elems (kind numKinds)
+	nested int         // live elements that are sets or arrays
+	iters  int         // active Iter calls; compaction is deferred while > 0
+	shared atomic.Bool // index and elems may be another set's too: writers copy first
 }
 
 // NewSet returns an empty set.
@@ -40,18 +50,36 @@ func (s *Set) find(v Value) int {
 	return -1
 }
 
-// tombstoned reports whether slot i holds a removed element. Tombstones
-// are marked with the out-of-range kind sentinel numKinds.
-func (s *Set) tombstoned(i int) bool { return s.elems[i].kind == numKinds }
+// own gives a shared set storage of its own before a write. Positions
+// and tombstones are kept, so an Iter running over the set goes on at
+// the same position and still visits what the write appends. The hash
+// buckets are not copied: each is capped at its length, so an Insert
+// into one reallocates it, and Remove never writes into one in place.
+func (s *Set) own() {
+	if !s.shared.Load() {
+		return
+	}
+	s.elems = append([]Value(nil), s.elems...)
+	index := make(map[uint64][]int, len(s.index))
+	for h, at := range s.index {
+		index[h] = at[:len(at):len(at)]
+	}
+	s.index = index
+	s.shared.Store(false)
+}
 
 // Insert adds v to the set. It reports whether v was newly added.
 func (s *Set) Insert(v Value) bool {
 	if s.Contains(v) {
 		return false
 	}
+	s.own()
 	h := v.Hash()
 	s.elems = append(s.elems, v)
 	s.index[h] = append(s.index[h], len(s.elems)-1)
+	if v.isContainer() {
+		s.nested++
+	}
 	return true
 }
 
@@ -62,22 +90,29 @@ func (s *Set) Remove(v Value) bool {
 	h := v.Hash()
 	slots := s.index[h]
 	for k, i := range slots {
-		if !s.tombstoned(i) && s.elems[i].Equal(v) {
-			s.elems[i] = Value{kind: numKinds}
-			s.index[h] = append(slots[:k], slots[k+1:]...)
-			if len(s.index[h]) == 0 {
-				delete(s.index, h)
-			}
-			s.dead++
-			s.maybeCompact()
-			return true
+		if !s.elems[i].Equal(v) {
+			continue
 		}
+		s.own()
+		if len(slots) == 1 {
+			delete(s.index, h)
+		} else {
+			s.index[h] = append(slots[:k:k], slots[k+1:]...)
+		}
+		if s.elems[i].isContainer() {
+			s.nested--
+		}
+		s.elems[i] = Value{kind: numKinds}
+		s.dead++
+		s.maybeCompact()
+		return true
 	}
 	return false
 }
 
 // maybeCompact rebuilds the element slice when more than half the slots
-// are tombstones, keeping iteration linear in live elements.
+// are tombstones, keeping iteration linear in live elements. The new
+// storage is the set's own, shared or not before.
 func (s *Set) maybeCompact() {
 	if s.iters > 0 || s.dead*2 <= len(s.elems) || len(s.elems) < 16 {
 		return
@@ -95,6 +130,7 @@ func (s *Set) maybeCompact() {
 		h := e.Hash()
 		s.index[h] = append(s.index[h], i)
 	}
+	s.shared.Store(false)
 }
 
 // Contains reports membership.
@@ -117,9 +153,10 @@ func (s *Set) Elems() []Value {
 // visit function may mutate the set. Tombstoned elements are skipped.
 // Iter stops early if fn returns false.
 func (s *Set) Iter(fn func(Value) bool) {
-	// Index-based loop: appends grow s.elems and are therefore visited.
-	// Compaction is deferred while any iteration is active so positions
-	// stay stable.
+	// Index-based loop over s.elems as it is at each step: appends grow
+	// it and are therefore visited, and a write that first copies shared
+	// storage keeps every position. Compaction is deferred while any
+	// iteration is active so positions stay stable.
 	s.iters++
 	defer func() { s.iters--; s.maybeCompact() }()
 	for i := 0; i < len(s.elems); i++ {
@@ -144,14 +181,27 @@ func (s *Set) IterSnapshot(fn func(Value) bool) {
 	}
 }
 
-// Copy returns a deep copy of the set.
+// Copy returns a set with s's elements that no write to either side
+// reaches the other through. If no element is a set or an array, the
+// copy is a new header over s's storage and both are marked shared; a
+// set marked already is only read, so copying a cached image writes
+// nothing. Otherwise the copy has storage of its own, whose containers
+// are Copies in turn.
 func (s *Set) Copy() *Set {
-	out := NewSet()
-	for _, e := range s.elems {
-		if e.kind != numKinds {
-			out.Insert(e.Copy())
+	if s.nested > 0 {
+		out := &Set{index: make(map[uint64][]int, s.Len())}
+		for _, e := range s.elems {
+			if e.kind != numKinds {
+				out.Insert(e.Copy())
+			}
 		}
+		return out
 	}
+	if !s.shared.Load() {
+		s.shared.Store(true)
+	}
+	out := &Set{index: s.index, elems: s.elems, dead: s.dead}
+	out.shared.Store(true)
 	return out
 }
 
@@ -185,14 +235,24 @@ func (s *Set) compare(t *Set) int {
 }
 
 // Array is the container behind array values: an ordered, growable
-// sequence.
+// sequence. It is copy-on-write under the same rule as Set: Copy of an
+// array that holds no set or array shares its storage, and SetAt and
+// Append first give a shared array storage of its own.
 type Array struct {
-	elems []Value
+	elems  []Value
+	nested int         // elements that are sets or arrays
+	shared atomic.Bool // elems may be another array's too: writers copy first
 }
 
 // NewArray returns an array holding the given elements.
 func NewArray(elems ...Value) *Array {
-	return &Array{elems: append([]Value(nil), elems...)}
+	a := &Array{elems: append([]Value(nil), elems...)}
+	for _, e := range elems {
+		if e.isContainer() {
+			a.nested++
+		}
+	}
+	return a
 }
 
 // Len returns the number of elements.
@@ -201,22 +261,56 @@ func (a *Array) Len() int { return len(a.elems) }
 // At returns the i-th element. It panics if i is out of range.
 func (a *Array) At(i int) Value { return a.elems[i] }
 
+// own gives a shared array storage of its own before a write.
+func (a *Array) own() {
+	if a.shared.Load() {
+		a.elems = append([]Value(nil), a.elems...)
+		a.shared.Store(false)
+	}
+}
+
 // SetAt replaces the i-th element. It panics if i is out of range.
-func (a *Array) SetAt(i int, v Value) { a.elems[i] = v }
+func (a *Array) SetAt(i int, v Value) {
+	a.own()
+	if a.elems[i].isContainer() {
+		a.nested--
+	}
+	if v.isContainer() {
+		a.nested++
+	}
+	a.elems[i] = v
+}
 
 // Append adds v at the end.
-func (a *Array) Append(v Value) { a.elems = append(a.elems, v) }
+func (a *Array) Append(v Value) {
+	a.own()
+	if v.isContainer() {
+		a.nested++
+	}
+	a.elems = append(a.elems, v)
+}
 
 // Elems returns the backing elements. Callers must not mutate the
-// returned slice beyond the Array's own methods.
+// returned slice beyond the Array's own methods: it may be shared.
 func (a *Array) Elems() []Value { return a.elems }
 
-// Copy returns a deep copy.
+// Copy returns an array with a's elements that no write to either side
+// reaches the other through: a new header over a's storage when no
+// element is a container (both marked shared), and storage of its own
+// holding Copies otherwise, as Set.Copy.
 func (a *Array) Copy() *Array {
-	out := &Array{elems: make([]Value, len(a.elems))}
-	for i, e := range a.elems {
-		out.elems[i] = e.Copy()
+	if a.nested > 0 {
+		out := &Array{elems: make([]Value, len(a.elems)), nested: a.nested}
+		for i, e := range a.elems {
+			out.elems[i] = e.Copy()
+		}
+		return out
 	}
+	if !a.shared.Load() {
+		a.shared.Store(true)
+	}
+	out := &Array{elems: a.elems}
+	out.shared.Store(true)
 	return out
 }
 

@@ -432,9 +432,15 @@ func (v Value) Hash() uint64 {
 	return h
 }
 
-// Copy returns a deep copy of v: sets and arrays are copied recursively,
-// other kinds are value types already. Object.Copy calls it only for an
-// object that holds a set or an array; other objects share their slots.
+// isContainer reports whether v is a set or an array, the kinds that
+// hold a mutable container.
+func (v Value) isContainer() bool { return v.kind == KSet || v.kind == KArray }
+
+// Copy returns a value no write through v reaches: a set or an array
+// gets a Copy of its container (a new header, over shared storage when
+// the container holds no other container), and other kinds are value
+// types already. Object.Copy calls it only for an object that holds a
+// set or an array; other objects share their slots.
 func (v Value) Copy() Value {
 	switch v.kind {
 	case KSet:

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"ode/internal/core"
+	"ode/internal/storage"
 	"ode/internal/wal"
 )
 
@@ -110,11 +112,138 @@ func TestCacheSizeBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.ObjectCacheLen(); got > bound {
+	got := m.ObjectCacheLen()
+	if got > bound {
 		t.Fatalf("cache holds %d entries, bound %d", got, bound)
 	}
-	if m.met.CacheEvictions.Load() == 0 {
-		t.Fatal("filling past the bound recorded no evictions")
+	if ev := m.met.CacheEvictions.Load(); ev != uint64(n-got) {
+		t.Fatalf("%d fills left %d entries and counted %d evictions, want %d", n, got, ev, n-got)
+	}
+}
+
+// A hit takes no Manager.mu: Get, Revalidate and GetVersion of a
+// cached object return while another goroutine holds the write lock.
+func TestCacheHitTakesNoManagerLock(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oid := alloc(t, m)
+	o := mkPart(t, part, "bolt", 4)
+	if err := m.Apply(putOp(m, oid, o, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Get(oid); err != nil {
+		t.Fatal(err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		if _, _, err := m.Get(oid); err != nil {
+			done <- err
+			return
+		}
+		if got, err := m.Revalidate(oid, tagOf(o)); err != nil || got != nil {
+			done <- fmt.Errorf("revalidate = %v, %v; want proven", got, err)
+			return
+		}
+		_, err := m.GetVersion(oid, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cache hit waited for Manager.mu")
+	}
+	if h := m.met.CacheHits.Load(); h != 3 {
+		t.Fatalf("hits = %d, want 3", h)
+	}
+}
+
+// Hits outside Manager.mu race Apply of the same object and of others
+// (run under -race): every image a reader gets is one a writer wrote
+// whole, at the version it was written at, and once the writers are
+// done every read is of the last image.
+func TestCacheHitsBesideApply(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oids := []core.OID{alloc(t, m), alloc(t, m), alloc(t, m)}
+	img := func(oid core.OID, i int) *core.Object {
+		o := mkPart(t, part, "v", int64(i))
+		for k := 0; k < i%4; k++ {
+			o.MustGet("subparts").Set().Insert(core.Ref(oid + core.OID(k)))
+		}
+		return o
+	}
+	for _, oid := range oids {
+		if err := m.Apply(putOp(m, oid, img(oid, 0), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 200
+	check := func(oid core.OID, o *core.Object, ver uint32) error {
+		qty := o.MustGet("qty").Int()
+		if qty != int64(ver) || o.MustGet("subparts").Set().Len() != int(qty%4) {
+			return fmt.Errorf("torn image of @%d: %s at version %d", oid, o, ver)
+		}
+		// The reader owns what it got: writing it reaches no cache entry.
+		o.MustGet("subparts").Set().Insert(core.Ref(999))
+		return nil
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, 16)
+	for _, oid := range oids[:2] { // oids[2] is only read
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= rounds; i++ {
+				if err := m.Apply(putOp(m, oid, img(oid, i), uint32(i))); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 6; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				oid := oids[(r+i)%len(oids)]
+				o, ver, err := m.Get(oid)
+				if err == nil {
+					err = check(oid, o, ver)
+				}
+				if err == nil {
+					var p *core.Object
+					if p, err = m.Revalidate(oid, 0); err == nil && p == nil {
+						err = fmt.Errorf("tag 0 proved @%d", oid)
+					}
+				}
+				if err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	for k, oid := range oids {
+		want := rounds
+		if k == 2 {
+			want = 0
+		}
+		o, ver, err := m.Get(oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ver != uint32(want) || !o.EqualState(img(oid, want)) {
+			t.Fatalf("after the writers, @%d reads %s at version %d, want version %d", oid, o, ver, want)
+		}
 	}
 }
 
@@ -316,5 +445,103 @@ func TestRevalidateConcurrentTagMemo(t *testing.T) {
 	}
 	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != tagOf(o) {
 		t.Fatal("the entry's tag is not the image's")
+	}
+}
+
+// CompactStep relocates records under Manager.mu's write lock without
+// invalidating a cache entry: it changes no image and no version. Hits
+// that run beside a whole compaction pass (under -race) read the
+// images they read before it, and once the cache is emptied the
+// relocated records decode to the same images.
+func TestCacheHitsBesideCompaction(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	img := func(i int) *core.Object {
+		o := mkPart(t, part, fmt.Sprintf("part-%03d-%0200d", i, i), int64(i))
+		o.MustGet("subparts").Set().Insert(core.Ref(core.OID(i)))
+		return o
+	}
+	var all, live []core.OID
+	for i := 0; i < 160; i++ {
+		oid := alloc(t, m)
+		if err := m.Apply(putOp(m, oid, img(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, oid)
+	}
+	for i, oid := range all {
+		if i%4 == 0 {
+			live = append(live, oid)
+		} else if err := m.Apply(&wal.Op{Type: wal.OpDelete, OID: uint64(oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(k int, o *core.Object, err error) error {
+		if err != nil {
+			return err
+		}
+		if !o.EqualState(img(4 * k)) {
+			return fmt.Errorf("@%d reads %s", live[k], o)
+		}
+		return nil
+	}
+	for k, oid := range live {
+		o, _, err := m.Get(oid)
+		if err := check(k, o, err); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := m.met.CacheMisses.Load()
+
+	stop := make(chan struct{})
+	errCh := make(chan error, 2)
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for k, oid := range live {
+					o, _, err := m.Get(oid)
+					if err := check(k, o, err); err != nil {
+						errCh <- err
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	moved := 0
+	cursor := storage.InvalidPage
+	for first := true; first || cursor != storage.InvalidPage; first = false {
+		res, err := m.CompactStep(cursor, 4, func([]wal.Op) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved += res.RecordsMoved
+		cursor = res.Next
+	}
+	close(stop)
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("the pass moved no record")
+	}
+	if got := m.met.CacheMisses.Load(); got != misses {
+		t.Fatalf("hits beside compaction missed %d times", got-misses)
+	}
+	m.SetObjectCacheSize(DefaultObjectCacheSize) // empty
+	for k, oid := range live {
+		o, _, err := m.Get(oid)
+		if err := check(k, o, err); err != nil {
+			t.Fatalf("after the pass, from the relocated record: %v", err)
+		}
 	}
 }

@@ -71,11 +71,11 @@ type catalog struct {
 // transaction layer logs the ops before applying them, and recovery
 // replays them.
 //
-// mu is reader/writer: Get and the other read methods take RLock so
-// cached readers run concurrently; Apply, OID allocation, and DDL take
-// the write lock. Cache fills happen under RLock and invalidations
-// under Lock, which is what makes the decoded-object cache
-// invalidation-correct (see cache.go).
+// mu is reader/writer: the read methods take RLock, except a
+// decoded-object cache hit, which takes none; Apply, compaction and DDL
+// take the write lock. Cache fills happen under RLock and
+// invalidations under Lock, which is what makes the decoded-object
+// cache invalidation-correct (see cache.go and Get).
 type Manager struct {
 	schema *core.Schema
 	fs     *storage.FileStore
@@ -428,10 +428,10 @@ func (m *Manager) SetMetrics(om *obs.ObjectMetrics) { m.met = om }
 
 // SetObjectCacheSize rebounds the decoded-object cache (clearing it).
 // n <= 0 disables the cache. Call at open time, before serving traffic.
-func (m *Manager) SetObjectCacheSize(n int) { m.cache.reset(n) }
+func (m *Manager) SetObjectCacheSize(n int) { m.cache.Reset(n) }
 
 // ObjectCacheLen counts currently cached decoded objects (test helper).
-func (m *Manager) ObjectCacheLen() int { return m.cache.len() }
+func (m *Manager) ObjectCacheLen() int { return m.cache.Len() }
 
 // SetOIDStride constrains the OID allocator to one residue class:
 // every id returned by AllocOID satisfies oid % count == slot. A

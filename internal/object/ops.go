@@ -34,11 +34,11 @@ func (m *Manager) Apply(op *wal.Op) error {
 }
 
 // invalidateCached drops oid's decoded-object cache entry. Called under
-// m.mu (write): every in-flight reader either already copied the old
-// image (it held RLock before this writer) or will fill after this
-// invalidation with the new one.
+// m.mu (write) before the write it precedes: a hit that found the
+// entry first reads the old image, and every later reader misses and
+// fills, under RLock and so after this writer, with the new one.
 func (m *Manager) invalidateCached(oid core.OID) {
-	if m.cache.invalidate(oid) {
+	if m.cache.Delete(oid) {
 		m.met.CacheInvalidations.Inc()
 	}
 }
@@ -281,13 +281,23 @@ func (m *Manager) updateIndexEntries(cid core.ClassID, oid core.OID, oldObj, new
 // a copy-on-write copy of the cached image, a miss the freshly decoded
 // image, whose copy is what gets cached (core.Object.Copy). A fill
 // leaves the entry's content tag to the first Revalidate that asks.
+//
+// A hit takes no m.mu: the entry is immutable, and every writer under
+// m.mu's write lock either replaces no image or invalidates the entry
+// first (see the protocol in cache.go). Apply invalidates the object
+// it writes before writing it. CompactStep relocates records without
+// changing an image or a version number, and CreateCluster,
+// DestroyCluster, CreateIndex and DropIndex change the catalog and the
+// index trees, never an image. So a hit outside m.mu returns what a
+// hit under RLock would: the image as it stood before any Apply still
+// running. Only a miss, which reads the trees and fills, takes RLock.
 func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if e := m.cache.lookup(oid); e != nil {
 		m.met.CacheHits.Inc()
 		return e.obj.Copy(), e.ver, nil
 	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	m.met.CacheMisses.Inc()
 	o, cur, err := m.getLocked(oid)
 	if err != nil {
@@ -305,10 +315,8 @@ func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 // entry's memoized tag and copies nothing; the first revalidation of an
 // entry computes the tag from the entry's own object. A miss fills the
 // cache as Get does, tag included. Either way it counts one cache hit or
-// miss, whatever the tag says.
+// miss, whatever the tag says. A hit takes no m.mu, as in Get.
 func (m *Manager) Revalidate(oid core.OID, tag uint64) (*core.Object, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if e := m.cache.lookup(oid); e != nil {
 		m.met.CacheHits.Inc()
 		if e.imageTag() == tag {
@@ -316,6 +324,8 @@ func (m *Manager) Revalidate(oid core.OID, tag uint64) (*core.Object, error) {
 		}
 		return e.obj.Copy(), nil
 	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	m.met.CacheMisses.Inc()
 	o, cur, err := m.getLocked(oid)
 	if err != nil {
@@ -354,14 +364,15 @@ func (m *Manager) getLocked(oid core.OID) (*core.Object, uint32, error) {
 }
 
 // GetVersion returns a specific version's image. Asking for the current
-// version number returns the live image.
+// version number returns the live image. A hit takes no m.mu, as in
+// Get.
 func (m *Manager) GetVersion(oid core.OID, ver uint32) (*core.Object, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	if e := m.cache.lookup(oid); e != nil && e.ver == ver {
 		m.met.CacheHits.Inc()
 		return e.obj.Copy(), nil
 	}
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	entry, err := m.dir.Get(dirKey(oid))
 	if errors.Is(err, btree.ErrNotFound) {
 		return nil, fmt.Errorf("%w: @%d", ErrNoObject, oid)

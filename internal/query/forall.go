@@ -100,7 +100,10 @@ func (q *Query) Plan() string { return q.plan }
 // while the loop runs are themselves visited (section 3.2, fixpoint
 // queries) unless Snapshot or an ordering clause is in effect. Objects
 // deleted in the surrounding transaction are never visited.
-func (q *Query) Do(fn func(it Item) (bool, error)) error {
+func (q *Query) Do(fn func(it Item) (bool, error)) error { return q.run(fn, q.snapshot) }
+
+// run is Do, with snapshot semantics when snapshot is set.
+func (q *Query) run(fn func(it Item) (bool, error), snapshot bool) error {
 	// A finished transaction scans nothing, not even an empty extent.
 	if err := q.tx.Err(); err != nil {
 		return err
@@ -111,29 +114,32 @@ func (q *Query) Do(fn func(it Item) (bool, error)) error {
 	if q.byField != "" || q.byKey != nil {
 		return q.runOrdered(fn)
 	}
-	if q.snapshot {
+	if snapshot {
 		return q.gatherEach(fn)
 	}
 	return q.runFixpoint(fn)
 }
 
-// Collect runs the loop and returns all bindings.
+// Collect runs the loop and returns all bindings. Its body writes
+// nothing, so no object can join the extents while it runs, and it
+// takes the snapshot path without the fixpoint's visited set.
 func (q *Query) Collect() ([]Item, error) {
 	var out []Item
-	err := q.Do(func(it Item) (bool, error) {
+	err := q.run(func(it Item) (bool, error) {
 		out = append(out, it)
 		return true, nil
-	})
+	}, true)
 	return out, err
 }
 
-// Count runs the loop and counts bindings.
+// Count runs the loop and counts bindings; like Collect, it takes the
+// snapshot path.
 func (q *Query) Count() (int, error) {
 	n := 0
-	err := q.Do(func(Item) (bool, error) {
+	err := q.run(func(Item) (bool, error) {
 		n++
 		return true, nil
-	})
+	}, true)
 	return n, err
 }
 
@@ -206,7 +212,7 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 	}
 
 	if lo, hi, field, residualOnly := q.indexPath(); field != "" {
-		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, lo, hi)
+		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, bound(lo, "-inf"), bound(hi, "+inf"))
 		if residualOnly {
 			q.plan += " + residual"
 		}
