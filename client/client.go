@@ -197,46 +197,49 @@ func (c *Client) put(cn *wconn) {
 	c.mu.Unlock()
 }
 
-// Ping round-trips a no-op request.
-func (c *Client) Ping(ctx context.Context) error {
+// call runs one request outside any transaction, on a pooled
+// connection, and hands the body of its reply, which must be of type
+// want, to decode (when not nil). A reply of another type, or one
+// decode cannot read, is a protocol error that breaks the connection.
+func (c *Client) call(ctx context.Context, typ byte, body []byte, want byte, decode func(body []byte) error) error {
 	cn, err := c.get()
 	if err != nil {
 		return err
 	}
 	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdPing, nil)
+	resp, err := cn.roundTrip(ctx, typ, body)
+	if err == nil {
+		err = respErr(resp)
+	}
 	if err != nil {
 		return err
 	}
-	return respErrOnly(resp)
+	if resp.Type != want {
+		err = fmt.Errorf("response 0x%02x", resp.Type)
+	} else if decode != nil {
+		err = decode(resp.Body)
+	}
+	if err != nil {
+		cn.broken = true
+		return protoErr("%s: %v", wire.CmdName(typ), err)
+	}
+	return nil
+}
+
+// Ping round-trips a no-op request.
+func (c *Client) Ping(ctx context.Context) error {
+	return c.call(ctx, wire.CmdPing, nil, wire.RespOK, nil)
 }
 
 // MetricsJSON fetches the server's metric registry snapshot (engine
 // plus server.* names) as JSON.
-func (c *Client) MetricsJSON(ctx context.Context) ([]byte, error) {
-	cn, err := c.get()
-	if err != nil {
-		return nil, err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdMetrics, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespText {
-		cn.broken = true
-		return nil, protoErr("metrics: unexpected response 0x%02x", resp.Type)
-	}
-	d := wire.NewDec(resp.Body)
-	buf := d.Bytes()
-	if err := d.Err(); err != nil {
-		cn.broken = true
-		return nil, err
-	}
-	return append([]byte(nil), buf...), nil
+func (c *Client) MetricsJSON(ctx context.Context) (buf []byte, err error) {
+	err = c.call(ctx, wire.CmdMetrics, nil, wire.RespText, func(body []byte) error {
+		d := wire.NewDec(body)
+		buf = append([]byte(nil), d.Bytes()...)
+		return d.Err()
+	})
+	return buf, err
 }
 
 // RunTx runs fn in a remote transaction, committing on nil return and
@@ -311,6 +314,11 @@ type wconn struct {
 	nextID uint64
 	broken bool
 	trips  *obs.Counter // the owning client's client.round_trips
+
+	// The exchange in flight, between post and await: its context and
+	// the disarm of its cancellation.
+	ctx  context.Context
+	stop func() bool
 }
 
 // newID numbers the next request on the connection.
@@ -351,46 +359,57 @@ func (cn *wconn) recv(wantID uint64) (*wire.Frame, error) {
 	return f, nil
 }
 
-// roundTrip sends one request and reads its response under ctx: the
-// context's deadline becomes the socket deadline, and cancellation
-// unblocks the read.
-func (cn *wconn) roundTrip(ctx context.Context, typ byte, body []byte) (*wire.Frame, error) {
+// roundTrip sends one request and reads its response under ctx.
+func (cn *wconn) roundTrip(ctx context.Context, typ byte, body []byte) (resp *wire.Frame, err error) {
 	id := cn.newID()
-	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body})
-	var resp *wire.Frame
-	err := cn.do(ctx, func() error {
-		if err := cn.send(buf); err != nil {
-			return err
-		}
-		var err error
+	if err = cn.post(ctx, wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body})); err != nil {
+		return nil, err
+	}
+	err = cn.await(func() (err error) {
 		resp, err = cn.recv(id)
 		return err
 	})
 	return resp, err
 }
 
-// do runs one socket exchange — a send and the reads of its replies —
-// with ctx governing the socket deadline. Each exchange is one round
-// trip, and counted as one.
-func (cn *wconn) do(ctx context.Context, fn func() error) error {
+// post begins one socket exchange: it writes buf with ctx's deadline
+// as the socket deadline, and arms ctx's cancellation to unblock the
+// reads that await ends the exchange with. Each exchange is one round
+// trip, and counted as one. Between post and await the caller may post
+// on other connections: that is how the router has every shard's
+// request in flight before it reads any reply. A post that fails has
+// ended its exchange.
+func (cn *wconn) post(ctx context.Context, buf []byte) error {
 	cn.trips.Inc()
 	if dl, ok := ctx.Deadline(); ok {
 		cn.nc.SetDeadline(dl)
 	} else {
 		cn.nc.SetDeadline(time.Time{})
 	}
-	stop := context.AfterFunc(ctx, func() {
+	cn.ctx = ctx
+	cn.stop = context.AfterFunc(ctx, func() {
 		// Cancellation wakes the blocked read; the connection is
 		// poisoned (a response may be in flight) and discarded.
 		cn.nc.SetDeadline(time.Unix(1, 0))
 	})
-	err := fn()
-	if !stop() || ctx.Err() != nil {
+	if err := cn.send(buf); err != nil {
+		return cn.await(func() error { return err })
+	}
+	return nil
+}
+
+// await ends the exchange post began: read consumes its replies, and a
+// cancellation or deadline that cut it short is the error.
+func (cn *wconn) await(read func() error) error {
+	err := read()
+	ctx := cn.ctx
+	if !cn.stop() || ctx.Err() != nil {
 		cn.broken = true
 		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
-			return fmt.Errorf("%w: %v", mapCtxErr(ctxErr), err)
+			err = fmt.Errorf("%w: %v", mapCtxErr(ctxErr), err)
 		}
 	}
+	cn.ctx, cn.stop = nil, nil
 	return err
 }
 

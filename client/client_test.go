@@ -3,6 +3,7 @@ package client_test
 import (
 	"context"
 	"errors"
+	"net"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ode"
 	"ode/client"
 	"ode/internal/server"
+	"ode/internal/wire"
 )
 
 // gadgetSchema builds the test schema; the client must register the
@@ -178,5 +180,61 @@ func TestClientDialFailure(t *testing.T) {
 	s, _ := gadgetSchema()
 	if _, err := client.Dial("127.0.0.1:1", s, &client.Options{DialTimeout: time.Second}); err == nil {
 		t.Fatal("dial to closed port succeeded")
+	}
+}
+
+// TestShortBeginReplyBreaksConnection: every server the hello admits
+// sends the fencing epoch and the applied LSN in its begin reply, so a
+// reply without them is a protocol error, and the connection it
+// arrived on is closed rather than pooled.
+func TestShortBeginReplyBreaksConnection(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	closed := make(chan struct{})
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, _, err := wire.ReadHello(nc); err != nil || wire.WriteHello(nc, wire.Version, 0) != nil {
+			return
+		}
+		for {
+			f, _, err := wire.ReadFrame(nc, wire.DefaultMaxFrame)
+			if err != nil {
+				close(closed) // the client hung up
+				return
+			}
+			var body []byte
+			if f.Type == wire.CmdBegin {
+				body = wire.AppendUvarint(nil, 7) // the id alone
+			}
+			if _, err := wire.WriteFrame(nc, &wire.Frame{ReqID: f.ReqID, Type: wire.RespOK, Body: body}); err != nil {
+				return
+			}
+		}
+	}()
+	schema, cls := gadgetSchema()
+	c, err := client.Dial(ln.Addr().String(), schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tx, err := c.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.PNew(cls, gadget(cls, "x", 1)); !errors.Is(err, wire.ErrProto) {
+		t.Fatalf("first request after a short begin reply: %v, want a protocol error", err)
+	}
+	tx.Abort()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the connection was kept after a short begin reply")
 	}
 }

@@ -4,19 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"ode"
+	"ode/client"
 	"ode/internal/bench"
+	"ode/internal/node"
+	"ode/internal/server"
 )
 
 // The object API is declared once (ode.ObjectTx) and implemented three
 // times: ode.EmbeddedTx, *client.Tx and *client.STx. This test runs one
-// script through all three and requires the same observable outcome at
-// every step — values, version numbers, row counts and, above all, the
-// same typed errors.
+// script through all three, and through a router whose shards are
+// replication groups, and requires the same observable outcome at every
+// step — values, version numbers, row counts and, above all, the same
+// typed errors.
 
 // run is the state a script threads through its steps: the transaction
 // in flight and the objects and versions earlier steps made.
@@ -320,6 +326,27 @@ var script = []struct {
 		}
 		return outcome(r.tx.Commit())
 	}, "ok"},
+	// A scan in a transaction that has written yields its rows in OID
+	// order all the same: the writes merge into the cluster walk, and
+	// behind the router each shard's stream stays in order for the merge.
+	{"collect after writes", func(r *run) string {
+		tx := r.begin()
+		defer tx.Abort()
+		all, _, err := tx.Collect(r.scan(manyQty))
+		if err != nil {
+			return outcome(err)
+		}
+		for _, k := range []int{manyRows - 100, 3} {
+			if err := tx.Update(all[k], r.item("many", manyQty+manyRows+int64(k))); err != nil {
+				return outcome(err)
+			}
+		}
+		got, objs, err := tx.Collect(r.scan(manyQty))
+		if err != nil || len(got) != manyRows {
+			return join(len(got), outcome(err))
+		}
+		return join(slices.IsSorted(all), slices.Equal(got, all), objs[3].MustGet("qty").Int()-manyQty-manyRows)
+	}, "true true 3"},
 	{"stop at window edges", func(r *run) string {
 		r.tx = r.begin()
 		all, _, err := r.tx.Collect(r.scan(manyQty))
@@ -409,46 +436,114 @@ const (
 func TestObjectTxConformance(t *testing.T) {
 	// One admission slot per database and no queue: the script is
 	// serial, and a second concurrent transaction is refused at once.
-	opts := &ode.Options{NoSync: true, MaxConcurrentTx: 1, MaxQueuedTx: -1}
-	for _, shape := range []bench.Shape{{Opts: opts}, {Kind: bench.Remote, Opts: opts}, {Kind: bench.Sharded, Shards: 3, Opts: opts}} {
+	opts := ode.Options{NoSync: true, MaxConcurrentTx: 1, MaxQueuedTx: -1}
+	for _, shape := range []bench.Shape{{Opts: &opts}, {Kind: bench.Remote, Opts: &opts}, {Kind: bench.Sharded, Shards: 3, Opts: &opts}} {
 		d, err := bench.Open(shape)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(d.Mode(), func(t *testing.T) {
 			defer d.Close()
-			r := &run{stock: d.Stock, cell: d.Cell, oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
-			r.trips = func() uint64 {
-				var n uint64
-				if d.Client != nil {
-					n += d.Client.CacheMetrics().RoundTrips.Load()
-				}
-				if d.Router != nil {
-					for i := 0; i < d.Router.NumShards(); i++ {
-						n += d.Router.Shard(i).CacheMetrics().RoundTrips.Load()
-					}
-				}
-				return n
-			}
-			r.begin = func() ode.ObjectTx {
-				ctx := context.Background()
-				switch {
-				case d.Router != nil:
-					return d.Router.Begin(ctx)
-				case d.Client != nil:
-					tx, err := d.Client.Begin(ctx)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return tx
-				}
-				return ode.EmbeddedTx{Tx: d.DB.Begin()}
-			}
-			for _, step := range script {
-				if got := step.do(r); got != step.want {
-					t.Errorf("%s: %s, want %s", step.name, got, step.want)
-				}
-			}
+			runScript(t, d.World, d.Client, d.Router)
 		})
 	}
+	t.Run("sharded-3×replicated", func(t *testing.T) {
+		r, w, replicas := replicatedShards(t, 3, opts)
+		runScript(t, w, nil, r)
+		// Every replica applies what the router wrote to its primary.
+		ctx := context.Background()
+		for i, rc := range replicas {
+			p, err := r.Shard(i).ReplStatus(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+				st, err := rc.ReplStatus(ctx)
+				if err == nil && st.LSN >= p.LSN {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("shard %d: replica at %+v (%v), primary at lsn %d", i, st, err, p.LSN)
+				}
+			}
+		}
+	})
+}
+
+// runScript runs the script against the router r, else the client c,
+// else w's embedded database.
+func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded) {
+	run := &run{stock: w.Stock, cell: w.Cell, oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
+	run.trips = func() uint64 {
+		var n uint64
+		if c != nil {
+			n += c.CacheMetrics().RoundTrips.Load()
+		}
+		for i := 0; r != nil && i < r.NumShards(); i++ {
+			n += r.Shard(i).CacheMetrics().RoundTrips.Load()
+		}
+		return n
+	}
+	run.begin = func() ode.ObjectTx {
+		ctx := context.Background()
+		switch {
+		case r != nil:
+			return r.Begin(ctx)
+		case c != nil:
+			tx, err := c.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tx
+		}
+		return ode.EmbeddedTx{Tx: w.DB.Begin()}
+	}
+	for _, step := range script {
+		if got := step.do(run); got != step.want {
+			t.Errorf("%s: %s, want %s", step.name, got, step.want)
+		}
+	}
+}
+
+// replicatedShards boots a shard group of replication groups, each an
+// internal/node primary and a replica following it, and a router over
+// them. w carries the router's class handles; replicas are the
+// replicas' clients, which the router also holds.
+func replicatedShards(t *testing.T, shards int, opts ode.Options) (r *client.Sharded, w *bench.World, replicas []*client.Client) {
+	dir := t.TempDir()
+	schema, w := bench.Schema()
+	groups := make([]*client.Replicated, shards)
+	for slot := range groups {
+		opts.ShardCount, opts.ShardSlot = shards, slot
+		var nodes [2]*node.Node
+		var clients [2]*client.Client
+		for k := range nodes {
+			s, _ := bench.Schema()
+			cfg := node.Config{
+				Path: filepath.Join(dir, fmt.Sprintf("shard%d-node%d.odb", slot, k)), Schema: s,
+				Addr: "127.0.0.1:0", DB: opts, Server: server.Options{DrainTimeout: 50 * time.Millisecond},
+			}
+			if k > 0 {
+				cfg.Follow, cfg.Resync = nodes[0].Addr(), true
+			}
+			n := node.New(cfg)
+			if err := n.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			c, err := client.Dial(n.Addr(), schema, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[k], clients[k] = n, c
+		}
+		groups[slot] = client.NewReplicated(clients[0], clients[1])
+		replicas = append(replicas, clients[1])
+	}
+	r, err := client.NewSharded(groups...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r, w, replicas
 }

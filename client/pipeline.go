@@ -117,24 +117,27 @@ func (p *Pipeline) Flush() error {
 	cn := tx.cn
 	buf, pend := p.buf, p.pend
 	p.buf, p.pend = nil, nil
-	err := tx.send(buf, func() error {
-		for _, f := range pend {
-			resp, err := cn.recv(f.reqID)
-			if err != nil {
-				return err
+	err := tx.post(buf)
+	if err == nil {
+		err = tx.await(func() error {
+			for _, f := range pend {
+				resp, err := cn.recv(f.reqID)
+				if err != nil {
+					return err
+				}
+				switch {
+				case resp.Type == wire.RespErr:
+					f.err = wire.DecodeErrBody(resp.Body)
+				case resp.Type != f.want:
+					cn.broken = true
+					return protoErr("pipeline: response 0x%02x, want 0x%02x", resp.Type, f.want)
+				default:
+					f.resolve(resp)
+				}
 			}
-			switch {
-			case resp.Type == wire.RespErr:
-				f.err = wire.DecodeErrBody(resp.Body)
-			case resp.Type != f.want:
-				cn.broken = true
-				return protoErr("pipeline: response 0x%02x, want 0x%02x", resp.Type, f.want)
-			default:
-				f.resolve(resp)
-			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	if tx.failed != nil {
 		// The batch rode the begin the server refused: that refusal is
 		// every operation's outcome.

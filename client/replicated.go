@@ -32,25 +32,12 @@ type ReplStatus struct {
 // ReplStatus queries the server's replication position. Works against
 // primaries and replicas alike.
 func (c *Client) ReplStatus(ctx context.Context) (*ReplStatus, error) {
-	cn, err := c.get()
+	var st *wire.ReplStatus
+	err := c.call(ctx, wire.CmdReplStatus, nil, wire.RespReplStatus, func(body []byte) (err error) {
+		st, err = wire.DecodeReplStatus(body)
+		return err
+	})
 	if err != nil {
-		return nil, err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdReplStatus, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespReplStatus {
-		cn.broken = true
-		return nil, protoErr("repl-status: unexpected response 0x%02x", resp.Type)
-	}
-	st, err := wire.DecodeReplStatus(resp.Body)
-	if err != nil {
-		cn.broken = true
 		return nil, err
 	}
 	return &ReplStatus{
@@ -68,16 +55,7 @@ func (c *Client) ReplStatus(ctx context.Context) (*ReplStatus, error) {
 // on ode-server). The caller is the failover operator — make sure the
 // old primary is dead or fenced first; see docs/REPLICATION.md.
 func (c *Client) Promote(ctx context.Context) error {
-	cn, err := c.get()
-	if err != nil {
-		return err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdPromote, nil)
-	if err != nil {
-		return err
-	}
-	if err := respErrOnly(resp); err != nil {
+	if err := c.call(ctx, wire.CmdPromote, nil, wire.RespOK, nil); err != nil {
 		return err
 	}
 	// The node changed roles; whatever its applied state was when the

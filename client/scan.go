@@ -47,66 +47,144 @@ func scanReq(s *Scan, flags byte) []byte {
 	return r.Append(nil)
 }
 
-// Forall streams the scan's rows through fn in OID order and returns
-// how many it delivered. The server sends them a window at a time (64
-// rows, then 8× as many per window up to 8 192 rows or 1 MiB of them)
-// and scans no further
-// until asked: fn runs over each window as it arrives, and the next one
-// is asked for — one round trip — only if fn has neither stopped nor
-// failed. A stopped scan so costs the windows it was sent; the
-// transaction's next request ends it on the server. An error frame ends
-// the scan with that typed error. fn must not use the transaction: a
-// request sent from inside fn ends the scan too, and Forall then fails
-// with a protocol error at the window's end.
+// Forall streams the scan's rows through fn and returns how many it
+// delivered: in OID order on an extent path (class by class when the
+// scan takes subtypes), and on an index path the transaction's own
+// writes first, then the rest in key order. The server sends them a
+// window at a time (64 rows, then 8× as many per window up to 8 192
+// rows or 1 MiB of them) and scans no further until asked: fn runs
+// over each window as it arrives, and the next one is asked for — one
+// round trip — only when fn has gone past the window's last row. A
+// stopped scan so costs the windows it was sent; the transaction's next
+// request ends it on the server. An error frame ends the scan with that
+// typed error. fn must not use the transaction: a request sent from
+// inside fn ends the scan too, and Forall then fails with a protocol
+// error at the window's end.
 func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
-	if err := tx.err(); err != nil {
-		return 0, err
+	return merge([]*cursor{tx.scan(s)}, fn)
+}
+
+// cursor is one forall's rows on one transaction, read a window at a
+// time. Opening it posts the scan's request and reads nothing; next
+// reads a window when it is asked for the window's first row, and asks
+// for the next window only when it is asked for a row past the last.
+type cursor struct {
+	tx    *Tx
+	id    uint64    // the scan's request id, which every window answers
+	asked bool      // a window has been asked for and not read
+	last  bool      // the window read last is the scan's final one
+	d     *wire.Dec // that window's rows not yet handed out: n of them
+	n     uint64
+	err   error // what ended the scan early
+}
+
+// scan opens a cursor over the scan's rows.
+func (tx *Tx) scan(s *Scan) *cursor {
+	c := &cursor{tx: tx}
+	c.id, c.err = tx.ask(wire.CmdForall, scanReq(s, 0))
+	c.asked = c.err == nil
+	return c
+}
+
+// next hands out the scan's next row. ok is false at the scan's end
+// and once it has failed (c.err).
+func (c *cursor) next() (oid ode.OID, obj *ode.Object, ok bool) {
+	for c.n == 0 {
+		switch {
+		case c.err != nil, !c.asked && c.last:
+			return ode.NilOID, nil, false
+		case c.asked:
+			c.read()
+		default:
+			c.err = c.tx.post(wire.AppendFrame(nil, &wire.Frame{ReqID: c.id, Type: wire.CmdForallMore}))
+			c.asked = c.err == nil
+		}
 	}
-	id := tx.cn.newID()
-	typ, body := byte(wire.CmdForall), scanReq(s, 0)
+	c.n--
+	oid = ode.OID(c.d.Uvarint())
+	image := c.d.Bytes()
+	if c.err = c.d.Err(); c.err != nil {
+		c.tx.cn.broken = true
+		return ode.NilOID, nil, false
+	}
+	if obj, c.err = object.Decode(c.tx.c.schema, image); c.err != nil {
+		return ode.NilOID, nil, false
+	}
+	return oid, obj, true
+}
+
+// read reads the window asked for.
+func (c *cursor) read() {
+	c.asked = false
+	resp, err := c.tx.reply(c.id)
+	if err == nil {
+		err = respErr(resp)
+	}
+	if c.err = err; err != nil {
+		return
+	}
+	c.last = resp.Type == wire.RespDone
+	if !c.last && resp.Type != wire.RespBatch {
+		c.tx.cn.broken = true
+		c.err = protoErr("forall: unexpected response 0x%02x", resp.Type)
+		return
+	}
+	// A copy: the frame aliases the connection's read buffer, which a
+	// request sent from fn would overwrite.
+	c.d = wire.NewDec(append([]byte(nil), resp.Body...))
+	if c.last {
+		c.d.Uvarint() // the scan's total
+	}
+	c.n = c.d.Uvarint()
+	if c.err = c.d.Err(); c.err != nil {
+		c.tx.cn.broken = true
+	}
+}
+
+// merge hands the rows of cursors through fn in OID order and returns
+// how many it delivered: a k-way merge of OID-ordered streams that
+// holds one row of each, so each cursor is asked only for the windows
+// the merge reaches. It reads every cursor's first window before it
+// delivers a row, so the cursors' first requests, posted when they
+// opened, are all in flight at once. Over one cursor it is Tx.Forall.
+// fn returning false stops the merge and an error ends it with that
+// error. A cursor's failure ends it too; when several cursors fail
+// together, the lowest index's error is reported.
+func merge(cs []*cursor, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
+	type head struct {
+		oid ode.OID
+		obj *ode.Object
+		ok  bool
+	}
+	heads := make([]head, len(cs))
+	for i, c := range cs {
+		heads[i].oid, heads[i].obj, heads[i].ok = c.next()
+	}
+	for _, c := range cs {
+		if c.err != nil {
+			return 0, c.err
+		}
+	}
 	total := 0
 	for {
-		resp, err := tx.request(id, typ, body)
-		if err == nil {
-			err = respErr(resp)
-		}
-		if err != nil {
-			return total, err
-		}
-		last := resp.Type == wire.RespDone
-		if !last && resp.Type != wire.RespBatch {
-			tx.cn.broken = true
-			return total, protoErr("forall: unexpected response 0x%02x", resp.Type)
-		}
-		// A copy: the frame aliases the connection's read buffer, which a
-		// request sent from fn would overwrite.
-		d := wire.NewDec(append([]byte(nil), resp.Body...))
-		if last {
-			d.Uvarint() // the scan's total
-		}
-		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
-			oid := ode.OID(d.Uvarint())
-			image := d.Bytes()
-			if d.Err() != nil {
-				break
-			}
-			obj, err := object.Decode(tx.c.schema, image)
-			if err != nil {
-				return total, err
-			}
-			total++
-			if more, err := fn(oid, obj); err != nil || !more {
-				return total, err
+		// Shards hold disjoint OID residues, so there are never ties.
+		best := -1
+		for i := range heads {
+			if heads[i].ok && (best < 0 || heads[i].oid < heads[best].oid) {
+				best = i
 			}
 		}
-		if err := d.Err(); err != nil {
-			tx.cn.broken = true
-			return total, err
-		}
-		if last {
+		if best < 0 {
 			return total, nil
 		}
-		typ, body = wire.CmdForallMore, nil
+		total++
+		if more, err := fn(heads[best].oid, heads[best].obj); err != nil || !more {
+			return total, err
+		}
+		c := cs[best]
+		if heads[best].oid, heads[best].obj, heads[best].ok = c.next(); c.err != nil {
+			return total, c.err
+		}
 	}
 }
 
@@ -124,18 +202,34 @@ func (tx *Tx) Collect(s *Scan) ([]ode.OID, []*ode.Object, error) {
 
 // Count runs the scan on the server, which answers with the number of
 // rows and ships none of them.
-func (tx *Tx) Count(s *Scan) (int, error) {
-	resp, err := tx.op(wire.CmdForall, scanReq(s, wire.ForallCount))
-	if err != nil {
-		return 0, err
+func (tx *Tx) Count(s *Scan) (int, error) { return count([]*Tx{tx}, s) }
+
+// count asks each transaction's server for the scan's count, every
+// request sent before any reply is read, and returns the sum. When
+// several fail, the lowest index's error is reported.
+func count(txs []*Tx, s *Scan) (int, error) {
+	total := 0
+	var first error
+	exchange(txs, wire.CmdForall, scanReq(s, wire.ForallCount), func(k int, resp *wire.Frame, err error) {
+		if err == nil {
+			err = respErr(resp)
+		}
+		if err == nil {
+			d := wire.NewDec(resp.Body)
+			total += int(d.Uvarint())
+			if derr := d.Err(); derr != nil || resp.Type != wire.RespDone {
+				txs[k].cn.broken = true
+				err = protoErr("count: response 0x%02x (%v)", resp.Type, derr)
+			}
+		}
+		if first == nil {
+			first = err
+		}
+	})
+	if first != nil {
+		return 0, first
 	}
-	d := wire.NewDec(resp.Body)
-	n := d.Uvarint()
-	if err := d.Err(); err != nil || resp.Type != wire.RespDone {
-		tx.cn.broken = true
-		return 0, protoErr("count: response 0x%02x (%v)", resp.Type, err)
-	}
-	return int(n), nil
+	return total, nil
 }
 
 // Explain returns the access-path plan the server would use for the

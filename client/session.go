@@ -45,15 +45,13 @@ func (s *Session) Exec(ctx context.Context, src string) (string, error) {
 		return "", ErrClosed
 	}
 	cn := s.cn
-	cn.nextID++
-	id := cn.nextID
-	buf := wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: wire.CmdOQL, Body: wire.AppendString(nil, src)})
+	id := cn.newID()
+	if err := cn.post(ctx, wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: wire.CmdOQL, Body: wire.AppendString(nil, src)})); err != nil {
+		return "", err
+	}
 	var out string
 	var execErr error
-	err := cn.do(ctx, func() error {
-		if err := cn.send(buf); err != nil {
-			return err
-		}
+	err := cn.await(func() error {
 		for {
 			f, err := cn.recv(id)
 			if err != nil {

@@ -7,21 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ode"
 	"ode/internal/obs"
 	"ode/internal/txn"
+	"ode/internal/wire"
 )
 
-// Sharded routes traffic across N independent ode-server shards by
-// OID: every object lives on exactly one shard (oid % N — the shards
-// allocate disjoint, congruent OID streams when opened with matching
-// ShardSlot/ShardCount options), point operations go straight to the
-// owning shard, and scans fan out over all shards concurrently with
-// their per-shard OID-ordered streams merged back into one global
-// OID-ordered stream.
+// Sharded routes traffic across N shards by OID: every object lives on
+// exactly one shard (oid % N — the shards allocate disjoint, congruent
+// OID streams when opened with matching ShardSlot/ShardCount options),
+// point operations go straight to the owning shard, and scans go to
+// every shard at once, their per-shard streams merged by OID. A shard is
+// a replication group (Replicated; a lone server is a group of one), and
+// every per-shard call goes to the group's primary.
 //
 // Transactions that touch one shard commit on that shard's ordinary
 // fast path. Transactions that touch several commit through two-phase
@@ -34,9 +34,10 @@ import (
 // the commit still acks, because the decision is already durable.
 // Protocol, failure matrix, and runbook: docs/SHARDING.md.
 //
-// A Sharded is safe for concurrent use; each STx is not (like Tx).
+// A Sharded is safe for concurrent use; each STx is not (like Tx), and
+// runs on its caller's goroutine alone.
 type Sharded struct {
-	shards  []*Client
+	shards  []*Replicated
 	rr      atomic.Uint64 // round-robin PNew placement
 	gidSeq  atomic.Uint64
 	gidBase string // random per-router token making gids collision-free
@@ -60,11 +61,11 @@ var ErrNotWholeGroup = errors.New("client: router does not span the whole shard 
 // trip (idempotent, so retrying is always safe).
 const decisionRetries = 2
 
-// NewSharded assembles a router over already-dialed shard clients, in
-// shard order: shards[i] must be the server opened with ShardSlot i
-// and ShardCount len(shards). The Sharded owns the clients from here:
-// Close closes all of them.
-func NewSharded(shards ...*Client) (*Sharded, error) {
+// NewSharded assembles a router over shard groups, in shard order:
+// shards[i] must be the group opened with ShardSlot i and ShardCount
+// len(shards). The Sharded owns the groups from here: Close closes all
+// of them.
+func NewSharded(shards ...*Replicated) (*Sharded, error) {
 	if len(shards) == 0 {
 		return nil, errors.New("client: sharded router needs at least one shard")
 	}
@@ -76,19 +77,19 @@ func NewSharded(shards ...*Client) (*Sharded, error) {
 }
 
 // DialSharded dials every shard address, in shard order, and assembles
-// a router over them. The schema must be registered identically on
-// every shard (and match the servers').
+// a router over them, each server a group of one. The schema must be
+// registered identically on every shard (and match the servers').
 func DialSharded(addrs []string, schema *ode.Schema, opts *Options) (*Sharded, error) {
-	shards := make([]*Client, 0, len(addrs))
+	shards := make([]*Replicated, 0, len(addrs))
 	for i, a := range addrs {
 		c, err := Dial(a, schema, opts)
 		if err != nil {
-			for _, p := range shards {
-				p.Close()
+			for _, g := range shards {
+				g.Close()
 			}
 			return nil, fmt.Errorf("shard %d (%s): %w", i, a, err)
 		}
-		shards = append(shards, c)
+		shards = append(shards, NewReplicated(c))
 	}
 	return NewSharded(shards...)
 }
@@ -96,9 +97,10 @@ func DialSharded(addrs []string, schema *ode.Schema, opts *Options) (*Sharded, e
 // NumShards returns the shard count N; OIDs route as oid % N.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
-// Shard returns the client for shard i (for direct, router-bypassing
-// access: metrics, promotion, debugging).
-func (s *Sharded) Shard(i int) *Client { return s.shards[i] }
+// Shard returns the client of shard i's primary, which every per-shard
+// call of the router goes to (and, for direct, router-bypassing access:
+// metrics, promotion, debugging).
+func (s *Sharded) Shard(i int) *Client { return s.shards[i].Primary() }
 
 // ShardFor returns the index of the shard owning oid.
 func (s *Sharded) ShardFor(oid ode.OID) int {
@@ -109,11 +111,11 @@ func (s *Sharded) ShardFor(oid ode.OID) int {
 // registration via ShardMetrics.Attach.
 func (s *Sharded) ShardMetrics() *ShardMetrics { return &s.met }
 
-// Close closes every shard's client.
+// Close closes every shard group.
 func (s *Sharded) Close() error {
 	var err error
-	for _, c := range s.shards {
-		if cerr := c.Close(); err == nil {
+	for _, g := range s.shards {
+		if cerr := g.Close(); err == nil {
 			err = cerr
 		}
 	}
@@ -162,8 +164,8 @@ func (s *Sharded) View(ctx context.Context, fn func(tx *STx) error) error {
 func (s *Sharded) Status(ctx context.Context) ([]*ShardStatus, error) {
 	out := make([]*ShardStatus, len(s.shards))
 	var firstErr error
-	for i, c := range s.shards {
-		st, err := c.ShardStatus(ctx)
+	for i := range s.shards {
+		st, err := s.Shard(i).ShardStatus(ctx)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("shard %d: %w", i, err)
@@ -222,7 +224,7 @@ func (s *Sharded) ResolveInDoubt(ctx context.Context) (int, error) {
 		if sts[coord] == nil {
 			continue // unverified this sweep; its failure is firstErr already
 		}
-		status, err := s.shards[coord].TxStatus(ctx, gid)
+		status, err := s.Shard(coord).TxStatus(ctx, gid)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("resolve %s: coordinator status: %w", gid, err)
@@ -234,9 +236,9 @@ func (s *Sharded) ResolveInDoubt(ctx context.Context) (int, error) {
 		for _, i := range holders[gid] {
 			var derr error
 			if commit {
-				_, _, derr = s.shards[i].CommitPrepared(ctx, gid)
+				_, _, derr = s.Shard(i).CommitPrepared(ctx, gid)
 			} else {
-				derr = s.shards[i].AbortPrepared(ctx, gid)
+				derr = s.Shard(i).AbortPrepared(ctx, gid)
 			}
 			if derr != nil {
 				allOK = false
@@ -270,7 +272,7 @@ func (t *STx) shardTx(i int) (*Tx, error) {
 		return nil, ode.ErrTxDone
 	}
 	if t.txs[i] == nil {
-		tx, err := t.s.shards[i].Begin(t.ctx)
+		tx, err := t.s.Shard(i).Begin(t.ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -333,25 +335,18 @@ func (s *Sharded) commit2PC(ctx context.Context, txs []*Tx, parts []int) error {
 	coord := parts[0]
 	gid := s.mintGID(coord)
 
-	// Phase 1: prepare every participant concurrently. Each nil return
-	// is a durable yes vote; each failure has already aborted locally.
-	perrs := make([]error, len(parts))
-	var wg sync.WaitGroup
+	// Phase 1: every prepare is sent before any vote is read. Each nil
+	// vote is a durable yes; each failure has already aborted locally.
+	ptxs := make([]*Tx, len(parts))
 	for k, i := range parts {
-		wg.Add(1)
-		go func(k, i int) {
-			defer wg.Done()
-			perrs[k] = txs[i].Prepare(gid)
-		}(k, i)
+		ptxs[k] = txs[i]
 	}
-	wg.Wait()
 	var prepErr error
-	for _, err := range perrs { // lowest participating index wins
-		if err != nil {
+	exchange(ptxs, wire.CmdPrepare, wire.GIDBody(gid), func(k int, resp *wire.Frame, err error) {
+		if err = ptxs[k].prepared(resp, err); prepErr == nil { // lowest participating index wins
 			prepErr = err
-			break
 		}
-	}
+	})
 	if prepErr != nil {
 		// Global abort, delivered to every participant — including the
 		// ones whose Prepare failed: a transport-level failure (request
@@ -365,7 +360,7 @@ func (s *Sharded) commit2PC(ctx context.Context, txs []*Tx, parts []int) error {
 		// is the coordinator).
 		for _, i := range parts {
 			for try := 0; ; try++ {
-				if err := s.shards[i].AbortPrepared(ctx, gid); err == nil ||
+				if err := s.Shard(i).AbortPrepared(ctx, gid); err == nil ||
 					ctx.Err() != nil || try >= decisionRetries {
 					break
 				}
@@ -381,7 +376,7 @@ func (s *Sharded) commit2PC(ctx context.Context, txs []*Tx, parts []int) error {
 	// refusal still aborts the whole transaction.
 	var derr error
 	for try := 0; ; try++ {
-		_, _, derr = s.shards[coord].CommitPrepared(ctx, gid)
+		_, _, derr = s.Shard(coord).CommitPrepared(ctx, gid)
 		if derr == nil || errors.Is(derr, ode.ErrNoPrepared) ||
 			ctx.Err() != nil || try >= decisionRetries {
 			break
@@ -394,7 +389,7 @@ func (s *Sharded) commit2PC(ctx context.Context, txs []*Tx, parts []int) error {
 		// have committed; finish the global abort.
 		for _, i := range parts {
 			if i != coord {
-				_ = s.shards[i].AbortPrepared(ctx, gid)
+				_ = s.Shard(i).AbortPrepared(ctx, gid)
 			}
 		}
 		s.met.CrossAborts.Inc()
@@ -418,7 +413,7 @@ func (s *Sharded) commit2PC(ctx context.Context, txs []*Tx, parts []int) error {
 		}
 		var err error
 		for try := 0; ; try++ {
-			_, _, err = s.shards[i].CommitPrepared(ctx, gid)
+			_, _, err = s.Shard(i).CommitPrepared(ctx, gid)
 			if err == nil || ctx.Err() != nil || try >= decisionRetries {
 				break
 			}
@@ -528,8 +523,8 @@ func (t *STx) DeleteVersion(ref ode.VRef) error {
 	return tx.DeleteVersion(ref)
 }
 
-// everyShard pins the transaction on every shard, serially, before a
-// scan fans out; each begin then rides its shard's scan request.
+// everyShard pins the transaction on every shard before a scan goes to
+// all of them; each begin then rides its shard's scan request.
 func (t *STx) everyShard() ([]*Tx, error) {
 	txs := make([]*Tx, len(t.s.shards))
 	for i := range txs {
@@ -539,115 +534,37 @@ func (t *STx) everyShard() ([]*Tx, error) {
 		}
 		txs[i] = tx
 	}
+	if len(txs) > 1 {
+		t.s.met.ScatterScans.Inc()
+	}
 	return txs, nil
 }
 
-// mergeRow is one element of a per-shard result stream.
-type mergeRow struct {
-	oid ode.OID
-	obj *ode.Object
-}
-
-// Forall runs the scan on every shard concurrently and streams the
-// k-way merge of their OID-ordered result streams through fn, in
-// global OID order — the same order, and for identical data the same
-// rows, a single unsharded server would produce. fn's contract matches
-// Tx.Forall: returning false stops the scan, an error ends it with that
-// error; either way each shard has been sent only the windows the merge
-// pulled, and the transaction's next request on a shard ends its scan.
-// When several shards fail, the lowest shard index's error is reported,
-// deterministically.
+// Forall sends the scan to every shard at once and streams the k-way
+// merge of their result streams through fn by OID, all on the caller's
+// goroutine. On an extent path over one class each shard's stream is
+// in OID order, so the merge yields the same rows in the same order a
+// single unsharded server would. A scan that takes subtypes streams
+// class by class, and an index path a shard's writes and then key
+// order, so there the merged order is not a single server's. fn's
+// contract matches Tx.Forall: returning false stops the scan, an error
+// ends it with that error; either way each shard has been sent only the
+// windows the merge pulled, and the transaction's next request on a
+// shard ends its scan. When several shards fail, the lowest shard
+// index's error is reported, deterministically.
 func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
 	txs, err := t.everyShard()
 	if err != nil {
 		return 0, err
 	}
-	n := len(txs)
-	if n == 1 {
-		return txs[0].Forall(sc, fn)
+	cs := make([]*cursor, len(txs))
+	for i, tx := range txs {
+		cs[i] = tx.scan(sc)
 	}
-	t.s.met.ScatterScans.Inc()
-
-	chans := make([]chan mergeRow, n)
-	errs := make([]error, n)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := range txs {
-		// Fewer rows than a shard's first window (64): a merge that stops
-		// early leaves every shard's reader inside that window, so no
-		// shard is asked for a second one the merge will not read.
-		chans[i] = make(chan mergeRow, 16)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer close(chans[i])
-			_, errs[i] = txs[i].Forall(sc, func(oid ode.OID, obj *ode.Object) (bool, error) {
-				// Stop first: once the merge has stopped, a reader that
-				// could still send would read on to its window's end and
-				// ask for the next one.
-				select {
-				case <-stop:
-					return false, nil
-				default:
-				}
-				select {
-				case chans[i] <- mergeRow{oid, obj}:
-					return true, nil
-				case <-stop:
-					return false, nil
-				}
-			})
-		}(i)
-	}
-
-	// K-way merge: hold one head row per live stream, always deliver
-	// the smallest OID. Shards hold disjoint OID residues, so there are
-	// never ties.
-	heads := make([]mergeRow, n)
-	have := make([]bool, n)
-	pull := func(i int) {
-		r, ok := <-chans[i]
-		heads[i], have[i] = r, ok
-	}
-	for i := 0; i < n; i++ {
-		pull(i)
-	}
-	total := 0
-	var scanErr error
-	for {
-		best := -1
-		for i := 0; i < n; i++ {
-			if have[i] && (best < 0 || heads[i].oid < heads[best].oid) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		total++
-		more, err := fn(heads[best].oid, heads[best].obj)
-		if err != nil {
-			scanErr = err
-		}
-		if err != nil || !more {
-			break
-		}
-		pull(best)
-	}
-	close(stop) // every reader blocked on a send takes the stop
-	wg.Wait()
-	if scanErr == nil {
-		for i := 0; i < n; i++ {
-			if errs[i] != nil {
-				scanErr = errs[i]
-				break
-			}
-		}
-	}
-	return total, scanErr
+	return merge(cs, fn)
 }
 
-// Collect runs the scan and returns every row, in global OID order.
+// Collect runs the scan and returns every row, in Forall's order.
 func (t *STx) Collect(sc *Scan) ([]ode.OID, []*ode.Object, error) {
 	var oids []ode.OID
 	var objs []*ode.Object
@@ -659,38 +576,15 @@ func (t *STx) Collect(sc *Scan) ([]ode.OID, []*ode.Object, error) {
 	return oids, objs, err
 }
 
-// Count asks every shard for its count concurrently and returns the
-// sum: no rows travel and, order not being observable, nothing is
-// merged. When several shards fail, the lowest shard index's error is
-// reported.
+// Count asks every shard for its count at once and returns the sum: no
+// rows travel and, order not being observable, nothing is merged. When
+// several shards fail, the lowest shard index's error is reported.
 func (t *STx) Count(sc *Scan) (int, error) {
 	txs, err := t.everyShard()
 	if err != nil {
 		return 0, err
 	}
-	if len(txs) == 1 {
-		return txs[0].Count(sc)
-	}
-	t.s.met.ScatterScans.Inc()
-	counts := make([]int, len(txs))
-	errs := make([]error, len(txs))
-	var wg sync.WaitGroup
-	for i := range txs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			counts[i], errs[i] = txs[i].Count(sc)
-		}(i)
-	}
-	wg.Wait()
-	total := 0
-	for i := range txs {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		total += counts[i]
-	}
-	return total, nil
+	return count(txs, sc)
 }
 
 // ShardMetrics counts the sharded router's behavior, registered under

@@ -22,13 +22,17 @@ import (
 // is finished client-side: no further method calls are valid.
 func (tx *Tx) Prepare(gid string) error {
 	resp, err := tx.roundTrip(wire.CmdPrepare, wire.GIDBody(gid))
-	if err != nil {
-		tx.finish()
-		return err
+	return tx.prepared(resp, err)
+}
+
+// prepared is the vote a prepare reply carries, or the error that kept
+// it from arriving; either way the transaction is finished here.
+func (tx *Tx) prepared(resp *wire.Frame, err error) error {
+	if err == nil {
+		err = respErrOnly(resp)
 	}
-	perr := respErrOnly(resp)
 	tx.finish()
-	return perr
+	return err
 }
 
 // CommitPrepared delivers a commit decision for gid to the server,
@@ -36,71 +40,31 @@ func (tx *Tx) Prepare(gid string) error {
 // Redelivery is idempotent; a gid the server does not hold prepared
 // (and has not already committed) fails with ode.ErrNoPrepared.
 func (c *Client) CommitPrepared(ctx context.Context, gid string) (lsn, epoch uint64, err error) {
-	cn, err := c.get()
-	if err != nil {
-		return 0, 0, err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdCommitPrepared, wire.GIDBody(gid))
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := respErrOnly(resp); err != nil {
-		return 0, 0, err
-	}
-	d := wire.NewDec(resp.Body)
-	lsn = d.Uvarint()
-	epoch = d.Uvarint()
-	if err := d.Err(); err != nil {
-		cn.broken = true
-		return 0, 0, err
-	}
-	return lsn, epoch, nil
+	err = c.call(ctx, wire.CmdCommitPrepared, wire.GIDBody(gid), wire.RespOK, func(body []byte) error {
+		d := wire.NewDec(body)
+		lsn, epoch = d.Uvarint(), d.Uvarint()
+		return d.Err()
+	})
+	return lsn, epoch, err
 }
 
 // AbortPrepared delivers an abort decision for gid. Unknown gids
 // succeed: under presumed abort, "never prepared here" is already the
 // desired state, so redelivery and racing resolvers are harmless.
 func (c *Client) AbortPrepared(ctx context.Context, gid string) error {
-	cn, err := c.get()
-	if err != nil {
-		return err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdAbortPrepared, wire.GIDBody(gid))
-	if err != nil {
-		return err
-	}
-	return respErrOnly(resp)
+	return c.call(ctx, wire.CmdAbortPrepared, wire.GIDBody(gid), wire.RespOK, nil)
 }
 
 // TxStatus reports gid's fate on the server: "prepared", "committed",
 // "aborted", or "unknown". A resolver treats the coordinator shard's
 // "unknown" as abort — the commit decision is made durable there
 // before any participant may commit.
-func (c *Client) TxStatus(ctx context.Context, gid string) (string, error) {
-	cn, err := c.get()
-	if err != nil {
-		return "", err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdTxStatus, wire.GIDBody(gid))
-	if err != nil {
-		return "", err
-	}
-	if err := respErr(resp); err != nil {
-		return "", err
-	}
-	if resp.Type != wire.RespTxStatus {
-		cn.broken = true
-		return "", protoErr("tx-status: unexpected response 0x%02x", resp.Type)
-	}
-	status, _, derr := wire.DecodeTxStatusBody(resp.Body)
-	if derr != nil {
-		cn.broken = true
-		return "", derr
-	}
-	return status, nil
+func (c *Client) TxStatus(ctx context.Context, gid string) (status string, err error) {
+	err = c.call(ctx, wire.CmdTxStatus, wire.GIDBody(gid), wire.RespTxStatus, func(body []byte) (err error) {
+		status, _, err = wire.DecodeTxStatusBody(body)
+		return err
+	})
+	return status, err
 }
 
 // PreparedTx describes one in-doubt transaction reported by
@@ -128,26 +92,13 @@ type ShardStatus struct {
 // in-doubt transaction list — the router's health surface and the raw
 // material of the in-doubt resolution runbook (docs/SHARDING.md).
 func (c *Client) ShardStatus(ctx context.Context) (*ShardStatus, error) {
-	cn, err := c.get()
+	var ws *wire.ShardStatus
+	err := c.call(ctx, wire.CmdShardStatus, nil, wire.RespShardStatus, func(body []byte) (err error) {
+		ws, err = wire.DecodeShardStatus(body)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer c.put(cn)
-	resp, err := cn.roundTrip(ctx, wire.CmdShardStatus, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	if resp.Type != wire.RespShardStatus {
-		cn.broken = true
-		return nil, protoErr("shard-status: unexpected response 0x%02x", resp.Type)
-	}
-	ws, derr := wire.DecodeShardStatus(resp.Body)
-	if derr != nil {
-		cn.broken = true
-		return nil, derr
 	}
 	st := &ShardStatus{
 		LSN:      ws.LSN,

@@ -20,7 +20,9 @@ type Tx struct {
 	ctx context.Context
 	// beginID is the request id Begin reserved for the begin frame; it is
 	// 0 once that frame has gone out in front of the first request.
-	beginID uint64
+	// riding is that id from the post the begin rode until the await
+	// that reads its reply.
+	beginID, riding uint64
 	// failed is the server's refusal of that begin (overload, closed):
 	// every operation returns it from then on, as every operation of an
 	// embedded transaction admission control refused does.
@@ -56,8 +58,8 @@ func (tx *Tx) ID() uint64 {
 // for the accessors whose answer only the begin reply carries. A
 // failure surfaces at the next operation.
 func (tx *Tx) begin() {
-	if tx.beginID != 0 {
-		_ = tx.send(nil, func() error { return nil })
+	if tx.beginID != 0 && tx.post(nil) == nil {
+		_ = tx.await(func() error { return nil })
 	}
 }
 
@@ -74,27 +76,36 @@ func (tx *Tx) err() error {
 	return nil
 }
 
-// send is the one way a transaction writes to its connection. frames
+// post is the one way a transaction writes to its connection: frames
 // (numbered by the caller) go out in one write — behind the begin frame
-// when this is the transaction's first send, so the server runs both
-// and answers both in one burst — and read consumes their replies after
-// the begin's. A refused begin still lets read drain the replies to the
-// frames the server could not run; then it is the error of this call
-// and of every later one, and the connection goes back to the pool.
-func (tx *Tx) send(frames []byte, read func() error) error {
+// when this is the transaction's first post, so the server runs both
+// and answers both in one burst. await reads the replies. A post that
+// fails needs no await.
+func (tx *Tx) post(frames []byte) error {
 	if err := tx.err(); err != nil {
 		return err
 	}
-	cn, beginID := tx.cn, tx.beginID
-	if beginID != 0 {
-		tx.beginID = 0
-		frames = append(tx.c.beginFrame(tx.ctx, beginID, len(frames)), frames...)
+	if tx.beginID != 0 {
+		frames = append(tx.c.beginFrame(tx.ctx, tx.beginID, len(frames)), frames...)
+		tx.riding, tx.beginID = tx.beginID, 0
 	}
+	err := tx.cn.post(tx.ctx, frames)
+	if err != nil {
+		tx.riding = 0
+	}
+	return err
+}
+
+// await ends the exchange post began: the begin's reply first when the
+// begin rode along, then read consumes the replies to the frames. A
+// refused begin still lets read drain the replies to the frames the
+// server could not run; then it is the error of this call and of every
+// later one, and the connection goes back to the pool.
+func (tx *Tx) await(read func() error) error {
+	cn, beginID := tx.cn, tx.riding
+	tx.riding = 0
 	var refused error
-	err := cn.do(tx.ctx, func() error {
-		if err := cn.send(frames); err != nil {
-			return err
-		}
+	err := cn.await(func() error {
 		if beginID != 0 {
 			resp, err := cn.recv(beginID)
 			if err != nil {
@@ -117,45 +128,68 @@ func (tx *Tx) send(frames []byte, read func() error) error {
 	return err
 }
 
-// begun decodes the begin reply: the transaction id, then — on
-// epoch-aware servers, so a short body is an older server, not an
-// error — the node's fencing epoch and applied LSN.
+// begun decodes the begin reply: the transaction id, the node's fencing
+// epoch and its applied LSN.
 func (tx *Tx) begun(resp *wire.Frame) error {
 	if resp.Type != wire.RespOK {
 		return protoErr("begin: unexpected response 0x%02x", resp.Type)
 	}
 	d := wire.NewDec(resp.Body)
-	tx.id = d.Uvarint()
+	tx.id, tx.epoch, tx.applied = d.Uvarint(), d.Uvarint(), d.Uvarint()
 	if err := d.Err(); err != nil {
-		return err
-	}
-	if epoch := d.Uvarint(); d.Err() == nil {
-		tx.epoch = epoch
-	}
-	if applied := d.Uvarint(); d.Err() == nil {
-		tx.applied = applied
+		return protoErr("begin: %v", err)
 	}
 	return nil
+}
+
+// ask posts one request and returns the id reply reads its answer
+// under.
+func (tx *Tx) ask(typ byte, body []byte) (uint64, error) {
+	if err := tx.err(); err != nil {
+		return 0, err
+	}
+	id := tx.cn.newID()
+	return id, tx.post(wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body}))
+}
+
+// reply reads the answer to request id, which the transaction's last
+// post sent.
+func (tx *Tx) reply(id uint64) (resp *wire.Frame, err error) {
+	err = tx.await(func() (err error) {
+		resp, err = tx.cn.recv(id)
+		return err
+	})
+	return resp, err
 }
 
 // roundTrip sends one request and returns its reply, or the error that
 // kept it from being answered.
 func (tx *Tx) roundTrip(typ byte, body []byte) (*wire.Frame, error) {
-	if err := tx.err(); err != nil {
+	id, err := tx.ask(typ, body)
+	if err != nil {
 		return nil, err
 	}
-	return tx.request(tx.cn.newID(), typ, body)
+	return tx.reply(id)
 }
 
-// request sends one frame under id, which the caller numbered, and
-// returns its reply: roundTrip's exchange, for a forall whose windows
-// are all asked for under the scan's id.
-func (tx *Tx) request(id uint64, typ byte, body []byte) (resp *wire.Frame, err error) {
-	err = tx.send(wire.AppendFrame(nil, &wire.Frame{ReqID: id, Type: typ, Body: body}), func() (err error) {
-		resp, err = tx.cn.recv(id)
-		return err
-	})
-	return resp, err
+// exchange sends one request to each transaction and then reads every
+// reply, all on the caller's goroutine: every round trip is in flight
+// at once. answer gets each reply, or the error that kept it from
+// arriving, in the order of txs.
+func exchange(txs []*Tx, typ byte, body []byte, answer func(k int, resp *wire.Frame, err error)) {
+	ids := make([]uint64, len(txs))
+	errs := make([]error, len(txs))
+	for k, tx := range txs {
+		ids[k], errs[k] = tx.ask(typ, body)
+	}
+	for k, tx := range txs {
+		var resp *wire.Frame
+		err := errs[k]
+		if err == nil {
+			resp, err = tx.reply(ids[k])
+		}
+		answer(k, resp, err)
+	}
 }
 
 // finish releases the pinned connection back to the pool.
@@ -187,18 +221,15 @@ func (tx *Tx) Commit() error {
 	}
 	// Decode before finish: the frame aliases the connection's read
 	// buffer, and releasing the connection lets another goroutine's
-	// round trip overwrite it.
+	// round trip overwrite it. The RespOK body carries the commit's LSN,
+	// then the node's fencing epoch.
 	cerr := respErrOnly(resp)
-	if cerr == nil && len(resp.Body) > 0 {
-		// The RespOK body carries the commit's LSN, then the node's
-		// fencing epoch (each absent from older servers, so a short body
-		// is not an error).
+	if cerr == nil {
 		d := wire.NewDec(resp.Body)
-		if lsn := d.Uvarint(); d.Err() == nil {
-			tx.lsn = lsn
-		}
-		if epoch := d.Uvarint(); d.Err() == nil {
-			tx.epoch = epoch
+		tx.lsn, tx.epoch = d.Uvarint(), d.Uvarint()
+		if err := d.Err(); err != nil {
+			tx.cn.broken = true
+			cerr = protoErr("commit: %v", err)
 		}
 	}
 	tx.finish()
@@ -212,10 +243,10 @@ func (tx *Tx) Commit() error {
 func (tx *Tx) CommitLSN() uint64 { return tx.lsn }
 
 // Epoch returns the server's replication fencing epoch as of this
-// transaction's begin (refreshed by a successful Commit); 0 against a
-// pre-epoch server. The Replicated router compares it against the
-// session's epoch floor to refuse a deposed primary. Like ID, it sends
-// the begin if nothing has been sent yet.
+// transaction's begin (refreshed by a successful Commit). The
+// Replicated router compares it against the session's epoch floor to
+// refuse a deposed primary. Like ID, it sends the begin if nothing has
+// been sent yet.
 func (tx *Tx) Epoch() uint64 {
 	tx.begin()
 	return tx.epoch
@@ -410,15 +441,10 @@ func eachRef(obj *ode.Object, fn func(ode.OID) bool) {
 // first entry's answer, one per neighbour in refs: a proven neighbour
 // joins tx.seen, a modified one refills the cache at its new image and
 // joins tx.seen, a skipped one is left for its own deref to revalidate.
-// A reply with no statuses at all (a server predating neighbourhoods)
-// skips them all.
 func (tx *Tx) settle(resp *wire.Frame, refs []wire.CachedRef) error {
 	d := wire.NewDec(resp.Body)
 	if resp.Type == wire.RespObject {
 		d.Bytes() // the first entry's image, already applied
-	}
-	if len(d.Rest()) == 0 {
-		return nil
 	}
 	for _, r := range refs {
 		status := d.Byte()

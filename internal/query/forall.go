@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ode/internal/core"
@@ -171,10 +172,14 @@ func (q *Query) eval(it Item) (bool, error) {
 // gatherEach streams the matching items once (snapshot semantics),
 // choosing an index access path when possible. No item buffering:
 // extents of distinct classes are disjoint and index entries are
-// unique per object, so no dedup set is needed beyond the dirty map.
-// An extent path takes S on each cluster before listing it and reads
-// the rows under it (on a shard, Tx.LockCluster declines and the rows
-// are locked); an index path locks each row it reads.
+// unique per object, so the only dedup is against the write set, whose
+// images are authoritative over any (possibly stale) index entry or
+// extent membership. An extent path merges the transaction's writes
+// into each cluster's walk, so its rows come in OID order per class
+// whatever the transaction wrote; it takes S on each cluster before
+// listing it and reads the rows under it (on a shard, Tx.LockCluster
+// declines and the rows are locked). An index path visits the writes
+// first, then the index in key order, and locks each row it reads.
 func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 	stopped := false
 	visit := func(oid core.OID, covered bool) (bool, error) {
@@ -196,20 +201,7 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		}
 		return cont, err
 	}
-
-	// Transaction-dirty objects first: they are authoritative over any
-	// (possibly stale) index entry or extent membership.
-	writeSet := q.tx.WriteSet()
-	var dirty map[core.OID]bool
-	if len(writeSet) > 0 {
-		dirty = make(map[core.OID]bool, len(writeSet))
-		for _, oid := range writeSet {
-			dirty[oid] = true
-			if cont, err := visit(oid, false); err != nil || !cont {
-				return err
-			}
-		}
-	}
+	writeSet := q.tx.WriteSet() // in OID order
 
 	if lo, hi, field, residualOnly := q.indexPath(); field != "" {
 		q.plan = fmt.Sprintf("index-scan(%s.%s in [%s, %s])", q.class.Name, field, bound(lo, "-inf"), bound(hi, "+inf"))
@@ -219,15 +211,20 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		if !q.internal {
 			q.met().PlanIndexRange.Inc()
 		}
+		for _, oid := range writeSet {
+			if cont, err := visit(oid, false); err != nil || !cont {
+				return err
+			}
+		}
 		return q.tx.Manager().IndexScan(q.class, field, lo, hi, func(oid core.OID) (bool, error) {
-			if dirty[oid] {
+			if _, written := slices.BinarySearch(writeSet, oid); written {
 				return true, nil // already handled from the write set
 			}
 			return visit(oid, false)
 		})
 	}
 
-	q.plan = fmt.Sprintf("extent-scan(%s%s)", q.class.Name, starIf(q.subtypes))
+	q.plan = "extent-scan(" + q.class.Name + starIf(q.subtypes) + ")" // not fmt: its printer pool drops entries at random under -race
 	if !q.internal {
 		q.met().PlanExtentScan.Inc()
 	}
@@ -241,12 +238,31 @@ func (q *Query) gatherEach(fn func(Item) (bool, error)) error {
 		if err != nil {
 			return err
 		}
+		// The writes merge into the walk by OID. A write is visited if it
+		// lives in c (a delete lives nowhere), and a row the transaction
+		// wrote is visited once, from the write set.
+		pending := writeSet
+		written := func(oid core.OID) (bool, error) {
+			if o := q.tx.WrittenObject(oid); o != nil && o.Class() == c {
+				return visit(oid, false)
+			}
+			return true, nil
+		}
 		err = q.tx.Manager().ScanCluster(c, func(oid core.OID) (bool, error) {
-			if dirty[oid] {
-				return true, nil
+			for ; len(pending) > 0 && pending[0] <= oid; pending = pending[1:] {
+				if pending[0] == oid {
+					pending = pending[1:]
+					return written(oid)
+				}
+				if cont, err := written(pending[0]); err != nil || !cont {
+					return false, err
+				}
 			}
 			return visit(oid, covered)
 		})
+		for ; err == nil && !stopped && len(pending) > 0; pending = pending[1:] {
+			_, err = written(pending[0])
+		}
 		if err != nil || stopped {
 			return err
 		}

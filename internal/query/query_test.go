@@ -366,6 +366,57 @@ func TestIndexScanSeesTransactionWrites(t *testing.T) {
 	}
 }
 
+// TestExtentScanMergesTransactionWrites: an extent scan in a
+// transaction that has written yields each class's rows in OID order,
+// its writes in place: an update where the row was, a new object at
+// the end of its own class, a delete nowhere, and each write once.
+func TestExtentScanMergesTransactionWrites(t *testing.T) {
+	u := newUniversity(t)
+	oids := u.seed(t)
+	tx := u.engine.Begin()
+	defer tx.Abort()
+	for _, name := range []string{"s3", "p7", "f1", "p2"} {
+		o, err := tx.Deref(oids[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.MustSet("income", core.Int(o.MustGet("income").Int()+1))
+		if err := tx.Update(oids[name], o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := core.NewObject(u.student)
+	fresh.MustSet("name", core.Str("new"))
+	if _, err := tx.PNew(u.student, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.PDelete(oids["p5"]); err != nil {
+		t.Fatal(err)
+	}
+	want := "p0 p1 p2 p3 p4 p6 p7 p8 p9 s0 s1 s2 s3 s4 new f0 f1 f2"
+	q := Forall(tx, u.person).Subtypes()
+	collected, err := q.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var done []Item
+	if err := q.Do(func(it Item) (bool, error) {
+		done = append(done, it)
+		return true, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for path, items := range map[string][]Item{"Collect": collected, "Do": done} {
+		var names []string
+		for _, it := range items {
+			names = append(names, it.Obj.MustGet("name").Str())
+		}
+		if got := strings.Join(names, " "); got != want {
+			t.Errorf("%s: %s, want %s", path, got, want)
+		}
+	}
+}
+
 func TestFixpointClusterIteration(t *testing.T) {
 	// The paper's recursive-query semantics: pnew during a forall loop
 	// adds objects that the same loop then visits.

@@ -923,7 +923,10 @@ func (c *conn) handleForall(f *wire.Frame) error {
 	rowsAfter := func(head []byte) []byte {
 		return append(wire.AppendUvarint(head, uint64(n)), rows...)
 	}
-	scanErr := scan.Query(tx).Do(func(it ode.Item) (bool, error) {
+	// Snapshot: a frame that is not forall-more ends the scan (pause), so
+	// nothing joins the extent while it runs and the fixpoint's visited
+	// set would buy nothing.
+	scanErr := scan.Query(tx).Snapshot().Do(func(it ode.Item) (bool, error) {
 		rows = wire.AppendUvarint(rows, uint64(it.OID))
 		rows = wire.AppendBytes(rows, object.Encode(it.Obj))
 		n++

@@ -972,7 +972,8 @@ func (tx *Tx) lock(oid core.OID, mode LockMode) error {
 }
 
 // WriteSet returns the OIDs this transaction created, updated, or
-// deleted (the trigger layer evaluates conditions over these).
+// deleted, in OID order (the trigger layer evaluates conditions over
+// these; a scan merges them into its cluster walk).
 func (tx *Tx) WriteSet() []core.OID {
 	var out []core.OID
 	for oid, w := range tx.writes {
@@ -980,6 +981,7 @@ func (tx *Tx) WriteSet() []core.OID {
 			out = append(out, oid)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
