@@ -186,7 +186,9 @@ func TestClientDialFailure(t *testing.T) {
 // TestShortBeginReplyBreaksConnection: every server the hello admits
 // sends the fencing epoch and the applied LSN in its begin reply, so a
 // reply without them is a protocol error, and the connection it
-// arrived on is closed rather than pooled.
+// arrived on is closed rather than pooled. The transaction sends
+// nothing more: a later operation returns the error that broke it, and
+// Abort closes the connection without a round trip.
 func TestShortBeginReplyBreaksConnection(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -194,6 +196,7 @@ func TestShortBeginReplyBreaksConnection(t *testing.T) {
 	}
 	defer ln.Close()
 	closed := make(chan struct{})
+	var got []byte // the request types the server read, until closed
 	go func() {
 		nc, err := ln.Accept()
 		if err != nil {
@@ -209,6 +212,7 @@ func TestShortBeginReplyBreaksConnection(t *testing.T) {
 				close(closed) // the client hung up
 				return
 			}
+			got = append(got, f.Type)
 			var body []byte
 			if f.Type == wire.CmdBegin {
 				body = wire.AppendUvarint(nil, 7) // the id alone
@@ -228,13 +232,23 @@ func TestShortBeginReplyBreaksConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.PNew(cls, gadget(cls, "x", 1)); !errors.Is(err, wire.ErrProto) {
-		t.Fatalf("first request after a short begin reply: %v, want a protocol error", err)
+	_, broke := tx.PNew(cls, gadget(cls, "x", 1))
+	if !errors.Is(broke, wire.ErrProto) {
+		t.Fatalf("first request after a short begin reply: %v, want a protocol error", broke)
+	}
+	if _, err := tx.Deref(1); err != broke {
+		t.Fatalf("Deref after the connection broke: %v, want the error that broke it (%v)", err, broke)
+	}
+	if err := tx.Commit(); err != broke {
+		t.Fatalf("Commit after the connection broke: %v, want the error that broke it (%v)", err, broke)
 	}
 	tx.Abort()
 	select {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("the connection was kept after a short begin reply")
+	}
+	if want := []byte{wire.CmdBegin, wire.CmdPNew}; string(got) != string(want) {
+		t.Fatalf("the server read requests %x, want %x: nothing after the reply that broke the connection", got, want)
 	}
 }

@@ -32,9 +32,12 @@ type run struct {
 	tx    ode.ObjectTx
 	stock *ode.Class
 	cell  *ode.Class
-	chain ode.OID // the head of a chain of chainLen cells, value = position
-	oid   map[string]ode.OID
-	ref   map[string]ode.VRef
+	// person and its subclass student, for a scan over subtypes.
+	person  *ode.Class
+	student *ode.Class
+	chain   ode.OID // the head of a chain of chainLen cells, value = position
+	oid     map[string]ode.OID
+	ref     map[string]ode.VRef
 }
 
 // chainLen is the conformance chain's length: more cells than one
@@ -386,6 +389,42 @@ var script = []struct {
 		after := qty(r.tx.Deref(r.oid["c"]))
 		return join(before, outcome(uerr), rows, n, outcome(ferr), after, outcome(r.tx.Commit()))
 	}, "qty=3 ok 602 602 ok qty=4 ok"},
+	// A scan that takes subtypes yields its class's rows, then each
+	// subclass's, every class in OID order — on a server, and behind the
+	// router, whose merge orders rows by class first. Persons and
+	// students are created alternately, so an OID-only merge would
+	// interleave them.
+	{"subtype scan order", func(r *run) string {
+		tx := r.begin()
+		for i := 0; i < 12; i++ {
+			c := []*ode.Class{r.person, r.student}[i%2]
+			o := ode.NewObject(c)
+			o.MustSet("name", ode.Str(fmt.Sprint("p", i)))
+			if _, err := tx.PNew(c, o); err != nil {
+				tx.Abort()
+				return outcome(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			return outcome(err)
+		}
+		tx = r.begin()
+		defer tx.Abort()
+		oids, objs, err := tx.Collect(&ode.Scan{Class: r.person, Subtypes: true})
+		if err != nil {
+			return outcome(err)
+		}
+		var runs []any
+		sorted := true
+		for i, o := range objs {
+			if i == 0 || o.Class() != objs[i-1].Class() {
+				runs = append(runs, o.Class().Name)
+			} else {
+				sorted = sorted && oids[i-1] < oids[i]
+			}
+		}
+		return join(append(runs, len(objs), sorted)...)
+	}, "person student 12 true"},
 
 	// What Deref returns is the caller's own: writing it without Update
 	// changes nothing stored, in this transaction or the next, however
@@ -473,7 +512,8 @@ func TestObjectTxConformance(t *testing.T) {
 // runScript runs the script against the router r, else the client c,
 // else w's embedded database.
 func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded) {
-	run := &run{stock: w.Stock, cell: w.Cell, oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
+	run := &run{stock: w.Stock, cell: w.Cell, person: w.Person, student: w.Student,
+		oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
 	run.trips = func() uint64 {
 		var n uint64
 		if c != nil {

@@ -139,8 +139,8 @@ func (p *Pipeline) Flush() error {
 		})
 	}
 	if tx.failed != nil {
-		// The batch rode the begin the server refused: that refusal is
-		// every operation's outcome.
+		// The batch rode the begin the server refused, or broke the
+		// connection: that error is every operation's outcome.
 		for _, f := range pend {
 			f.err = tx.failed
 		}

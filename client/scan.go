@@ -61,7 +61,7 @@ func scanReq(s *Scan, flags byte) []byte {
 // inside fn ends the scan too, and Forall then fails with a protocol
 // error at the window's end.
 func (tx *Tx) Forall(s *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
-	return merge([]*cursor{tx.scan(s)}, fn)
+	return merge([]*cursor{tx.scan(s)}, nil, fn)
 }
 
 // cursor is one forall's rows on one transaction, read a window at a
@@ -103,8 +103,8 @@ func (c *cursor) next() (oid ode.OID, obj *ode.Object, ok bool) {
 	c.n--
 	oid = ode.OID(c.d.Uvarint())
 	image := c.d.Bytes()
-	if c.err = c.d.Err(); c.err != nil {
-		c.tx.cn.broken = true
+	if err := c.d.Err(); err != nil {
+		c.err = c.tx.fail(err)
 		return ode.NilOID, nil, false
 	}
 	if obj, c.err = object.Decode(c.tx.c.schema, image); c.err != nil {
@@ -125,8 +125,7 @@ func (c *cursor) read() {
 	}
 	c.last = resp.Type == wire.RespDone
 	if !c.last && resp.Type != wire.RespBatch {
-		c.tx.cn.broken = true
-		c.err = protoErr("forall: unexpected response 0x%02x", resp.Type)
+		c.err = c.tx.fail(protoErr("forall: unexpected response 0x%02x", resp.Type))
 		return
 	}
 	// A copy: the frame aliases the connection's read buffer, which a
@@ -136,29 +135,39 @@ func (c *cursor) read() {
 		c.d.Uvarint() // the scan's total
 	}
 	c.n = c.d.Uvarint()
-	if c.err = c.d.Err(); c.err != nil {
-		c.tx.cn.broken = true
+	if err := c.d.Err(); err != nil {
+		c.err = c.tx.fail(err)
 	}
 }
 
-// merge hands the rows of cursors through fn in OID order and returns
-// how many it delivered: a k-way merge of OID-ordered streams that
-// holds one row of each, so each cursor is asked only for the windows
-// the merge reaches. It reads every cursor's first window before it
-// delivers a row, so the cursors' first requests, posted when they
-// opened, are all in flight at once. Over one cursor it is Tx.Forall.
-// fn returning false stops the merge and an error ends it with that
-// error. A cursor's failure ends it too; when several cursors fail
-// together, the lowest index's error is reported.
-func merge(cs []*cursor, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
+// merge hands the rows of cursors through fn in (class rank, OID)
+// order and returns how many it delivered: a k-way merge of streams in
+// that order that holds one row of each, so each cursor is asked only
+// for the windows the merge reaches. rank places a row's class, by
+// name, in the order a server streams a subtype scan's classes
+// (Schema.Hierarchy); nil ranks every class alike. It reads every
+// cursor's first window before it delivers a row, so the cursors'
+// first requests, posted when they opened, are all in flight at once.
+// Over one cursor it is Tx.Forall. fn returning false stops the merge
+// and an error ends it with that error. A cursor's failure ends it
+// too; when several cursors fail together, the lowest index's error is
+// reported.
+func merge(cs []*cursor, rank map[string]int, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (int, error) {
 	type head struct {
-		oid ode.OID
-		obj *ode.Object
-		ok  bool
+		rank int
+		oid  ode.OID
+		obj  *ode.Object
+		ok   bool
 	}
 	heads := make([]head, len(cs))
-	for i, c := range cs {
-		heads[i].oid, heads[i].obj, heads[i].ok = c.next()
+	pull := func(i int) {
+		h := &heads[i]
+		if h.oid, h.obj, h.ok = cs[i].next(); h.ok {
+			h.rank = rank[h.obj.Class().Name]
+		}
+	}
+	for i := range cs {
+		pull(i)
 	}
 	for _, c := range cs {
 		if c.err != nil {
@@ -169,8 +178,9 @@ func merge(cs []*cursor, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (i
 	for {
 		// Shards hold disjoint OID residues, so there are never ties.
 		best := -1
-		for i := range heads {
-			if heads[i].ok && (best < 0 || heads[i].oid < heads[best].oid) {
+		for i, h := range heads {
+			if h.ok && (best < 0 || h.rank < heads[best].rank ||
+				h.rank == heads[best].rank && h.oid < heads[best].oid) {
 				best = i
 			}
 		}
@@ -181,9 +191,8 @@ func merge(cs []*cursor, fn func(oid ode.OID, obj *ode.Object) (bool, error)) (i
 		if more, err := fn(heads[best].oid, heads[best].obj); err != nil || !more {
 			return total, err
 		}
-		c := cs[best]
-		if heads[best].oid, heads[best].obj, heads[best].ok = c.next(); c.err != nil {
-			return total, c.err
+		if pull(best); cs[best].err != nil {
+			return total, cs[best].err
 		}
 	}
 }
@@ -218,8 +227,7 @@ func count(txs []*Tx, s *Scan) (int, error) {
 			d := wire.NewDec(resp.Body)
 			total += int(d.Uvarint())
 			if derr := d.Err(); derr != nil || resp.Type != wire.RespDone {
-				txs[k].cn.broken = true
-				err = protoErr("count: response 0x%02x (%v)", resp.Type, derr)
+				err = txs[k].fail(protoErr("count: response 0x%02x (%v)", resp.Type, derr))
 			}
 		}
 		if first == nil {
@@ -239,20 +247,13 @@ func (tx *Tx) Explain(s *Scan) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return textResp(tx.cn, resp)
-}
-
-// textResp decodes a RespText frame.
-func textResp(cn *wconn, resp *wire.Frame) (string, error) {
 	if resp.Type != wire.RespText {
-		cn.broken = true
-		return "", protoErr("unexpected response 0x%02x, want text", resp.Type)
+		return "", tx.fail(protoErr("unexpected response 0x%02x, want text", resp.Type))
 	}
 	d := wire.NewDec(resp.Body)
-	s := d.String()
+	text := d.String()
 	if err := d.Err(); err != nil {
-		cn.broken = true
-		return "", err
+		return "", tx.fail(err)
 	}
-	return s, nil
+	return text, nil
 }

@@ -541,12 +541,14 @@ func (t *STx) everyShard() ([]*Tx, error) {
 }
 
 // Forall sends the scan to every shard at once and streams the k-way
-// merge of their result streams through fn by OID, all on the caller's
-// goroutine. On an extent path over one class each shard's stream is
-// in OID order, so the merge yields the same rows in the same order a
-// single unsharded server would. A scan that takes subtypes streams
-// class by class, and an index path a shard's writes and then key
-// order, so there the merged order is not a single server's. fn's
+// merge of their result streams through fn, all on the caller's
+// goroutine. On an extent path each shard streams its rows class by
+// class in Schema.Hierarchy order (one class unless the scan takes
+// subtypes) and in OID order within a class, so the merge orders rows
+// by their class's place in that hierarchy and then by OID, and yields
+// the same rows in the same order a single unsharded server would. An
+// index path streams a shard's writes and then key order, so there the
+// merged order is not a single server's. fn's
 // contract matches Tx.Forall: returning false stops the scan, an error
 // ends it with that error; either way each shard has been sent only the
 // windows the merge pulled, and the transaction's next request on a
@@ -561,7 +563,14 @@ func (t *STx) Forall(sc *Scan, fn func(oid ode.OID, obj *ode.Object) (bool, erro
 	for i, tx := range txs {
 		cs[i] = tx.scan(sc)
 	}
-	return merge(cs, fn)
+	var rank map[string]int
+	if sc.Subtypes {
+		rank = make(map[string]int)
+		for i, c := range txs[0].c.schema.Hierarchy(sc.Class) {
+			rank[c.Name] = i
+		}
+	}
+	return merge(cs, rank, fn)
 }
 
 // Collect runs the scan and returns every row, in Forall's order.

@@ -23,9 +23,11 @@ type Tx struct {
 	// riding is that id from the post the begin rode until the await
 	// that reads its reply.
 	beginID, riding uint64
-	// failed is the server's refusal of that begin (overload, closed):
-	// every operation returns it from then on, as every operation of an
-	// embedded transaction admission control refused does.
+	// failed is why the transaction can send nothing more: the server's
+	// refusal of its begin (overload, closed), or the error that broke
+	// its connection. Every operation returns it from then on, as every
+	// operation of an embedded transaction admission control refused
+	// does.
 	failed  error
 	done    bool
 	id      uint64
@@ -63,9 +65,9 @@ func (tx *Tx) begin() {
 	}
 }
 
-// err is why the transaction can send nothing more: the begin's
-// rejection, or ErrTxDone once it is finished. Its connection then
-// belongs to the pool and must not be touched.
+// err is why the transaction can send nothing more: failed, or
+// ErrTxDone once it is finished. Its connection then belongs to the
+// pool (or is closed) and must not be touched.
 func (tx *Tx) err() error {
 	if tx.failed != nil {
 		return tx.failed
@@ -92,6 +94,9 @@ func (tx *Tx) post(frames []byte) error {
 	err := tx.cn.post(tx.ctx, frames)
 	if err != nil {
 		tx.riding = 0
+		if tx.cn.broken {
+			return tx.fail(err)
+		}
 	}
 	return err
 }
@@ -125,6 +130,28 @@ func (tx *Tx) await(read func() error) error {
 		tx.finish()
 		return refused
 	}
+	if cn.broken {
+		if err == nil {
+			// The replies arrived, but the context ended the exchange:
+			// this operation has its answer, the next ones do not.
+			tx.fail(mapCtxErr(tx.ctx.Err()))
+			return nil
+		}
+		return tx.fail(err)
+	}
+	return err
+}
+
+// fail ends the transaction on a broken connection: the connection is
+// closed, not pooled, nothing more is sent on it, and err — what broke
+// it — is the outcome of every later operation. Abort then costs no
+// round trip. It returns err.
+func (tx *Tx) fail(err error) error {
+	tx.cn.broken = true
+	if tx.failed == nil {
+		tx.failed = err
+	}
+	tx.finish()
 	return err
 }
 
@@ -228,8 +255,7 @@ func (tx *Tx) Commit() error {
 		d := wire.NewDec(resp.Body)
 		tx.lsn, tx.epoch = d.Uvarint(), d.Uvarint()
 		if err := d.Err(); err != nil {
-			tx.cn.broken = true
-			cerr = protoErr("commit: %v", err)
+			cerr = tx.fail(protoErr("commit: %v", err))
 		}
 	}
 	tx.finish()
@@ -303,8 +329,7 @@ func (tx *Tx) PNew(c *ode.Class, init *ode.Object) (ode.OID, error) {
 	d := wire.NewDec(resp.Body)
 	oid := ode.OID(d.Uvarint())
 	if err := d.Err(); err != nil {
-		tx.cn.broken = true
-		return ode.NilOID, err
+		return ode.NilOID, tx.fail(err)
 	}
 	return oid, nil
 }
@@ -464,13 +489,11 @@ func (tx *Tx) settle(resp *wire.Frame, refs []wire.CachedRef) error {
 			}
 		case wire.CachedSkipped:
 		default:
-			tx.cn.broken = true
-			return protoErr("deref-cached: neighbour status %d", status)
+			return tx.fail(protoErr("deref-cached: neighbour status %d", status))
 		}
 	}
 	if err := d.Err(); err != nil || len(d.Rest()) != 0 {
-		tx.cn.broken = true
-		return protoErr("deref-cached: %d neighbour statuses do not match the reply (%v)", len(refs), err)
+		return tx.fail(protoErr("deref-cached: %d neighbour statuses do not match the reply (%v)", len(refs), err))
 	}
 	return nil
 }
@@ -479,14 +502,12 @@ func (tx *Tx) settle(resp *wire.Frame, refs []wire.CachedRef) error {
 // (fill) and returns the decoded object.
 func (tx *Tx) fillCache(oid ode.OID, resp *wire.Frame) (*ode.Object, error) {
 	if resp.Type != wire.RespObject {
-		tx.cn.broken = true
-		return nil, protoErr("unexpected response 0x%02x, want object", resp.Type)
+		return nil, tx.fail(protoErr("unexpected response 0x%02x, want object", resp.Type))
 	}
 	d := wire.NewDec(resp.Body)
 	image := d.Bytes()
 	if err := d.Err(); err != nil {
-		tx.cn.broken = true
-		return nil, err
+		return nil, tx.fail(err)
 	}
 	obj, err := tx.fill(oid, image)
 	if err == nil {
@@ -583,8 +604,7 @@ func (tx *Tx) Versions(oid ode.OID) ([]uint32, error) {
 		return nil, err
 	}
 	if resp.Type != wire.RespVersions {
-		tx.cn.broken = true
-		return nil, protoErr("versions: unexpected response 0x%02x", resp.Type)
+		return nil, tx.fail(protoErr("versions: unexpected response 0x%02x", resp.Type))
 	}
 	d := wire.NewDec(resp.Body)
 	n := d.Uvarint()
@@ -593,8 +613,7 @@ func (tx *Tx) Versions(oid ode.OID) ([]uint32, error) {
 		out = append(out, uint32(d.Uvarint()))
 	}
 	if err := d.Err(); err != nil {
-		tx.cn.broken = true
-		return nil, err
+		return nil, tx.fail(err)
 	}
 	return out, nil
 }
@@ -623,28 +642,24 @@ func (tx *Tx) DeleteVersion(ref ode.VRef) error {
 
 func (tx *Tx) decodeObjResp(resp *wire.Frame) (*ode.Object, error) {
 	if resp.Type != wire.RespObject {
-		tx.cn.broken = true
-		return nil, protoErr("unexpected response 0x%02x, want object", resp.Type)
+		return nil, tx.fail(protoErr("unexpected response 0x%02x, want object", resp.Type))
 	}
 	d := wire.NewDec(resp.Body)
 	image := d.Bytes()
 	if err := d.Err(); err != nil {
-		tx.cn.broken = true
-		return nil, err
+		return nil, tx.fail(err)
 	}
 	return object.Decode(tx.c.schema, image)
 }
 
 func (tx *Tx) decodeVersionResp(resp *wire.Frame) (uint32, error) {
 	if resp.Type != wire.RespVersion {
-		tx.cn.broken = true
-		return 0, protoErr("unexpected response 0x%02x, want version", resp.Type)
+		return 0, tx.fail(protoErr("unexpected response 0x%02x, want version", resp.Type))
 	}
 	d := wire.NewDec(resp.Body)
 	v := uint32(d.Uvarint())
 	if err := d.Err(); err != nil {
-		tx.cn.broken = true
-		return 0, err
+		return 0, tx.fail(err)
 	}
 	return v, nil
 }

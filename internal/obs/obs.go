@@ -248,6 +248,7 @@ type TxnMetrics struct {
 	ReadOnlyEnds         Counter   // transactions that ended uncommitted with no write set (View, read-only aborts)
 	ConstraintViolations Counter   // commits rejected by class constraints
 	LockGrants           Counter   // fresh lock grants (rows and clusters), added at release
+	LockWords            Counter   // lock words inserted into the lock table (a resident word is not), added at release
 	LockWaits            Counter   // lock requests that had to block
 	LockWaitTimeouts     Counter   // lock waits abandoned by deadline or cancellation
 	Deadlocks            Counter   // waits-for cycles detected
@@ -529,6 +530,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		{"txn.read_only_ends", &m.Txn.ReadOnlyEnds},
 		{"txn.constraint_violations", &m.Txn.ConstraintViolations},
 		{"txn.lock_grants", &m.Txn.LockGrants},
+		{"txn.lock_words", &m.Txn.LockWords},
 		{"txn.lock_waits", &m.Txn.LockWaits},
 		{"txn.lock_wait_timeouts", &m.Txn.LockWaitTimeouts},
 		{"txn.deadlocks", &m.Txn.Deadlocks},

@@ -74,6 +74,14 @@ const (
 	// the per-transaction held lists are split into.
 	lockStripeBits = 6
 	lockStripes    = 1 << lockStripeBits
+	// maxIdleWords bounds each stripe's resident idle lock words (no
+	// holder, no waiter): 4 096 for the engine, about 400 KB. A word a
+	// release leaves idle stays in the map, so locking it again inserts
+	// nothing; a release that would take the stripe past the bound drops
+	// its word instead. The bound stays small: at 1 024 a stripe the
+	// resident words cost emb-write peak memory and emb-cold latency
+	// (DESIGN.md §7 "Lock table", EXPERIMENTS.md E28).
+	maxIdleWords = 64
 	// inlineHolders is how many holders a lock word stores in place
 	// before spilling to a heap slice.
 	inlineHolders = 2
@@ -90,11 +98,13 @@ const (
 // context and abandons the wait on deadline expiry or cancellation.
 //
 // The table is striped by OID hash; an uncontended request takes one
-// stripe mutex, touches one lock word and allocates nothing. Each
-// transaction's granted OIDs are remembered in a second table striped
-// by txid, so ReleaseAll visits only what the transaction holds. Lock
-// order: stripe → graphMu, and never two stripes at once; a held-list
-// mutex is a leaf, never held across another lock.
+// stripe mutex, touches one lock word and allocates nothing, and on a
+// resident word it writes nothing but the word. Each transaction's
+// granted words are remembered in a second table striped by txid, so
+// ReleaseAll visits only what the transaction holds and looks nothing
+// up. Lock order: stripe → graphMu, and never
+// two stripes at once; a held-list mutex is a leaf, never held across
+// another lock.
 type LockManager struct {
 	stripes [lockStripes]lockStripe
 	held    [lockStripes]heldStripe
@@ -107,16 +117,18 @@ type LockManager struct {
 }
 
 // lockStripe is one piece of the table, padded to a cache line so
-// neighbouring stripes' mutexes do not share one.
+// neighbouring stripes' mutexes do not share one. Its map holds every
+// busy word (a holder or a waiter) and up to maxIdleWords idle ones.
 type lockStripe struct {
 	mu    sync.Mutex
 	locks map[core.OID]*lockState
-	free  []*lockState // idle lock words, reset, ready for reuse
-	_     [24]byte
+	idle  int          // words in locks with no holder and no waiter
+	free  []*lockState // dropped lock words, reset, ready for reuse
+	_     [16]byte
 }
 
 // heldStripe remembers, for the transactions whose id maps to it, the
-// OIDs each was granted, in grant order. Many transactions share a
+// lock words each was granted, in grant order. Many transactions share a
 // stripe, each on its own goroutine; mu orders their appends and
 // releases.
 type heldStripe struct {
@@ -126,7 +138,14 @@ type heldStripe struct {
 	_    [24]byte
 }
 
-type heldList struct{ oids []core.OID }
+// heldList is a transaction's granted words. A held word is busy, so
+// it stays in its stripe's map under its OID, and a release needs no
+// lookup. inserted counts the words the transaction's grants put into
+// the table; like the grants, they are added to the metrics at release.
+type heldList struct {
+	words    []*lockState
+	inserted uint64
+}
 
 type holder struct {
 	txid uint64
@@ -138,9 +157,11 @@ type holder struct {
 // against a context — release is broadcast by closing the wake channel;
 // a waiter creates the channel if there is none, snapshots it under the
 // stripe mutex and then selects on it against its context's Done
-// channel. A waiter keeps a pointer to its word: a non-empty queue
-// pins the word in the table and out of the free list.
+// channel. A holder's held list and a waiter keep pointers to the
+// word: a holder or a non-empty queue pins it in the table and out of
+// the free list.
 type lockState struct {
+	oid     core.OID // the word's key, set when it enters the table
 	holders []holder // aliases inline until a third holder spills it
 	inline  [inlineHolders]holder
 	// queue is the requests waiting on the word, in arrival order, each
@@ -171,12 +192,16 @@ func (lm *LockManager) stripe(oid core.OID) *lockStripe {
 	return &lm.stripes[(uint64(oid)*0x9E3779B97F4A7C15)>>(64-lockStripeBits)]
 }
 
-// word returns oid's lock word, creating (or recycling) an idle one.
-// Caller holds s.mu.
-func (s *lockStripe) word(oid core.OID) *lockState {
-	ls := s.locks[oid]
-	if ls != nil {
-		return ls
+// word returns oid's lock word, inserting a recycled or new one when
+// it is not resident. The caller grants it at once: an idle word, like
+// a new one, refuses no request, so it leaves here busy. Caller holds
+// s.mu.
+func (s *lockStripe) word(oid core.OID) (ls *lockState, inserted bool) {
+	if ls = s.locks[oid]; ls != nil {
+		if ls.idle() {
+			s.idle--
+		}
+		return ls, false
 	}
 	if n := len(s.free); n > 0 {
 		ls, s.free = s.free[n-1], s.free[:n-1]
@@ -184,19 +209,28 @@ func (s *lockStripe) word(oid core.OID) *lockState {
 		ls = &lockState{}
 		ls.holders = ls.inline[:0]
 	}
+	ls.oid = oid
 	s.locks[oid] = ls
-	return ls
+	return ls, true
 }
 
-// dropIfIdle removes oid's lock word when nothing holds or waits on it
-// any more (a wait abandoned on the last reference must not leak the
-// entry) and recycles it reset: holders back in place and empty, no
-// channel. Caller holds s.mu.
-func (s *lockStripe) dropIfIdle(oid core.OID, ls *lockState) {
-	if len(ls.holders) != 0 || len(ls.queue) != 0 {
+// idle reports whether nothing holds or waits on the word.
+func (ls *lockState) idle() bool { return len(ls.holders) == 0 && len(ls.queue) == 0 }
+
+// settle follows a release or an abandoned wait on a word. A word
+// still busy stays; one left idle stays resident while its stripe has
+// room, and is otherwise removed (a wait abandoned on the last
+// reference must not leak the entry) and recycled reset: holders back
+// in place and empty, no channel. Caller holds s.mu.
+func (s *lockStripe) settle(ls *lockState) {
+	if !ls.idle() {
 		return
 	}
-	delete(s.locks, oid)
+	if s.idle < maxIdleWords {
+		s.idle++
+		return
+	}
+	delete(s.locks, ls.oid)
 	if len(s.free) < maxFreeWords {
 		ls.holders = ls.inline[:0]
 		ls.wake = nil
@@ -330,7 +364,7 @@ func (ls *lockState) release(txid uint64) bool {
 func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, mode LockMode) error {
 	s := lm.stripe(oid)
 	s.mu.Lock()
-	ls := s.word(oid)
+	ls, inserted := s.word(oid)
 	queued := false
 	for {
 		if ok, fresh := ls.grant(txid, mode); ok {
@@ -339,7 +373,7 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			}
 			s.mu.Unlock()
 			if fresh {
-				lm.noteHeld(txid, oid)
+				lm.noteHeld(txid, ls, inserted)
 			}
 			return nil
 		}
@@ -361,7 +395,7 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			if queued {
 				ls.leave(txid)
 			}
-			s.dropIfIdle(oid, ls)
+			s.settle(ls)
 			s.mu.Unlock()
 			lm.met.Deadlocks.Inc()
 			return fmt.Errorf("%w (tx %d on @%d %s)", ErrDeadlock, txid, oid, mode)
@@ -393,7 +427,7 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			if queued {
 				ls.leave(txid)
 			}
-			s.dropIfIdle(oid, ls)
+			s.settle(ls)
 			s.mu.Unlock()
 			lm.met.LockWaitTimeouts.Inc()
 			return fmt.Errorf("%w (tx %d on @%d %s)", FromContextErr(ctxErr), txid, oid, mode)
@@ -410,20 +444,22 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 func (lm *LockManager) TryAcquire(txid uint64, oid core.OID, mode LockMode) bool {
 	s := lm.stripe(oid)
 	s.mu.Lock()
-	ls := s.word(oid)
+	ls, inserted := s.word(oid)
 	ok, fresh := false, false
 	if len(ls.queue) == 0 { // a refused word has holders or waiters: it is not idle
 		ok, fresh = ls.grant(txid, mode)
 	}
 	s.mu.Unlock()
 	if fresh {
-		lm.noteHeld(txid, oid)
+		lm.noteHeld(txid, ls, inserted)
 	}
 	return ok
 }
 
-// noteHeld appends oid to txid's held list.
-func (lm *LockManager) noteHeld(txid uint64, oid core.OID) {
+// noteHeld appends a granted word to txid's held list; inserted says
+// the grant put the word into the table (a word is inserted only to be
+// granted at once).
+func (lm *LockManager) noteHeld(txid uint64, ls *lockState, inserted bool) {
 	hs := &lm.held[txid%lockStripes]
 	hs.mu.Lock()
 	hl := hs.byTx[txid]
@@ -435,7 +471,10 @@ func (lm *LockManager) noteHeld(txid uint64, oid core.OID) {
 		}
 		hs.byTx[txid] = hl
 	}
-	hl.oids = append(hl.oids, oid)
+	hl.words = append(hl.words, ls)
+	if inserted {
+		hl.inserted++
+	}
 	hs.mu.Unlock()
 }
 
@@ -466,7 +505,8 @@ func (lm *LockManager) cycleFrom(start uint64) bool {
 // txid, not by a handle the Tx carries, because a prepared transaction
 // keeps its locks after its Tx is gone and a recovered one re-locks by
 // txid at boot. The transaction's fresh grants — its held list — are
-// added to txn.lock_grants here, once, so granting adds no shared write.
+// added to txn.lock_grants here, once, and the words they inserted to
+// txn.lock_words, so granting adds no shared write.
 func (lm *LockManager) ReleaseAll(txid uint64) { lm.releaseAll(txid) }
 
 // releaseAll is ReleaseAll reporting how many lock words it visited
@@ -482,19 +522,20 @@ func (lm *LockManager) releaseAll(txid uint64) (visited int) {
 	if hl == nil {
 		return 0
 	}
-	for _, oid := range hl.oids {
-		s := lm.stripe(oid)
+	for _, ls := range hl.words {
+		s := lm.stripe(ls.oid) // held, so ls.oid cannot change
 		s.mu.Lock()
-		if ls := s.locks[oid]; ls != nil && ls.release(txid) {
+		if ls.release(txid) {
 			ls.wakeAll()
-			s.dropIfIdle(oid, ls)
+			s.settle(ls)
 		}
 		s.mu.Unlock()
 	}
-	visited = len(hl.oids)
+	visited = len(hl.words)
 	lm.met.LockGrants.Add(uint64(visited))
-	if cap(hl.oids) <= maxKeptHeld {
-		hl.oids = hl.oids[:0]
+	lm.met.LockWords.Add(hl.inserted)
+	if cap(hl.words) <= maxKeptHeld {
+		hl.words, hl.inserted = hl.words[:0], 0
 		hs.mu.Lock()
 		hs.free = append(hs.free, hl)
 		hs.mu.Unlock()
@@ -506,20 +547,18 @@ func (lm *LockManager) releaseAll(txid uint64) (visited int) {
 func (lm *LockManager) HeldLocks(txid uint64) map[core.OID]LockMode {
 	hs := &lm.held[txid%lockStripes]
 	hs.mu.Lock()
-	var oids []core.OID
+	var held []*lockState
 	if hl := hs.byTx[txid]; hl != nil {
-		oids = append(oids, hl.oids...)
+		held = append(held, hl.words...)
 	}
 	hs.mu.Unlock()
 	out := make(map[core.OID]LockMode)
-	for _, oid := range oids {
-		s := lm.stripe(oid)
+	for _, ls := range held {
+		s := lm.stripe(ls.oid)
 		s.mu.Lock()
-		if ls := s.locks[oid]; ls != nil {
-			for _, h := range ls.holders {
-				if h.txid == txid {
-					out[oid] = h.mode
-				}
+		for _, h := range ls.holders {
+			if h.txid == txid {
+				out[ls.oid] = h.mode
 			}
 		}
 		s.mu.Unlock()
@@ -527,17 +566,18 @@ func (lm *LockManager) HeldLocks(txid uint64) map[core.OID]LockMode {
 	return out
 }
 
-// TableSize reports how many OIDs currently have lock words (tests:
-// abandoned waits must not leak entries).
-func (lm *LockManager) TableSize() int {
-	n := 0
+// TableSize reports how many lock words are in the table: busy ones,
+// with a holder or a waiter (tests: abandoned waits must not leak
+// entries), and idle resident ones.
+func (lm *LockManager) TableSize() (busy, idle int) {
 	for i := range lm.stripes {
 		s := &lm.stripes[i]
 		s.mu.Lock()
-		n += len(s.locks)
+		busy += len(s.locks) - s.idle
+		idle += s.idle
 		s.mu.Unlock()
 	}
-	return n
+	return busy, idle
 }
 
 // Waiting reports how many waiters are queued on oid (tests).

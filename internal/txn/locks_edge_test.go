@@ -57,8 +57,8 @@ func TestUpgradeRaceConcurrentUpgraders(t *testing.T) {
 		t.Fatalf("survivor holds %v, want X", got)
 	}
 	lm.ReleaseAll(1)
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after all releases, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}
 }
 
@@ -104,8 +104,8 @@ func TestDeadlockVictimSparesQueuedBystander(t *testing.T) {
 		t.Fatalf("bystander holds %v, want S", got)
 	}
 	lm.ReleaseAll(3)
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after all releases, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}
 }
 
@@ -136,12 +136,12 @@ func TestCanceledWaitAccounting(t *testing.T) {
 	if held := lm.HeldLocks(2); len(held) != 0 {
 		t.Fatalf("canceled waiter holds %v, want nothing", held)
 	}
-	if n := lm.TableSize(); n != 1 {
-		t.Fatalf("lock table holds %d entries (holder still live), want 1", n)
+	if n := busyWords(t, lm); n != 1 {
+		t.Fatalf("lock table holds %d busy words (holder still live), want 1", n)
 	}
 	lm.ReleaseAll(1)
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after holder released, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after holder released, want 0", n)
 	}
 }
 
@@ -189,8 +189,8 @@ func TestDeadContextFastFails(t *testing.T) {
 		t.Fatalf("Waiting = %d, want 0", n)
 	}
 	lm.ReleaseAll(1)
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words, want 0", n)
 	}
 }
 
@@ -361,8 +361,8 @@ func TestTryAcquireNeverWaits(t *testing.T) {
 	}
 	lm.ReleaseAll(6)
 	lm.ReleaseAll(7)
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after all releases, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}
 }
 

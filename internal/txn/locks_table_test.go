@@ -142,8 +142,8 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 	if overall.Err() != nil {
 		t.Fatalf("a wait outlived %v: lost wake-up or undetected deadlock", patience)
 	}
-	if n := lm.TableSize(); n != 0 {
-		t.Errorf("lock table holds %d entries after every release, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Errorf("lock table holds %d busy words after every release, want 0", n)
 	}
 	for oid := core.OID(1); oid <= oidSpace; oid++ {
 		if n := lm.Waiting(oid); n != 0 {
@@ -196,14 +196,14 @@ func TestSameTxConcurrentAcquire(t *testing.T) {
 	}
 	wg.Wait()
 	held := lm.HeldLocks(txid)
-	if len(held) != lm.TableSize() {
-		t.Fatalf("HeldLocks reports %d OIDs, table has %d", len(held), lm.TableSize())
+	if len(held) != busyWords(t, lm) {
+		t.Fatalf("HeldLocks reports %d OIDs, table has %d", len(held), busyWords(t, lm))
 	}
 	if visited := lm.releaseAll(txid); visited != len(held) {
 		t.Fatalf("release visited %d lock words, want one per held OID (%d)", visited, len(held))
 	}
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after release, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after release, want 0", n)
 	}
 }
 
@@ -252,14 +252,157 @@ func TestReleaseVisitsOnlyOwnLocks(t *testing.T) {
 	if visited := lm.releaseAll(small); visited != 4 {
 		t.Fatalf("releasing 4 locks visited %d lock words, want 4", visited)
 	}
-	if n := lm.TableSize(); n != 10000 {
-		t.Fatalf("lock table holds %d entries, want the other transaction's 10000", n)
+	if n := busyWords(t, lm); n != 10000 {
+		t.Fatalf("lock table holds %d busy words, want the other transaction's 10000", n)
 	}
 	if visited := lm.releaseAll(big); visited != 10000 {
 		t.Fatalf("releasing 10000 locks visited %d lock words", visited)
 	}
-	if n := lm.TableSize(); n != 0 {
-		t.Fatalf("lock table holds %d entries after both releases, want 0", n)
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after both releases, want 0", n)
+	}
+	// 10 000 words over 64 stripes leave every stripe past its bound.
+	if _, idle := lm.TableSize(); idle != lockStripes*maxIdleWords {
+		t.Fatalf("lock table keeps %d idle words, want the bound, %d", idle, lockStripes*maxIdleWords)
+	}
+}
+
+// busyWords is TableSize's busy count, after checking every stripe's
+// idle words: its count matches its map and stays within maxIdleWords.
+func busyWords(t *testing.T, lm *LockManager) int {
+	t.Helper()
+	for i := range lm.stripes {
+		s := &lm.stripes[i]
+		s.mu.Lock()
+		idle := 0
+		for _, ls := range s.locks {
+			if ls.idle() {
+				idle++
+			}
+		}
+		counted := s.idle
+		s.mu.Unlock()
+		if idle != counted || idle > maxIdleWords {
+			t.Errorf("stripe %d: %d idle words in its map, %d counted, bound %d", i, idle, counted, maxIdleWords)
+		}
+	}
+	busy, _ := lm.TableSize()
+	return busy
+}
+
+// sameStripe returns n OIDs that all map to oid 1's stripe.
+func sameStripe(lm *LockManager, n int) []core.OID {
+	want := lm.stripe(1)
+	var out []core.OID
+	for oid := core.OID(1); len(out) < n; oid++ {
+		if lm.stripe(oid) == want {
+			out = append(out, oid)
+		}
+	}
+	return out
+}
+
+// A word a release leaves idle stays in its stripe until the stripe
+// holds maxIdleWords of them; the release that would pass the bound
+// drops its word to the free list, and locking that object again
+// inserts a word (txn.lock_words, counted at release).
+func TestIdleWordsResidentUpToBound(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	oids := sameStripe(lm, maxIdleWords+1)
+	s := lm.stripe(oids[0])
+	for _, oid := range oids {
+		if err := lm.Acquire(bg, 1, oid, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lm.ReleaseAll(1) // in grant order: the last release is over the bound
+	if got := lm.met.LockWords.Load(); got != maxIdleWords+1 {
+		t.Fatalf("txn.lock_words = %d after locking %d objects, want %d", got, len(oids), len(oids))
+	}
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after release, want 0", n)
+	}
+	last := oids[maxIdleWords]
+	if s.idle != maxIdleWords || len(s.locks) != maxIdleWords || s.locks[last] != nil || len(s.free) != 1 {
+		t.Fatalf("stripe after release: %d idle, %d words, @%d resident %v, %d free; want %d, %d, false, 1",
+			s.idle, len(s.locks), last, s.locks[last] != nil, len(s.free), maxIdleWords, maxIdleWords)
+	}
+	for _, oid := range oids[:maxIdleWords] {
+		if err := lm.Acquire(bg, 2, oid, Exclusive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.locks) != maxIdleWords || len(s.free) != 1 {
+		t.Fatalf("relocking resident words: %d words, %d free; want %d, 1", len(s.locks), len(s.free), maxIdleWords)
+	}
+	if err := lm.Acquire(bg, 2, last, Shared); err != nil {
+		t.Fatal(err)
+	}
+	if s.locks[last] == nil || len(s.free) != 0 {
+		t.Fatalf("relocking the dropped word: resident %v, %d free; want true, 0 (recycled)", s.locks[last] != nil, len(s.free))
+	}
+	lm.ReleaseAll(2)
+	if got := lm.met.LockWords.Load(); got != maxIdleWords+2 {
+		t.Fatalf("txn.lock_words = %d after relocking, want %d: one insert, for the dropped word", got, maxIdleWords+2)
+	}
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after release, want 0", n)
+	}
+}
+
+// Work gate: a warm lock cycle on resident words leaves every stripe's
+// map as it was — the same words under the same OIDs, nothing inserted
+// or deleted — so a warm reader writes no map another core reads.
+func TestWarmLockCycleLeavesMapUnchanged(t *testing.T) {
+	lm := NewLockManager()
+	bg := context.Background()
+	txid := uint64(0)
+	cycle := func() {
+		txid++
+		for oid := core.OID(1); oid <= 64; oid++ {
+			if err := lm.Acquire(bg, txid, oid, Shared); err != nil {
+				t.Fatal(err)
+			}
+			if !lm.TryAcquire(txid, oid+64, Shared) {
+				t.Fatal("TryAcquire refused a free word")
+			}
+		}
+		lm.ReleaseAll(txid)
+	}
+	snapshot := func() []map[core.OID]*lockState {
+		out := make([]map[core.OID]*lockState, lockStripes)
+		for i := range lm.stripes {
+			out[i] = make(map[core.OID]*lockState, len(lm.stripes[i].locks))
+			for oid, ls := range lm.stripes[i].locks {
+				out[i][oid] = ls
+			}
+		}
+		return out
+	}
+	cycle()
+	before, words := snapshot(), lm.met.LockWords.Load()
+	if _, idle := lm.TableSize(); idle != 128 {
+		t.Fatalf("%d idle words after the cold cycle, want all 128 resident", idle)
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	after := snapshot()
+	for i := range before {
+		same := len(before[i]) == len(after[i])
+		for oid, ls := range before[i] {
+			same = same && after[i][oid] == ls
+		}
+		if !same {
+			t.Fatalf("stripe %d changed across warm cycles: %d words -> %d", i, len(before[i]), len(after[i]))
+		}
+	}
+	if got := lm.met.LockWords.Load(); got != words {
+		t.Fatalf("txn.lock_words %d -> %d across warm cycles, want no insert", words, got)
+	}
+	if n := busyWords(t, lm); n != 0 {
+		t.Fatalf("lock table holds %d busy words after release, want 0", n)
 	}
 }
 
