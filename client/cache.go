@@ -19,7 +19,11 @@ import (
 //     revalidated in the same frame) or transitively (an earlier round
 //     trip in the same transaction validated the tag, and the server
 //     still holds that transaction's read lock, so the image cannot
-//     have changed).
+//     have changed), or because the server has just sent an image with
+//     that tag: a forall row whose image hashes to the entry's tag is
+//     handed out as a copy of the entry instead of being decoded
+//     (Client.rowObject), and any other row refreshes the entry or takes
+//     a free one, never evicting another.
 //   - Fills and invalidations can race across connections; a stale
 //     fill is harmless because its stale tag fails the next
 //     revalidation. The cache trades at worst one extra round trip,
@@ -34,7 +38,8 @@ import (
 // CLOCK: a hit takes its shard's read lock and sets its entry's
 // reference bit if it is clear, so concurrent transactions on
 // different connections neither serialize on one mutex nor reorder a
-// shared list.
+// shared list. The read lock itself is a shared write, an atomic add on
+// the shard's reader count (clockmap's package comment).
 type objCache struct {
 	clockmap.Map[ode.OID, objCacheEntry]
 }

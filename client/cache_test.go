@@ -229,6 +229,65 @@ func TestClientCacheDisabled(t *testing.T) {
 	}
 }
 
+// TestClientCacheScanNeverEvicts pins the forall fill rule: a scanned
+// row fills only a free position, so a scan many times the cache's size
+// leaves what a deref cached in place, and the next deref of it is a
+// revalidation hit, not a full fetch. The rows the scan could place are
+// scan hits the next time.
+func TestClientCacheScanNeverEvicts(t *testing.T) {
+	addr, cls := startCacheServer(t)
+	c := dialCache(t, addr, &client.Options{CacheSize: 16}) // one entry a shard
+	ctx := context.Background()
+	const rows = 200
+	var oids []ode.OID
+	if err := c.RunTx(ctx, func(tx *client.Tx) error {
+		oids = oids[:0]
+		for i := 0; i < rows; i++ {
+			oid, err := tx.PNew(cls, gadget(cls, "g", int64(i)))
+			if err != nil {
+				return err
+			}
+			oids = append(oids, oid)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	deref := func() {
+		t.Helper()
+		if err := c.View(ctx, func(tx *client.Tx) error {
+			_, err := tx.Deref(oids[0])
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func() {
+		t.Helper()
+		if err := c.View(ctx, func(tx *client.Tx) error {
+			n, err := tx.Forall(&ode.Scan{Class: cls}, func(oid ode.OID, o *ode.Object) (bool, error) { return true, nil })
+			if err == nil && n != rows {
+				t.Errorf("forall delivered %d rows, want %d", n, rows)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	met := c.CacheMetrics()
+	deref() // cold: fills oids[0]'s shard
+	scan()
+	deref()
+	if h, m := met.Hits.Load(), met.Misses.Load(); h != 1 || m != 1 {
+		t.Errorf("deref after a scan of %d rows into a cache of 16: hits=%d misses=%d, want 1/1", rows, h, m)
+	}
+	before := met.ScanHits.Load()
+	scan()
+	if got := met.ScanHits.Load() - before; got < 1 || got > 16 {
+		t.Errorf("second scan: %d scan hits, want the 1 to 16 rows the cache could hold", got)
+	}
+}
+
 // TestClientCacheCoherenceConcurrentWriter is the coherence stress
 // test: a writer advances a counter one committed transaction at a
 // time while cached readers poll it. Reads within one transaction must

@@ -28,6 +28,11 @@ import (
 // in flight and the objects and versions earlier steps made.
 type run struct {
 	begin func() ode.ObjectTx
+	// other begins a transaction on a second client, or router, with a
+	// cache of its own: its writes reach the server behind the first
+	// client's cache. It is begin in process and where the script has
+	// no second client.
+	other func() ode.ObjectTx
 	trips func() uint64 // client round trips so far; 0 in process
 	tx    ode.ObjectTx
 	stock *ode.Class
@@ -38,6 +43,10 @@ type run struct {
 	chain   ode.OID // the head of a chain of chainLen cells, value = position
 	oid     map[string]ode.OID
 	ref     map[string]ode.VRef
+	// scanHits is the clients' forall rows served from their caches so
+	// far (client.scan_hits); 0 in process, where local is set.
+	scanHits func() uint64
+	local    bool
 }
 
 // chainLen is the conformance chain's length: more cells than one
@@ -464,6 +473,111 @@ var script = []struct {
 		defer tx.Abort()
 		return join(outcome(uerr), own, outcome(cerr), qty(tx.Deref(c)), qty(o, nil))
 	}, "ok qty=5 ok qty=5 qty=7"},
+
+	// A remote forall row whose image a client's cache holds at the
+	// same content tag is handed out as a copy of the cached object, not
+	// decoded. A row a second client updated since — behind the first
+	// client's cache, which still holds the old image — is delivered in
+	// its new state, and the cache is refilled with it: the scan after
+	// is served whole from the cache again.
+	{"scan after another's update", func(r *run) string {
+		c := r.oid["c"]
+		first, _ := r.scanQty(c)
+		warm, warmCached := r.scanQty(c)
+		w := r.other()
+		if err := w.Update(c, r.item("c", 8)); err != nil {
+			w.Abort()
+			return outcome(err)
+		}
+		if err := w.Commit(); err != nil {
+			return outcome(err)
+		}
+		after, _ := r.scanQty(c)
+		again, refilled := r.scanQty(c)
+		return join(first, warm, warmCached, after, again, refilled)
+	}, "qty=5 qty=5 true qty=8 qty=8 true"},
+	// What a forall hands out is the caller's own, as what Deref
+	// returns is: writing it changes neither the next scan's row nor a
+	// later Deref, in this transaction or the next.
+	{"write a scanned row", func(r *run) string {
+		c := r.oid["c"]
+		tx := r.begin()
+		for i := 0; i < 2; i++ {
+			row, _, err := r.scanRows(tx, c)
+			if err != nil || row == nil {
+				tx.Abort()
+				return join(outcome(err), row != nil)
+			}
+			row.MustSet("qty", ode.Int(-1))
+		}
+		row, _, err := r.scanRows(tx, c)
+		if err != nil || row == nil {
+			tx.Abort()
+			return join(outcome(err), row != nil)
+		}
+		own := join(qty(row, nil), qty(tx.Deref(c)))
+		tx.Abort()
+		next, _ := r.scanQty(c)
+		tx = r.begin()
+		defer tx.Abort()
+		return join(own, next, qty(tx.Deref(c)))
+	}, "qty=8 qty=8 qty=8 qty=8"},
+	// A scan in a transaction that wrote a row yields the written state
+	// — the transaction's own write, which no other reader sees — and
+	// once the transaction aborts, the committed state again.
+	{"scan own write", func(r *run) string {
+		c := r.oid["c"]
+		tx := r.begin()
+		if err := tx.Update(c, r.item("c", 9)); err != nil {
+			tx.Abort()
+			return outcome(err)
+		}
+		row, _, err := r.scanRows(tx, c)
+		if err != nil || row == nil {
+			tx.Abort()
+			return join(outcome(err), row != nil)
+		}
+		own := join(qty(row, nil), qty(tx.Deref(c)))
+		again, _, err := r.scanRows(tx, c)
+		if err != nil || again == nil {
+			tx.Abort()
+			return join(outcome(err), again != nil)
+		}
+		own = join(own, qty(again, nil))
+		tx.Abort()
+		after, _ := r.scanQty(c)
+		tx = r.begin()
+		defer tx.Abort()
+		return join(own, after, qty(tx.Deref(c)))
+	}, "qty=9 qty=9 qty=9 qty=8 qty=8"},
+}
+
+// scanRows runs an unfiltered stockitem forall in tx and returns oid's
+// row (nil when the scan did not deliver it) and the rows delivered.
+func (r *run) scanRows(tx ode.ObjectTx, oid ode.OID) (*ode.Object, int, error) {
+	var row *ode.Object
+	n, err := tx.Forall(r.scan(0), func(got ode.OID, o *ode.Object) (bool, error) {
+		if got == oid {
+			row = o
+		}
+		return true, nil
+	})
+	return row, n, err
+}
+
+// scanQty renders oid's qty as a forall in a fresh view delivers it,
+// and reports whether every row of that scan was served from a client
+// cache (always, in process: there is no decode to skip).
+func (r *run) scanQty(oid ode.OID) (string, bool) {
+	tx := r.begin()
+	defer tx.Abort()
+	hits := r.scanHits()
+	row, n, err := r.scanRows(tx, oid)
+	cached := r.local || r.scanHits()-hits == uint64(n)
+	if err != nil || row == nil {
+		return join(outcome(err), row != nil), cached
+	}
+	return qty(row, nil), cached
 }
 
 // manyRows stockitems, qty from manyQty up, are more than two windows.
@@ -483,12 +597,33 @@ func TestObjectTxConformance(t *testing.T) {
 		}
 		t.Run(d.Mode(), func(t *testing.T) {
 			defer d.Close()
-			runScript(t, d.World, d.Client, d.Router)
+			var other func() ode.ObjectTx
+			switch {
+			case d.Client != nil:
+				c, err := d.Dial(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other = func() ode.ObjectTx {
+					tx, err := c.Begin(context.Background())
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tx
+				}
+			case d.Router != nil:
+				r, err := d.DialRouter(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other = func() ode.ObjectTx { return r.Begin(context.Background()) }
+			}
+			runScript(t, d.World, d.Client, d.Router, other)
 		})
 	}
 	t.Run("sharded-3×replicated", func(t *testing.T) {
 		r, w, replicas := replicatedShards(t, 3, opts)
-		runScript(t, w, nil, r)
+		runScript(t, w, nil, r, nil)
 		// Every replica applies what the router wrote to its primary.
 		ctx := context.Background()
 		for i, rc := range replicas {
@@ -510,8 +645,9 @@ func TestObjectTxConformance(t *testing.T) {
 }
 
 // runScript runs the script against the router r, else the client c,
-// else w's embedded database.
-func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded) {
+// else w's embedded database; other, when not nil, begins the second
+// client's transactions (run.other).
+func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded, other func() ode.ObjectTx) {
 	run := &run{stock: w.Stock, cell: w.Cell, person: w.Person, student: w.Student,
 		oid: map[string]ode.OID{}, ref: map[string]ode.VRef{}}
 	run.trips = func() uint64 {
@@ -524,6 +660,17 @@ func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded
 		}
 		return n
 	}
+	run.scanHits = func() uint64 {
+		var n uint64
+		if c != nil {
+			n += c.CacheMetrics().ScanHits.Load()
+		}
+		for i := 0; r != nil && i < r.NumShards(); i++ {
+			n += r.Shard(i).CacheMetrics().ScanHits.Load()
+		}
+		return n
+	}
+	run.local = c == nil && r == nil
 	run.begin = func() ode.ObjectTx {
 		ctx := context.Background()
 		switch {
@@ -537,6 +684,9 @@ func runScript(t *testing.T, w *bench.World, c *client.Client, r *client.Sharded
 			return tx
 		}
 		return ode.EmbeddedTx{Tx: w.DB.Begin()}
+	}
+	if run.other = other; other == nil {
+		run.other = run.begin
 	}
 	for _, step := range script {
 		if got := step.do(run); got != step.want {

@@ -76,9 +76,7 @@ func (p *Pipeline) enqueue(typ, want byte, body []byte) *Future {
 
 // PNew queues an object creation.
 func (p *Pipeline) PNew(c *ode.Class, init *ode.Object) *Future {
-	body := wire.AppendString(nil, c.Name)
-	body = wire.AppendBytes(body, object.Encode(init))
-	return p.enqueue(wire.CmdPNew, wire.RespOID, body)
+	return p.enqueue(wire.CmdPNew, wire.RespOID, p.tx.appendImage(wire.AppendString(nil, c.Name), init))
 }
 
 // Update queues an image replacement. The cached object (if any) is
@@ -86,9 +84,7 @@ func (p *Pipeline) PNew(c *ode.Class, init *ode.Object) *Future {
 // fails, but a spurious invalidation only costs a refetch.
 func (p *Pipeline) Update(oid ode.OID, o *ode.Object) *Future {
 	p.tx.invalidate(oid)
-	body := wire.AppendUvarint(nil, uint64(oid))
-	body = wire.AppendBytes(body, object.Encode(o))
-	return p.enqueue(wire.CmdUpdate, wire.RespOK, body)
+	return p.enqueue(wire.CmdUpdate, wire.RespOK, p.tx.appendImage(wire.AppendUvarint(nil, uint64(oid)), o))
 }
 
 // PDelete queues a deletion; invalidates like Update.

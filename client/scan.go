@@ -86,8 +86,9 @@ func (tx *Tx) scan(s *Scan) *cursor {
 	return c
 }
 
-// next hands out the scan's next row. ok is false at the scan's end
-// and once it has failed (c.err).
+// next hands out the scan's next row, a copy of the client cache's
+// object when the cache holds the row's image (Client.rowObject). ok is
+// false at the scan's end and once it has failed (c.err).
 func (c *cursor) next() (oid ode.OID, obj *ode.Object, ok bool) {
 	for c.n == 0 {
 		switch {
@@ -107,7 +108,7 @@ func (c *cursor) next() (oid ode.OID, obj *ode.Object, ok bool) {
 		c.err = c.tx.fail(err)
 		return ode.NilOID, nil, false
 	}
-	if obj, c.err = object.Decode(c.tx.c.schema, image); c.err != nil {
+	if obj, c.err = c.tx.c.rowObject(oid, image); c.err != nil {
 		return ode.NilOID, nil, false
 	}
 	return oid, obj, true

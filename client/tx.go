@@ -47,6 +47,9 @@ type Tx struct {
 	// cached objects, already sent for revalidation, whose references it
 	// did not get to follow. The next walk resumes there.
 	frontier []ode.OID
+	// enc is the reused scratch an object is encoded into on its way
+	// into a request body (appendImage).
+	enc []byte
 }
 
 // ID returns the server-side transaction id. A transaction that has
@@ -320,9 +323,7 @@ func (tx *Tx) op(typ byte, body []byte) (*wire.Frame, error) {
 // PNew creates a persistent object of class c initialized from init,
 // returning its new OID.
 func (tx *Tx) PNew(c *ode.Class, init *ode.Object) (ode.OID, error) {
-	body := wire.AppendString(nil, c.Name)
-	body = wire.AppendBytes(body, object.Encode(init))
-	resp, err := tx.op(wire.CmdPNew, body)
+	resp, err := tx.op(wire.CmdPNew, tx.appendImage(wire.AppendString(nil, c.Name), init))
 	if err != nil {
 		return ode.NilOID, err
 	}
@@ -516,18 +517,52 @@ func (tx *Tx) fillCache(oid ode.OID, resp *wire.Frame) (*ode.Object, error) {
 	return obj, err
 }
 
-// fill decodes image, stores a copy in the client cache tagged
-// with the image's content hash, marks that tag proven for this
-// transaction, and returns the decoded object.
-func (tx *Tx) fill(oid ode.OID, image []byte) (*ode.Object, error) {
-	obj, err := object.Decode(tx.c.schema, image)
+// rowObject returns the object a forall row of oid with this image
+// stands for, the caller's to change. When the cache holds oid at the
+// image's content tag it is a Copy of the cached object, which the same
+// tag proves to be that image decoded, and nothing is decoded. Otherwise
+// the image is decoded, and a copy of it refreshes oid's entry or takes
+// a free one: a scan never evicts, so a scan larger than the cache
+// neither churns it nor pushes out what Deref keeps there, and a row it
+// cannot place costs one probe beyond the decode. Unlike fill it proves
+// nothing to the transaction: the next Deref of the row revalidates as
+// it would have, so a scan costs no proven-set entry per row.
+func (c *Client) rowObject(oid ode.OID, image []byte) (*ode.Object, error) {
+	if c.cache == nil {
+		return object.Decode(c.schema, image)
+	}
+	e, cached, room := c.cache.Probe(oid)
+	if !cached && !room {
+		return object.Decode(c.schema, image)
+	}
+	tag := object.ImageTag(image)
+	if cached && e.tag == tag {
+		c.met.ScanHits.Inc()
+		return e.obj.Copy(), nil
+	}
+	return c.decodeFill(oid, image, tag)
+}
+
+// decodeFill decodes image, stores a copy in the client cache at tag,
+// the image's content hash, and returns the decoded object.
+func (c *Client) decodeFill(oid ode.OID, image []byte, tag uint64) (*ode.Object, error) {
+	obj, err := object.Decode(c.schema, image)
 	if err != nil {
 		return nil, err
 	}
-	tag := object.ImageTag(image)
-	tx.c.cache.put(oid, obj.Copy(), tag)
-	tx.noteSeen(oid, tag)
+	c.cache.put(oid, obj.Copy(), tag)
 	return obj, nil
+}
+
+// fill is decodeFill that also marks the image's tag proven for this
+// transaction.
+func (tx *Tx) fill(oid ode.OID, image []byte) (*ode.Object, error) {
+	tag := object.ImageTag(image)
+	obj, err := tx.c.decodeFill(oid, image, tag)
+	if err == nil {
+		tx.noteSeen(oid, tag)
+	}
+	return obj, err
 }
 
 func (tx *Tx) noteSeen(oid ode.OID, tag uint64) {
@@ -556,13 +591,18 @@ func (tx *Tx) invalidate(oid ode.OID) {
 // Update replaces the image of oid.
 func (tx *Tx) Update(oid ode.OID, o *ode.Object) error {
 	tx.invalidate(oid)
-	body := wire.AppendUvarint(nil, uint64(oid))
-	body = wire.AppendBytes(body, object.Encode(o))
-	resp, err := tx.op(wire.CmdUpdate, body)
+	resp, err := tx.op(wire.CmdUpdate, tx.appendImage(wire.AppendUvarint(nil, uint64(oid)), o))
 	if err != nil {
 		return err
 	}
 	return respErrOnly(resp)
+}
+
+// appendImage appends o's encoded image to body as wire bytes,
+// encoding it in the transaction's reused scratch.
+func (tx *Tx) appendImage(body []byte, o *ode.Object) []byte {
+	tx.enc = object.AppendEncode(tx.enc[:0], o)
+	return wire.AppendBytes(body, tx.enc)
 }
 
 // PDelete deletes oid.

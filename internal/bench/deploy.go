@@ -99,13 +99,12 @@ func Open(s Shape) (*Deployment, error) {
 		return nil, fmt.Errorf("loopback server: %w", err)
 	}
 	if s.Kind == Sharded {
-		r, err := client.DialSharded(d.addrs, d.schema, nil)
+		r, err := d.DialRouter(nil)
 		if err != nil {
 			d.Close()
-			return nil, fmt.Errorf("dial shards %v: %w", d.addrs, err)
+			return nil, err
 		}
 		d.Router = r
-		d.onClose(func() { r.Close() })
 		return d, nil
 	}
 	c, err := d.Dial(nil)
@@ -145,6 +144,17 @@ func (d *Deployment) Dial(opts *client.Options) (*client.Client, error) {
 	}
 	d.onClose(func() { c.Close() })
 	return c, nil
+}
+
+// DialRouter connects one more router to a Sharded deployment's shard
+// group, with caches of its own; Close closes it with the rest.
+func (d *Deployment) DialRouter(opts *client.Options) (*client.Sharded, error) {
+	r, err := client.DialSharded(d.addrs, d.schema, opts)
+	if err != nil {
+		return nil, fmt.Errorf("dial shards %v: %w", d.addrs, err)
+	}
+	d.onClose(func() { r.Close() })
+	return r, nil
 }
 
 // RunTx runs fn in one read-write transaction of the deployment,

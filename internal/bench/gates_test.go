@@ -121,6 +121,7 @@ func (w *gateWorld) counters(t *testing.T) map[string]int64 {
 		cm := c.CacheMetrics()
 		m["client.cache_hits"] += int64(cm.Hits.Load())
 		m["client.cache_misses"] += int64(cm.Misses.Load())
+		m["client.scan_hits"] += int64(cm.ScanHits.Load())
 		m["client.round_trips"] += int64(cm.RoundTrips.Load())
 	}
 	if w.Router != nil {
@@ -196,13 +197,16 @@ func stopAfterTen(w *gateWorld) error {
 }
 
 func forallAll(w *gateWorld) error {
-	return w.View(func(tx ode.ObjectTx) error {
-		n, err := tx.Forall(&ode.Scan{Class: w.Stock, NoIndex: true}, func(ode.OID, *ode.Object) (bool, error) { return true, nil })
-		if err == nil && n != gateRows {
-			err = fmt.Errorf("forall delivered %d rows, want %d", n, gateRows)
-		}
-		return err
-	})
+	return w.View(func(tx ode.ObjectTx) error { return forallAllIn(w, tx) })
+}
+
+// forallAllIn runs an unfiltered extent forall over the stock in tx.
+func forallAllIn(w *gateWorld, tx ode.ObjectTx) error {
+	n, err := tx.Forall(&ode.Scan{Class: w.Stock, NoIndex: true}, func(ode.OID, *ode.Object) (bool, error) { return true, nil })
+	if err == nil && n != gateRows {
+		err = fmt.Errorf("forall delivered %d rows, want %d", n, gateRows)
+	}
+	return err
 }
 
 func createTwenty(w *gateWorld) error {
@@ -385,6 +389,24 @@ func scanAllocs(w *gateWorld) error {
 	})
 }
 
+// forallAllocs measures the allocations of one warm forall over the
+// whole stock inside an open view, after a first one has filled the
+// caches. AllocsPerRun counts the whole process: on a remote shape this
+// is client, wire and in-process server together.
+func forallAllocs(w *gateWorld) error {
+	return w.View(func(tx ode.ObjectTx) error {
+		var err error
+		scan := func() {
+			if ferr := forallAllIn(w, tx); ferr != nil {
+				err = ferr
+			}
+		}
+		scan()
+		w.measured["forall_allocs"] = int64(testing.AllocsPerRun(5, scan))
+		return err
+	})
+}
+
 // workGates is the table. A row lists the shapes it runs on by giving
 // them bounds; a counter a row does not name is not held.
 var workGates = []struct {
@@ -508,6 +530,23 @@ var workGates = []struct {
 				eq("server.requests", 5), eq("client.round_trips", 4)},
 			Sharded: {eq("query.rows_scanned", gateRows), eq("query.rows_yielded", gateRows), eq("txn.lock_grants", gateRows),
 				eq("server.requests", 3*4), eq("client.round_trips", 3*3)},
+		},
+	},
+	{
+		// A forall-all over rows both caches hold, in a view whose first
+		// forall-all filled them. The server reads each row in place and
+		// windows the engine cache's memoized image; the client finds the
+		// image's tag in its own cache and hands out a copy of the cached
+		// object. So a row costs the one header of that copy, and the
+		// rest is per scan: windows, cursors, the plan. A copy and an
+		// encode on the server and a decode on the client cost 5 090 on
+		// one server, 5 197 on three. Every row of the measured runs (one
+		// warm-up and five) is a scan hit, and of the view's first scan
+		// the 256 the warm-up view read: 256 + 6 × 1 000.
+		name: "forall-allocs", script: forallAllocs,
+		want: map[Kind][]bound{
+			Remote:  {eq("forall_allocs", 1067), eq("client.scan_hits", gateHot+6*gateRows)},
+			Sharded: {eq("forall_allocs", 1145), eq("client.scan_hits", gateHot+6*gateRows)},
 		},
 	},
 	{

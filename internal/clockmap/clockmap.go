@@ -6,11 +6,16 @@
 // A hit reads its entry under its shard's read lock and sets the
 // entry's reference bit, storing it only when it is clear; it moves
 // nothing, so concurrent hits on one shard neither serialize on a mutex
-// nor write one list. A Put into a full shard sweeps that shard's ring
-// from the hand: a referenced entry has its bit cleared and is passed
-// over (its second chance), and the first unreferenced one is the
-// victim. A Delete puts its ring position on a free list, which the
-// next Put takes before it grows the ring or sweeps.
+// nor write one list. They do write one word: RLock and RUnlock are each
+// an atomic add on the shard's reader count, so hits from two cores on
+// one shard still move that cache line between them; a read path that
+// takes no lock is open work (ROADMAP item 7).
+//
+// A Put into a full shard sweeps that shard's ring from the hand: a
+// referenced entry has its bit cleared and is passed over (its second
+// chance), and the first unreferenced one is the victim. A Delete puts
+// its ring position on a free list, which the next Put takes before it
+// grows the ring or sweeps.
 package clockmap
 
 import (
@@ -62,6 +67,16 @@ func (m *Map[K, V]) shard(k K) *shard[K, V] {
 
 // Get returns k's value and marks the entry referenced.
 func (m *Map[K, V]) Get(k K) (v V, ok bool) {
+	v, ok, _ = m.Probe(k)
+	return v, ok
+}
+
+// Probe is Get for a caller that may Put k next: when k has no entry,
+// room reports whether its shard has a free position, so that a Put of
+// k now would evict nothing. A caller that fills only where there is
+// room never evicts (a Put that races another can still find the
+// position taken, and sweeps as usual).
+func (m *Map[K, V]) Probe(k K) (v V, ok, room bool) {
 	s := m.shard(k)
 	s.mu.RLock()
 	if i, hit := s.index[k]; hit {
@@ -70,9 +85,11 @@ func (m *Map[K, V]) Get(k K) (v V, ok bool) {
 			e.ref.Store(true)
 		}
 		v, ok = e.val, true
+	} else {
+		room = len(s.free) > 0 || len(s.ring) < s.cap
 	}
 	s.mu.RUnlock()
-	return v, ok
+	return v, ok, room
 }
 
 // Peek returns k's value without marking the entry referenced: a look

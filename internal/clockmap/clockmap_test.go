@@ -88,6 +88,36 @@ func TestDeleteFreesSlotForPut(t *testing.T) {
 	}
 }
 
+// Probe reports room while a key's shard has a position to spare — a
+// never-used one or one a Delete freed — and not once it is full; a
+// key it finds is a hit, referenced as by Get.
+func TestProbeReportsRoom(t *testing.T) {
+	m := New[id, int](2 * numShards)
+	k := sameShard(m, 3)
+	for i := 0; i < 2; i++ {
+		if _, ok, room := m.Probe(k[i]); ok || !room {
+			t.Fatalf("Probe(k%d) on a shard holding %d of 2: ok %v, room %v", i, i, ok, room)
+		}
+		m.Put(k[i], i)
+	}
+	if _, ok, room := m.Probe(k[2]); ok || room {
+		t.Errorf("Probe on a full shard: ok %v, room %v", ok, room)
+	}
+	if v, ok, _ := m.Probe(k[0]); !ok || v != 0 {
+		t.Errorf("Probe(k0) = %d, %v", v, ok)
+	}
+	if !m.shards[0].ring[m.shards[0].index[k[0]]].ref.Load() {
+		t.Error("a probe hit left its entry unreferenced")
+	}
+	m.Delete(k[1])
+	if _, _, room := m.Probe(k[2]); !room {
+		t.Error("no room after a Delete")
+	}
+	if _, _, room := New[id, int](0).Probe(1); room {
+		t.Error("a disabled map reports room")
+	}
+}
+
 // Filling far past the capacity keeps every shard at its bound, and
 // every put beyond what the map holds reports one eviction.
 func TestSizeBound(t *testing.T) {

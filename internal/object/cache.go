@@ -9,10 +9,12 @@ import (
 
 // objCache is the decoded-object cache: OID -> decoded current image,
 // tagged with the current-version number it was decoded at and, once a
-// revalidation has asked for it, with the image's content tag. It sits
-// in front of the heap-fetch-plus-Decode path of Manager.Get, which
-// dominates pointer-chase reads, and lets Manager.Revalidate prove a
-// client's copy without copying or encoding anything.
+// revalidation or a borrowed read has asked for it, with the image
+// encoded and its content tag. It sits in front of the
+// heap-fetch-plus-Decode path of Manager.Get, which dominates
+// pointer-chase reads, lets Manager.Revalidate prove a client's copy
+// without copying or encoding anything, and lets Manager.GetImage hand
+// a forall row to the wire without copying or encoding it.
 //
 // Correctness protocol (see DESIGN.md "Concurrency architecture"):
 //
@@ -36,16 +38,19 @@ import (
 //     cached containers' storage. The caller's first write gives its
 //     header private storage, so callers may freely mutate what Deref
 //     returns (they do) without corrupting the cache. A hit only reads
-//     the entry (core.Object's race rule).
-//   - The tag is ImageTag(Encode(obj)) of the entry's own object, never
-//     of the heap record it was decoded from: Decode pads a record
-//     written before its class grew, so the stored bytes can differ
-//     from every image a client was ever sent. It is computed by the
-//     first revalidation of the entry, not at fill time, so readers
-//     that never revalidate pay nothing for it. It is the only field
-//     written after put, and it is written atomically; racing
-//     revalidations compute the same value and either store wins. An
-//     Apply replaces the whole entry, tag included.
+//     the entry (core.Object's race rule). GetImage hands out the
+//     entry's object itself, to a caller that only reads it.
+//   - The memo is Encode(obj) of the entry's own object and its
+//     ImageTag, never the heap record it was decoded from: Decode pads
+//     a record written before its class grew, so the stored bytes can
+//     differ from every image a client was ever sent. It is made by the
+//     first revalidation or borrowed read that hits the entry, or by a
+//     revalidation's fill, not by a plain Get or a borrowed read's fill,
+//     so readers that never ship an image, and rows evicted before they
+//     are read again, pay nothing for it. It is the only field written after put, and
+//     it is written atomically; racing memoizers encode the same bytes
+//     and either store wins. The bytes are immutable once stored. An
+//     Apply replaces the whole entry, memo included.
 //
 // The entries live in a clockmap.Map: 16 shards, each evicting by
 // CLOCK, so a hit takes its shard's read lock, sets its entry's
@@ -57,20 +62,31 @@ type objCache struct {
 }
 
 type objCacheEntry struct {
-	obj *core.Object // immutable once stored
-	ver uint32
-	tag atomic.Uint64 // ImageTag(Encode(obj)); 0 until imageTag memoizes it
+	obj  *core.Object // immutable once stored
+	ver  uint32
+	memo atomic.Pointer[imageMemo] // nil until image memoizes it
 }
 
-// imageTag returns the content tag of the entry's image, computing and
-// memoizing it on first use.
-func (e *objCacheEntry) imageTag() uint64 {
-	if t := e.tag.Load(); t != 0 {
-		return t
+// imageMemo is an encoded image, Encode of a cache entry's object, and
+// its content tag, ImageTag of those bytes. Both are immutable.
+type imageMemo struct {
+	image []byte
+	tag   uint64
+}
+
+func newImageMemo(image []byte) *imageMemo {
+	return &imageMemo{image: image, tag: ImageTag(image)}
+}
+
+// image returns the entry's encoded image and its tag, encoding and
+// memoizing them on first use.
+func (e *objCacheEntry) image() *imageMemo {
+	if m := e.memo.Load(); m != nil {
+		return m
 	}
-	t := ImageTag(Encode(e.obj))
-	e.tag.Store(t)
-	return t
+	m := newImageMemo(Encode(e.obj))
+	e.memo.Store(m)
+	return m
 }
 
 func newObjCache(capacity int) *objCache {
@@ -81,20 +97,20 @@ func newObjCache(capacity int) *objCache {
 
 // lookup returns oid's entry, or nil, and marks it referenced. The
 // caller reads the entry outside every lock: its object is immutable
-// and its tag atomic.
+// and its memo atomic.
 func (c *objCache) lookup(oid core.OID) *objCacheEntry {
 	e, _ := c.Get(oid)
 	return e
 }
 
 // put stores obj (the result of a core.Object.Copy the caller will never
-// touch again) as the image of oid at version ver, with its content tag
-// when the caller has computed it (0 otherwise), and returns how many
-// entries the size bound evicted (0 or 1).
-func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32, tag uint64) uint64 {
+// touch again) as the image of oid at version ver, with its encoded
+// image when the caller has made one (nil otherwise), and returns how
+// many entries the size bound evicted (0 or 1).
+func (c *objCache) put(oid core.OID, obj *core.Object, ver uint32, memo *imageMemo) uint64 {
 	ent := &objCacheEntry{obj: obj, ver: ver}
-	if tag != 0 {
-		ent.tag.Store(tag)
+	if memo != nil {
+		ent.memo.Store(memo)
 	}
 	if c.Put(oid, ent) {
 		return 1

@@ -1,6 +1,7 @@
 package object
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -363,7 +364,7 @@ func TestRevalidateTagFollowsApply(t *testing.T) {
 	if o := revalidate(t, m, oid, tagOf(now)); o != nil {
 		t.Fatalf("revalidating the new image answered %v, want proven", o)
 	}
-	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != tagOf(now) {
+	if e := m.cache.lookup(oid); e == nil || memoTag(e) != tagOf(now) {
 		t.Fatal("the entry does not carry the new image's tag")
 	}
 	if h, ms := m.met.CacheHits.Load(), m.met.CacheMisses.Load(); h != 2 || ms != 2 {
@@ -385,14 +386,28 @@ func TestRevalidateShortRecordProvesDecodedImage(t *testing.T) {
 	if err := m.Apply(&wal.Op{Type: wal.OpPut, OID: uint64(oid), ClassID: uint32(part.ID()), Image: stored}); err != nil {
 		t.Fatal(err)
 	}
-	for _, fill := range []string{"Get", "Revalidate"} {
+	for _, fill := range []string{"Get", "Revalidate", "GetImage"} {
 		m.SetObjectCacheSize(DefaultObjectCacheSize) // empty
-		if fill == "Get" {
+		switch fill {
+		case "Get":
 			if _, _, err := m.Get(oid); err != nil {
 				t.Fatal(err)
 			}
-		} else if o := revalidate(t, m, oid, ImageTag(stored)); o == nil {
-			t.Fatalf("%s fill: the stored record's tag proved a padded image", fill)
+		case "Revalidate":
+			if o := revalidate(t, m, oid, ImageTag(stored)); o == nil {
+				t.Fatalf("%s fill: the stored record's tag proved a padded image", fill)
+			}
+		default:
+			if _, image, err := m.GetImage(oid); err != nil || image != nil {
+				t.Fatalf("%s fill: the miss returned image %x (%v), want none", fill, image, err)
+			}
+			o, image, err := m.GetImage(oid) // hit: makes the memo
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(image, Encode(o)) || bytes.Equal(image, stored) {
+				t.Fatalf("%s fill: image %x, want the padded image's encoding, not the record %x", fill, image, stored)
+			}
 		}
 		got, _, err := m.Get(oid)
 		if err != nil {
@@ -410,6 +425,68 @@ func TestRevalidateShortRecordProvesDecodedImage(t *testing.T) {
 	}
 }
 
+// GetImage hands out the cache entry's own object and memoized bytes:
+// a hit copies and encodes nothing once the memo is made, whichever
+// reader made it, and an Apply replaces object and memo together. A
+// miss fills without a memo and hands out no image.
+func TestGetImageHandsOutTheMemo(t *testing.T) {
+	m, _, part, _ := newTestManager(t)
+	oid := alloc(t, m)
+	old, now := mkPart(t, part, "gear", 1), mkPart(t, part, "gear", 2)
+	if err := m.Apply(putOp(m, oid, old, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Get(oid); err != nil { // fills, no memo
+		t.Fatal(err)
+	}
+	o1, img1, err := m.GetImage(oid) // hit: makes the memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := m.cache.lookup(oid)
+	if e == nil || o1 != e.obj || memoTag(e) != ImageTag(img1) || !bytes.Equal(img1, Encode(old)) {
+		t.Fatal("GetImage did not hand out the entry's object and its memoized encoding")
+	}
+	o2, img2, err := m.GetImage(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o2 != o1 || &img2[0] != &img1[0] {
+		t.Fatal("a second GetImage copied or encoded again")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.GetImage(oid) }); n != 0 {
+		t.Fatalf("a warm GetImage allocates %v times, want 0", n)
+	}
+	if err := m.Apply(putOp(m, oid, now, 1)); err != nil {
+		t.Fatal(err)
+	}
+	o3, img3, err := m.GetImage(oid) // miss: fills, no memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o3.EqualState(now) || img3 != nil || m.cache.lookup(oid).memo.Load() != nil {
+		t.Fatal("after Apply, the GetImage miss does not hand out the new object alone")
+	}
+	o4, img4, err := m.GetImage(oid) // hit: makes the memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !o4.EqualState(now) || !bytes.Equal(img4, Encode(now)) || memoTag(m.cache.lookup(oid)) != tagOf(now) {
+		t.Fatal("after Apply, GetImage does not hand out the new image and memo")
+	}
+	if h, ms := m.met.CacheHits.Load(), m.met.CacheMisses.Load(); h != 2+100+1+1 || ms != 2 {
+		t.Fatalf("counted %d hits and %d misses, want 104 and 2", h, ms)
+	}
+}
+
+// memoTag is the content tag an entry has memoized, 0 when it has none.
+func memoTag(e *objCacheEntry) uint64 {
+	if m := e.memo.Load(); m != nil {
+		return m.tag
+	}
+	return 0
+}
+
 // Eight revalidations of one freshly filled entry race to memoize its
 // tag; -race holds the field to its rule (written only atomically), and
 // every one of them proves.
@@ -424,7 +501,7 @@ func TestRevalidateConcurrentTagMemo(t *testing.T) {
 	if _, _, err := m.Get(oid); err != nil { // fills, tag not yet computed
 		t.Fatal(err)
 	}
-	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != 0 {
+	if e := m.cache.lookup(oid); e == nil || e.memo.Load() != nil {
 		t.Fatal("a Get fill computed the tag")
 	}
 	var wg sync.WaitGroup
@@ -443,7 +520,7 @@ func TestRevalidateConcurrentTagMemo(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if e := m.cache.lookup(oid); e == nil || e.tag.Load() != tagOf(o) {
+	if e := m.cache.lookup(oid); e == nil || memoTag(e) != tagOf(o) {
 		t.Fatal("the entry's tag is not the image's")
 	}
 }

@@ -25,8 +25,11 @@ var ErrCodec = errors.New("object: malformed encoding")
 // that appends fields can still read old records.
 //
 // Layout: classID uvarint, slot count uvarint, then each slot value.
-func Encode(o *core.Object) []byte {
-	buf := make([]byte, 0, 64)
+func Encode(o *core.Object) []byte { return AppendEncode(make([]byte, 0, 64), o) }
+
+// AppendEncode appends Encode(o) to buf and returns the extended
+// buffer: a caller that reuses buf encodes without allocating.
+func AppendEncode(buf []byte, o *core.Object) []byte {
 	buf = binary.AppendUvarint(buf, uint64(o.Class().ID()))
 	buf = binary.AppendUvarint(buf, uint64(o.NumSlots()))
 	for i := 0; i < o.NumSlots(); i++ {

@@ -280,7 +280,8 @@ func (m *Manager) updateIndexEntries(cid core.ClassID, oid core.OID, oldObj, new
 // number. The returned object is the caller's to mutate: a hit returns
 // a copy-on-write copy of the cached image, a miss the freshly decoded
 // image, whose copy is what gets cached (core.Object.Copy). A fill
-// leaves the entry's content tag to the first Revalidate that asks.
+// leaves the entry's encoded image and content tag to the first
+// Revalidate or GetImage hit that asks.
 //
 // A hit takes no m.mu: the entry is immutable, and every writer under
 // m.mu's write lock either replaces no image or invalidates the entry
@@ -296,16 +297,25 @@ func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 		m.met.CacheHits.Inc()
 		return e.obj.Copy(), e.ver, nil
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	m.met.CacheMisses.Inc()
-	o, cur, err := m.getLocked(oid)
-	if err != nil {
-		return nil, 0, err
+	o, cur, _, err := m.fill(oid, false)
+	return o, cur, err
+}
+
+// GetImage is Get for a caller that only reads the object and ships its
+// encoded image. A hit returns the cached object itself, not a copy,
+// and Encode of it, memoized in the cache entry by the first hit that
+// asks (or by Revalidate): both are shared and immutable, and the
+// caller must change neither and keep neither past its own read. A miss
+// fills the cache as Get does and returns the fresh object with a nil
+// image, for the caller to encode where it likes: a row read once and
+// evicted before its next read is not worth a memo.
+func (m *Manager) GetImage(oid core.OID) (*core.Object, []byte, error) {
+	if e := m.cache.lookup(oid); e != nil {
+		m.met.CacheHits.Inc()
+		return e.obj, e.image().image, nil
 	}
-	// Fill while still holding RLock (see cache.go for why).
-	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur, 0))
-	return o, cur, nil
+	o, _, _, err := m.fill(oid, false)
+	return o, nil, err
 }
 
 // Revalidate is Get for a reader that already holds a copy of oid whose
@@ -313,30 +323,43 @@ func (m *Manager) Get(oid core.OID) (*core.Object, uint32, error) {
 // when the current image has that tag, and the current image (the
 // caller's, as from Get) when it has another. A hit compares the
 // entry's memoized tag and copies nothing; the first revalidation of an
-// entry computes the tag from the entry's own object. A miss fills the
-// cache as Get does, tag included. Either way it counts one cache hit or
-// miss, whatever the tag says. A hit takes no m.mu, as in Get.
+// entry encodes the entry's own object and memoizes the image with its
+// tag. A miss fills the cache with the memo made. Either way it counts
+// one cache hit or miss, whatever the tag says.
 func (m *Manager) Revalidate(oid core.OID, tag uint64) (*core.Object, error) {
 	if e := m.cache.lookup(oid); e != nil {
 		m.met.CacheHits.Inc()
-		if e.imageTag() == tag {
+		if e.image().tag == tag {
 			return nil, nil
 		}
 		return e.obj.Copy(), nil
 	}
+	o, _, memo, err := m.fill(oid, true)
+	if err != nil || memo.tag == tag {
+		return nil, err
+	}
+	return o, nil
+}
+
+// fill is the miss of Get, GetImage and Revalidate: under RLock it reads
+// oid's current image from the trees, counts the miss and caches a copy
+// of it, with its memo made when memoize is set. The returned object is
+// the caller's.
+func (m *Manager) fill(oid core.OID, memoize bool) (*core.Object, uint32, *imageMemo, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.met.CacheMisses.Inc()
 	o, cur, err := m.getLocked(oid)
 	if err != nil {
-		return nil, err
+		return nil, 0, nil, err
 	}
-	now := ImageTag(Encode(o))
-	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur, now))
-	if now == tag {
-		return nil, nil
+	var memo *imageMemo
+	if memoize {
+		memo = newImageMemo(Encode(o))
 	}
-	return o, nil
+	// Fill while still holding RLock (see cache.go for why).
+	m.met.CacheEvictions.Add(m.cache.put(oid, o.Copy(), cur, memo))
+	return o, cur, memo, nil
 }
 
 func (m *Manager) getLocked(oid core.OID) (*core.Object, uint32, error) {

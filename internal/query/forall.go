@@ -30,6 +30,11 @@ type Query struct {
 	noIndex  bool
 	internal bool // subquery of a join: excluded from forall/plan counters
 	plan     string
+	// borrow has fetch read rows in place (txn.Tx.Borrow) for Images,
+	// and image is the encoded image of the row fetch read last: the
+	// engine cache's memo, or nil for a row of the write set.
+	borrow bool
+	image  []byte
 }
 
 // met returns the query metric set of the owning engine (never nil).
@@ -142,6 +147,29 @@ func (q *Query) Count() (int, error) {
 		return true, nil
 	}, true)
 	return n, err
+}
+
+// Images runs the loop with snapshot semantics, as Collect does, and
+// hands fn each binding's OID and encoded image (object.Encode)
+// instead of an object: the rows a server ships. An unordered run reads
+// each row in place (txn.Tx.Borrow), under the lock a copying read
+// takes: a row the engine cache holds costs neither a copy nor an
+// encode once its entry has memoized its image, and only a row of the
+// write set or one the cache missed is encoded, into a buffer the run
+// reuses. image is fn's to
+// read until fn returns, and never to change.
+func (q *Query) Images(fn func(oid core.OID, image []byte) (bool, error)) error {
+	var buf []byte
+	q.borrow = q.byField == "" && q.byKey == nil // an ordered run keeps its items
+	defer func() { q.borrow, q.image = false, nil }()
+	return q.run(func(it Item) (bool, error) {
+		image := q.image
+		if image == nil {
+			buf = object.AppendEncode(buf[:0], it.Obj)
+			image = buf
+		}
+		return fn(it.OID, image)
+	}, true)
 }
 
 // classes returns the extents to visit.
@@ -287,8 +315,10 @@ func starIf(b bool) string {
 	return ""
 }
 
-// fetch loads the tx-visible state of oid and reports whether it binds
-// the loop variable (exists, not deleted, class matches). covered
+// fetch loads the tx-visible state of oid — a private copy, or with
+// q.borrow the state itself and its image in q.image (Images) — and
+// reports whether it binds the loop variable (exists, not deleted,
+// class matches). covered
 // means the row's cluster is locked S (an extent path) and the row
 // takes no lock of its own. It is the per-row cancellation point of
 // every scan shape: an expired or canceled transaction context stops
@@ -304,9 +334,12 @@ func (q *Query) fetch(oid core.OID, covered bool) (Item, bool, error) {
 	}
 	var o *core.Object
 	var err error
-	if covered {
+	switch {
+	case q.borrow:
+		o, q.image, err = q.tx.Borrow(oid, covered)
+	case covered:
 		o, err = q.tx.DerefCovered(oid)
-	} else {
+	default:
 		o, err = q.tx.Deref(oid)
 	}
 	if errors.Is(err, object.ErrNoObject) {

@@ -306,6 +306,22 @@ func TestIndexedSuchThatUsesIndex(t *testing.T) {
 	}
 }
 
+// imageItems runs q.Images and decodes every image it hands out, so
+// its rows compare with the other paths' items.
+func imageItems(t *testing.T, q *Query, schema *core.Schema) []Item {
+	t.Helper()
+	var items []Item
+	err := q.Images(func(oid core.OID, image []byte) (bool, error) {
+		o, err := object.Decode(schema, image)
+		items = append(items, Item{OID: oid, Obj: o})
+		return err == nil, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return items
+}
+
 func TestIndexScanSeesTransactionWrites(t *testing.T) {
 	u := newUniversity(t)
 	oids := u.seed(t)
@@ -350,7 +366,8 @@ func TestIndexScanSeesTransactionWrites(t *testing.T) {
 	if n, err := q.Count(); err != nil || n != len(want) {
 		t.Errorf("Count = %d, %v; want %d", n, err, len(want))
 	}
-	for path, items := range map[string][]Item{"Collect": collected, "Do": done} {
+	images := imageItems(t, q, tx.Schema())
+	for path, items := range map[string][]Item{"Collect": collected, "Do": done, "Images": images} {
 		got := map[string]bool{}
 		for _, it := range items {
 			got[it.Obj.MustGet("name").Str()] = true
@@ -406,7 +423,8 @@ func TestExtentScanMergesTransactionWrites(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for path, items := range map[string][]Item{"Collect": collected, "Do": done} {
+	images := imageItems(t, q, tx.Schema())
+	for path, items := range map[string][]Item{"Collect": collected, "Do": done, "Images": images} {
 		var names []string
 		for _, it := range items {
 			names = append(names, it.Obj.MustGet("name").Str())

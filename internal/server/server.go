@@ -306,6 +306,9 @@ type conn struct {
 	fr   *wire.FrameReader // reused-buffer frame reads over br
 	out  []byte            // response bytes, flushed once per request burst
 	refs []wire.CachedRef  // reused deref-cached request entries
+	enc  []byte            // reused scratch an object is encoded into
+	body []byte            // reused reply body carrying images
+	rows []byte            // reused forall window being filled
 
 	// next is a frame a forall read while it waited for more: it ended
 	// the scan, and the serve loop dispatches it without another read.
@@ -727,11 +730,19 @@ func (c *conn) handleOID(f *wire.Frame) error {
 	}
 	switch f.Type {
 	case wire.CmdDeref:
-		obj, err := tx.Deref(oid)
+		// Deref's lock and state, read in place: the image is the engine
+		// cache's memo, or an own write or a cache miss encoded in the
+		// scratch.
+		obj, image, err := tx.Borrow(oid, false)
 		if err != nil {
 			return c.replyErr(f.ReqID, err)
 		}
-		return c.reply(f.ReqID, wire.RespObject, wire.AppendBytes(nil, object.Encode(obj)))
+		if image == nil {
+			c.enc = object.AppendEncode(c.enc[:0], obj)
+			image = c.enc
+		}
+		c.body = wire.AppendBytes(c.body[:0], image)
+		return c.reply(f.ReqID, wire.RespObject, c.body)
 	case wire.CmdPDelete:
 		if err := tx.PDelete(oid); err != nil {
 			return c.replyErr(f.ReqID, err)
@@ -790,12 +801,12 @@ func (c *conn) handleDerefCached(f *wire.Frame) error {
 		return c.replyErr(f.ReqID, err)
 	}
 	var proven, modified, skipped uint64
-	typ, body := byte(wire.RespOK), []byte(nil)
+	typ, body := byte(wire.RespOK), c.body[:0]
 	if obj == nil {
 		proven++
 	} else {
 		modified++
-		typ, body = wire.RespObject, wire.AppendBytes(nil, object.Encode(obj))
+		typ, body = wire.RespObject, c.appendImage(body, obj)
 	}
 	for _, r := range refs[1:] {
 		obj, err := tx.Revalidate(core.OID(r.OID), r.Tag, true)
@@ -808,13 +819,21 @@ func (c *conn) handleDerefCached(f *wire.Frame) error {
 			body = append(body, wire.CachedProven)
 		default:
 			modified++
-			body = wire.AppendBytes(append(body, wire.CachedModified), object.Encode(obj))
+			body = c.appendImage(append(body, wire.CachedModified), obj)
 		}
 	}
+	c.body = body
 	c.s.met.RevalProven.Add(proven)
 	c.s.met.RevalModified.Add(modified)
 	c.s.met.RevalSkipped.Add(skipped)
 	return c.reply(f.ReqID, typ, body)
+}
+
+// appendImage appends obj's encoded image to body as wire bytes,
+// encoding it in the connection's reused scratch.
+func (c *conn) appendImage(body []byte, obj *core.Object) []byte {
+	c.enc = object.AppendEncode(c.enc[:0], obj)
+	return wire.AppendBytes(body, c.enc)
 }
 
 // handleVRef covers the commands whose body is oid + version.
@@ -839,7 +858,8 @@ func (c *conn) handleVRef(f *wire.Frame) error {
 		if err != nil {
 			return c.replyErr(f.ReqID, err)
 		}
-		return c.reply(f.ReqID, wire.RespObject, wire.AppendBytes(nil, object.Encode(obj)))
+		c.body = c.appendImage(c.body[:0], obj)
+		return c.reply(f.ReqID, wire.RespObject, c.body)
 	}
 }
 
@@ -913,29 +933,34 @@ func (c *conn) handleForall(f *wire.Frame) error {
 		return c.reply(id, wire.RespDone, wire.AppendUvarint(wire.AppendUvarint(nil, uint64(n)), 0))
 	}
 	var (
-		rows   []byte // the window being filled
-		n      int    // rows in it
+		rows   = c.rows[:0] // the window being filled
+		n      int          // rows in it
 		total  uint64
 		window = firstWindow
 		werr   error // the socket failed: connection-fatal
 	)
-	// rowsAfter appends the window to head as a row count and the rows.
+	defer func() { c.rows = rows[:0] }()
+	// rowsAfter appends the window to head, a prefix of c.body, as a row
+	// count and the rows, and keeps the result as c.body.
 	rowsAfter := func(head []byte) []byte {
-		return append(wire.AppendUvarint(head, uint64(n)), rows...)
+		c.body = append(wire.AppendUvarint(head, uint64(n)), rows...)
+		return c.body
 	}
 	// Snapshot: a frame that is not forall-more ends the scan (pause), so
 	// nothing joins the extent while it runs and the fixpoint's visited
-	// set would buy nothing.
-	scanErr := scan.Query(tx).Snapshot().Do(func(it ode.Item) (bool, error) {
-		rows = wire.AppendUvarint(rows, uint64(it.OID))
-		rows = wire.AppendBytes(rows, object.Encode(it.Obj))
+	// set would buy nothing. The rows are read in place and a cached
+	// row's image is the engine cache's memo (Query.Images): the window
+	// copies it and nothing else.
+	scanErr := scan.Query(tx).Images(func(oid core.OID, image []byte) (bool, error) {
+		rows = wire.AppendUvarint(rows, uint64(oid))
+		rows = wire.AppendBytes(rows, image)
 		n++
 		total++
 		if n < window && len(rows) < maxWindowBytes {
 			return true, nil
 		}
 		var more bool
-		if more, werr = c.pause(id, rowsAfter(nil)); werr != nil {
+		if more, werr = c.pause(id, rowsAfter(c.body[:0])); werr != nil {
 			return false, werr
 		}
 		rows, n, window = rows[:0], 0, min(window*windowGrowth, maxWindow)
@@ -951,7 +976,7 @@ func (c *conn) handleForall(f *wire.Frame) error {
 	case c.next != nil: // the client's next frame ended the scan
 		return nil
 	}
-	return c.reply(id, wire.RespDone, rowsAfter(wire.AppendUvarint(nil, total)))
+	return c.reply(id, wire.RespDone, rowsAfter(wire.AppendUvarint(c.body[:0], total)))
 }
 
 // pause sends a full window of forall id and waits for the client's

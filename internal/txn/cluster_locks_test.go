@@ -160,7 +160,8 @@ func TestWritersTakeClusterIXOnce(t *testing.T) {
 }
 
 // A covered read needs its cluster held S or X by the transaction: it
-// never reads around a writer.
+// never reads around a writer. A covered Borrow is held to the same
+// rule and takes the same locks.
 func TestDerefCoveredNeedsClusterS(t *testing.T) {
 	e, item := newTestEngine(t)
 	seed := e.Begin()
@@ -168,23 +169,32 @@ func TestDerefCoveredNeedsClusterS(t *testing.T) {
 	if err := seed.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	tx := e.Begin()
-	defer tx.Abort()
-	if _, err := tx.DerefCovered(a); err == nil {
-		t.Fatal("covered read without a cluster lock succeeded")
+	reads := map[string]func(tx *Tx, oid core.OID) (*core.Object, error){
+		"DerefCovered": (*Tx).DerefCovered,
+		"Borrow": func(tx *Tx, oid core.OID) (*core.Object, error) {
+			o, _, err := tx.Borrow(oid, true)
+			return o, err
+		},
 	}
-	if covered, err := tx.LockCluster(item); err != nil || !covered {
-		t.Fatalf("LockCluster = %v, %v", covered, err)
-	}
-	o, err := tx.DerefCovered(a)
-	if err != nil || o.MustGet("name").Str() != "a" {
-		t.Fatalf("covered read = %v, %v", o, err)
-	}
-	if _, held := e.Locks().HeldLocks(tx.ID())[a]; held {
-		t.Error("a covered read locked its row")
-	}
-	if _, err := tx.DerefCovered(core.OID(999)); !errors.Is(err, object.ErrNoObject) {
-		t.Errorf("covered read of a missing row = %v, want ErrNoObject", err)
+	for name, read := range reads {
+		tx := e.Begin()
+		if _, err := read(tx, a); err == nil {
+			t.Fatalf("%s without a cluster lock succeeded", name)
+		}
+		if covered, err := tx.LockCluster(item); err != nil || !covered {
+			t.Fatalf("LockCluster = %v, %v", covered, err)
+		}
+		o, err := read(tx, a)
+		if err != nil || o.MustGet("name").Str() != "a" {
+			t.Fatalf("%s = %v, %v", name, o, err)
+		}
+		if _, held := e.Locks().HeldLocks(tx.ID())[a]; held {
+			t.Errorf("%s locked its row", name)
+		}
+		if _, err := read(tx, core.OID(999)); !errors.Is(err, object.ErrNoObject) {
+			t.Errorf("%s of a missing row = %v, want ErrNoObject", name, err)
+		}
+		tx.Abort()
 	}
 }
 

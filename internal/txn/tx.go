@@ -571,10 +571,50 @@ func (tx *Tx) deref(oid core.OID, how int) (*core.Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
-		return nil, fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
+	if err := tx.checkCovered(oid, o, how); err != nil {
+		return nil, err
 	}
 	return o, nil
+}
+
+// Borrow is Deref (covered, DerefCovered) for a caller that only reads
+// the object: it takes the same lock and returns the transaction-visible
+// object without copying it. An object of the write set is returned
+// itself, with a nil image. Any other is the engine cache's, with its
+// encoded image memoized beside it (object.Manager.GetImage), or, when
+// the cache missed, a fresh object with a nil image. A nil image is the
+// caller's to encode. Object and image are shared: the caller must
+// change neither, and read them only until its next call on the
+// transaction. A forall that ships its rows reads them with it.
+func (tx *Tx) Borrow(oid core.OID, covered bool) (*core.Object, []byte, error) {
+	how := rowWait
+	if covered {
+		how = rowCovered
+	}
+	w, err := tx.readRow(oid, how)
+	if err != nil {
+		return nil, nil, err
+	}
+	if w != nil {
+		return w.obj, nil, nil
+	}
+	o, image, err := tx.engine.mgr.GetImage(oid)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := tx.checkCovered(oid, o, how); err != nil {
+		return nil, nil, err
+	}
+	return o, image, nil
+}
+
+// checkCovered refuses a covered read of o, read as oid, whose cluster
+// the transaction does not hold S or X on.
+func (tx *Tx) checkCovered(oid core.OID, o *core.Object, how int) error {
+	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
+		return fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
+	}
+	return nil
 }
 
 // Revalidate is Deref for a reader that already holds a copy of oid
