@@ -11,6 +11,7 @@ type Metrics struct {
 	Misses        obs.Counter // derefs that shipped and decoded a full image (cold or stale entry)
 	Invalidations obs.Counter // cached objects dropped by writes, routing decisions, or promotion
 	ScanHits      obs.Counter // forall rows whose image the cache held at the same tag: handed out as a copy of the cached object, not decoded
+	ScanRows      obs.Counter // forall rows the cursors received, added a window at a time: ScanHits' denominator
 	RoundTrips    obs.Counter // sends that waited for their replies: one per request, pipeline flush or forall window asked for, with a riding begin included
 }
 
@@ -21,5 +22,6 @@ func (m *Metrics) Attach(reg *obs.Registry) {
 	reg.RegisterCounter("client.cache_misses", &m.Misses)
 	reg.RegisterCounter("client.cache_invalidations", &m.Invalidations)
 	reg.RegisterCounter("client.scan_hits", &m.ScanHits)
+	reg.RegisterCounter("client.scan_rows", &m.ScanRows)
 	reg.RegisterCounter("client.round_trips", &m.RoundTrips)
 }

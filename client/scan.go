@@ -138,7 +138,9 @@ func (c *cursor) read() {
 	c.n = c.d.Uvarint()
 	if err := c.d.Err(); err != nil {
 		c.err = c.tx.fail(err)
+		return
 	}
+	c.tx.c.met.ScanRows.Add(c.n)
 }
 
 // merge hands the rows of cursors through fn in (class rank, OID)

@@ -176,10 +176,10 @@ func TestLockWaitDeadline(t *testing.T) {
 	const deadline = 200 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	var victimID uint64
+	var victim *Tx
 	start := time.Now()
 	err := db.RunTxCtx(ctx, func(tx *Tx) error {
-		victimID = tx.ID()
+		victim = tx
 		_, err := tx.Deref(oid) // blocks on the holder's X lock
 		return err
 	})
@@ -191,8 +191,11 @@ func TestLockWaitDeadline(t *testing.T) {
 	if elapsed > 2*deadline {
 		t.Fatalf("victim returned after %v, want within 2x the %v deadline", elapsed, deadline)
 	}
-	if held := db.engine.Locks().HeldLocks(victimID); len(held) != 0 {
-		t.Fatalf("victim %d still holds locks after timeout: %v", victimID, held)
+	if held := victim.HeldLocks(); len(held) != 0 {
+		t.Fatalf("victim %d still holds locks after timeout: %v", victim.ID(), held)
+	}
+	if n := db.engine.Locks().Waiting(oid); n != 0 {
+		t.Fatalf("victim left %d waiters queued on @%d after timeout, want 0", n, oid)
 	}
 	st := db.Stats()
 	if st.Txn.LockWaitTimeouts == 0 {

@@ -137,7 +137,7 @@ func TestScanThenUpdate(t *testing.T) {
 	if err := bump(sole, "p1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := u.engine.Locks().HeldLocks(sole.ID())[key]; got != txn.Exclusive {
+	if got := sole.HeldLocks()[key]; got != txn.Exclusive {
 		t.Errorf("sole scanner that updates holds its cluster %s, want X", got)
 	}
 	if err := sole.Commit(); err != nil {

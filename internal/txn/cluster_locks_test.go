@@ -22,10 +22,10 @@ func TestClusterModeMatrix(t *testing.T) {
 	for _, held := range modes {
 		for _, req := range modes {
 			lm := NewLockManager()
-			if err := lm.Acquire(context.Background(), 1, key, held); err != nil {
+			if err := lm.Acquire(context.Background(), newHeld(1), key, held); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := lm.TryAcquire(2, key, req), grantable[[2]LockMode{held, req}]; got != want {
+			if got, want := lm.TryAcquire(newHeld(2), key, req), grantable[[2]LockMode{held, req}]; got != want {
 				t.Errorf("%s held, %s requested by another tx: granted %v, want %v", held, req, got, want)
 			}
 		}
@@ -38,55 +38,81 @@ func TestClusterUpgradeIsExclusive(t *testing.T) {
 	bg := context.Background()
 	key := ClusterLockOID(3)
 	for _, pair := range [][2]LockMode{{Shared, IntentExclusive}, {IntentExclusive, Shared}} {
-		lm := NewLockManager()
-		if err := lm.Acquire(bg, 1, key, pair[0]); err != nil {
+		lm, h1 := NewLockManager(), newHeld(1)
+		if err := lm.Acquire(bg, h1, key, pair[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := lm.Acquire(bg, 1, key, pair[1]); err != nil {
+		if err := lm.Acquire(bg, h1, key, pair[1]); err != nil {
 			t.Fatal(err)
 		}
-		if got := lm.HeldLocks(1)[key]; got != Exclusive {
+		if got := lm.HeldLocks(h1)[key]; got != Exclusive {
 			t.Errorf("%s then %s by the sole holder: holds %s, want X", pair[0], pair[1], got)
 		}
 	}
 
-	lm := NewLockManager()
-	for _, txid := range []uint64{1, 2} {
-		if err := lm.Acquire(bg, txid, key, Shared); err != nil {
+	lm, h1, h2 := NewLockManager(), newHeld(1), newHeld(2)
+	for _, hl := range []*heldList{h1, h2} {
+		if err := lm.Acquire(bg, hl, key, Shared); err != nil {
 			t.Fatal(err)
 		}
 	}
 	done := make(chan error, 1)
-	go func() { done <- lm.Acquire(bg, 1, key, IntentExclusive) }()
+	go func() { done <- lm.Acquire(bg, h1, key, IntentExclusive) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(key) == 1 })
-	lm.ReleaseAll(2)
+	lm.ReleaseAll(h2)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if got := lm.HeldLocks(1)[key]; got != Exclusive {
+	if got := lm.HeldLocks(h1)[key]; got != Exclusive {
 		t.Errorf("upgrade after the other scanner left: holds %s, want X", got)
 	}
 }
 
 // txn.lock_grants counts fresh grants once, at release: re-acquires
-// and upgrades add nothing, and granting adds nothing until then.
+// and upgrades add nothing, and granting adds nothing until then. Each
+// OID ends with one word, held once and released once.
 func TestLockGrantsCountedAtRelease(t *testing.T) {
-	lm := NewLockManager()
-	bg := context.Background()
-	for _, r := range []struct {
+	type req struct {
 		oid  core.OID
 		mode LockMode
-	}{{1, Shared}, {2, Exclusive}, {1, Shared}, {1, Exclusive}, {ClusterLockOID(1), IntentExclusive}} {
-		if err := lm.Acquire(bg, 9, r.oid, r.mode); err != nil {
-			t.Fatal(err)
+	}
+	// Overlapping runs: most OIDs of 1..1000 are requested three times,
+	// some of them as an upgrade.
+	var overlap []req
+	for run := 0; run < 8; run++ {
+		for i := 0; i < 400; i++ {
+			overlap = append(overlap, req{core.OID(1 + (run*400/3+i)%1000), LockMode(i % 2)})
 		}
 	}
-	if got := lm.met.LockGrants.Load(); got != 0 {
-		t.Fatalf("lock_grants before release = %d, want 0", got)
-	}
-	lm.ReleaseAll(9)
-	if got := lm.met.LockGrants.Load(); got != 3 {
-		t.Fatalf("lock_grants after release = %d, want 3 (two rows, one cluster)", got)
+	for _, c := range []struct {
+		name   string
+		reqs   []req
+		grants int
+	}{
+		{"two rows and a cluster", []req{{1, Shared}, {2, Exclusive}, {1, Shared}, {1, Exclusive}, {ClusterLockOID(1), IntentExclusive}}, 3},
+		{"re-acquires and upgrades", overlap, 1000},
+	} {
+		lm, hl := NewLockManager(), newHeld(9)
+		for _, r := range c.reqs {
+			if err := lm.Acquire(context.Background(), hl, r.oid, r.mode); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := lm.met.LockGrants.Load(); got != 0 {
+			t.Fatalf("%s: lock_grants before release = %d, want 0", c.name, got)
+		}
+		if held, busy := len(lm.HeldLocks(hl)), busyWords(t, lm); held != c.grants || busy != c.grants {
+			t.Fatalf("%s: HeldLocks reports %d OIDs, the table %d busy words; want %d", c.name, held, busy, c.grants)
+		}
+		if visited := lm.releaseAll(hl); visited != c.grants {
+			t.Fatalf("%s: release visited %d lock words, want one per OID (%d)", c.name, visited, c.grants)
+		}
+		if n := busyWords(t, lm); n != 0 {
+			t.Fatalf("%s: lock table holds %d busy words after release, want 0", c.name, n)
+		}
+		if got := lm.met.LockGrants.Load(); got != uint64(c.grants) {
+			t.Fatalf("%s: lock_grants after release = %d, want %d", c.name, got, c.grants)
+		}
 	}
 }
 
@@ -115,7 +141,7 @@ func TestWritersTakeClusterIXOnce(t *testing.T) {
 	if _, err := reader.Versions(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, held := e.Locks().HeldLocks(reader.ID())[key]; held {
+	if _, held := reader.HeldLocks()[key]; held {
 		t.Error("a point reader holds the cluster word")
 	}
 	reader.Abort()
@@ -124,7 +150,7 @@ func TestWritersTakeClusterIXOnce(t *testing.T) {
 	if err := dropper.DeleteVersion(core.VRef{OID: a, Version: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, held := e.Locks().HeldLocks(dropper.ID())[key]; held {
+	if _, held := dropper.HeldLocks()[key]; held {
 		t.Error("DeleteVersion took the cluster word")
 	}
 	dropper.Abort()
@@ -147,7 +173,7 @@ func TestWritersTakeClusterIXOnce(t *testing.T) {
 	if err := writer.PDelete(b); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Locks().HeldLocks(writer.ID())[key]; got != IntentExclusive {
+	if got := writer.HeldLocks()[key]; got != IntentExclusive {
 		t.Errorf("writer holds the cluster in %s, want IX", got)
 	}
 	if err := writer.Commit(); err != nil {
@@ -188,7 +214,7 @@ func TestDerefCoveredNeedsClusterS(t *testing.T) {
 		if err != nil || o.MustGet("name").Str() != "a" {
 			t.Fatalf("%s = %v, %v", name, o, err)
 		}
-		if _, held := e.Locks().HeldLocks(tx.ID())[a]; held {
+		if _, held := tx.HeldLocks()[a]; held {
 			t.Errorf("%s locked its row", name)
 		}
 		if _, err := read(tx, core.OID(999)); !errors.Is(err, object.ErrNoObject) {
@@ -209,7 +235,7 @@ func TestShardLockClusterDeclines(t *testing.T) {
 	if covered, err := tx.LockCluster(item); err != nil || covered {
 		t.Fatalf("LockCluster on a shard = %v, %v; want false, nil", covered, err)
 	}
-	if held := e.Locks().HeldLocks(tx.ID()); len(held) != 0 {
+	if held := tx.HeldLocks(); len(held) != 0 {
 		t.Fatalf("LockCluster on a shard took %v", held)
 	}
 }

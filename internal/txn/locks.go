@@ -53,10 +53,11 @@ func (m LockMode) String() string {
 func compatible(a, b LockMode) bool { return a == b && a != Exclusive }
 
 // ClusterLockOID is the lock-table key of class id's cluster word. The
-// same striped table holds rows and clusters, so deadlock detection,
-// ReleaseAll, HeldLocks, the locks a prepared transaction keeps and
-// TryAcquire need nothing of their own for clusters; no object id has
-// core.ReservedOIDBit set, so a cluster word cannot collide with a row.
+// same striped table and the same held lists take rows and clusters, so
+// deadlock detection, ReleaseAll, HeldLocks, the locks a prepared
+// transaction keeps and TryAcquire need nothing of their own for
+// clusters; no object id has core.ReservedOIDBit set, so a cluster word
+// cannot collide with a row.
 func ClusterLockOID(id core.ClassID) core.OID { return core.ReservedOIDBit | core.OID(id) }
 
 // ErrDeadlock is returned to a transaction chosen as deadlock victim;
@@ -70,8 +71,8 @@ var ErrLockBusy = errors.New("txn: lock not grantable without waiting")
 // Table geometry. These are constants, not options: no workload at
 // hand wants a different value (DESIGN.md §7 "Lock table").
 const (
-	// lockStripes is how many independently locked pieces the table and
-	// the per-transaction held lists are split into.
+	// lockStripes is how many independently locked pieces the table is
+	// split into.
 	lockStripeBits = 6
 	lockStripes    = 1 << lockStripeBits
 	// maxIdleWords bounds each stripe's resident idle lock words (no
@@ -85,11 +86,13 @@ const (
 	// inlineHolders is how many holders a lock word stores in place
 	// before spilling to a heap slice.
 	inlineHolders = 2
-	// maxFreeWords bounds each stripe's free list of lock words, and
-	// maxKeptHeld the capacity of a held list worth recycling, so one
+	// maxFreeWords bounds each stripe's free list of lock words, so one
 	// huge scan does not pin its peak footprint forever.
 	maxFreeWords = 256
-	maxKeptHeld  = 1 << 16
+	// heldInline is how many granted words a held list stores in place
+	// before spilling to a heap slice: wire.MaxDerefCached, the most a
+	// remote chase's server transaction grants.
+	heldInline = 64
 )
 
 // LockManager implements strict 2PL over OIDs with waits-for-graph
@@ -99,15 +102,12 @@ const (
 //
 // The table is striped by OID hash; an uncontended request takes one
 // stripe mutex, touches one lock word and allocates nothing, and on a
-// resident word it writes nothing but the word. Each transaction's
-// granted words are remembered in a second table striped by txid, so
-// ReleaseAll visits only what the transaction holds and looks nothing
-// up. Lock order: stripe → graphMu, and never
-// two stripes at once; a held-list mutex is a leaf, never held across
-// another lock.
+// resident word it writes nothing but the word. The caller passes its
+// held list, which remembers the words it was granted, so ReleaseAll
+// visits only what the transaction holds and looks nothing up. Lock
+// order: stripe → graphMu, and never two stripes at once.
 type LockManager struct {
 	stripes [lockStripes]lockStripe
-	held    [lockStripes]heldStripe
 
 	// graphMu guards waitsFor. Only a request that must wait takes it.
 	graphMu  sync.Mutex
@@ -127,24 +127,41 @@ type lockStripe struct {
 	_     [16]byte
 }
 
-// heldStripe remembers, for the transactions whose id maps to it, the
-// lock words each was granted, in grant order. Many transactions share a
-// stripe, each on its own goroutine; mu orders their appends and
-// releases.
-type heldStripe struct {
-	mu   sync.Mutex
-	byTx map[uint64]*heldList
-	free []*heldList
-	_    [24]byte
-}
-
-// heldList is a transaction's granted words. A held word is busy, so
-// it stays in its stripe's map under its OID, and a release needs no
-// lookup. inserted counts the words the transaction's grants put into
-// the table; like the grants, they are added to the metrics at release.
+// heldList is one transaction's granted words, in grant order, under
+// the id it holds them by. It belongs to its owner — the Tx's
+// goroutine, or whoever claimed the prepared entry that took it over —
+// and is not synchronized. A held word is busy, so it stays in its
+// stripe's map under its OID, and a release needs no lookup. inserted
+// counts the words the grants put into the table; like the grants, they
+// are added to the metrics at release. words aliases inline until a
+// grant past heldInline spills it, so a list is passed by pointer and
+// handed over with moveTo, never copied.
 type heldList struct {
+	txid     uint64
 	words    []*lockState
 	inserted uint64
+	inline   [heldInline]*lockState
+}
+
+// add appends a granted word; inserted says the grant put the word into
+// the table (a word is inserted only to be granted at once).
+func (hl *heldList) add(ls *lockState, inserted bool) {
+	if hl.words == nil {
+		hl.words = hl.inline[:0]
+	}
+	hl.words = append(hl.words, ls)
+	if inserted {
+		hl.inserted++
+	}
+}
+
+// moveTo hands hl's words to dst, an empty list, and leaves hl empty
+// under the same txid. The words are copied into dst's own slots, so
+// dst keeps nothing of hl's owner reachable.
+func (hl *heldList) moveTo(dst *heldList) {
+	dst.txid, dst.inserted = hl.txid, hl.inserted
+	dst.words = append(dst.inline[:0], hl.words...)
+	hl.words, hl.inserted = hl.inline[:0], 0
 }
 
 type holder struct {
@@ -180,7 +197,6 @@ func NewLockManager() *LockManager {
 	}
 	for i := range lm.stripes {
 		lm.stripes[i].locks = make(map[core.OID]*lockState)
-		lm.held[i].byTx = make(map[uint64]*heldList)
 	}
 	return lm
 }
@@ -356,12 +372,14 @@ func (ls *lockState) release(txid uint64) bool {
 	return false
 }
 
-// Acquire takes (or upgrades to) the given lock for tx on oid, blocking
-// until compatible, until the request would deadlock (ErrDeadlock), or
-// until ctx expires (ErrTxTimeout) or is canceled (ErrCanceled).
-// Re-acquiring a held lock (same or weaker mode) is a no-op. ctx must
-// be non-nil (use context.Background for an unbounded wait).
-func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, mode LockMode) error {
+// Acquire takes (or upgrades to) the given lock on oid for hl's
+// transaction, blocking until compatible, until the request would
+// deadlock (ErrDeadlock), or until ctx expires (ErrTxTimeout) or is
+// canceled (ErrCanceled); a fresh grant joins hl. Re-acquiring a held
+// lock (same or weaker mode) is a no-op. ctx must be non-nil (use
+// context.Background for an unbounded wait).
+func (lm *LockManager) Acquire(ctx context.Context, hl *heldList, oid core.OID, mode LockMode) error {
+	txid := hl.txid
 	s := lm.stripe(oid)
 	s.mu.Lock()
 	ls, inserted := s.word(oid)
@@ -373,7 +391,7 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 			}
 			s.mu.Unlock()
 			if fresh {
-				lm.noteHeld(txid, ls, inserted)
+				hl.add(ls, inserted)
 			}
 			return nil
 		}
@@ -441,41 +459,19 @@ func (lm *LockManager) Acquire(ctx context.Context, txid uint64, oid core.OID, m
 // edge and never counts a lock wait, so it cannot take part in a
 // deadlock. A word somebody is already waiting on counts as busy: a
 // speculative reader must not jump a queued writer.
-func (lm *LockManager) TryAcquire(txid uint64, oid core.OID, mode LockMode) bool {
+func (lm *LockManager) TryAcquire(hl *heldList, oid core.OID, mode LockMode) bool {
 	s := lm.stripe(oid)
 	s.mu.Lock()
 	ls, inserted := s.word(oid)
 	ok, fresh := false, false
 	if len(ls.queue) == 0 { // a refused word has holders or waiters: it is not idle
-		ok, fresh = ls.grant(txid, mode)
+		ok, fresh = ls.grant(hl.txid, mode)
 	}
 	s.mu.Unlock()
 	if fresh {
-		lm.noteHeld(txid, ls, inserted)
+		hl.add(ls, inserted)
 	}
 	return ok
-}
-
-// noteHeld appends a granted word to txid's held list; inserted says
-// the grant put the word into the table (a word is inserted only to be
-// granted at once).
-func (lm *LockManager) noteHeld(txid uint64, ls *lockState, inserted bool) {
-	hs := &lm.held[txid%lockStripes]
-	hs.mu.Lock()
-	hl := hs.byTx[txid]
-	if hl == nil {
-		if n := len(hs.free); n > 0 {
-			hl, hs.free = hs.free[n-1], hs.free[:n-1]
-		} else {
-			hl = &heldList{}
-		}
-		hs.byTx[txid] = hl
-	}
-	hl.words = append(hl.words, ls)
-	if inserted {
-		hl.inserted++
-	}
-	hs.mu.Unlock()
 }
 
 // cycleFrom reports whether following waits-for edges from start
@@ -500,32 +496,23 @@ func (lm *LockManager) cycleFrom(start uint64) bool {
 	return dfs(start)
 }
 
-// ReleaseAll drops every lock tx holds and wakes waiters. Called once
-// at commit or abort (strict 2PL: no early release). Release is by
-// txid, not by a handle the Tx carries, because a prepared transaction
-// keeps its locks after its Tx is gone and a recovered one re-locks by
-// txid at boot. The transaction's fresh grants — its held list — are
-// added to txn.lock_grants here, once, and the words they inserted to
-// txn.lock_words, so granting adds no shared write.
-func (lm *LockManager) ReleaseAll(txid uint64) { lm.releaseAll(txid) }
+// ReleaseAll drops every lock in hl and wakes waiters, leaving hl
+// empty with its capacity. Called once at commit or abort (strict 2PL:
+// no early release). The transaction's fresh grants — its held list —
+// are added to txn.lock_grants here, once, and the words they inserted
+// to txn.lock_words, so granting adds no shared write.
+func (lm *LockManager) ReleaseAll(hl *heldList) { lm.releaseAll(hl) }
 
 // releaseAll is ReleaseAll reporting how many lock words it visited
 // (tests: the cost must not depend on other transactions' locks).
-func (lm *LockManager) releaseAll(txid uint64) (visited int) {
-	hs := &lm.held[txid%lockStripes]
-	hs.mu.Lock()
-	hl := hs.byTx[txid]
-	if hl != nil {
-		delete(hs.byTx, txid)
-	}
-	hs.mu.Unlock()
-	if hl == nil {
+func (lm *LockManager) releaseAll(hl *heldList) (visited int) {
+	if len(hl.words) == 0 {
 		return 0
 	}
 	for _, ls := range hl.words {
 		s := lm.stripe(ls.oid) // held, so ls.oid cannot change
 		s.mu.Lock()
-		if ls.release(txid) {
+		if ls.release(hl.txid) {
 			ls.wakeAll()
 			s.settle(ls)
 		}
@@ -534,30 +521,18 @@ func (lm *LockManager) releaseAll(txid uint64) (visited int) {
 	visited = len(hl.words)
 	lm.met.LockGrants.Add(uint64(visited))
 	lm.met.LockWords.Add(hl.inserted)
-	if cap(hl.words) <= maxKeptHeld {
-		hl.words, hl.inserted = hl.words[:0], 0
-		hs.mu.Lock()
-		hs.free = append(hs.free, hl)
-		hs.mu.Unlock()
-	}
+	hl.words, hl.inserted = hl.words[:0], 0
 	return visited
 }
 
-// HeldLocks reports the locks a transaction currently holds (tests).
-func (lm *LockManager) HeldLocks(txid uint64) map[core.OID]LockMode {
-	hs := &lm.held[txid%lockStripes]
-	hs.mu.Lock()
-	var held []*lockState
-	if hl := hs.byTx[txid]; hl != nil {
-		held = append(held, hl.words...)
-	}
-	hs.mu.Unlock()
+// HeldLocks reports the locks in hl (tests).
+func (lm *LockManager) HeldLocks(hl *heldList) map[core.OID]LockMode {
 	out := make(map[core.OID]LockMode)
-	for _, ls := range held {
+	for _, ls := range hl.words {
 		s := lm.stripe(ls.oid)
 		s.mu.Lock()
 		for _, h := range ls.holders {
-			if h.txid == txid {
+			if h.txid == hl.txid {
 				out[ls.oid] = h.mode
 			}
 		}

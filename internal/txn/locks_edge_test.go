@@ -30,33 +30,34 @@ func lockWaitUntil(t *testing.T, cond func() bool) {
 // releases, the survivor's upgrade completes.
 func TestUpgradeRaceConcurrentUpgraders(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2 := newHeld(1), newHeld(2)
 	bg := context.Background()
 	const oid = core.OID(7)
-	if err := lm.Acquire(bg, 1, oid, Shared); err != nil {
+	if err := lm.Acquire(bg, h1, oid, Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(bg, 2, oid, Shared); err != nil {
+	if err := lm.Acquire(bg, h2, oid, Shared); err != nil {
 		t.Fatal(err)
 	}
 
 	first := make(chan error, 1)
-	go func() { first <- lm.Acquire(bg, 1, oid, Exclusive) }()
+	go func() { first <- lm.Acquire(bg, h1, oid, Exclusive) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 1 })
 
 	// The second upgrader closes the cycle and is the victim.
-	err := lm.Acquire(bg, 2, oid, Exclusive)
+	err := lm.Acquire(bg, h2, oid, Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("second upgrader = %v, want ErrDeadlock", err)
 	}
-	lm.ReleaseAll(2) // victim aborts
+	lm.ReleaseAll(h2) // victim aborts
 
 	if err := <-first; err != nil {
 		t.Fatalf("surviving upgrader = %v, want nil", err)
 	}
-	if got := lm.HeldLocks(1)[oid]; got != Exclusive {
+	if got := lm.HeldLocks(h1)[oid]; got != Exclusive {
 		t.Fatalf("survivor holds %v, want X", got)
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 	if n := busyWords(t, lm); n != 0 {
 		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}
@@ -67,43 +68,44 @@ func TestUpgradeRaceConcurrentUpgraders(t *testing.T) {
 // cycle) is the victim; tx1 and tx3 both complete.
 func TestDeadlockVictimSparesQueuedBystander(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2, h3 := newHeld(1), newHeld(2), newHeld(3)
 	bg := context.Background()
 	const a, b = core.OID(1), core.OID(2)
-	if err := lm.Acquire(bg, 1, a, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h1, a, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Acquire(bg, 2, b, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h2, b, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
 	// tx3: bystander queued on a, blocked by tx1.
 	bystander := make(chan error, 1)
-	go func() { bystander <- lm.Acquire(bg, 3, a, Shared) }()
+	go func() { bystander <- lm.Acquire(bg, h3, a, Shared) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(a) == 1 })
 
 	// tx1 blocks on b (held by tx2)...
 	cross := make(chan error, 1)
-	go func() { cross <- lm.Acquire(bg, 1, b, Exclusive) }()
+	go func() { cross <- lm.Acquire(bg, h1, b, Exclusive) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(b) == 1 })
 
 	// ...and tx2 requesting a closes the cycle tx2 -> tx1 -> tx2.
-	err := lm.Acquire(bg, 2, a, Exclusive)
+	err := lm.Acquire(bg, h2, a, Exclusive)
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("cycle-closing request = %v, want ErrDeadlock", err)
 	}
-	lm.ReleaseAll(2)
+	lm.ReleaseAll(h2)
 
 	if err := <-cross; err != nil {
 		t.Fatalf("tx1 after victim released = %v, want nil", err)
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 	if err := <-bystander; err != nil {
 		t.Fatalf("bystander = %v, want nil", err)
 	}
-	if got := lm.HeldLocks(3)[a]; got != Shared {
+	if got := lm.HeldLocks(h3)[a]; got != Shared {
 		t.Fatalf("bystander holds %v, want S", got)
 	}
-	lm.ReleaseAll(3)
+	lm.ReleaseAll(h3)
 	if n := busyWords(t, lm); n != 0 {
 		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}
@@ -114,15 +116,16 @@ func TestDeadlockVictimSparesQueuedBystander(t *testing.T) {
 // releases, the table entry is gone.
 func TestCanceledWaitAccounting(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2 := newHeld(1), newHeld(2)
 	bg := context.Background()
 	const oid = core.OID(9)
-	if err := lm.Acquire(bg, 1, oid, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h1, oid, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(bg)
 	waiter := make(chan error, 1)
-	go func() { waiter <- lm.Acquire(ctx, 2, oid, Shared) }()
+	go func() { waiter <- lm.Acquire(ctx, h2, oid, Shared) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 1 })
 
 	cancel()
@@ -133,13 +136,13 @@ func TestCanceledWaitAccounting(t *testing.T) {
 	if n := lm.Waiting(oid); n != 0 {
 		t.Fatalf("Waiting = %d after canceled wait, want 0", n)
 	}
-	if held := lm.HeldLocks(2); len(held) != 0 {
+	if held := lm.HeldLocks(h2); len(held) != 0 {
 		t.Fatalf("canceled waiter holds %v, want nothing", held)
 	}
 	if n := busyWords(t, lm); n != 1 {
 		t.Fatalf("lock table holds %d busy words (holder still live), want 1", n)
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 	if n := busyWords(t, lm); n != 0 {
 		t.Fatalf("lock table holds %d busy words after holder released, want 0", n)
 	}
@@ -149,37 +152,39 @@ func TestCanceledWaitAccounting(t *testing.T) {
 // lock stays acquirable by others.
 func TestTimedOutWaitReturnsTimeout(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2, h3 := newHeld(1), newHeld(2), newHeld(3)
 	bg := context.Background()
 	const oid = core.OID(3)
-	if err := lm.Acquire(bg, 1, oid, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h1, oid, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
-	if err := lm.Acquire(ctx, 2, oid, Shared); !errors.Is(err, ErrTxTimeout) {
+	if err := lm.Acquire(ctx, h2, oid, Shared); !errors.Is(err, ErrTxTimeout) {
 		t.Fatalf("timed-out wait = %v, want ErrTxTimeout", err)
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 	// The object is free again.
-	if err := lm.Acquire(bg, 3, oid, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h3, oid, Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseAll(3)
+	lm.ReleaseAll(h3)
 }
 
 // An already-dead context fast-fails before sleeping and must not leak
 // waits-for edges or waiting counts.
 func TestDeadContextFastFails(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2 := newHeld(1), newHeld(2)
 	bg := context.Background()
 	const oid = core.OID(4)
-	if err := lm.Acquire(bg, 1, oid, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h1, oid, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
 	start := time.Now()
-	if err := lm.Acquire(ctx, 2, oid, Shared); !errors.Is(err, ErrCanceled) {
+	if err := lm.Acquire(ctx, h2, oid, Shared); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("dead-context acquire = %v, want ErrCanceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
@@ -188,7 +193,7 @@ func TestDeadContextFastFails(t *testing.T) {
 	if n := lm.Waiting(oid); n != 0 {
 		t.Fatalf("Waiting = %d, want 0", n)
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 	if n := busyWords(t, lm); n != 0 {
 		t.Fatalf("lock table holds %d busy words, want 0", n)
 	}
@@ -313,13 +318,14 @@ func TestGovernorDeadlineWhileQueued(t *testing.T) {
 // ReleaseAll.
 func TestTryAcquireNeverWaits(t *testing.T) {
 	lm := NewLockManager()
+	h1, h2, h3, h4, h5, h6, h7 := newHeld(1), newHeld(2), newHeld(3), newHeld(4), newHeld(5), newHeld(6), newHeld(7)
 	bg := context.Background()
 	const oid, free = core.OID(11), core.OID(12)
-	if err := lm.Acquire(bg, 1, oid, Exclusive); err != nil {
+	if err := lm.Acquire(bg, h1, oid, Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan bool, 1)
-	go func() { done <- lm.TryAcquire(2, oid, Shared) }()
+	go func() { done <- lm.TryAcquire(h2, oid, Shared) }()
 	select {
 	case ok := <-done:
 		if ok {
@@ -331,36 +337,36 @@ func TestTryAcquireNeverWaits(t *testing.T) {
 	lm.graphMu.Lock()
 	edges := len(lm.waitsFor)
 	lm.graphMu.Unlock()
-	if edges != 0 || lm.met.LockWaits.Load() != 0 || len(lm.HeldLocks(2)) != 0 {
+	if edges != 0 || lm.met.LockWaits.Load() != 0 || len(lm.HeldLocks(h2)) != 0 {
 		t.Fatalf("a refused TryAcquire left %d waits-for edges, %d lock waits, holds %v; want none",
-			edges, lm.met.LockWaits.Load(), lm.HeldLocks(2))
+			edges, lm.met.LockWaits.Load(), lm.HeldLocks(h2))
 	}
-	lm.ReleaseAll(1)
+	lm.ReleaseAll(h1)
 
 	// tx 3 holds S, tx 4 queues for X: the word is busy for a speculative S.
-	if err := lm.Acquire(bg, 3, oid, Shared); err != nil {
+	if err := lm.Acquire(bg, h3, oid, Shared); err != nil {
 		t.Fatal(err)
 	}
 	writer := make(chan error, 1)
-	go func() { writer <- lm.Acquire(bg, 4, oid, Exclusive) }()
+	go func() { writer <- lm.Acquire(bg, h4, oid, Exclusive) }()
 	lockWaitUntil(t, func() bool { return lm.Waiting(oid) == 1 })
-	if lm.TryAcquire(5, oid, Shared) {
+	if lm.TryAcquire(h5, oid, Shared) {
 		t.Fatal("TryAcquire granted S ahead of a queued writer")
 	}
-	lm.ReleaseAll(3)
+	lm.ReleaseAll(h3)
 	if err := <-writer; err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseAll(4)
+	lm.ReleaseAll(h4)
 
-	if !lm.TryAcquire(6, free, Shared) || !lm.TryAcquire(7, free, Shared) {
+	if !lm.TryAcquire(h6, free, Shared) || !lm.TryAcquire(h7, free, Shared) {
 		t.Fatal("TryAcquire refused a free or shared word")
 	}
-	if got := lm.HeldLocks(6)[free]; got != Shared {
+	if got := lm.HeldLocks(h6)[free]; got != Shared {
 		t.Fatalf("granted TryAcquire holds %v, want S", got)
 	}
-	lm.ReleaseAll(6)
-	lm.ReleaseAll(7)
+	lm.ReleaseAll(h6)
+	lm.ReleaseAll(h7)
 	if n := busyWords(t, lm); n != 0 {
 		t.Fatalf("lock table holds %d busy words after all releases, want 0", n)
 	}

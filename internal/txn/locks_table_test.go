@@ -13,9 +13,11 @@ import (
 )
 
 // Tests of the striped lock table itself: a stress run against a
-// one-mutex reference model, the parallel-forall shape (one txid, many
-// goroutines), the work gates (allocations, lock words visited by a
-// release) and the micro-benchmarks. Run with -race.
+// one-mutex reference model, the work gates (allocations, lock words
+// visited by a release) and the micro-benchmarks. Run with -race.
+
+// newHeld returns an empty held list for test transaction txid.
+func newHeld(txid uint64) *heldList { return &heldList{txid: txid} }
 
 // lockModel is the trivial reference: who holds what, under one mutex.
 // A transaction records a grant after Acquire returns and erases its
@@ -86,7 +88,8 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for i := 0; i < txPerGo; i++ {
-				txid := nextTx.Add(1)
+				hl := newHeld(nextTx.Add(1))
+				txid := hl.txid
 				for n := 1 + rng.Intn(maxPerTx); n > 0; n-- {
 					oid := core.OID(1 + rng.Intn(oidSpace))
 					mode := LockMode(rng.Intn(2))
@@ -103,7 +106,7 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 						ctx, cancel = context.WithCancel(overall)
 						cancel()
 					}
-					err := lm.Acquire(ctx, txid, oid, mode)
+					err := lm.Acquire(ctx, hl, oid, mode)
 					cancel()
 					if err == nil {
 						grants.Add(1)
@@ -126,7 +129,7 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 					break // any failure aborts the transaction
 				}
 				want := model.release(txid)
-				got := lm.HeldLocks(txid)
+				got := lm.HeldLocks(hl)
 				same := len(got) == len(want)
 				for oid, mode := range want {
 					same = same && got[oid] == mode
@@ -134,7 +137,7 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 				if !same {
 					t.Errorf("tx %d holds %v, model says %v", txid, got, want)
 				}
-				lm.ReleaseAll(txid)
+				lm.ReleaseAll(hl)
 			}
 		}(w)
 	}
@@ -153,11 +156,6 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 	if n := len(lm.waitsFor); n != 0 {
 		t.Errorf("waits-for graph keeps %d entries, want 0", n)
 	}
-	for i := range lm.held {
-		if n := len(lm.held[i].byTx); n != 0 {
-			t.Errorf("held stripe %d keeps %d transactions, want 0", i, n)
-		}
-	}
 	t.Logf("grants %d, deadlocks %d, timeouts %d, cancels %d", grants.Load(), deadlocks.Load(), timeouts.Load(), cancels.Load())
 	// The run must have exercised every exit, or it proves nothing.
 	for name, n := range map[string]int64{"grants": grants.Load(), "deadlocks": deadlocks.Load(),
@@ -168,68 +166,42 @@ func TestLockTableStressAgainstModel(t *testing.T) {
 	}
 }
 
-// The lock table knows holders by txid, not by goroutine, and every
-// method is safe for concurrent use: one txid acquiring from several
-// goroutines at once still ends with one word per OID, released once.
-// The engine never does this (a Tx belongs to one goroutine); the
-// table's contract does not depend on it.
-func TestSameTxConcurrentAcquire(t *testing.T) {
-	const goroutines, perGo, distinct = 8, 400, 1000
-	lm := NewLockManager()
-	bg := context.Background()
-	const txid = 42
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perGo; i++ {
-				// Overlapping ranges: most OIDs are requested by three
-				// goroutines, some of them as an upgrade.
-				oid := core.OID(1 + (g*perGo/3+i)%distinct)
-				if err := lm.Acquire(bg, txid, oid, LockMode(i%2)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	held := lm.HeldLocks(txid)
-	if len(held) != busyWords(t, lm) {
-		t.Fatalf("HeldLocks reports %d OIDs, table has %d", len(held), busyWords(t, lm))
-	}
-	if visited := lm.releaseAll(txid); visited != len(held) {
-		t.Fatalf("release visited %d lock words, want one per held OID (%d)", visited, len(held))
-	}
-	if n := busyWords(t, lm); n != 0 {
-		t.Fatalf("lock table holds %d busy words after release, want 0", n)
-	}
-}
-
 // Work gate: on a warmed manager an uncontended transaction's lock
-// traffic allocates nothing.
+// traffic allocates nothing: the list it reuses keeps the capacity its
+// first 128 grants spilled to.
 func TestUncontendedLockCycleDoesNotAllocate(t *testing.T) {
 	lm := NewLockManager()
 	bg := context.Background()
-	txid := uint64(0)
+	hl := newHeld(0)
 	cycle := func() {
-		txid++
+		hl.txid++
 		for oid := core.OID(1); oid <= 64; oid++ {
-			if err := lm.Acquire(bg, txid, oid, Shared); err != nil {
+			if err := lm.Acquire(bg, hl, oid, Shared); err != nil {
 				t.Fatal(err)
 			}
-			if !lm.TryAcquire(txid, oid+64, Shared) {
+			if !lm.TryAcquire(hl, oid+64, Shared) {
 				t.Fatal("TryAcquire refused a free word")
 			}
 		}
-		lm.ReleaseAll(txid)
+		lm.ReleaseAll(hl)
 	}
-	for i := 0; i < 2*lockStripes; i++ { // every txid stripe has a list to recycle
-		cycle()
-	}
+	cycle()
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("Acquire x64 + TryAcquire x64 + ReleaseAll allocates %v times per cycle, want 0", allocs)
+	}
+	// A new list, as every Tx begins with, holds its first heldInline
+	// grants in place: the list is the cycle's one allocation.
+	fresh := func() {
+		hl := newHeld(hl.txid + 1)
+		for oid := core.OID(1); oid <= heldInline; oid++ {
+			if err := lm.Acquire(bg, hl, oid, Shared); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lm.ReleaseAll(hl)
+	}
+	if allocs := testing.AllocsPerRun(200, fresh); allocs != 1 {
+		t.Fatalf("a new list's %d grants and release allocate %v times, want 1 (the list)", heldInline, allocs)
 	}
 }
 
@@ -238,7 +210,7 @@ func TestUncontendedLockCycleDoesNotAllocate(t *testing.T) {
 func TestReleaseVisitsOnlyOwnLocks(t *testing.T) {
 	lm := NewLockManager()
 	bg := context.Background()
-	const big, small = 1, 2
+	big, small := newHeld(1), newHeld(2)
 	for oid := core.OID(1); oid <= 10000; oid++ {
 		if err := lm.Acquire(bg, big, oid, Shared); err != nil {
 			t.Fatal(err)
@@ -309,14 +281,15 @@ func sameStripe(lm *LockManager, n int) []core.OID {
 func TestIdleWordsResidentUpToBound(t *testing.T) {
 	lm := NewLockManager()
 	bg := context.Background()
+	h1, h2 := newHeld(1), newHeld(2)
 	oids := sameStripe(lm, maxIdleWords+1)
 	s := lm.stripe(oids[0])
 	for _, oid := range oids {
-		if err := lm.Acquire(bg, 1, oid, Shared); err != nil {
+		if err := lm.Acquire(bg, h1, oid, Shared); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lm.ReleaseAll(1) // in grant order: the last release is over the bound
+	lm.ReleaseAll(h1) // in grant order: the last release is over the bound
 	if got := lm.met.LockWords.Load(); got != maxIdleWords+1 {
 		t.Fatalf("txn.lock_words = %d after locking %d objects, want %d", got, len(oids), len(oids))
 	}
@@ -329,20 +302,20 @@ func TestIdleWordsResidentUpToBound(t *testing.T) {
 			s.idle, len(s.locks), last, s.locks[last] != nil, len(s.free), maxIdleWords, maxIdleWords)
 	}
 	for _, oid := range oids[:maxIdleWords] {
-		if err := lm.Acquire(bg, 2, oid, Exclusive); err != nil {
+		if err := lm.Acquire(bg, h2, oid, Exclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(s.locks) != maxIdleWords || len(s.free) != 1 {
 		t.Fatalf("relocking resident words: %d words, %d free; want %d, 1", len(s.locks), len(s.free), maxIdleWords)
 	}
-	if err := lm.Acquire(bg, 2, last, Shared); err != nil {
+	if err := lm.Acquire(bg, h2, last, Shared); err != nil {
 		t.Fatal(err)
 	}
 	if s.locks[last] == nil || len(s.free) != 0 {
 		t.Fatalf("relocking the dropped word: resident %v, %d free; want true, 0 (recycled)", s.locks[last] != nil, len(s.free))
 	}
-	lm.ReleaseAll(2)
+	lm.ReleaseAll(h2)
 	if got := lm.met.LockWords.Load(); got != maxIdleWords+2 {
 		t.Fatalf("txn.lock_words = %d after relocking, want %d: one insert, for the dropped word", got, maxIdleWords+2)
 	}
@@ -357,18 +330,18 @@ func TestIdleWordsResidentUpToBound(t *testing.T) {
 func TestWarmLockCycleLeavesMapUnchanged(t *testing.T) {
 	lm := NewLockManager()
 	bg := context.Background()
-	txid := uint64(0)
+	hl := newHeld(0)
 	cycle := func() {
-		txid++
+		hl.txid++
 		for oid := core.OID(1); oid <= 64; oid++ {
-			if err := lm.Acquire(bg, txid, oid, Shared); err != nil {
+			if err := lm.Acquire(bg, hl, oid, Shared); err != nil {
 				t.Fatal(err)
 			}
-			if !lm.TryAcquire(txid, oid+64, Shared) {
+			if !lm.TryAcquire(hl, oid+64, Shared) {
 				t.Fatal("TryAcquire refused a free word")
 			}
 		}
-		lm.ReleaseAll(txid)
+		lm.ReleaseAll(hl)
 	}
 	snapshot := func() []map[core.OID]*lockState {
 		out := make([]map[core.OID]*lockState, lockStripes)
@@ -424,15 +397,16 @@ func BenchmarkLockManager(b *testing.B) {
 			go func(g int) {
 				defer wg.Done()
 				base := oidBase(g)
+				hl := newHeld(0)
 				for i := g; i < b.N; i += goroutines {
-					txid := nextTx.Add(1)
+					hl.txid = nextTx.Add(1)
 					for k := core.OID(0); k < perTx; k++ {
-						if err := lm.Acquire(bg, txid, base+k, Shared); err != nil {
+						if err := lm.Acquire(bg, hl, base+k, Shared); err != nil {
 							b.Error(err)
 							return
 						}
 					}
-					lm.ReleaseAll(txid)
+					lm.ReleaseAll(hl)
 				}
 			}(g)
 		}

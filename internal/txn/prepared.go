@@ -58,12 +58,13 @@ const decisionRetentionAge = 10 * time.Minute
 const maxDecisionsInMemory = 1 << 16
 
 // preparedTx is one in-doubt two-phase-commit transaction parked in the
-// engine: its vote is durable in the WAL, its locks are still held
-// under txid, and it survives until a decision (or, on the coordinator
-// only, the orphan timeout) resolves it.
+// engine: its vote is durable in the WAL, its locks are still held, and
+// it survives until a decision (or, on the coordinator only, the orphan
+// timeout) resolves it. Its held list belongs to whoever claims the
+// entry.
 type preparedTx struct {
 	gid       string
-	txid      uint64
+	held      heldList // the transaction's id and locks, taken over from its Tx
 	ops       []wal.Op
 	timer     *time.Timer
 	since     time.Time
@@ -168,12 +169,13 @@ func (e *Engine) armPrepareTimer(p *preparedTx) {
 	p.timer = time.AfterFunc(d, func() { e.abortPrepared(gid, true) })
 }
 
-// finishPrepared parks the transaction in the prepared state: the
-// admission slot is returned and session bookkeeping runs (onFinish),
-// but — unlike finish — every lock stays held under the transaction's
-// id until the decision arrives.
-func (tx *Tx) finishPrepared() {
+// finishPrepared parks the transaction in the prepared state: its held
+// list moves to entry, the admission slot is returned and session
+// bookkeeping runs (onFinish), but — unlike finish — every lock stays
+// held until the decision arrives.
+func (tx *Tx) finishPrepared(entry *preparedTx) {
 	tx.state = statePrepared
+	tx.held.moveTo(&entry.held)
 	for _, fn := range tx.onFinish {
 		fn()
 	}
@@ -228,24 +230,24 @@ func (e *Engine) Prepare(tx *Tx, gid string) error {
 	}
 	var vote []byte
 	if len(ops) > 0 {
-		vote = wal.EncodePrepared(tx.id, gid, ops)
+		vote = wal.EncodePrepared(tx.ID(), gid, ops)
 	}
 	e.commitMu.Lock()
 	target, _, err := e.stage(write{meta: vote, stageFault: fpPrepareWAL})
 	e.commitMu.Unlock()
 	if err != nil {
 		tx.Abort()
-		return fmt.Errorf("txn: prepare of tx %d: %w", tx.id, err)
+		return fmt.Errorf("txn: prepare of tx %d: %w", tx.ID(), err)
 	}
 	// The vote must be durable before it is given: a yes answered from
 	// volatile state could be forgotten by a crash while the coordinator
 	// goes on to commit everyone else.
 	if err := e.syncTo(target); err != nil {
 		tx.finish(stateAborted)
-		return fmt.Errorf("txn: prepare of tx %d: %w", tx.id, err)
+		return fmt.Errorf("txn: prepare of tx %d: %w", tx.ID(), err)
 	}
-	entry := &preparedTx{gid: gid, txid: tx.id, ops: ops, since: time.Now()}
-	tx.finishPrepared()
+	entry := &preparedTx{gid: gid, ops: ops, since: time.Now()}
+	tx.finishPrepared(entry)
 	e.prepMu.Lock()
 	e.prepared[gid] = entry
 	e.prepMu.Unlock()
@@ -315,11 +317,11 @@ func (e *Engine) CommitPrepared(gid string) (uint64, error) {
 	met := &e.met.Txn
 	var raw []byte
 	if len(entry.ops) > 0 {
-		raw = wal.EncodeBatch(entry.txid, entry.ops)
+		raw = wal.EncodeBatch(entry.held.txid, entry.ops)
 	}
 	e.commitMu.Lock()
 	target, lsn, err := e.stage(write{
-		meta:       wal.EncodeDecide(entry.txid, gid, true),
+		meta:       wal.EncodeDecide(entry.held.txid, gid, true),
 		batch:      raw,
 		ops:        entry.ops,
 		stageFault: fpDecideWAL,
@@ -337,16 +339,16 @@ func (e *Engine) CommitPrepared(gid string) (uint64, error) {
 		// The decide record is in the log file: the next fsync may make
 		// it durable, and recovery would then commit. Presuming abort
 		// here could contradict it.
-		e.locks.ReleaseAll(entry.txid)
-		e.recordDecision(gid, decision{txid: entry.txid, commit: true, err: err})
+		e.locks.ReleaseAll(&entry.held)
+		e.recordDecision(gid, decision{txid: entry.held.txid, commit: true, err: err})
 		met.PreparedInDoubt.Add(-1)
 		return 0, err
 	}
 	if raw != nil {
 		e.announce(lsn, raw)
 	}
-	e.locks.ReleaseAll(entry.txid)
-	e.recordDecision(gid, decision{txid: entry.txid, commit: true, lsn: lsn})
+	e.locks.ReleaseAll(&entry.held)
+	e.recordDecision(gid, decision{txid: entry.held.txid, commit: true, lsn: lsn})
 	met.Commits.Inc()
 	met.PreparedCommits.Inc()
 	met.PreparedInDoubt.Add(-1)
@@ -371,7 +373,7 @@ func (e *Engine) abortPrepared(gid string, timedOut bool) error {
 	met := &e.met.Txn
 	var tombstone []byte
 	if len(entry.ops) > 0 {
-		tombstone = wal.EncodeDecide(entry.txid, gid, false)
+		tombstone = wal.EncodeDecide(entry.held.txid, gid, false)
 	}
 	// A durable tombstone, best effort and not fsynced: without it a
 	// crash before the next truncation resurrects the prepared batch as
@@ -381,8 +383,8 @@ func (e *Engine) abortPrepared(gid string, timedOut bool) error {
 	e.commitMu.Lock()
 	_, _, _ = e.stage(write{meta: tombstone})
 	e.commitMu.Unlock()
-	e.locks.ReleaseAll(entry.txid)
-	e.recordDecision(gid, decision{txid: entry.txid, commit: false})
+	e.locks.ReleaseAll(&entry.held)
+	e.recordDecision(gid, decision{txid: entry.held.txid, commit: false})
 	if len(entry.ops) > 0 {
 		met.Aborts.Inc()
 	} else {
@@ -450,7 +452,7 @@ func (e *Engine) PreparedList() []PreparedInfo {
 	for _, p := range e.prepared {
 		out = append(out, PreparedInfo{
 			GID:       p.gid,
-			TxID:      p.txid,
+			TxID:      p.held.txid,
 			Ops:       len(p.ops),
 			Age:       time.Since(p.since),
 			Recovered: p.recovered,
@@ -477,7 +479,7 @@ func (e *Engine) RestageRecords() [][]byte {
 	var out [][]byte
 	for gid, p := range e.prepared {
 		if len(p.ops) > 0 {
-			out = append(out, wal.EncodePrepared(p.txid, gid, p.ops))
+			out = append(out, wal.EncodePrepared(p.held.txid, gid, p.ops))
 		}
 	}
 	keep := len(e.decOrder) - maxDecisionRetention
@@ -517,7 +519,7 @@ func (e *Engine) NoteTxID(id uint64) {
 // in the log seed the decision map, so redelivered CommitPrepared /
 // TxStatus calls answer correctly after a restart. Recovered entries on
 // a participant get no orphan timer — only their coordinator may
-// presume abort.
+// presume abort. Each entry's held list is built here, one per txid.
 func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]bool) error {
 	for gid, commit := range decisions {
 		e.recordDecision(gid, decision{commit: commit})
@@ -525,6 +527,7 @@ func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]boo
 	met := &e.met.Txn
 	for _, p := range preps {
 		e.NoteTxID(p.TxID)
+		entry := &preparedTx{gid: p.GID, held: heldList{txid: p.TxID}, since: time.Now(), recovered: true}
 		ops := make([]wal.Op, len(p.Ops))
 		seen := make(map[core.OID]bool, len(p.Ops))
 		for i, op := range p.Ops {
@@ -538,18 +541,18 @@ func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]boo
 			}
 			// Without its cluster's IX a recovered write would be invisible
 			// to the cluster S of a scan, which would then read around it.
-			if err := e.relockCluster(p.TxID, op); err != nil {
+			if err := e.relockCluster(&entry.held, op); err != nil {
 				return fmt.Errorf("txn: restore prepared %q: relock cluster of @%d: %w", p.GID, op.OID, err)
 			}
 			if seen[oid] {
 				continue
 			}
 			seen[oid] = true
-			if err := e.locks.Acquire(context.Background(), p.TxID, oid, Exclusive); err != nil {
+			if err := e.locks.Acquire(context.Background(), &entry.held, oid, Exclusive); err != nil {
 				return fmt.Errorf("txn: restore prepared %q: relock @%d: %w", p.GID, op.OID, err)
 			}
 		}
-		entry := &preparedTx{gid: p.GID, txid: p.TxID, ops: ops, since: time.Now(), recovered: true}
+		entry.ops = ops
 		e.prepMu.Lock()
 		e.prepared[p.GID] = entry
 		e.prepMu.Unlock()
@@ -559,12 +562,12 @@ func (e *Engine) RestorePrepared(preps []*wal.Prepared, decisions map[string]boo
 	return nil
 }
 
-// relockCluster takes IX for txid on the cluster of the object op
+// relockCluster takes IX into hl on the cluster of the object op
 // writes. A put names its class; a delete's object still exists, since
 // the batch is not applied; a version drop takes no IX (Tx.DeleteVersion
 // takes none: no scan reads frozen versions). Re-acquiring a held IX is
 // a no-op in the lock table.
-func (e *Engine) relockCluster(txid uint64, op *wal.Op) error {
+func (e *Engine) relockCluster(hl *heldList, op *wal.Op) error {
 	var cid core.ClassID
 	switch op.Type {
 	case wal.OpPut, wal.OpPutVersion:
@@ -581,7 +584,7 @@ func (e *Engine) relockCluster(txid uint64, op *wal.Op) error {
 	default:
 		return nil
 	}
-	return e.locks.Acquire(context.Background(), txid, ClusterLockOID(cid), IntentExclusive)
+	return e.locks.Acquire(context.Background(), hl, ClusterLockOID(cid), IntentExclusive)
 }
 
 // StopPrepareTimers disarms every orphan timer (shutdown): prepared

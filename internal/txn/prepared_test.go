@@ -1,11 +1,17 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"ode/internal/core"
+	"ode/internal/failpoint"
+	"ode/internal/object"
+	"ode/internal/wal"
 )
 
 // TestPrepareDuplicateGIDConcurrent: the gid reservation must be
@@ -93,5 +99,109 @@ func TestRestageDecisionRetentionByAge(t *testing.T) {
 	e.prepMu.Unlock()
 	if got := len(e.RestageRecords()); got != maxDecisionRetention {
 		t.Fatalf("restaged %d aged decisions, want the count floor %d", got, maxDecisionRetention)
+	}
+}
+
+// Every end of a prepared transaction releases the locks its entry took
+// over from the Tx, or rebuilt from the log: a writer that waited on the
+// prepared row is granted, and once it is done the table keeps no busy
+// word. A decide record that fails to stage reinstates the entry with
+// its locks still held; the retry releases them.
+func TestPreparedEndsReleaseLocks(t *testing.T) {
+	const gid = "g-ends"
+	commit := func(t *testing.T, e *Engine, row core.OID) {
+		if _, err := e.CommitPrepared(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	abort := func(t *testing.T, e *Engine, row core.OID) {
+		if err := e.AbortPrepared(gid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		restored bool          // the entry comes back from the log (RestorePrepared), not from Prepare
+		orphan   time.Duration // the orphan timeout Prepare arms; 0 keeps the default
+		end      func(t *testing.T, e *Engine, row core.OID)
+	}{
+		{name: "commit", end: commit},
+		{name: "abort", end: abort},
+		{name: "orphan timer", orphan: 100 * time.Millisecond, end: func(t *testing.T, e *Engine, row core.OID) {
+			lockWaitUntil(t, func() bool { return e.PreparedCount() == 0 })
+		}},
+		{name: "restored then commit", restored: true, end: commit},
+		{name: "restored then abort", restored: true, end: abort},
+		{name: "unknown outcome", end: func(t *testing.T, e *Engine, row core.OID) {
+			// The decide record is staged and its fsync fails.
+			if err := failpoint.Arm("wal.fsync", failpoint.Spec{Action: failpoint.ActError, OneShot: true}); err != nil {
+				t.Fatal(err)
+			}
+			defer failpoint.DisarmAll()
+			if _, err := e.CommitPrepared(gid); !errors.Is(err, ErrUnknownOutcome) {
+				t.Fatalf("CommitPrepared with a failing fsync = %v, want ErrUnknownOutcome", err)
+			}
+		}},
+		{name: "decide record refused, then commit", end: func(t *testing.T, e *Engine, row core.OID) {
+			if err := failpoint.Arm("txn.decide_wal", failpoint.Spec{Action: failpoint.ActError, OneShot: true}); err != nil {
+				t.Fatal(err)
+			}
+			defer failpoint.DisarmAll()
+			if _, err := e.CommitPrepared(gid); err == nil || errors.Is(err, ErrUnknownOutcome) {
+				t.Fatalf("CommitPrepared with a refused decide record = %v, want a retryable error", err)
+			}
+			if n, w := e.PreparedCount(), e.Locks().Waiting(row); n != 1 || w != 1 {
+				t.Fatalf("after a refused decide record: %d prepared, %d waiting; want 1, 1", n, w)
+			}
+			commit(t, e, row)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, item := newTestEngine(t)
+			seed := e.Begin()
+			a, err := seed.PNew(item, newItem(item, "a", 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := seed.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if c.restored {
+				op := &wal.Op{Type: wal.OpPut, OID: uint64(a), ClassID: uint32(item.ID()), Image: object.Encode(newItem(item, "a", 2))}
+				if err := e.RestorePrepared([]*wal.Prepared{{GID: gid, TxID: 1 << 20, Ops: []*wal.Op{op}}}, nil); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				e.SetPrepareTimeout(c.orphan)
+				tx := e.Begin()
+				if err := tx.Update(a, newItem(item, "a", 2)); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Prepare(tx, gid); err != nil {
+					t.Fatal(err)
+				}
+				if held := tx.HeldLocks(); len(held) != 0 {
+					t.Fatalf("the prepared Tx still lists %v; its entry holds them", held)
+				}
+			}
+			writer := e.Begin()
+			defer writer.Abort()
+			granted := make(chan error, 1)
+			go func() { granted <- writer.Update(a, newItem(item, "a", 3)) }()
+			lockWaitUntil(t, func() bool { return e.Locks().Waiting(a) == 1 })
+			c.end(t, e, a)
+			select {
+			case err := <-granted:
+				if err != nil {
+					t.Fatalf("writer after the prepared end = %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("writer still blocked on the prepared row")
+			}
+			writer.Abort()
+			if n := busyWords(t, e.Locks()); n != 0 {
+				t.Fatalf("lock table holds %d busy words after every end, want 0", n)
+			}
+		})
 	}
 }

@@ -375,7 +375,7 @@ func (e *Engine) BeginCtx(ctx context.Context) *Tx {
 		ctx = context.Background()
 	}
 	e.met.Txn.Begins.Inc()
-	return &Tx{engine: e, id: e.nextID.Add(1), ctx: ctx}
+	return &Tx{engine: e, held: heldList{txid: e.nextID.Add(1)}, ctx: ctx}
 }
 
 // FailedTx returns a transaction that was never admitted: every
@@ -404,7 +404,6 @@ type txWrite struct {
 // transactions, each on its own goroutine.
 type Tx struct {
 	engine  *Engine
-	id      uint64
 	state   int
 	ctx     context.Context // never nil; Background without a governor
 	failErr error           // stateFailed: the admission rejection
@@ -425,6 +424,10 @@ type Tx struct {
 	clusters []clusterHold
 
 	onFinish []func() // run once, after locks release
+
+	// held is the id the transaction locks by and the lock words it was
+	// granted; Prepare hands the words to the prepared entry.
+	held heldList
 
 	// Touched is exported through accessors for the trigger layer.
 }
@@ -483,7 +486,7 @@ func (tx *Tx) Err() error {
 // canceled once, however many of its calls see the dead context.
 func (tx *Tx) noteCtxErr(err error) error {
 	tx.noteCancel()
-	return fmt.Errorf("%w (tx %d)", FromContextErr(err), tx.id)
+	return fmt.Errorf("%w (tx %d)", FromContextErr(err), tx.ID())
 }
 
 // noteIfCtx latches the Cancels metric when err is a context-typed
@@ -504,7 +507,10 @@ func (tx *Tx) noteCancel() {
 }
 
 // ID returns the transaction id.
-func (tx *Tx) ID() uint64 { return tx.id }
+func (tx *Tx) ID() uint64 { return tx.held.txid }
+
+// HeldLocks reports the locks the transaction holds (tests).
+func (tx *Tx) HeldLocks() map[core.OID]LockMode { return tx.engine.locks.HeldLocks(&tx.held) }
 
 // Manager exposes the object manager for read paths (extent and index
 // scans) of the query layer. Mutations must go through the Tx methods.
@@ -534,7 +540,7 @@ func (tx *Tx) ensureWritable() error {
 		return err
 	}
 	if tx.engine.readOnly.Load() {
-		return fmt.Errorf("%w (tx %d)", ErrReadOnly, tx.id)
+		return fmt.Errorf("%w (tx %d)", ErrReadOnly, tx.ID())
 	}
 	return nil
 }
@@ -612,7 +618,7 @@ func (tx *Tx) Borrow(oid core.OID, covered bool) (*core.Object, []byte, error) {
 // the transaction does not hold S or X on.
 func (tx *Tx) checkCovered(oid core.OID, o *core.Object, how int) error {
 	if how == rowCovered && !tx.readsCluster(o.Class().ID()) {
-		return fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.id, o.Class().Name)
+		return fmt.Errorf("txn: covered read of @%d (tx %d) without a lock on cluster %s", oid, tx.ID(), o.Class().Name)
 	}
 	return nil
 }
@@ -672,8 +678,8 @@ func (tx *Tx) readRow(oid core.OID, how int) (*txWrite, error) {
 	case rowTry:
 		if err := tx.Err(); err != nil {
 			return nil, err
-		} else if !tx.engine.locks.TryAcquire(tx.id, oid, Shared) {
-			return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.id, oid)
+		} else if !tx.engine.locks.TryAcquire(&tx.held, oid, Shared) {
+			return nil, fmt.Errorf("%w (tx %d on @%d)", ErrLockBusy, tx.ID(), oid)
 		}
 	}
 	return nil, nil
@@ -1004,7 +1010,7 @@ func (tx *Tx) lock(oid core.OID, mode LockMode) error {
 	if err := tx.ctx.Err(); err != nil {
 		return tx.noteCtxErr(err)
 	}
-	err := tx.engine.locks.Acquire(tx.ctx, tx.id, oid, mode)
+	err := tx.engine.locks.Acquire(tx.ctx, &tx.held, oid, mode)
 	if err != nil {
 		tx.noteIfCtx(err)
 	}
@@ -1070,7 +1076,7 @@ func (tx *Tx) Commit() error {
 	e := tx.engine
 	var raw []byte
 	if len(ops) > 0 {
-		raw = wal.EncodeBatch(tx.id, ops)
+		raw = wal.EncodeBatch(tx.ID(), ops)
 	}
 	e.commitMu.Lock()
 	target, lsn, err := e.stage(write{batch: raw, ops: ops, stageFault: fpCommitWAL, applyFault: fpCommitApply})
@@ -1088,7 +1094,7 @@ func (tx *Tx) Commit() error {
 		} else {
 			tx.Abort()
 		}
-		return fmt.Errorf("txn: commit of tx %d: %w", tx.id, err)
+		return fmt.Errorf("txn: commit of tx %d: %w", tx.ID(), err)
 	}
 	if raw != nil {
 		e.announce(lsn, raw)
@@ -1139,7 +1145,7 @@ func (tx *Tx) precommit() ([]wal.Op, error) {
 		// points do.
 		if e.readOnly.Load() {
 			tx.Abort()
-			return nil, fmt.Errorf("%w (commit of tx %d)", ErrReadOnly, tx.id)
+			return nil, fmt.Errorf("%w (commit of tx %d)", ErrReadOnly, tx.ID())
 		}
 		// A dead context aborts before anything reaches the WAL, so a
 		// canceled transaction is always a clean abort, never an
@@ -1237,7 +1243,7 @@ func (tx *Tx) finish(state int) {
 	default:
 		tx.engine.met.Txn.Aborts.Inc()
 	}
-	tx.engine.locks.ReleaseAll(tx.id)
+	tx.engine.locks.ReleaseAll(&tx.held)
 	for _, fn := range tx.onFinish {
 		fn()
 	}
