@@ -18,21 +18,15 @@ import (
 
 // ReplStatus is a node's replication position, as reported by
 // CmdReplStatus: its role (ReadOnly = replica), replication id, last
-// applied LSN, fencing epoch (with the LSN that epoch started at), and
-// the reason the node's source last dropped a subscriber.
-type ReplStatus struct {
-	ReadOnly bool
-	ReplID   string
-	LSN      uint64
-	Epoch    uint64
-	EpochLSN uint64
-	LastKill string
-}
+// applied LSN, fencing epoch (with the LSN that epoch started at), the
+// reason the node's source last dropped a subscriber, and the address
+// it advertises to its group.
+type ReplStatus = wire.ReplStatus
 
 // ReplStatus queries the server's replication position. Works against
 // primaries and replicas alike.
 func (c *Client) ReplStatus(ctx context.Context) (*ReplStatus, error) {
-	var st *wire.ReplStatus
+	var st *ReplStatus
 	err := c.call(ctx, wire.CmdReplStatus, nil, wire.RespReplStatus, func(body []byte) (err error) {
 		st, err = wire.DecodeReplStatus(body)
 		return err
@@ -40,14 +34,7 @@ func (c *Client) ReplStatus(ctx context.Context) (*ReplStatus, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReplStatus{
-		ReadOnly: st.ReadOnly,
-		ReplID:   st.ReplID,
-		LSN:      st.LSN,
-		Epoch:    st.Epoch,
-		EpochLSN: st.EpochLSN,
-		LastKill: st.LastKill,
-	}, nil
+	return st, nil
 }
 
 // Promote asks the server to promote itself: detach from its primary,

@@ -599,21 +599,14 @@ func (t *STx) Count(sc *Scan) (int, error) {
 // ShardMetrics counts the sharded router's behavior, registered under
 // the client.shard.* names documented in docs/OBSERVABILITY.md.
 type ShardMetrics struct {
-	SingleCommits obs.Counter // commits that stayed on one shard (fast path)
-	CrossCommits  obs.Counter // cross-shard transactions committed through 2PC
-	CrossAborts   obs.Counter // cross-shard transactions aborted (a prepare failed or the coordinator presumed abort)
-	InDoubt       obs.Counter // decisions whose delivery failed, leaving a participant (or the whole transaction) in doubt
-	Resolved      obs.Counter // in-doubt transactions settled by ResolveInDoubt
-	ScatterScans  obs.Counter // scatter-gather scans fanned out over all shards
+	SingleCommits obs.Counter `metric:"client.shard.single_commits"` // commits that stayed on one shard (fast path)
+	CrossCommits  obs.Counter `metric:"client.shard.cross_commits"`  // cross-shard transactions committed through 2PC
+	CrossAborts   obs.Counter `metric:"client.shard.cross_aborts"`   // cross-shard transactions aborted (a prepare failed or the coordinator presumed abort)
+	InDoubt       obs.Counter `metric:"client.shard.indoubt"`        // decisions whose delivery failed, leaving a participant (or the whole transaction) in doubt
+	Resolved      obs.Counter `metric:"client.shard.resolved"`       // in-doubt transactions settled by ResolveInDoubt
+	ScatterScans  obs.Counter `metric:"client.shard.scatter_scans"`  // scatter-gather scans fanned out over all shards
 }
 
 // Attach registers the router metrics into reg; at most once per
 // registry, as elsewhere in obs.
-func (m *ShardMetrics) Attach(reg *obs.Registry) {
-	reg.RegisterCounter("client.shard.single_commits", &m.SingleCommits)
-	reg.RegisterCounter("client.shard.cross_commits", &m.CrossCommits)
-	reg.RegisterCounter("client.shard.cross_aborts", &m.CrossAborts)
-	reg.RegisterCounter("client.shard.indoubt", &m.InDoubt)
-	reg.RegisterCounter("client.shard.resolved", &m.Resolved)
-	reg.RegisterCounter("client.shard.scatter_scans", &m.ScatterScans)
-}
+func (m *ShardMetrics) Attach(reg *obs.Registry) { reg.Attach(m) }

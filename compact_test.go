@@ -73,7 +73,7 @@ func TestCompactReclaimsPages(t *testing.T) {
 		}
 	}
 
-	before := db.Stats()
+	pagesBefore := db.Pages()
 	stats, err := db.Compact()
 	if err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -84,12 +84,12 @@ func TestCompactReclaimsPages(t *testing.T) {
 	if stats.RecordsMoved == 0 {
 		t.Fatalf("Compact moved no records: %+v", stats)
 	}
-	after := db.Stats()
-	if after.Storage.PagesReclaimed != uint64(stats.PagesReclaimed) {
-		t.Fatalf("storage.pages_reclaimed = %d, want %d", after.Storage.PagesReclaimed, stats.PagesReclaimed)
+	sm := &db.Metrics().Storage
+	if got := sm.PagesReclaimed.Load(); got != uint64(stats.PagesReclaimed) {
+		t.Fatalf("storage.pages_reclaimed = %d, want %d", got, stats.PagesReclaimed)
 	}
-	if after.Storage.Compactions != 1 {
-		t.Fatalf("storage.compactions = %d, want 1", after.Storage.Compactions)
+	if got := sm.Compactions.Load(); got != 1 {
+		t.Fatalf("storage.compactions = %d, want 1", got)
 	}
 	checkSurvivors(t, db, survivors)
 	for _, ref := range versioned {
@@ -104,14 +104,14 @@ func TestCompactReclaimsPages(t *testing.T) {
 	// The freed pages must be reusable: inserting a fresh batch of the
 	// same volume should grow the file far less than the batch would
 	// cost from fresh pages.
-	pagesAfterCompact := db.Stats().Pages
+	pagesAfterCompact := db.Pages()
 	for i := 0; i < 1800; i++ {
 		addItem(t, db, stock, fmt.Sprintf("refill-%04d", i), int64(i), 2.0)
 	}
-	growth := int(db.Stats().Pages) - int(pagesAfterCompact)
+	growth := int(db.Pages()) - int(pagesAfterCompact)
 	if growth > stats.PagesReclaimed/2 {
 		t.Fatalf("refill grew file by %d pages despite %d reclaimed (before compact: %d pages)",
-			growth, stats.PagesReclaimed, before.Pages)
+			growth, stats.PagesReclaimed, pagesBefore)
 	}
 
 	// Everything must survive a clean reopen.
@@ -162,7 +162,7 @@ func TestCompactLargerThanPool(t *testing.T) {
 		return oids
 	}
 	oids := insert(n)
-	if pages := db.Stats().Pages; int(pages) < 5*pool {
+	if pages := db.Pages(); int(pages) < 5*pool {
 		t.Fatalf("dataset is not larger than the pool: %d pages vs %d frames", pages, pool)
 	}
 
@@ -195,9 +195,9 @@ func TestCompactLargerThanPool(t *testing.T) {
 		t.Fatalf("second Compact: %v", err)
 	}
 	checkSurvivors(t, db, survivors)
-	st := db.Stats().Storage
-	if st.Compactions != 2 || st.PagesReclaimed == 0 {
-		t.Fatalf("storage.compactions = %d, storage.pages_reclaimed = %d; want 2 and > 0", st.Compactions, st.PagesReclaimed)
+	sm := &db.Metrics().Storage
+	if sm.Compactions.Load() != 2 || sm.PagesReclaimed.Load() == 0 {
+		t.Fatalf("storage.compactions = %d, storage.pages_reclaimed = %d; want 2 and > 0", sm.Compactions.Load(), sm.PagesReclaimed.Load())
 	}
 }
 

@@ -85,11 +85,11 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 	wg.Wait()
 
 	// The cache must be warm and the counters coherent.
-	st := db.Stats()
-	if st.Object.CacheHits == 0 {
+	om := &db.Metrics().Object
+	if om.CacheHits.Load() == 0 {
 		t.Error("stress run never hit the decoded-object cache")
 	}
-	if st.Object.CacheInvalidations == 0 {
+	if om.CacheInvalidations.Load() == 0 {
 		t.Error("updates never invalidated the cache")
 	}
 	// Every committed increment must be visible.
@@ -163,7 +163,7 @@ func TestCacheInvalidationNoStaleDeref(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if db.Stats().Object.CacheInvalidations == 0 {
+	if db.Metrics().Object.CacheInvalidations.Load() == 0 {
 		t.Error("no invalidations recorded")
 	}
 }
@@ -178,7 +178,7 @@ func TestParallelQueryOnSharedDB(t *testing.T) {
 	for i := 0; i < n; i++ {
 		addItem(t, db, stock, fmt.Sprintf("item-%d", i), int64(i), float64(i))
 	}
-	before := db.Stats().Query.Foralls
+	before := db.Metrics().Query.Foralls.Load()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -202,7 +202,7 @@ func TestParallelQueryOnSharedDB(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := db.Stats().Query.Foralls - before; got != 4 {
+	if got := db.Metrics().Query.Foralls.Load() - before; got != 4 {
 		t.Errorf("query.foralls moved by %d, want 4", got)
 	}
 }

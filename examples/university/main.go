@@ -224,10 +224,10 @@ func main() {
 	})
 
 	// The observability surface: every engine layer counts its work.
-	st := db.Stats()
+	st := db.MetricsRegistry().Snapshot()
 	fmt.Printf("stats: commits=%d pool-hits=%d wal-appends=%d foralls=%d "+
 		"(extent=%d index=%d) rows-scanned=%d trigger-firings=%d\n",
-		st.Txn.Commits, st.Pool.Hits, st.WAL.Appends, st.Query.Foralls,
-		st.Query.PlanExtentScan, st.Query.PlanIndexRange,
-		st.Query.RowsScanned, st.Trigger.Firings)
+		st["txn.commits"], st["pool.hits"], st["wal.appends"], st["query.foralls"],
+		st["query.plan_extent_scan"], st["query.plan_index_range"],
+		st["query.rows_scanned"], st["trigger.firings"])
 }

@@ -79,12 +79,12 @@ func TestOverloadFastTypedRejection(t *testing.T) {
 	if elapsed > 2*time.Second {
 		t.Fatalf("rejections took %v; admission is queueing, not rejecting", elapsed)
 	}
-	st := db.Stats()
-	if st.Txn.AdmissionRejects < burst {
-		t.Fatalf("Txn.AdmissionRejects = %d, want >= %d", st.Txn.AdmissionRejects, burst)
+	txm := &db.Metrics().Txn
+	if got := txm.AdmissionRejects.Load(); got < burst {
+		t.Fatalf("Txn.AdmissionRejects = %d, want >= %d", got, burst)
 	}
-	if st.Txn.AdmissionActive != slots {
-		t.Fatalf("Txn.AdmissionActive = %d, want %d", st.Txn.AdmissionActive, slots)
+	if got := txm.AdmissionActive.Load(); got != slots {
+		t.Fatalf("Txn.AdmissionActive = %d, want %d", got, slots)
 	}
 
 	close(release)
@@ -101,7 +101,7 @@ func TestOverloadFastTypedRejection(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("post-overload transaction: %v", err)
 	}
-	if got := db.Stats().Txn.AdmissionActive; got != 0 {
+	if got := txm.AdmissionActive.Load(); got != 0 {
 		t.Fatalf("Txn.AdmissionActive = %d after drain, want 0", got)
 	}
 }
@@ -119,7 +119,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 			return err
 		})
 	}()
-	waitUntil(t, func() bool { return db.Stats().Txn.AdmissionWaits >= 1 })
+	waitUntil(t, func() bool { return db.Metrics().Txn.AdmissionWaits.Load() >= 1 })
 
 	// ...and is admitted, not rejected, once the slot frees.
 	close(release)
@@ -197,11 +197,11 @@ func TestLockWaitDeadline(t *testing.T) {
 	if n := db.engine.Locks().Waiting(oid); n != 0 {
 		t.Fatalf("victim left %d waiters queued on @%d after timeout, want 0", n, oid)
 	}
-	st := db.Stats()
-	if st.Txn.LockWaitTimeouts == 0 {
+	txm := &db.Metrics().Txn
+	if txm.LockWaitTimeouts.Load() == 0 {
 		t.Fatal("Txn.LockWaitTimeouts = 0 after a timed-out lock wait")
 	}
-	if st.Txn.Cancels == 0 {
+	if txm.Cancels.Load() == 0 {
 		t.Fatal("Txn.Cancels = 0 after a timed-out transaction")
 	}
 }
@@ -306,7 +306,7 @@ func TestWALSoftLimitAutoCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
-		if sz := db.Stats().WALBytes; sz > maxObserved {
+		if sz := db.WALSize(); sz > maxObserved {
 			maxObserved = sz
 		}
 	}
@@ -314,8 +314,7 @@ func TestWALSoftLimitAutoCheckpoint(t *testing.T) {
 	if slack := hard + 8<<10; maxObserved > slack {
 		t.Fatalf("WAL grew to %d bytes, want <= hard limit %d (+one-batch slack)", maxObserved, hard)
 	}
-	st := db.Stats()
-	if st.WAL.AutoCheckpoints == 0 {
+	if db.Metrics().WAL.AutoCheckpoints.Load() == 0 {
 		t.Fatal("WAL.AutoCheckpoints = 0 under a soft limit the workload exceeds many times")
 	}
 	// The data survived all that recycling.
@@ -433,7 +432,7 @@ func TestCloseCancelsParkedTransaction(t *testing.T) {
 		})
 	}()
 	<-waiting
-	waitUntil(t, func() bool { return db.Stats().Txn.LockWaits >= 1 })
+	waitUntil(t, func() bool { return db.Metrics().Txn.LockWaits.Load() >= 1 })
 
 	start := time.Now()
 	if err := db.Close(); err != nil {

@@ -57,11 +57,11 @@ func TestGroupCommitConcurrentCommitters(t *testing.T) {
 		}
 		wg.Wait()
 
-		st := db.Stats()
-		if st.WAL.GroupCommitSize < uint64(workers*each) {
-			t.Errorf("group_commit_size=%d, want >= %d", st.WAL.GroupCommitSize, workers*each)
+		wm := &db.Metrics().WAL
+		if got := wm.GroupCommitSize.Load(); got < uint64(workers*each) {
+			t.Errorf("group_commit_size=%d, want >= %d", got, workers*each)
 		}
-		if st.WAL.GroupCommits == 0 {
+		if wm.GroupCommits.Load() == 0 {
 			t.Error("no group commits counted")
 		}
 	})

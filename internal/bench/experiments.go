@@ -112,7 +112,7 @@ func buildE1(e *Env) {
 		}})
 		e.add(Case{Name: name, Col: "scan", Reps: 3, Op: counts(loaded, n, extent(loaded.Stock)),
 			After: func(m *Measurement) error {
-				m.Extra["pages"] = float64(loaded.DB.Stats().Pages)
+				m.Extra["pages"] = float64(loaded.DB.Pages())
 				return nil
 			}})
 	}
@@ -469,10 +469,11 @@ func buildE13(e *Env) {
 	var derefBase time.Duration
 	for _, nw := range sweep {
 		perG := e.scale(200000, 2000) / nw
-		before := w.DB.Stats().Object
+		om := &w.DB.Metrics().Object
+		hits0, misses0 := om.CacheHits.Load(), om.CacheMisses.Load()
 		e.add(Case{Name: fmt.Sprintf("deref workers=%d", nw), Workers: nw, Units: nw * perG,
 			Op: func() error {
-				before = w.DB.Stats().Object
+				hits0, misses0 = om.CacheHits.Load(), om.CacheMisses.Load()
 				return fanOut(nw, func(g int) error {
 					return w.DB.View(func(tx *ode.Tx) error {
 						for k, i := 0, g*7919; k < perG; k, i = k+1, i+1 {
@@ -490,8 +491,7 @@ func buildE13(e *Env) {
 				} else {
 					speedup(m, derefBase)
 				}
-				after := w.DB.Stats().Object
-				hits, misses := after.CacheHits-before.CacheHits, after.CacheMisses-before.CacheMisses
+				hits, misses := om.CacheHits.Load()-hits0, om.CacheMisses.Load()-misses0
 				if hits+misses > 0 {
 					m.Extra["cache_hit_pct"] = 100 * float64(hits) / float64(hits+misses)
 				}
@@ -564,7 +564,7 @@ func buildE14(e *Env) {
 				m.Extra["commits"] = float64(commits.Load())
 				m.Extra["rejects"] = float64(rejects.Load())
 				m.Extra["timeouts"] = float64(timeouts.Load())
-				m.Extra["waits"] = float64(w.DB.Stats().Txn.AdmissionWaits)
+				m.Extra["waits"] = float64(w.DB.Metrics().Txn.AdmissionWaits.Load())
 				m.Extra["tps"] = float64(commits.Load()) / elapsed.Seconds()
 				return nil
 			}})
@@ -590,20 +590,20 @@ func buildE14(e *Env) {
 				return err
 			})
 			commits++
-			peak = max(peak, w.DB.Stats().WALBytes)
+			peak = max(peak, w.DB.WALSize())
 			return err
 		},
 		After: func(m *Measurement) error {
 			// Give the background checkpointer a moment to drain the tail,
 			// so auto_ckpt reflects the kicks the soft limit issued.
-			for wait := time.Now(); w.DB.Stats().WALBytes >= soft && time.Since(wait) < time.Second; {
+			for wait := time.Now(); w.DB.WALSize() >= soft && time.Since(wait) < time.Second; {
 				time.Sleep(time.Millisecond)
 			}
-			st := w.DB.Stats()
+			wm := &w.DB.Metrics().WAL
 			m.Extra["commits"] = float64(commits)
 			m.Extra["peak_wal_kb"] = float64(peak >> 10)
-			m.Extra["auto_ckpt"] = float64(st.WAL.AutoCheckpoints)
-			m.Extra["stalls"] = float64(st.WAL.BackpressureStalls)
+			m.Extra["auto_ckpt"] = float64(wm.AutoCheckpoints.Load())
+			m.Extra["stalls"] = float64(wm.BackpressureStalls.Load())
 			if peak > hard+(64<<10) {
 				return fmt.Errorf("WAL peaked at %d bytes, far beyond the %d hard limit", peak, hard)
 			}
@@ -715,8 +715,9 @@ func buildE16(e *Env) {
 				} else {
 					speedup(m, lone)
 				}
-				if st := w.DB.Stats().WAL; st.GroupCommits > 0 {
-					m.Extra["avg_group"] = float64(st.GroupCommitSize) / float64(st.GroupCommits)
+				wm := &w.DB.Metrics().WAL
+				if groups := wm.GroupCommits.Load(); groups > 0 {
+					m.Extra["avg_group"] = float64(wm.GroupCommitSize.Load()) / float64(groups)
 				}
 				return nil
 			}})

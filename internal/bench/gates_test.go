@@ -3,10 +3,15 @@ package bench
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
 	"ode"
+	"ode/client"
+	"ode/internal/node"
+	"ode/internal/repl"
+	"ode/internal/server"
 )
 
 // Work gates: each row runs one short script, on one goroutine, through
@@ -680,5 +685,39 @@ func TestWorkGates(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// settableValues is the number of exported fields of the option structs
+// a program sets to deploy ode: the engine's, a server's, a client's, a
+// replication node's three, and the node config that holds them. It
+// follows the gate rule: a change that removes a knob lowers it, and a
+// change that raises it says in its description why the new value must
+// be settable rather than a constant.
+const settableValues = 42
+
+// TestSettableValues counts the knobs of the option structs. A field
+// whose type is one of the counted structs counts in that struct, not
+// in the one holding it.
+func TestSettableValues(t *testing.T) {
+	structs := []reflect.Type{
+		reflect.TypeFor[ode.Options](),
+		reflect.TypeFor[server.Options](),
+		reflect.TypeFor[client.Options](),
+		reflect.TypeFor[repl.MonitorOptions](),
+		reflect.TypeFor[repl.ReplicaOptions](),
+		reflect.TypeFor[repl.SourceOptions](),
+		reflect.TypeFor[node.Config](),
+	}
+	n := 0
+	for _, st := range structs {
+		for i := range st.NumField() {
+			if f := st.Field(i); f.IsExported() && !slices.Contains(structs, f.Type) {
+				n++
+			}
+		}
+	}
+	if n != settableValues {
+		t.Errorf("the option structs hold %d settable values, want %d", n, settableValues)
 	}
 }

@@ -29,28 +29,19 @@ import (
 // netchaos.* names documented in docs/OBSERVABILITY.md. One set is
 // typically shared by every link of a harness.
 type Metrics struct {
-	ConnsOpened obs.Counter // connections accepted and successfully proxied to their target
-	ConnsKilled obs.Counter // connections dropped by a fault (partition, reset, close)
-	Refused     obs.Counter // connection attempts refused while partitioned
-	Bytes       obs.Counter // payload bytes forwarded, both directions summed
-	Partitions  obs.Counter // partition transitions (off → on)
-	Resets      obs.Counter // explicit Reset calls that killed at least one connection
-	Links       obs.Gauge   // links currently open
-	Conns       obs.Gauge   // proxied connections currently live
+	ConnsOpened obs.Counter `metric:"netchaos.conns_opened"` // connections accepted and successfully proxied to their target
+	ConnsKilled obs.Counter `metric:"netchaos.conns_killed"` // connections dropped by a fault (partition, reset, close)
+	Refused     obs.Counter `metric:"netchaos.refused"`      // connection attempts refused while partitioned
+	Bytes       obs.Counter `metric:"netchaos.bytes"`        // payload bytes forwarded, both directions summed
+	Partitions  obs.Counter `metric:"netchaos.partitions"`   // partition transitions (off → on)
+	Resets      obs.Counter `metric:"netchaos.resets"`       // explicit Reset calls that killed at least one connection
+	Links       obs.Gauge   `metric:"netchaos.links"`        // links currently open
+	Conns       obs.Gauge   `metric:"netchaos.conns"`        // proxied connections currently live
 }
 
 // Attach registers every netchaos metric into reg. Call once per
 // registry; duplicate registration panics, as elsewhere in obs.
-func (m *Metrics) Attach(reg *obs.Registry) {
-	reg.RegisterCounter("netchaos.conns_opened", &m.ConnsOpened)
-	reg.RegisterCounter("netchaos.conns_killed", &m.ConnsKilled)
-	reg.RegisterCounter("netchaos.refused", &m.Refused)
-	reg.RegisterCounter("netchaos.bytes", &m.Bytes)
-	reg.RegisterCounter("netchaos.partitions", &m.Partitions)
-	reg.RegisterCounter("netchaos.resets", &m.Resets)
-	reg.RegisterGauge("netchaos.links", &m.Links)
-	reg.RegisterGauge("netchaos.conns", &m.Conns)
-}
+func (m *Metrics) Attach(reg *obs.Registry) { reg.Attach(m) }
 
 // Dir selects one byte direction of a proxied connection.
 type Dir int

@@ -113,20 +113,14 @@ func TestBucketBound(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
-	m := NewMetrics(reg)
+	m := new(Metrics)
+	reg.Attach(m)
 	m.Pool.Hits.Add(3)
 	m.Txn.CommitNS.Observe(time.Millisecond)
 
 	names := reg.Names()
 	if len(names) == 0 {
 		t.Fatal("registry is empty")
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			t.Fatalf("duplicate name %q", n)
-		}
-		seen[n] = true
 	}
 	snap := reg.Snapshot()
 	if len(snap) != len(names) {
@@ -142,22 +136,80 @@ func TestRegistry(t *testing.T) {
 }
 
 func TestNilRegistry(t *testing.T) {
-	// NewMetrics(nil) must produce a usable, unregistered set.
-	m := NewMetrics(nil)
+	// Attaching to a nil registry leaves a usable, unregistered set.
+	var reg *Registry
+	m := new(Metrics)
+	reg.Attach(m)
 	m.WAL.Appends.Inc()
 	if m.WAL.Appends.Load() != 1 {
 		t.Fatal("unregistered metrics must still count")
 	}
 }
 
+// TestAttach checks the tag walk: a nested set registers each metric
+// under its own tag, whatever the nesting, and a metric with no tag or
+// a name already taken panics at Attach rather than going unexported.
+func TestAttach(t *testing.T) {
+	type inner struct {
+		Lat   Histogram `metric:"t.inner.lat"`
+		Level Gauge     `metric:"t.inner.level"`
+	}
+	type outer struct {
+		Ops   Counter `metric:"t.ops"`
+		Inner inner
+		Label string     // not a metric: skipped
+		_     sync.Mutex // unexported: skipped
+	}
+	reg := NewRegistry()
+	set := new(outer)
+	reg.Attach(set)
+	set.Ops.Add(2)
+	set.Inner.Level.Set(-1)
+	snap := reg.Snapshot()
+	want := map[string]any{"t.ops": uint64(2), "t.inner.level": int64(-1), "t.inner.lat": HistogramSnapshot{}}
+	if len(snap) != len(want) {
+		t.Fatalf("registered %v, want %d names", reg.Names(), len(want))
+	}
+	for name, v := range want {
+		if snap[name] != v {
+			t.Errorf("%s = %#v, want %#v", name, snap[name], v)
+		}
+	}
+
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	panics("an untagged counter", func() {
+		NewRegistry().Attach(&struct {
+			Ops   Counter `metric:"t.ops"`
+			Extra Counter
+		}{})
+	})
+	panics("a duplicate name", func() {
+		NewRegistry().Attach(&struct {
+			A Counter `metric:"t.same"`
+			B struct {
+				C Gauge `metric:"t.same"`
+			}
+		}{})
+	})
+	panics("a set attached twice", func() { reg.Attach(set) })
+}
+
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	reg := NewRegistry()
 	var c Counter
-	reg.register("x", &c)
+	reg.RegisterCounter("x", &c)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	reg.register("x", &c)
+	reg.RegisterCounter("x", &c)
 }

@@ -16,49 +16,29 @@ import "ode/internal/obs"
 // exists per process; Attach registers it into the database's metric
 // registry under the repl.* names documented in docs/OBSERVABILITY.md.
 type Metrics struct {
-	FramesShipped obs.Counter // WAL frames written to subscribers (all subscribers summed)
-	BytesShipped  obs.Counter // raw batch bytes written to subscribers
-	FramesApplied obs.Counter // replicated batches applied locally (replica role)
-	BytesApplied  obs.Counter // raw batch bytes applied locally
-	Acks          obs.Counter // CmdWALAck frames received from subscribers
-	Reconnects    obs.Counter // replica reconnect attempts after a lost primary link
-	Snapshots     obs.Counter // full-resync snapshot dumps served (primary role)
+	FramesShipped obs.Counter `metric:"repl.frames_shipped"` // WAL frames written to subscribers (all subscribers summed)
+	BytesShipped  obs.Counter `metric:"repl.bytes_shipped"`  // raw batch bytes written to subscribers
+	FramesApplied obs.Counter `metric:"repl.frames_applied"` // replicated batches applied locally (replica role)
+	BytesApplied  obs.Counter `metric:"repl.bytes_applied"`  // raw batch bytes applied locally
+	Acks          obs.Counter `metric:"repl.acks"`           // CmdWALAck frames received from subscribers
+	Reconnects    obs.Counter `metric:"repl.reconnects"`     // replica reconnect attempts after a lost primary link
+	Snapshots     obs.Counter `metric:"repl.snapshots"`      // full-resync snapshot dumps served (primary role)
 
-	SubscriberKills   obs.Counter // subscribers the source dropped (queue overflow, shutdown)
-	Resyncs           obs.Counter // full-resync demands issued to unserviceable subscribers
-	StaleEpochRejects obs.Counter // frames/streams rejected for carrying a deposed epoch
-	HeartbeatsSent    obs.Counter // heartbeat frames written to subscribers (primary role)
-	HeartbeatsRecv    obs.Counter // heartbeat frames received from the primary (replica role)
-	Promotions        obs.Counter // times this node promoted itself to primary
-	Demotions         obs.Counter // times this node was demoted back to replica
+	SubscriberKills   obs.Counter `metric:"repl.subscriber_kills"`    // subscribers the source dropped (queue overflow, shutdown)
+	Resyncs           obs.Counter `metric:"repl.resyncs"`             // full-resync demands issued to unserviceable subscribers
+	StaleEpochRejects obs.Counter `metric:"repl.stale_epoch_rejects"` // frames/streams rejected for carrying a deposed epoch
+	HeartbeatsSent    obs.Counter `metric:"repl.heartbeats_sent"`     // heartbeat frames written to subscribers (primary role)
+	HeartbeatsRecv    obs.Counter `metric:"repl.heartbeats_recv"`     // heartbeat frames received from the primary (replica role)
+	Promotions        obs.Counter `metric:"repl.promotions"`          // times this node promoted itself to primary
+	Demotions         obs.Counter `metric:"repl.demotions"`           // times this node was demoted back to replica
 
-	Subscribers obs.Gauge // currently connected subscribers (primary role)
-	LSN         obs.Gauge // last shipped (primary) or applied (replica) LSN
-	LagLSN      obs.Gauge // max batches behind across connected subscribers; replica: local lag vs primary
-	LagBytes    obs.Gauge // bytes queued for the slowest connected subscriber
-	Epoch       obs.Gauge // current fencing epoch (bumped by promotion, adopted from the primary)
+	Subscribers obs.Gauge `metric:"repl.subscribers"` // currently connected subscribers (primary role)
+	LSN         obs.Gauge `metric:"repl.lsn"`         // last shipped (primary) or applied (replica) LSN
+	LagLSN      obs.Gauge `metric:"repl.lag_lsn"`     // max batches behind across connected subscribers; replica: local lag vs primary
+	LagBytes    obs.Gauge `metric:"repl.lag_bytes"`   // bytes queued for the slowest connected subscriber
+	Epoch       obs.Gauge `metric:"repl.epoch"`       // current fencing epoch (bumped by promotion, adopted from the primary)
 }
 
 // Attach registers every replication metric into reg. Call once per
 // registry; duplicate registration panics, as elsewhere in obs.
-func (m *Metrics) Attach(reg *obs.Registry) {
-	reg.RegisterCounter("repl.frames_shipped", &m.FramesShipped)
-	reg.RegisterCounter("repl.bytes_shipped", &m.BytesShipped)
-	reg.RegisterCounter("repl.frames_applied", &m.FramesApplied)
-	reg.RegisterCounter("repl.bytes_applied", &m.BytesApplied)
-	reg.RegisterCounter("repl.acks", &m.Acks)
-	reg.RegisterCounter("repl.reconnects", &m.Reconnects)
-	reg.RegisterCounter("repl.snapshots", &m.Snapshots)
-	reg.RegisterCounter("repl.subscriber_kills", &m.SubscriberKills)
-	reg.RegisterCounter("repl.resyncs", &m.Resyncs)
-	reg.RegisterCounter("repl.stale_epoch_rejects", &m.StaleEpochRejects)
-	reg.RegisterCounter("repl.heartbeats_sent", &m.HeartbeatsSent)
-	reg.RegisterCounter("repl.heartbeats_recv", &m.HeartbeatsRecv)
-	reg.RegisterCounter("repl.promotions", &m.Promotions)
-	reg.RegisterCounter("repl.demotions", &m.Demotions)
-	reg.RegisterGauge("repl.subscribers", &m.Subscribers)
-	reg.RegisterGauge("repl.lsn", &m.LSN)
-	reg.RegisterGauge("repl.lag_lsn", &m.LagLSN)
-	reg.RegisterGauge("repl.lag_bytes", &m.LagBytes)
-	reg.RegisterGauge("repl.epoch", &m.Epoch)
-}
+func (m *Metrics) Attach(reg *obs.Registry) { reg.Attach(m) }

@@ -16,20 +16,6 @@ import (
 
 // SourceOptions tunes the primary side of replication.
 type SourceOptions struct {
-	// MaxRetainBytes bounds how much WAL the retention gate will keep
-	// for lagging subscribers (default 256 MiB). Past the bound a
-	// checkpoint truncates anyway: a stalled replica must not hold the
-	// primary's log hostage, and will be forced into a full resync when
-	// it returns.
-	MaxRetainBytes int64
-	// QueueFrames bounds the per-subscriber in-flight frame queue
-	// (default 4096). A subscriber that falls further behind than the
-	// queue is dropped and must reconnect (catching up from the WAL, or
-	// resyncing).
-	QueueFrames int
-	// SnapshotOps is the operation count per synthetic snapshot batch
-	// (default 64).
-	SnapshotOps int
 	// HeartbeatEvery is the idle-stream heartbeat interval (default 1s).
 	// Heartbeats carry the primary's epoch and LSN, so a quiet stream
 	// still proves the primary alive and keeps replicas' lag gauges and
@@ -40,19 +26,24 @@ type SourceOptions struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxRetainBytes bounds how much WAL the retention gate will keep
+	// for lagging subscribers. Past the bound a checkpoint truncates
+	// anyway: a stalled replica must not hold the primary's log
+	// hostage, and will be forced into a full resync when it returns.
+	maxRetainBytes = 256 << 20
+	// queueFrames bounds the per-subscriber in-flight frame queue. A
+	// subscriber that falls further behind than the queue is dropped
+	// and must reconnect (catching up from the WAL, or resyncing).
+	queueFrames = 4096
+	// snapshotOps is the operation count per synthetic snapshot batch.
+	snapshotOps = 64
+)
+
 func (o *SourceOptions) withDefaults() SourceOptions {
 	var out SourceOptions
 	if o != nil {
 		out = *o
-	}
-	if out.MaxRetainBytes <= 0 {
-		out.MaxRetainBytes = 256 << 20
-	}
-	if out.QueueFrames <= 0 {
-		out.QueueFrames = 4096
-	}
-	if out.SnapshotOps <= 0 {
-		out.SnapshotOps = 64
 	}
 	if out.HeartbeatEvery <= 0 {
 		out.HeartbeatEvery = time.Second
@@ -247,7 +238,7 @@ func (s *Source) fanout(lsn uint64, raw []byte) {
 			// it rather than stall commits or buffer without bound. It
 			// reconnects and catches up from the WAL (or resyncs).
 			reason := fmt.Sprintf("queue overflow at lsn %d: replica %d frames behind (acked %d)",
-				lsn, s.opts.QueueFrames, sub.acked.Load())
+				lsn, queueFrames, sub.acked.Load())
 			sub.kill(reason)
 			s.noteKill(reason)
 			continue
@@ -264,9 +255,9 @@ func (s *Source) fanout(lsn uint64, raw []byte) {
 }
 
 // retain is the checkpoint truncation gate: keep the WAL while a live
-// subscriber still needs batches from it, up to MaxRetainBytes.
+// subscriber still needs batches from it, up to maxRetainBytes.
 func (s *Source) retain(lsn uint64) bool {
-	if s.db.WALSize() >= s.opts.MaxRetainBytes {
+	if s.db.WALSize() >= maxRetainBytes {
 		return false
 	}
 	s.mu.Lock()
@@ -333,7 +324,7 @@ func epochServiceable(reqEpoch, reqLSN, srcEpoch, srcEpochLSN uint64) bool {
 func (s *Source) ServeSubscriber(nc net.Conn, br *bufio.Reader, reqID uint64, req *wire.SubscribeReq) error {
 	bw := bufio.NewWriter(nc)
 	sub := &subscriber{
-		ch:   make(chan shipFrame, s.opts.QueueFrames),
+		ch:   make(chan shipFrame, queueFrames),
 		done: make(chan struct{}),
 	}
 	var (
@@ -436,7 +427,7 @@ func (s *Source) ServeSubscriber(nc net.Conn, br *bufio.Reader, reqID uint64, re
 		if err := writeFrame(bw, reqID, wire.RespWALSnapBegin, wire.SnapBody(s.db.ReplicationID(), startLSN)); err != nil {
 			return err
 		}
-		err := s.db.SnapshotBatches(s.opts.SnapshotOps, func(raw []byte) error {
+		err := s.db.SnapshotBatches(snapshotOps, func(raw []byte) error {
 			s.met.FramesShipped.Inc()
 			s.met.BytesShipped.Add(uint64(len(raw)))
 			return writeFrame(bw, reqID, wire.RespWALFrame, wire.WALFrameBody(0, srcEpoch, raw))

@@ -11,69 +11,43 @@ import (
 // daemon's metrics endpoint exposes engine and server counters through
 // one snapshot.
 type Metrics struct {
-	Conns      obs.Gauge   // connections currently in the session table
-	ConnsTotal obs.Counter // connections accepted over the server's lifetime
-	Sheds      obs.Counter // connections/requests rejected by overload (session table full)
-	Requests   obs.Counter // request frames processed
-	BytesIn    obs.Counter // frame bytes read from clients
-	BytesOut   obs.Counter // frame bytes written to clients
+	Conns      obs.Gauge   `metric:"server.conns"`       // connections currently in the session table
+	ConnsTotal obs.Counter `metric:"server.conns_total"` // connections accepted over the server's lifetime
+	Sheds      obs.Counter `metric:"server.sheds"`       // connections/requests rejected by overload (session table full)
+	Requests   obs.Counter `metric:"server.requests"`    // request frames processed
+	BytesIn    obs.Counter `metric:"server.bytes_in"`    // frame bytes read from clients
+	BytesOut   obs.Counter `metric:"server.bytes_out"`   // frame bytes written to clients
 
 	// The entries of deref-cached requests, by outcome, the requested
 	// entry included: proven (the client's copy is current), modified
 	// (the current image was sent) and skipped (a neighbour whose lock
 	// was busy or that is gone). A request that fails counts none.
-	RevalProven   obs.Counter
-	RevalModified obs.Counter
-	RevalSkipped  obs.Counter
+	RevalProven   obs.Counter `metric:"server.reval_proven"`
+	RevalModified obs.Counter `metric:"server.reval_modified"`
+	RevalSkipped  obs.Counter `metric:"server.reval_skipped"`
 
 	// Per-command request latency, measured from frame decode to the
 	// final response frame written. A forall counts once, from its
 	// request to the frame that ends it, less the time it spent paused
 	// waiting for the client to ask for the next window; its
 	// CmdForallMore frames are requests, not latencies of their own.
-	LatBegin   obs.Histogram
-	LatCommit  obs.Histogram
-	LatAbort   obs.Histogram
-	LatPNew    obs.Histogram
-	LatDeref   obs.Histogram
-	LatUpdate  obs.Histogram
-	LatPDelete obs.Histogram
-	LatVersion obs.Histogram
-	LatForall  obs.Histogram
-	LatExplain obs.Histogram
-	LatOQL     obs.Histogram
-	LatOther   obs.Histogram // ping, metrics, unknown
+	LatBegin   obs.Histogram `metric:"server.req_ns.begin"`
+	LatCommit  obs.Histogram `metric:"server.req_ns.commit"`
+	LatAbort   obs.Histogram `metric:"server.req_ns.abort"`
+	LatPNew    obs.Histogram `metric:"server.req_ns.pnew"`
+	LatDeref   obs.Histogram `metric:"server.req_ns.deref"`
+	LatUpdate  obs.Histogram `metric:"server.req_ns.update"`
+	LatPDelete obs.Histogram `metric:"server.req_ns.pdelete"`
+	LatVersion obs.Histogram `metric:"server.req_ns.version"`
+	LatForall  obs.Histogram `metric:"server.req_ns.forall"`
+	LatExplain obs.Histogram `metric:"server.req_ns.explain"`
+	LatOQL     obs.Histogram `metric:"server.req_ns.oql"`
+	LatOther   obs.Histogram `metric:"server.req_ns.other"` // ping, metrics, unknown
 }
 
 // Attach registers every server metric into reg. Call once per
 // registry; duplicate registration panics, as elsewhere in obs.
-func (m *Metrics) Attach(reg *obs.Registry) {
-	reg.RegisterGauge("server.conns", &m.Conns)
-	reg.RegisterCounter("server.conns_total", &m.ConnsTotal)
-	reg.RegisterCounter("server.sheds", &m.Sheds)
-	reg.RegisterCounter("server.requests", &m.Requests)
-	reg.RegisterCounter("server.bytes_in", &m.BytesIn)
-	reg.RegisterCounter("server.bytes_out", &m.BytesOut)
-	reg.RegisterCounter("server.reval_proven", &m.RevalProven)
-	reg.RegisterCounter("server.reval_modified", &m.RevalModified)
-	reg.RegisterCounter("server.reval_skipped", &m.RevalSkipped)
-	for name, h := range map[string]*obs.Histogram{
-		"server.req_ns.begin":   &m.LatBegin,
-		"server.req_ns.commit":  &m.LatCommit,
-		"server.req_ns.abort":   &m.LatAbort,
-		"server.req_ns.pnew":    &m.LatPNew,
-		"server.req_ns.deref":   &m.LatDeref,
-		"server.req_ns.update":  &m.LatUpdate,
-		"server.req_ns.pdelete": &m.LatPDelete,
-		"server.req_ns.version": &m.LatVersion,
-		"server.req_ns.forall":  &m.LatForall,
-		"server.req_ns.explain": &m.LatExplain,
-		"server.req_ns.oql":     &m.LatOQL,
-		"server.req_ns.other":   &m.LatOther,
-	} {
-		reg.RegisterHistogram(name, h)
-	}
-}
+func (m *Metrics) Attach(reg *obs.Registry) { reg.Attach(m) }
 
 // latency returns the histogram recording command t.
 func (m *Metrics) latency(t byte) *obs.Histogram {

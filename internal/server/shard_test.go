@@ -185,7 +185,7 @@ func TestShardedCountBesideCrossShardCreates(t *testing.T) {
 	// Let the count reach the writer's home shard (and wait there, if it
 	// waits at all) before the writer moves on to another shard.
 	var got *result
-	for deadline := time.Now().Add(2 * time.Second); got == nil && dbs[home].Stats().Txn.LockWaits == 0 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(2 * time.Second); got == nil && dbs[home].Metrics().Txn.LockWaits.Load() == 0 && time.Now().Before(deadline); {
 		select {
 		case r := <-counted:
 			got = &r

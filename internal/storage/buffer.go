@@ -122,7 +122,8 @@ func (bp *Pool) SetMetrics(pm *obs.PoolMetrics, sm *obs.StorageMetrics) {
 	pm.Shards.Set(int64(len(bp.shards)))
 }
 
-// Stats returns (hits, misses, evictions).
+// Stats returns (hits, misses, evictions); benchmark/probes.go reads the
+// pool through it.
 func (bp *Pool) Stats() (hits, misses, evictions uint64) {
 	return bp.met.Hits.Load(), bp.met.Misses.Load(), bp.met.Evictions.Load()
 }

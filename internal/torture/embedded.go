@@ -355,7 +355,7 @@ func (e *embedded) verify() error {
 	if err != nil {
 		return fmt.Errorf("heap chain walk: %w", err)
 	}
-	total := e.db.Stats().Pages
+	total := e.db.Pages()
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 	for i, id := range pages {
 		if i > 0 && id == pages[i-1] {

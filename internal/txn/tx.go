@@ -128,7 +128,7 @@ func NewEngine(mgr *object.Manager, log *wal.Log) *Engine {
 		decided:     make(map[string]decision),
 		shardSlot:   -1,
 	}
-	e.SetMetrics(obs.NewMetrics(nil))
+	e.SetMetrics(new(obs.Metrics))
 	return e
 }
 

@@ -340,7 +340,8 @@ func Open(path string, schema *core.Schema, opts *Options) (*DB, error) {
 	// unregistered zero set, so recovery and catalog work done above is
 	// simply not counted.
 	reg := obs.NewRegistry()
-	met := obs.NewMetrics(reg)
+	met := new(obs.Metrics)
+	reg.Attach(met)
 	failpoint.RegisterMetrics(reg)
 	pool.SetMetrics(&met.Pool, &met.Storage)
 	log.SetMetrics(&met.WAL)
@@ -783,30 +784,11 @@ func (db *DB) ExpireTimedTriggers() (int, error) {
 	return db.triggers.ExpireBefore(timeNow())
 }
 
-// Stats is a full point-in-time snapshot of the engine's metrics: the
-// embedded obs.Snapshot covers every layer (buffer pool, storage, WAL,
-// transactions, object manager, query planner, triggers), plus the two
-// file-level gauges Pages and WALBytes. docs/OBSERVABILITY.md documents
-// each counter.
-type Stats struct {
-	Pages    uint32 // data file size in 4 KiB pages
-	WALBytes int64  // current WAL size in bytes
-	obs.Snapshot
-}
+// Pages returns the data file's size in 4 KiB pages.
+func (db *DB) Pages() uint32 { return db.fs.NumPages() }
 
-// Stats captures the current value of every engine metric. Reads are
-// atomic per counter (the snapshot as a whole is not a consistent cut,
-// which is fine for monitoring).
-func (db *DB) Stats() Stats {
-	return Stats{
-		Pages:    db.fs.NumPages(),
-		WALBytes: db.log.Size(),
-		Snapshot: db.met.Stats(),
-	}
-}
-
-// Metrics exposes the live engine metric set (advanced use; most
-// callers want the Stats snapshot).
+// Metrics exposes the live engine metric set, one substruct per layer;
+// each field's `metric` tag is its name in MetricsRegistry.
 func (db *DB) Metrics() *obs.Metrics { return db.met }
 
 // MetricsRegistry exposes the metric registry: the canonical name of

@@ -239,19 +239,17 @@ func TestStatsAndCheckpoint(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		addItem(t, db, stock, fmt.Sprintf("s%d", i), 1, 1)
 	}
-	st := db.Stats()
-	if st.WALBytes == 0 {
+	if db.WALSize() == 0 {
 		t.Error("WAL should have content before checkpoint")
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	st = db.Stats()
-	if st.WALBytes != 0 {
+	if db.WALSize() != 0 {
 		t.Error("WAL not truncated by checkpoint")
 	}
-	if st.Pages < 2 {
-		t.Errorf("Pages = %d", st.Pages)
+	if pages := db.Pages(); pages < 2 {
+		t.Errorf("Pages = %d", pages)
 	}
 }
 

@@ -33,11 +33,11 @@ func TestReplicatedBatchDurableOnReplica(t *testing.T) {
 		if next := replica.LSN() + 1; next != batches[0].lsn {
 			t.Fatalf("replica expects LSN %d, the primary's first batch is %d", next, batches[0].lsn)
 		}
-		appends := replica.Stats().WAL.Appends
+		appends := replica.Metrics().WAL.Appends.Load()
 		if err := replica.ApplyReplicatedBatch(batches[1].lsn, batches[1].raw); !errors.Is(err, wal.ErrLSNGap) {
 			t.Fatalf("batch past a gap: %v, want ErrLSNGap", err)
 		}
-		if got := replica.Stats().WAL.Appends; got != appends {
+		if got := replica.Metrics().WAL.Appends.Load(); got != appends {
 			t.Fatalf("a refused batch reached the WAL: appends %d -> %d", appends, got)
 		}
 		for _, b := range batches {

@@ -5,10 +5,12 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"ode/internal/obs"
 )
 
 // TestStatsSnapshot checks that normal work shows up in every layer of
-// the DB.Stats surface.
+// the registry snapshot, read by canonical name.
 func TestStatsSnapshot(t *testing.T) {
 	db, stock := openTestDB(t, nil)
 	for i := 0; i < 5; i++ {
@@ -22,32 +24,27 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := db.Stats()
-	nonzero := map[string]uint64{
-		"txn.begins":         st.Txn.Begins,
-		"txn.commits":        st.Txn.Commits,
-		"wal.appends":        st.WAL.Appends,
-		"wal.append_bytes":   st.WAL.AppendBytes,
-		"wal.fsyncs":         st.WAL.Fsyncs,
-		"pool.hits":          st.Pool.Hits,
-		"object.creates":     st.Object.Creates,
-		"query.foralls":      st.Query.Foralls,
-		"query.plans":        st.Query.PlanExtentScan + st.Query.PlanIndexRange,
-		"query.rows_scanned": st.Query.RowsScanned,
-		"query.rows_yielded": st.Query.RowsYielded,
-		"commit_ns.count":    st.Txn.CommitNS.Count,
-		"fsync_ns.count":     st.WAL.FsyncNS.Count,
-	}
-	for name, v := range nonzero {
-		if v == 0 {
-			t.Errorf("%s = 0, want non-zero", name)
+	st := db.MetricsRegistry().Snapshot()
+	for _, name := range []string{
+		"txn.begins", "txn.commits", "txn.lock_grants",
+		"wal.appends", "wal.append_bytes", "wal.fsyncs",
+		"pool.hits", "object.creates",
+		"query.foralls", "query.rows_scanned", "query.rows_yielded",
+	} {
+		if v, ok := st[name].(uint64); !ok || v == 0 {
+			t.Errorf("%s = %v, want a non-zero uint64", name, st[name])
 		}
 	}
-	if st.Pages == 0 {
-		t.Error("Pages = 0")
+	if st["query.plan_extent_scan"].(uint64)+st["query.plan_index_range"].(uint64) == 0 {
+		t.Error("no forall plan counted")
 	}
-	if st.Txn.CommitNS.Sum <= 0 {
-		t.Errorf("CommitNS.Sum = %v, want positive", st.Txn.CommitNS.Sum)
+	for _, name := range []string{"txn.commit_ns", "wal.fsync_ns"} {
+		if h, ok := st[name].(obs.HistogramSnapshot); !ok || h.Count == 0 || h.Sum <= 0 {
+			t.Errorf("%s = %v, want samples with a positive sum", name, st[name])
+		}
+	}
+	if db.Pages() == 0 {
+		t.Error("Pages = 0")
 	}
 }
 
@@ -119,20 +116,19 @@ func TestPlanCountersFlipWithIndex(t *testing.T) {
 	}
 
 	count()
-	st := db.Stats()
-	if st.Query.PlanExtentScan != 1 || st.Query.PlanIndexRange != 0 {
+	qm := &db.Metrics().Query
+	if qm.PlanExtentScan.Load() != 1 || qm.PlanIndexRange.Load() != 0 {
 		t.Fatalf("before index: extent=%d index=%d, want 1/0",
-			st.Query.PlanExtentScan, st.Query.PlanIndexRange)
+			qm.PlanExtentScan.Load(), qm.PlanIndexRange.Load())
 	}
 
 	if err := db.CreateIndex(stock, "qty"); err != nil {
 		t.Fatal(err)
 	}
 	count()
-	st = db.Stats()
-	if st.Query.PlanExtentScan != 1 || st.Query.PlanIndexRange != 1 {
+	if qm.PlanExtentScan.Load() != 1 || qm.PlanIndexRange.Load() != 1 {
 		t.Fatalf("after index: extent=%d index=%d, want 1/1",
-			st.Query.PlanExtentScan, st.Query.PlanIndexRange)
+			qm.PlanExtentScan.Load(), qm.PlanIndexRange.Load())
 	}
 }
 
